@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bessel import RootTable, bessel_j, bessel_j_prime
+from .bessel import bessel_j, bessel_j_prime
 
 
 class DiskDomainError(ValueError):
@@ -28,8 +28,27 @@ class SingularityError(ValueError):
 
 def normalization_constant(n, k, table):
     """C_{n,k} = 1 / (sqrt(pi) J_{|n|+1}(j_{|n|,k})); depends on |n| only."""
-    j = table.root(n, k)
-    return 1.0 / (math.sqrt(math.pi) * bessel_j(abs(int(n)) + 1, j))
+    return table.norm(n, k)
+
+
+def radial_profile(n, k, r, table, derivative=False):
+    """Radial factor C_{n,k} J_{|n|}(j_{n,k} r) of e_{n,k}, or with
+    derivative set its r-derivative C_{n,k} j_{n,k} J_{|n|}'(j_{n,k} r).
+
+    k is one radial index or an integer array of them; the root and the
+    normalisation taken from the table broadcast against r.
+    """
+    n = abs(int(n))
+    if np.ndim(k) == 0:
+        j, c = table.root(n, k), table.norm(n, k)
+    else:
+        i = np.asarray(k) - 1
+        if n > table.n_max or i.min() < 0 or i.max() >= table.k_max:
+            raise KeyError(f"indices ({n}, {k}) outside table ({table.n_max}, {table.k_max})")
+        j, c = table.roots[n, i], table.norms[n, i]
+    if derivative:
+        return c * j * bessel_j_prime(n, j * r)
+    return c * bessel_j(n, j * r)
 
 
 def eval_eigenfunction(n, k, z, table):
@@ -38,18 +57,15 @@ def eval_eigenfunction(n, k, z, table):
     r = np.abs(z)
     if np.any(r > 1.0 + 1e-12):
         raise DiskDomainError("point outside the closed unit disk")
-    j = table.root(n, k)
-    c = normalization_constant(n, k, table)
-    radial = c * bessel_j(abs(int(n)), j * np.minimum(r, 1.0))
-    phase = np.exp(1j * n * np.angle(z))
-    out = radial * phase
+    radial = radial_profile(n, k, np.minimum(r, 1.0), table)
+    out = radial * np.exp(1j * n * np.angle(z))
     return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class DiskQuadrature:
-    """Gauss-Legendre radial rule (weight r absorbed) tensored with a
-    uniform angular grid.
+    """Gauss-Legendre radial rule (weight r absorbed) on [0, radius]
+    tensored with a uniform angular grid.
 
     Exact for integrands r^p e^{i m phi} with p <= 2 * radial_order - 2
     and |m| < angular_order / 2 resolved exactly in the angular direction.
@@ -61,15 +77,21 @@ class DiskQuadrature:
     wr: np.ndarray = field(repr=False)
     theta: np.ndarray = field(repr=False)
     wt: float = field(repr=False)
+    radius: float = 1.0
 
     @classmethod
     def build(cls, radial_order=120, angular_order=64):
+        """The rule on the unit disk."""
+        return cls._polar(radial_order, angular_order, 1.0)
+
+    @classmethod
+    def _polar(cls, radial_order, angular_order, radius):
         x, w = leggauss(radial_order)
-        r = 0.5 * (x + 1.0)
-        wr = 0.5 * w * r  # absorb the r dr weight
+        r = 0.5 * radius * (x + 1.0)
+        wr = 0.5 * radius * w * r  # absorb the r dr weight
         theta = 2.0 * math.pi * np.arange(angular_order) / angular_order
         wt = 2.0 * math.pi / angular_order
-        return cls(radial_order, angular_order, r, wr, theta, wt)
+        return cls(radial_order, angular_order, r, wr, theta, wt, radius)
 
     def nodes(self):
         """Complex nodes as a (radial, angular) grid."""
@@ -111,11 +133,13 @@ def green_dirichlet_series(z, w, table, n_cut=None, k_cut=None):
     rw, tw = abs(w), np.angle(w)
     if rz > 1 + 1e-12 or rw > 1 + 1e-12:
         raise DiskDomainError("both points must lie in the closed disk")
+    ks = np.arange(1, k_cut + 1)
     total = 0.0
     for n in range(0, n_cut + 1):
         js = table.roots[n, :k_cut]
-        cs = 1.0 / (math.sqrt(math.pi) * bessel_j(n + 1, js))
-        term = np.sum(cs**2 * bessel_j(n, js * rz) * bessel_j(n, js * rw) / js**2)
+        term = np.sum(
+            radial_profile(n, ks, rz, table) * radial_profile(n, ks, rw, table) / js**2
+        )
         # e_{n,k}(z) e_{-n,k}(w) + e_{-n,k}(z) e_{n,k}(w): the phases
         # combine to 2 cos(n (theta_z - theta_w)); n = 0 counted once.
         ang = 2.0 * math.cos(n * (tz - tw)) if n > 0 else 1.0
@@ -202,14 +226,10 @@ def pairing(phi, f):
 def basis_matrix(indices, quad, table):
     """Values of the listed basis functions on the quadrature grid,
     flattened to shape (nodes, len(indices))."""
-    cols = []
-    for (n, k) in indices:
-        j = table.root(n, k)
-        c = normalization_constant(n, k, table)
-        radial = c * bessel_j(abs(n), j * quad.r)
-        col = radial[:, None] * np.exp(1j * n * quad.theta)[None, :]
-        cols.append(col.ravel())
-    return np.column_stack(cols)
+    return np.column_stack([
+        (radial_profile(n, k, quad.r, table)[:, None] * np.exp(1j * n * quad.theta)).ravel()
+        for (n, k) in indices
+    ])
 
 
 def gram_matrix(indices, quad, table):
@@ -231,6 +251,4 @@ def project(f, indices, quad, table):
 
 def eigenfunction_radial_derivative(n, k, r, table):
     """d/dr of the radial profile C_{n,k} J_{|n|}(j r)."""
-    j = table.root(n, k)
-    c = normalization_constant(n, k, table)
-    return c * j * bessel_j_prime(abs(int(n)), j * np.asarray(r, dtype=float))
+    return radial_profile(n, k, np.asarray(r, dtype=float), table, derivative=True)

@@ -1,10 +1,13 @@
 """Bessel functions of the first kind, derivatives, and positive roots.
 
-Evaluation is delegated to scipy.special (integer order, real argument);
-root finding is done in-repo with a McMahon initial guess refined by
-Newton iteration inside a guaranteed sign-change bracket, so that every
-returned root j_{n,k} comes with a residual certificate |J_n(j_{n,k})|
-below ``ROOT_RESIDUAL_TOL``.
+Evaluation is delegated to scipy.special (integer order, real argument).
+The roots j_{n,k} come from scipy.special.jn_zeros and are certified here
+before use: every table passes the residual certificate |J_n(j_{n,k})|
+below ``ROOT_RESIDUAL_TOL``, the strict lower bound
+j_{n,k}^2 > n^2 + (k - 1/4)^2 pi^2, and Watson's interlacing
+j_{n,k} < j_{n+1,k} < j_{n,k+1}, which rules out a skipped or repeated
+root.  The same step stores the basis normalisation
+C_{n,k} = 1 / (sqrt(pi) J_{n+1}(j_{n,k})) on the table.
 """
 
 from __future__ import annotations
@@ -17,19 +20,13 @@ from scipy import special
 
 ROOT_RESIDUAL_TOL = 1e-12
 
-# Minimal gap between consecutive positive roots of J_n over all n >= 0.
-# The spacing tends to pi from below only for n = 0, where the smallest
-# gap is j_{0,2} - j_{0,1} ~ 3.115; a scan step below that cannot skip a
-# sign change.
-_SCAN_STEP = 1.5
-
 
 class BesselDomainError(ValueError):
     """Raised for negative order or negative argument."""
 
 
 class RootBracketError(RuntimeError):
-    """Raised when a sign-change bracket cannot be isolated for a root."""
+    """Raised when a root table fails one of its certificates."""
 
 
 def _check_order(n):
@@ -38,22 +35,23 @@ def _check_order(n):
     return int(n)
 
 
-def bessel_j(n, x):
-    """J_n(x) for integer order n >= 0 and real x >= 0."""
-    n = _check_order(n)
+def _check_argument(x):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0):
         raise BesselDomainError("argument must be nonnegative")
+    return xa
+
+
+def bessel_j(n, x):
+    """J_n(x) for integer order n >= 0 and real x >= 0."""
+    n, xa = _check_order(n), _check_argument(x)
     out = special.jv(n, xa)
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
 def bessel_j_prime(n, x):
     """d/dx J_n(x) for integer order n >= 0 and real x >= 0."""
-    n = _check_order(n)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0):
-        raise BesselDomainError("argument must be nonnegative")
+    n, xa = _check_order(n), _check_argument(x)
     if n == 0:
         out = -special.jv(1, xa)
     else:
@@ -62,148 +60,97 @@ def bessel_j_prime(n, x):
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
-def _mcmahon_guess(n, k):
-    """McMahon's asymptotic approximation for j_{n,k}."""
-    beta = (k + 0.5 * n - 0.25) * math.pi
-    mu = 4.0 * n * n
-    return beta - (mu - 1.0) / (8.0 * beta)
-
-
-def _refine_root(n, lo, hi):
-    """Newton iteration with bisection fallback inside a sign-change bracket."""
-    flo = bessel_j(n, lo)
-    fhi = bessel_j(n, hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise RootBracketError(f"no sign change in bracket [{lo}, {hi}] for order {n}")
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        f = bessel_j(n, x)
-        if f == 0.0:
-            return x
-        if f * flo < 0:
-            hi = x
-        else:
-            lo, flo = x, f
-        fp = bessel_j_prime(n, x)
-        step = f / fp if fp != 0.0 else math.inf
-        xn = x - step
-        if not (lo < xn < hi):
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) < 1e-15 * max(1.0, abs(x)):
-            return xn
-        x = xn
-    return x
-
-
 def bessel_root(n, k):
-    """The k-th positive root j_{n,k} of J_n, for n >= 0, k >= 1.
-
-    Brackets are isolated by scanning for sign changes starting from the
-    lower bound sqrt(n^2 + (3 pi / 4)^2) on the first root; the McMahon
-    guess only centers the scan window for large k.
-    """
+    """The k-th positive root j_{n,k} of J_n, for n >= 0, k >= 1."""
     n = _check_order(n)
     if k != int(k) or k < 1:
         raise BesselDomainError(f"root index must be a positive integer, got {k!r}")
-    k = int(k)
-    return _roots_by_scan(n, k)[k - 1]
-
-
-def _roots_by_scan(n, k_count):
-    """First k_count positive roots of J_n by sign-change scanning."""
-    roots = []
-    # All positive roots of J_n exceed this (strict version of the
-    # classical lower bound; also below the McMahon guess for k = 1).
-    x = max(math.sqrt(n * n + (0.75 * math.pi) ** 2) - _SCAN_STEP, 1e-8)
-    f_prev = bessel_j(n, x)
-    guard = 0
-    max_steps = int((_mcmahon_guess(n, k_count) + 10 * _SCAN_STEP) / _SCAN_STEP) + 64
-    while len(roots) < k_count:
-        guard += 1
-        if guard > max_steps:
-            raise RootBracketError(
-                f"failed to isolate root {len(roots) + 1} of order {n}"
-            )
-        x_next = x + _SCAN_STEP
-        f_next = bessel_j(n, x_next)
-        if f_prev == 0.0:
-            roots.append(x)
-        elif f_prev * f_next < 0:
-            roots.append(_refine_root(n, x, x_next))
-        x, f_prev = x_next, f_next
-    return roots
+    return float(special.jn_zeros(n, int(k))[-1])
 
 
 @dataclass(frozen=True)
 class RootTable:
-    """Dense table of Bessel roots j_{n,k}, 0 <= n <= n_max, 1 <= k <= k_max.
+    """Dense table of certified Bessel roots j_{n,k}, 0 <= n <= n_max,
+    1 <= k <= k_max.
 
-    ``roots[n, k-1]`` holds j_{n,k}.  Immutable after construction.
+    ``roots[n, k-1]`` holds j_{n,k} and ``norms[n, k-1]`` the basis
+    normalisation C_{n,k}.  Immutable after construction.
     """
 
     n_max: int
     k_max: int
     roots: np.ndarray
+    norms: np.ndarray
 
-    def root(self, n, k):
-        """j_{|n|,k}; negative orders use j_{-n,k} = j_{n,k}."""
+    def _slot(self, n, k):
         n = abs(int(n))
         if n > self.n_max or not (1 <= k <= self.k_max):
             raise KeyError(f"index ({n}, {k}) outside table ({self.n_max}, {self.k_max})")
-        return float(self.roots[n, k - 1])
+        return n, k - 1
+
+    def root(self, n, k):
+        """j_{|n|,k}; negative orders use j_{-n,k} = j_{n,k}."""
+        return float(self.roots[self._slot(n, k)])
+
+    def norm(self, n, k):
+        """C_{|n|,k} = 1 / (sqrt(pi) J_{|n|+1}(j_{|n|,k}))."""
+        return float(self.norms[self._slot(n, k)])
 
     def __post_init__(self):
         self.roots.setflags(write=False)
+        self.norms.setflags(write=False)
 
 
-def build_root_table(n_max, k_max):
-    """Build a RootTable with certified residuals and the strict lower bound.
+def _certified_table(roots):
+    """RootTable over roots[n, k-1] after the residual, lower-bound and
+    interlacing certificates, with the normalisations C_{n,k} attached.
 
-    Raises RootBracketError if any root fails its residual certificate
-    |J_n(j_{n,k})| < 1e-12 or the lower bound j^2 > n^2 + (k - 1/4)^2 pi^2.
+    Raises RootBracketError on the first certificate that fails; a missing
+    (NaN) entry fails them all.
     """
-    if n_max < 1 or k_max < 1:
-        raise ValueError("n_max and k_max must be >= 1")
-    roots = np.empty((n_max + 1, k_max), dtype=float)
-    for n in range(n_max + 1):
-        roots[n, :] = _roots_by_scan(n, k_max)
-    residuals = np.abs(special.jv(np.arange(n_max + 1)[:, None], roots))
-    if residuals.max() >= ROOT_RESIDUAL_TOL:
+    ns = np.arange(roots.shape[0])[:, None]
+    ks = np.arange(1, roots.shape[1] + 1)[None, :]
+    residuals = np.abs(special.jv(ns, roots))
+    if not np.all(residuals < ROOT_RESIDUAL_TOL):
         raise RootBracketError(
             f"root residual {residuals.max():.3e} exceeds {ROOT_RESIDUAL_TOL:.0e}"
         )
-    ns = np.arange(n_max + 1)[:, None]
-    ks = np.arange(1, k_max + 1)[None, :]
     if not np.all(roots**2 > ns**2 + (ks - 0.25) ** 2 * math.pi**2):
-        raise RootBracketError("a computed root violates the strict lower bound")
-    return RootTable(n_max=n_max, k_max=k_max, roots=roots)
+        raise RootBracketError("a root violates the strict lower bound")
+    if not (np.all(roots[:-1] < roots[1:]) and np.all(roots[1:, :-1] < roots[:-1, 1:])):
+        raise RootBracketError("roots violate j_{n,k} < j_{n+1,k} < j_{n,k+1}")
+    norms = 1.0 / (math.sqrt(math.pi) * special.jv(ns + 1, roots))
+    return RootTable(
+        n_max=roots.shape[0] - 1, k_max=roots.shape[1], roots=roots, norms=norms
+    )
+
+
+def build_root_table(n_max, k_max):
+    """Certified RootTable of the roots from scipy.special.jn_zeros.
+
+    Raises RootBracketError if any root fails its residual certificate
+    |J_n(j_{n,k})| < 1e-12, the lower bound j^2 > n^2 + (k - 1/4)^2 pi^2,
+    or the interlacing j_{n,k} < j_{n+1,k} < j_{n,k+1}.
+    """
+    if n_max < 1 or k_max < 1:
+        raise ValueError("n_max and k_max must be >= 1")
+    return _certified_table(
+        np.array([special.jn_zeros(n, k_max) for n in range(n_max + 1)])
+    )
 
 
 def save_root_table(table, path):
     """Write the table as plain text, one line 'n k value' per entry."""
-    with open(path, "w") as fh:
-        for n in range(table.n_max + 1):
-            for k in range(1, table.k_max + 1):
-                fh.write(f"{n} {k} {table.roots[n, k - 1]:.17g}\n")
+    n, k = np.indices(table.roots.shape)
+    rows = np.column_stack([n.ravel(), k.ravel() + 1, table.roots.ravel()])
+    np.savetxt(path, rows, fmt="%d %d %.17g")
 
 
 def load_root_table(path):
-    """Read a table written by save_root_table."""
-    entries = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            n_s, k_s, v_s = line.split()
-            entries[(int(n_s), int(k_s))] = float(v_s)
-    n_max = max(n for n, _ in entries)
-    k_max = max(k for _, k in entries)
-    roots = np.empty((n_max + 1, k_max), dtype=float)
-    for (n, k), v in entries.items():
-        roots[n, k - 1] = v
-    return RootTable(n_max=n_max, k_max=k_max, roots=roots)
+    """Read a table written by save_root_table and certify it as
+    build_root_table does."""
+    data = np.loadtxt(path, ndmin=2)
+    n, k = data[:, 0].astype(int), data[:, 1].astype(int)
+    roots = np.full((n.max() + 1, k.max()), np.nan)
+    roots[n, k - 1] = data[:, 2]
+    return _certified_table(roots)

@@ -34,6 +34,7 @@ from .field import (
 )
 from .ginibre import sample_spectrum
 from .linstats import (
+    GammaSample,
     clt_experiment,
     decay_check,
     gamma,
@@ -227,12 +228,7 @@ def _exp_sobolev_tightness(cfg, table):
     rows = []
     for N in sizes:
         G = gamma_draws(N, cfg.draws, index_set, cfg.seed, table, workers=cfg.workers)
-        runs = [
-            gammasample
-            for gammasample in (
-                _as_gamma_sample(index_set, G[i], N, cfg.seed) for i in range(len(G))
-            )
-        ]
+        runs = [GammaSample(tuple(index_set), g, N, cfg.seed) for g in G]
         stat = tightness_statistic(runs, cfg.sobolev_s, table)
         stats_by_n[str(N)] = stat
         rows.append([N, stat])
@@ -241,14 +237,6 @@ def _exp_sobolev_tightness(cfg, table):
     return ok, {"statistic_by_N": stats_by_n, "s_prime": cfg.sobolev_s}, {
         "tightness": (["N", "statistic"], rows)
     }
-
-
-def _as_gamma_sample(index_set, values, N, seed):
-    from .linstats import GammaSample
-
-    return GammaSample(
-        index_set=tuple(index_set), values=values, matrix_size=N, seed=seed
-    )
 
 
 def _exp_decay_check(cfg, table):
@@ -280,7 +268,6 @@ def build_parser():
     for name, (_, help_text) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("-e", "--experiment", dest="experiment_alias", help=argparse.SUPPRESS)
         p.add_argument("--n-size", "--N", dest="n_size", type=int)
         p.add_argument("--draws", "--M", dest="draws", type=int)
         p.add_argument("--n-max", type=int)
@@ -306,7 +293,12 @@ def config_from_args(args):
         if not hasattr(cfg, key):
             raise UsageError(f"unknown config key {key!r}")
         target_type = type(getattr(cfg, key))
-        setattr(cfg, key, target_type(val))
+        try:
+            setattr(cfg, key, target_type(val))
+        except ValueError:
+            raise UsageError(
+                f"config key {key!r} needs a {target_type.__name__}, got {val!r}"
+            ) from None
     cfg.validate()
     return cfg
 

@@ -8,13 +8,13 @@ distribution, not a function.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoeffVector, sobolev_norm
-from .bessel import bessel_j
+from .basis import CoeffVector, radial_profile, sobolev_norm
 from .ginibre import SpectrumSample
 from .linstats import gamma
 
@@ -29,8 +29,6 @@ class FieldSample:
     seed: int
 
     def to_json_obj(self):
-        import json
-
         return {
             "cutoff": list(self.cutoff),
             "seed": self.seed,
@@ -39,8 +37,6 @@ class FieldSample:
 
     @classmethod
     def from_json_obj(cls, obj):
-        import json
-
         return cls(
             coeffs=CoeffVector.from_json(json.dumps(obj["coeffs"]), real_field=True),
             cutoff=tuple(obj["cutoff"]),
@@ -119,10 +115,9 @@ def _eval_matrix(points, n_max, k_max, table):
     out = np.empty((len(points), n_max + 1, k_max), dtype=complex)
     r = np.abs(points)
     th = np.angle(points)
+    ks = np.arange(1, k_max + 1)
     for n in range(n_max + 1):
-        js = table.roots[n, :k_max]
-        cs = 1.0 / (math.sqrt(math.pi) * bessel_j(n + 1, js))
-        radial = cs[None, :] * bessel_j(n, js[None, :] * r[:, None])
+        radial = radial_profile(n, ks, r[:, None], table)
         out[:, n, :] = radial * np.exp(1j * n * th)[:, None]
     return out
 

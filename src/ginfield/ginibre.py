@@ -12,18 +12,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import special
+
+from .basis import DiskQuadrature
 
 TRACE_TOL_PER_N = 1e-8
 
 
 class EigensolverError(RuntimeError):
-    """Raised when the QR iteration fails to converge within its budget."""
-
-
-class QuadratureTailWarning(UserWarning):
-    """Emitted when an integrand may outgrow the truncated plane domain."""
+    """Raised when the QR iteration exceeds its budget or a spectrum fails
+    the trace identity."""
 
 
 @dataclass(frozen=True)
@@ -303,34 +301,14 @@ def one_point_density_series(N, z):
     return (N / math.pi) * math.exp(-x) * total
 
 
-@dataclass(frozen=True)
-class PlaneQuadrature:
+class PlaneQuadrature(DiskQuadrature):
     """Polar quadrature on |z| <= R for integrals against the Gaussian
     weight; R = sqrt(1 + 20/N) + 2/sqrt(N) makes the tail negligible."""
-
-    radial_order: int
-    angular_order: int
-    r: np.ndarray
-    wr: np.ndarray
-    theta: np.ndarray
-    wt: float
-    radius: float
 
     @classmethod
     def build(cls, N, radial_order=220, angular_order=512):
         R = math.sqrt(1.0 + 20.0 / N) + 2.0 / math.sqrt(N)
-        x, w = leggauss(radial_order)
-        r = 0.5 * R * (x + 1.0)
-        wr = 0.5 * R * w * r
-        theta = 2.0 * math.pi * np.arange(angular_order) / angular_order
-        wt = 2.0 * math.pi / angular_order
-        return cls(radial_order, angular_order, r, wr, theta, wt, R)
-
-    def nodes(self):
-        return self.r[:, None] * np.exp(1j * self.theta[None, :])
-
-    def weights(self):
-        return self.wr[:, None] * self.wt * np.ones_like(self.theta)[None, :]
+        return cls._polar(radial_order, angular_order, R)
 
 
 def expected_linear_statistic(f, N, quad=None):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -19,10 +20,11 @@ from scipy import stats
 from .basis import DiskQuadrature
 from .ginibre import (
     PlaneQuadrature,
+    draw_seed,
+    eigenvalues,
     one_point_density,
     pair_variance,
     sample_matrix,
-    draw_seed,
 )
 from .logkernel import alpha_radial, alpha_radial_derivative
 
@@ -242,13 +244,8 @@ def _gamma_draws_range(args):
     N, master_seed, i0, i1, index_set, table, centerings = args
     out = np.empty((i1 - i0, len(index_set)), dtype=complex)
     for i in range(i0, i1):
-        A = sample_matrix(N, draw_seed(master_seed, i))
-        eig = np.linalg.eigvals(A)
-        zs_r = np.abs(eig)
-        zs_t = np.angle(eig)
-        for j, (n, k) in enumerate(index_set):
-            g = alpha_radial(n, k, zs_r, table)
-            out[i - i0, j] = np.sum(g * np.exp(-1j * n * zs_t)) - centerings[(n, k)]
+        spectrum = eigenvalues(sample_matrix(N, draw_seed(master_seed, i)))
+        out[i - i0] = gamma(spectrum, index_set, table, centerings).values
     return out
 
 
@@ -310,8 +307,7 @@ def clt_experiment(N, draws, index_set, master_seed, table, workers=1,
     exact = {}
     if N <= exact_variance_max_n:
         for (n, k) in index_set:
-            def f(z, n=n, k=k):
-                return alpha_values(n, k, z, table)
+            f = partial(alpha_values, n, k, table=table)
             exact[f"{n}_{k}"] = pair_variance(f, N)
     return {
         "N": N,
@@ -337,9 +333,7 @@ def variance_bound_check(n_list, k_list, N_list, table):
         quad = PlaneQuadrature.build(N)
         for n in n_list:
             for k in k_list:
-                def f(z, n=n, k=k):
-                    return alpha_values(n, k, z, table)
-                v = pair_variance(f, N, quad)
+                v = pair_variance(partial(alpha_values, n, k, table=table), N, quad)
                 j = table.root(n, k)
                 rows.append(
                     {"n": n, "k": k, "N": N, "variance": v, "ratio": v / j**2}
@@ -355,9 +349,7 @@ def decay_check(cases, k_list, table):
     for (n, N) in cases:
         quad = PlaneQuadrature.build(N)
         for k in k_list:
-            def f(z, n=n, k=k):
-                return alpha_values(n, k, z, table)
-            v = pair_variance(f, N, quad)
+            v = pair_variance(partial(alpha_values, n, k, table=table), N, quad)
             j = table.root(n, k)
             rows.append(
                 {

@@ -10,21 +10,24 @@ which the gradient helpers exploit.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 
 import numpy as np
+from scipy import special
 
 from .basis import (
     DiskDomainError,
     SingularityError,
     eval_eigenfunction,
     green_dirichlet_series,
-    normalization_constant,
+    radial_profile,
 )
-from .bessel import bessel_j, bessel_j_prime
 
-# Truncation threshold for the geometric harmonic series Re sum (z conj(w))^m / m.
+# Tail bound and term cap of the harmonic series Re sum (z conj(w))^m / m.
 _HARMONIC_TOL = 1e-14
+_HARMONIC_MAX_TERMS = 10_000_000
 
 
 def power_coeff(n, k, table):
@@ -65,47 +68,33 @@ def alpha_radial(n, k, r, table):
     Real-valued; vectorized over r.  Uses the disk branch for r < 1 and
     the exterior branch for r >= 1 (continuous across the circle).
     """
-    n = abs(int(n))
-    scalar = np.ndim(r) == 0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    j = table.root(n, k)
-    rt = math.sqrt(math.pi)
-    c = normalization_constant(n, k, table)
-    inside = r < 1.0
-    g = np.empty_like(r)
-    ri = r[inside]
-    g_in = -(2.0 * math.pi / j**2) * c * bessel_j(n, j * ri)
-    if n > 0:
-        g_in = g_in - rt / (n * j) * ri**n
-    g[inside] = g_in
-    ro = r[~inside]
-    if n == 0:
-        g[~inside] = (2.0 * rt / j) * np.log(ro)
-    else:
-        g[~inside] = -(rt / (n * j)) * ro ** (-n)
-    return float(g[0]) if scalar else g
+    return _alpha_radial(n, k, r, table, derivative=False)
 
 
 def alpha_radial_derivative(n, k, r, table):
     """dg/dr of the radial factor, branch-wise analytic."""
+    return _alpha_radial(n, k, r, table, derivative=True)
+
+
+def _alpha_radial(n, k, r, table, derivative):
     n = abs(int(n))
     scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=float))
     j = table.root(n, k)
     rt = math.sqrt(math.pi)
-    c = normalization_constant(n, k, table)
     inside = r < 1.0
+    ri, ro = r[inside], r[~inside]
     g = np.empty_like(r)
-    ri = r[inside]
-    g_in = -(2.0 * math.pi / j) * c * bessel_j_prime(n, j * ri)
-    if n > 0:
-        g_in = g_in - (rt / j) * ri ** (n - 1)
-    g[inside] = g_in
-    ro = r[~inside]
+    g_in = -(2.0 * math.pi / j**2) * radial_profile(n, k, ri, table, derivative)
     if n == 0:
-        g[~inside] = (2.0 * rt / j) / ro
-    else:
+        g[~inside] = (2.0 * rt / j) / ro if derivative else (2.0 * rt / j) * np.log(ro)
+    elif derivative:
+        g_in = g_in - (rt / j) * ri ** (n - 1)
         g[~inside] = rt / j * ro ** (-n - 1)
+    else:
+        g_in = g_in - rt / (n * j) * ri**n
+        g[~inside] = -(rt / (n * j)) * ro ** (-n)
+    g[inside] = g_in
     return float(g[0]) if scalar else g
 
 
@@ -153,22 +142,28 @@ def alpha_grad_sup(n, k, table, r_max=2.0, n_radial=800):
 
 
 def harmonic_log_series(z, w):
-    """-Re sum_{m>=1} (z conj(w))^m / m = log|1 - z conj(w)|, truncated when
-    |z conj(w)|^m / m < 1e-14; requires |z conj(w)| < 1."""
+    """-Re sum_{m=1}^{M} q^m / m = log|1 - q| for q = z conj(w), |q| < 1.
+
+    M is the least term count whose tail bound |q|^M / (M (1 - |q|)) falls
+    below 1e-14, worked out from |q| before summing; a q that needs more
+    than _HARMONIC_MAX_TERMS terms raises ValueError.
+    """
     q = complex(z) * np.conj(complex(w))
     aq = abs(q)
     if aq >= 1.0:
         raise ValueError("series requires |z conj(w)| < 1")
-    total = 0.0
-    term = q
-    m = 1
-    while abs(term) / m >= _HARMONIC_TOL:
-        total += (term / m).real
-        m += 1
-        term *= q
-        if m > 10_000_000:
-            break
-    return -total
+    terms = 1
+    if aq > 0.0:
+        # |q|^M / M = tol (1 - |q|) solved for M by the Lambert W function
+        L = -math.log(aq)
+        terms = math.ceil(special.lambertw(L / (_HARMONIC_TOL * (1.0 - aq))).real / L)
+    if terms > _HARMONIC_MAX_TERMS:
+        raise ValueError(
+            f"series needs {terms} terms at |z conj(w)| = {aq!r}, "
+            f"more than the cap of {_HARMONIC_MAX_TERMS}"
+        )
+    powers = itertools.accumulate(itertools.repeat(q, terms), operator.mul)
+    return -math.fsum((p / m).real for m, p in enumerate(powers, 1))
 
 
 def log_abs_reconstruct(z, w, table, n_cut=None, k_cut=None):
@@ -177,7 +172,7 @@ def log_abs_reconstruct(z, w, table, n_cut=None, k_cut=None):
 
     For |w| < 1 this is 2 pi times the truncated Green's-function series
     plus the harmonic correction log|1 - z conj(w)| summed to its geometric
-    stopping rule; the truncation error lives entirely in the Green's
+    tail bound; the truncation error lives entirely in the Green's
     series and decays with the cutoffs.  For |w| >= 1 it is log|w| plus
     the geometric series in z/w, which converges to machine precision.
     """

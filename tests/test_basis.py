@@ -22,6 +22,7 @@ from ginfield.basis import (
     normalization_constant,
     pairing,
     project,
+    radial_profile,
     sobolev_norm,
 )
 from ginfield.bessel import bessel_j
@@ -31,6 +32,30 @@ from ginfield.logkernel import power_coeff
 @pytest.fixture(scope="module")
 def quad():
     return DiskQuadrature.build()
+
+
+def test_disk_quadrature_rule(quad):
+    # Gauss-Legendre on [0, 1] with the r dr weight absorbed, bit for bit
+    x, w = np.polynomial.legendre.leggauss(120)
+    assert quad.radius == 1.0
+    assert np.array_equal(quad.r, 0.5 * (x + 1.0))
+    assert np.array_equal(quad.wr, 0.5 * w * quad.r)
+
+
+def test_radial_profile_broadcasts_over_k(table):
+    r = np.array([0.0, 0.3, 0.8, 1.0])
+    ks = np.arange(1, 6)
+    for derivative in (False, True):
+        grid = radial_profile(4, ks, r[:, None], table, derivative)
+        for k in ks:
+            assert np.array_equal(grid[:, k - 1], radial_profile(-4, k, r, table, derivative))
+    j = table.root(4, 2)
+    c = 1.0 / (math.sqrt(math.pi) * bessel_j(5, j))
+    assert abs(radial_profile(4, 2, 0.3, table) - c * bessel_j(4, 0.3 * j)) < 1e-14
+    with pytest.raises(KeyError):
+        radial_profile(0, table.k_max + 1, r, table)
+    with pytest.raises(KeyError):
+        radial_profile(0, np.arange(0, 3), r, table)
 
 
 def test_quadrature_area_and_moments(quad):

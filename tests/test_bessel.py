@@ -10,9 +10,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from ginfield.bessel import (
     BesselDomainError,
+    RootBracketError,
     RootTable,
     bessel_j,
     bessel_j_prime,
@@ -166,3 +168,53 @@ def test_cache_roundtrip(tmp_path):
     assert isinstance(loaded, RootTable)
     assert loaded.n_max == 5 and loaded.k_max == 4
     assert np.array_equal(loaded.roots, t.roots)
+
+
+def test_load_rejects_perturbed_root(tmp_path):
+    path = tmp_path / "roots.txt"
+    save_root_table(build_root_table(5, 4), path)
+    lines = path.read_text().splitlines()
+    n, k, v = lines[9].split()
+    lines[9] = f"{n} {k} {float(v) + 1e-6:.17g}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RootBracketError, match="residual"):
+        load_root_table(path)
+
+
+def test_load_rejects_missing_entry(tmp_path):
+    path = tmp_path / "roots.txt"
+    save_root_table(build_root_table(5, 4), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + lines[4:]) + "\n")
+    with pytest.raises(RootBracketError):
+        load_root_table(path)
+
+
+def test_load_rejects_broken_interlacing(tmp_path):
+    # row n = 0 holds true roots of J_0 that pass the residual and lower
+    # bound certificates, but starts at j_{0,2}: a skipped root, which only
+    # the interlacing j_{0,k} < j_{1,k} exposes
+    roots = np.array([special.jn_zeros(n, 5) for n in range(4)])
+    roots[0] = special.jn_zeros(0, 6)[1:]
+    path = tmp_path / "roots.txt"
+    path.write_text(
+        "".join(
+            f"{n} {k} {roots[n, k - 1]:.17g}\n" for n in range(4) for k in range(1, 6)
+        )
+    )
+    with pytest.raises(RootBracketError, match="j_{n\\+1,k}"):
+        load_root_table(path)
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (1, 3), (7, 12), (20, 9), (32, 32)])
+def test_norms_give_unit_l2_norm(n, k, table):
+    # 2 pi int_0^1 (C J_n(j r))^2 r dr = 1, integrated by mpmath on k pieces
+    j = mpmath.mpf(table.root(n, k))
+    c = mpmath.mpf(float(table.norms[n, k - 1]))
+    with mpmath.workdps(20):
+        integral = mpmath.quad(
+            lambda r: (c * mpmath.besselj(n, j * r)) ** 2 * r,
+            mpmath.linspace(0, 1, k + 1),
+            method="gauss-legendre",
+        )
+        assert abs(float(2 * mpmath.pi * integral) - 1.0) < 1e-12

@@ -57,6 +57,19 @@ def test_unknown_config_key(tmp_path):
         config_from_args(args)
 
 
+def test_bad_config_value_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    p.write_text("n_size=abc\n")
+    assert main(["clt", "--config", str(p)]) == 2
+    assert "n_size" in capsys.readouterr().err
+
+
+def test_experiment_alias_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["clt", "-e", "roots"])
+    assert exc.value.code == 2
+
+
 def test_config_validation():
     cfg = ExperimentConfig(experiment="clt", workers=0)
     with pytest.raises(UsageError):

@@ -131,6 +131,20 @@ def test_gaussian_moment_vs_quadrature():
         assert abs(q - gaussian_moment(m, N)) < 1e-12
 
 
+def test_plane_quadrature_rule():
+    # Gauss-Legendre on [0, R] with the r dr weight absorbed, pinned bit
+    # for bit to the formulas the rule is defined by
+    N = 32
+    R = math.sqrt(1.0 + 20.0 / N) + 2.0 / math.sqrt(N)
+    x, w = np.polynomial.legendre.leggauss(220)
+    quad = PlaneQuadrature.build(N)
+    assert quad.radius == R
+    assert np.array_equal(quad.r, 0.5 * R * (x + 1.0))
+    assert np.array_equal(quad.wr, 0.5 * R * w * quad.r)
+    assert np.array_equal(quad.theta, 2.0 * math.pi * np.arange(512) / 512)
+    assert quad.wt == 2.0 * math.pi / 512
+
+
 def test_one_point_density_routes_agree():
     for N in (1, 4, 32):
         for r in (0.0, 0.3, 0.9, 1.05, 1.4):

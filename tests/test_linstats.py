@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ginfield.ginibre import pair_variance, sample_spectrum
+from ginfield.ginibre import EigensolverError, pair_variance, sample_spectrum
 from ginfield.linstats import (
     TestFunction,
     alpha_combination,
@@ -142,6 +142,14 @@ def test_gamma_draws_deterministic_and_worker_invariant(small_table):
     assert np.array_equal(a, b)
     c = gamma_draws(8, 6, idx, 4, small_table, workers=1)
     assert not np.array_equal(a, c)
+
+
+def test_gamma_draws_run_the_trace_certificate(small_table, monkeypatch):
+    # a solver whose eigenvalues miss the trace identity must stop the draws
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: eigvals(A) + 1e-3)
+    with pytest.raises(EigensolverError):
+        gamma_draws(16, 2, [(0, 1)], 0, small_table, workers=1)
 
 
 def test_clt_experiment_small(small_table):

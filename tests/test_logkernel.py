@@ -1,6 +1,7 @@
 """Tests of the log-kernel expansion coefficients and reconstruction."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -109,6 +110,23 @@ def test_harmonic_log_series():
     assert abs(harmonic_log_series(z, w) - math.log(abs(1 - z * np.conj(w)))) < 1e-13
     with pytest.raises(ValueError):
         harmonic_log_series(1.0, 1.0)
+
+
+def test_harmonic_log_series_refuses_past_its_term_cap():
+    # needs about 7e7 terms; it used to stop at 1e7 and return -15.376
+    # where log|1 - q| = -15.425
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="terms"):
+        harmonic_log_series(0.9999999, 0.9999999)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_harmonic_log_series_just_inside_its_term_cap():
+    # |q| = 0.9999971 needs just under 1e7 terms, |q| = 0.9999972 just over
+    q = 0.9999971
+    assert abs(harmonic_log_series(q, 1.0) - math.log(1.0 - q)) < 1e-12
+    with pytest.raises(ValueError):
+        harmonic_log_series(0.9999972, 1.0)
 
 
 def test_log_reconstruction_interior(table):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -62,6 +63,15 @@ def eval_eigenfunction(n, k, z, table):
     return complex(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=16)
+def _leggauss(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and read-only, since every caller shares them."""
+    x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class DiskQuadrature:
     """Gauss-Legendre radial rule (weight r absorbed) on [0, radius]
@@ -86,7 +96,7 @@ class DiskQuadrature:
 
     @classmethod
     def _polar(cls, radial_order, angular_order, radius):
-        x, w = leggauss(radial_order)
+        x, w = _leggauss(radial_order)
         r = 0.5 * radius * (x + 1.0)
         wr = 0.5 * radius * w * r  # absorb the r dr weight
         theta = 2.0 * math.pi * np.arange(angular_order) / angular_order

@@ -332,6 +332,28 @@ def _log_kernel_radial(N, r):
     )
 
 
+def _diagonal_pair_sq(R, d, c, wr):
+    """Sum over the valid k of |A_{k,k+d}|^2, where
+    A_{k,k+d} = 2 pi int c(r) R_k(r) R_{k+d}(r) r dr is the kernel overlap of
+    the angular mode c(r) e^{i d theta} (r dr already in wr)."""
+    N = R.shape[0]
+    ks = np.arange(max(0, -d), min(N, N - d))
+    prod = R[ks, :] * R[ks + d, :] * (c * wr)[None, :]
+    A = 2.0 * math.pi * prod.sum(axis=1)
+    return float(np.sum(np.abs(A) ** 2))
+
+
+def _checked_variance(diag, off_sq):
+    """diag - off_sq, refused when rounding or a coarse rule drives it
+    below zero by more than 1e-12 of diag."""
+    if diag - off_sq < -1e-12 * diag:
+        raise ValueError(
+            f"pair variance {diag - off_sq:.3e} is negative: "
+            f"cancellation ratio off_sq/diag = {off_sq / diag:.15f}"
+        )
+    return diag - off_sq
+
+
 def pair_variance(f, N, quad=None):
     """Exact finite-N variance of the centered linear statistic of f.
 
@@ -341,32 +363,45 @@ def pair_variance(f, N, quad=None):
         Var = int |f|^2 K(z,z) - sum_{k,l<N} |int f phi_k conj(phi_l)|^2.
 
     The angular reduction is done by FFT of f on the polar grid, so only
-    radial integrals remain.
+    radial integrals remain.  Every pair difference l - k must be resolved
+    by the angular grid, so N - 1 <= angular_order // 2 is required.  For
+    f = g(r) e^{-i n theta}, radial_pair_variance gives the same value
+    without the grid.
     """
     quad = quad or PlaneQuadrature.build(N)
+    M = quad.angular_order
+    if N - 1 > M // 2:
+        raise ValueError(
+            f"angular order {M} resolves pair differences up to {M // 2}, "
+            f"N - 1 = {N - 1} needed"
+        )
     z = quad.nodes()
     F = np.asarray(f(z), dtype=complex)
-    M = quad.angular_order
     # f(r, theta) = sum_m c_m(r) e^{i m theta}
     c = np.fft.fft(F, axis=1) / M  # c[:, m] with m negative aliased
     R = np.exp(_log_kernel_radial(N, quad.r))  # (N, nr)
     # diagonal part: int |f|^2 rho_N
     rho = one_point_density(N, quad.r)
     diag = float(np.sum(np.abs(F) ** 2 * rho[:, None] * quad.wr[:, None] * quad.wt))
-    # A_{kl} = 2 pi * int c_{l-k}(r) R_k(r) R_l(r) r dr (r dr already in wr)
-    half = M // 2
     off_sq = 0.0
-    WR = quad.wr
     for d in range(-(N - 1), N):
-        if abs(d) > half:
-            continue
         cm = c[:, d % M]
-        if not np.any(cm):
-            continue
-        ks = np.arange(max(0, -d), min(N, N - d))
-        ls = ks + d
-        # radial integrals for all k on this diagonal at once
-        prod = R[ks, :] * R[ls, :] * (cm * WR)[None, :]
-        A = 2.0 * math.pi * prod.sum(axis=1)
-        off_sq += float(np.sum(np.abs(A) ** 2))
-    return diag - off_sq
+        if np.any(cm):
+            off_sq += _diagonal_pair_sq(R, d, cm, quad.wr)
+    return _checked_variance(diag, off_sq)
+
+
+def radial_pair_variance(g, n, N, quad=None):
+    """pair_variance of the single-mode function f(r e^{i theta}) =
+    g(r) e^{-i n theta}, given its radial factor g.
+
+    Only the kernel overlaps on the diagonal l - k = -n are nonzero, so the
+    variance is one radial sum on the radial nodes of the same rule; no
+    pair exists when |n| >= N.
+    """
+    quad = quad or PlaneQuadrature.build(N)
+    gr = np.asarray(g(quad.r))
+    rho = one_point_density(N, quad.r)
+    diag = float(2.0 * math.pi * np.sum(np.abs(gr) ** 2 * rho * quad.wr))
+    R = np.exp(_log_kernel_radial(N, quad.r))
+    return _checked_variance(diag, _diagonal_pair_sq(R, -n, gr, quad.wr))

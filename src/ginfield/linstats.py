@@ -23,7 +23,7 @@ from .ginibre import (
     draw_seed,
     eigenvalues,
     one_point_density,
-    pair_variance,
+    radial_pair_variance,
     sample_matrix,
 )
 from .logkernel import alpha_radial, alpha_radial_derivative
@@ -58,6 +58,12 @@ def centering_term(n, k, N, table, quad=None):
     return float(2.0 * math.pi * np.sum(g * rho * quad.wr))
 
 
+def _centerings(index_set, N, table):
+    """centering_term of every index, on one shared plane rule."""
+    quad = PlaneQuadrature.build(N)
+    return {idx: centering_term(idx[0], idx[1], N, table, quad) for idx in index_set}
+
+
 def alpha_values(n, k, zs, table):
     """alpha_{n,k} evaluated at an array of complex points."""
     r = np.abs(zs)
@@ -71,14 +77,13 @@ def gamma(sample, index_set, table, centerings=None):
     if any(n < 0 for n, _ in index_set):
         raise ValueError("index set must have n >= 0")
     if centerings is None:
-        centerings = {
-            idx: centering_term(idx[0], idx[1], sample.matrix_size, table)
-            for idx in index_set
-        }
-    zs = sample.eigenvalues
+        centerings = _centerings(index_set, sample.matrix_size, table)
+    r = np.abs(sample.eigenvalues)
+    theta = np.angle(sample.eigenvalues)
     vals = np.array(
         [
-            np.sum(alpha_values(n, k, zs, table)) - centerings[(n, k)]
+            np.sum(alpha_radial(n, k, r, table) * np.exp(-1j * n * theta))
+            - centerings[(n, k)]
             for (n, k) in index_set
         ]
     )
@@ -253,9 +258,7 @@ def gamma_draws(N, draws, index_set, master_seed, table, workers=1):
     """Matrix of gamma values, shape (draws, len(index_set)); deterministic
     per (master_seed, draw index) independent of worker count."""
     index_set = tuple((int(n), int(k)) for n, k in index_set)
-    centerings = {
-        idx: centering_term(idx[0], idx[1], N, table) for idx in index_set
-    }
+    centerings = _centerings(index_set, N, table)
     if workers <= 1:
         return _gamma_draws_range(
             (N, master_seed, 0, draws, index_set, table, centerings)
@@ -276,14 +279,13 @@ def _ks_against_normal(x):
     return float(res.statistic), float(res.pvalue)
 
 
-def clt_experiment(N, draws, index_set, master_seed, table, workers=1,
-                   exact_variance_max_n=64):
+def clt_experiment(N, draws, index_set, master_seed, table, workers=1):
     """CLT experiment report for gamma over an index set at matrix size N.
 
     Contains empirical means and covariances with standard errors, the
     limiting covariance, per-marginal Kolmogorov-Smirnov statistics of the
     standardized real and imaginary parts, and the exact finite-N
-    pair-variance values where the quadrature is feasible.
+    pair-variance values.
     """
     index_set = tuple((int(n), int(k)) for n, k in index_set)
     G = gamma_draws(N, draws, index_set, master_seed, table, workers=workers)
@@ -304,11 +306,10 @@ def clt_experiment(N, draws, index_set, master_seed, table, workers=1,
         if n > 0:
             sigma_im = math.sqrt(limit[jdx, jdx].real * 0.5)
             ks[f"im_{n}_{k}"] = _ks_against_normal(G[:, jdx].imag / sigma_im)
-    exact = {}
-    if N <= exact_variance_max_n:
-        for (n, k) in index_set:
-            f = partial(alpha_values, n, k, table=table)
-            exact[f"{n}_{k}"] = pair_variance(f, N)
+    exact = {
+        f"{n}_{k}": radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N)
+        for (n, k) in index_set
+    }
     return {
         "N": N,
         "draws": draws,
@@ -333,7 +334,7 @@ def variance_bound_check(n_list, k_list, N_list, table):
         quad = PlaneQuadrature.build(N)
         for n in n_list:
             for k in k_list:
-                v = pair_variance(partial(alpha_values, n, k, table=table), N, quad)
+                v = radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N, quad)
                 j = table.root(n, k)
                 rows.append(
                     {"n": n, "k": k, "N": N, "variance": v, "ratio": v / j**2}
@@ -349,7 +350,7 @@ def decay_check(cases, k_list, table):
     for (n, N) in cases:
         quad = PlaneQuadrature.build(N)
         for k in k_list:
-            v = pair_variance(partial(alpha_values, n, k, table=table), N, quad)
+            v = radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N, quad)
             j = table.root(n, k)
             rows.append(
                 {

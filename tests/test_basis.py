@@ -42,6 +42,17 @@ def test_disk_quadrature_rule(quad):
     assert np.array_equal(quad.wr, 0.5 * w * quad.r)
 
 
+def test_quadrature_builds_do_not_share_arrays():
+    # the Gauss-Legendre rule is cached, but each build hands out its own r, wr
+    a = DiskQuadrature.build()
+    b = DiskQuadrature.build()
+    assert np.array_equal(a.r, b.r) and np.array_equal(a.wr, b.wr)
+    a.r[:] = 0.0
+    a.wr[:] = 0.0
+    c = DiskQuadrature.build()
+    assert np.array_equal(c.r, b.r) and np.array_equal(c.wr, b.wr)
+
+
 def test_radial_profile_broadcasts_over_k(table):
     r = np.array([0.0, 0.3, 0.8, 1.0])
     ks = np.arange(1, 6)

@@ -1,6 +1,7 @@
 """Tests of Ginibre sampling, the eigensolvers, and the exact
 determinantal formulas."""
 
+import dataclasses
 import json
 import math
 
@@ -22,6 +23,7 @@ from ginfield.ginibre import (
     one_point_density,
     one_point_density_series,
     pair_variance,
+    radial_pair_variance,
     sample_matrices,
     sample_matrix,
     sample_spectrum,
@@ -191,6 +193,34 @@ def test_pair_variance_against_monte_carlo():
 def test_pair_variance_of_constant_is_zero():
     v = pair_variance(lambda z: np.ones_like(z, dtype=complex), 8)
     assert abs(v) < 1e-10
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64])
+def test_radial_pair_variance_of_z(N):
+    # Var sum z_i = E|tr A|^2 = 1; z = r e^{-i(-1)theta}.  The default plane
+    # rule truncates at a radius whose Gaussian tail leaves up to 6e-11 at
+    # N = 64, so the identity is checked to 1e-12 on a rule out to radius 3.
+    quad = PlaneQuadrature._polar(220, 1, 3.0)
+    assert abs(radial_pair_variance(lambda r: r, -1, N, quad) - 1.0) < 1e-12
+
+
+def test_pair_variance_refuses_unresolved_pair_differences():
+    # 64 angular nodes resolve pair differences up to 32: N = 33 is the limit
+    quad = PlaneQuadrature.build(34, angular_order=64)
+    assert abs(pair_variance(lambda z: z, 33, quad) - 1.0) < 1e-6
+    with pytest.raises(ValueError, match="angular order 64"):
+        pair_variance(lambda z: z, 34, quad)
+
+
+def test_pair_variance_refuses_negative_variance():
+    # weights 1 % too heavy make each kernel overlap 1.01, so the subtracted
+    # sum exceeds the diagonal term and the variance would come out negative
+    quad = PlaneQuadrature.build(8)
+    heavy = dataclasses.replace(quad, wr=1.01 * quad.wr)
+    with pytest.raises(ValueError, match="off_sq/diag"):
+        pair_variance(lambda z: np.ones_like(z, dtype=complex), 8, heavy)
+    with pytest.raises(ValueError, match="off_sq/diag"):
+        radial_pair_variance(np.ones_like, 0, 8, heavy)
 
 
 def test_trace_identity_holds():

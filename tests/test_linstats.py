@@ -2,11 +2,18 @@
 gradient-plus-boundary variance functional, and the CLT machinery."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from ginfield.ginibre import EigensolverError, pair_variance, sample_spectrum
+from ginfield.ginibre import (
+    EigensolverError,
+    PlaneQuadrature,
+    pair_variance,
+    radial_pair_variance,
+    sample_spectrum,
+)
 from ginfield.linstats import (
     TestFunction,
     alpha_combination,
@@ -22,6 +29,7 @@ from ginfield.linstats import (
     rv_variance,
     variance_bound_check,
 )
+from ginfield.logkernel import alpha_radial
 
 
 def test_centering_zero_for_nonzero_order(small_table):
@@ -166,6 +174,28 @@ def test_clt_experiment_small(small_table):
     emp = rep["empirical_cov"][0][0][0]
     exact = rep["exact_pair_variance"]["0_1"]
     assert abs(emp - exact) < 5 * rep["se_var"][0]
+
+
+ALPHA_CASES = [(n, N) for n in (0, 1, 3, 8) for N in (8, 32)] + [
+    (16, 32),
+    (32, 64),
+    (32, 16),  # |n| >= N: no pair of kernel terms couples
+]
+
+
+@pytest.mark.parametrize("n, N", ALPHA_CASES)
+def test_radial_pair_variance_matches_grid_route(n, N, table):
+    quad = PlaneQuadrature.build(N)
+    for k in (1, 4, 8):
+        grid = pair_variance(partial(alpha_values, n, k, table=table), N, quad)
+        radial = radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N, quad)
+        assert abs(radial - grid) < 1e-12
+
+
+def test_clt_experiment_reports_exact_variance_at_large_N(small_table):
+    rep = clt_experiment(128, 4, [(0, 1)], 0, small_table)
+    grid = pair_variance(partial(alpha_values, 0, 1, table=small_table), 128)
+    assert abs(rep["exact_pair_variance"]["0_1"] - grid) < 1e-12
 
 
 def test_variance_bound_check_structure(small_table):

@@ -6,7 +6,9 @@ and CSV plot data into the output directory.  All randomness is driven by
 the --seed flag; rerunning with the same configuration reproduces the
 result files byte for byte.
 
-Exit codes: 0 success, 1 experiment outside tolerance, 2 usage error.
+Exit codes: 0 success, 1 experiment outside tolerance, 2 usage error,
+3 internal numerical failure (an eigensolve or a root table that fails its
+certificate).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .basis import DiskQuadrature, gram_matrix
-from .bessel import bessel_j, build_root_table, save_root_table
+from .bessel import RootBracketError, bessel_j, build_root_table, save_root_table
 from .field import (
     covariance_mc,
     expected_norm_sq,
@@ -32,7 +34,7 @@ from .field import (
     sample_h,
     tightness_statistic,
 )
-from .ginibre import sample_spectrum
+from .ginibre import EigensolverError, sample_spectrum
 from .linstats import (
     GammaSample,
     clt_experiment,
@@ -332,6 +334,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (EigensolverError, RootBracketError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

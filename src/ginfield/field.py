@@ -173,22 +173,23 @@ def h_N_coeffs(sample: SpectrumSample, cutoff, table):
 def tightness_statistic(runs, s_prime, table):
     """Empirical mean of the squared H^{-s'} norm over GammaSample runs.
 
-    Counts negative orders through conjugation symmetry.  Used to verify
-    that the norm stays bounded as the matrix size grows (s' > 2).
+    Counts negative orders through conjugation symmetry: the weighted sum
+    of multiplicity x j^{-2s'} x |gamma|^2 over the runs' shared index set.
+    Used to verify that the norm stays bounded as the matrix size grows
+    (s' > 2).
     """
     if s_prime <= 2:
         raise ValueError("tightness regime requires s' > 2")
     if not runs:
         raise ValueError("need at least one run")
-    totals = []
-    for run in runs:
-        total = 0.0
-        for (n, k), v in zip(run.index_set, run.values):
-            j = table.root(n, k)
-            mult = 1.0 if n == 0 else 2.0
-            total += mult * abs(v) ** 2 * j ** (-2.0 * s_prime)
-        totals.append(total)
-    return float(np.mean(totals))
+    index_set = runs[0].index_set
+    if any(run.index_set != index_set for run in runs):
+        raise ValueError("runs must share one index set")
+    weights = np.array(
+        [(1.0 if n == 0 else 2.0) * table.root(n, k) ** (-2.0 * s_prime) for n, k in index_set]
+    )
+    values = np.stack([run.values for run in runs])
+    return float(np.mean(np.abs(values) ** 2 @ weights))
 
 
 def tightness_bound(s_prime, cutoff, table, constant):

@@ -28,6 +28,9 @@ from .ginibre import (
 )
 from .logkernel import alpha_radial, alpha_radial_derivative
 
+# Eigenvalues per block of spectra that _gamma_draws_range evaluates at once.
+_BLOCK_EIGENVALUES = 2**14
+
 
 @dataclass(frozen=True)
 class GammaSample:
@@ -71,6 +74,25 @@ def alpha_values(n, k, zs, table):
     return g * np.exp(-1j * n * np.angle(zs))
 
 
+def _gamma_block(Z, index_set, table, centerings):
+    """gamma over the spectra Z of shape (M, N), one row per spectrum.
+
+    One alpha_radial call over all k of an order and one angular factor per
+    order serve the whole block; each entry is bit-identical to the sum of
+    alpha_values over its spectrum minus its centering.
+    """
+    r = np.abs(Z)
+    theta = np.angle(Z)
+    out = np.empty((Z.shape[0], len(index_set)), dtype=complex)
+    for n in dict.fromkeys(n for n, _ in index_set):
+        cols = [i for i, (m, _) in enumerate(index_set) if m == n]
+        ks = np.array([index_set[i][1] for i in cols])
+        cent = np.array([centerings[index_set[i]] for i in cols])
+        g = alpha_radial(n, ks, r, table)
+        out[:, cols] = (np.sum(g * np.exp(-1j * n * theta), axis=-1) - cent[:, None]).T
+    return out
+
+
 def gamma(sample, index_set, table, centerings=None):
     """Centered linear statistics of alpha over one spectrum sample."""
     index_set = tuple((int(n), int(k)) for n, k in index_set)
@@ -78,15 +100,7 @@ def gamma(sample, index_set, table, centerings=None):
         raise ValueError("index set must have n >= 0")
     if centerings is None:
         centerings = _centerings(index_set, sample.matrix_size, table)
-    r = np.abs(sample.eigenvalues)
-    theta = np.angle(sample.eigenvalues)
-    vals = np.array(
-        [
-            np.sum(alpha_radial(n, k, r, table) * np.exp(-1j * n * theta))
-            - centerings[(n, k)]
-            for (n, k) in index_set
-        ]
-    )
+    vals = _gamma_block(sample.eigenvalues[None, :], index_set, table, centerings)[0]
     return GammaSample(
         index_set=index_set,
         values=vals,
@@ -246,11 +260,20 @@ def alpha_combination(t, s, table):
 
 
 def _gamma_draws_range(args):
+    """gamma of draws i0 .. i1 - 1, eigensolved one by one through the trace
+    certificate and evaluated in blocks of at most _BLOCK_EIGENVALUES."""
     N, master_seed, i0, i1, index_set, table, centerings = args
+    step = max(1, _BLOCK_EIGENVALUES // N)
     out = np.empty((i1 - i0, len(index_set)), dtype=complex)
-    for i in range(i0, i1):
-        spectrum = eigenvalues(sample_matrix(N, draw_seed(master_seed, i)))
-        out[i - i0] = gamma(spectrum, index_set, table, centerings).values
+    for b0 in range(i0, i1, step):
+        b1 = min(b0 + step, i1)
+        Z = np.array(
+            [
+                eigenvalues(sample_matrix(N, draw_seed(master_seed, i))).eigenvalues
+                for i in range(b0, b1)
+            ]
+        )
+        out[b0 - i0 : b1 - i0] = _gamma_block(Z, index_set, table, centerings)
     return out
 
 

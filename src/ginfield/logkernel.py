@@ -65,8 +65,10 @@ def alpha(n, k, w, table):
 def alpha_radial(n, k, r, table):
     """Radial factor g(r) of alpha_{n,k}(r e^{i theta}) = g(r) e^{-i n theta}.
 
-    Real-valued; vectorized over r.  Uses the disk branch for r < 1 and
-    the exterior branch for r >= 1 (continuous across the circle).
+    Real-valued; vectorized over r.  k is one radial index or a 1-D integer
+    numpy array of them; an array gives shape (len(k),) + r.shape, each row
+    bit-identical to the call with its k alone.  Uses the disk branch for
+    r < 1 and the exterior branch for r >= 1 (continuous across the circle).
     """
     return _alpha_radial(n, k, r, table, derivative=False)
 
@@ -76,26 +78,49 @@ def alpha_radial_derivative(n, k, r, table):
     return _alpha_radial(n, k, r, table, derivative=True)
 
 
+def _branch_constants(n, j, derivative):
+    """Factors (a, b, c) of the radial factor (or its derivative) at one
+    root j: a * profile - b * r^p on the disk, c times a power or the log
+    of r outside."""
+    rt = math.sqrt(math.pi)
+    a = -(2.0 * math.pi / j**2)
+    if n == 0:
+        return a, 0.0, 2.0 * rt / j
+    if derivative:
+        return a, rt / j, rt / j
+    return a, rt / (n * j), -(rt / (n * j))
+
+
 def _alpha_radial(n, k, r, table, derivative):
     n = abs(int(n))
     scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    j = table.root(n, k)
-    rt = math.sqrt(math.pi)
+    if isinstance(k, np.ndarray):
+        # one row per k; each constant in the float arithmetic of its k alone
+        k = k[:, None]
+        consts = [_branch_constants(n, table.root(n, kk), derivative) for kk in k[:, 0]]
+        a, b, c = (np.array(col)[:, None] for col in zip(*consts))
+        g = np.empty((len(k),) + r.shape)
+        lead = (slice(None),)
+    else:
+        a, b, c = _branch_constants(n, table.root(n, k), derivative)
+        g = np.empty_like(r)
+        lead = ()
     inside = r < 1.0
     ri, ro = r[inside], r[~inside]
-    g = np.empty_like(r)
-    g_in = -(2.0 * math.pi / j**2) * radial_profile(n, k, ri, table, derivative)
+    g_in = a * radial_profile(n, k, ri, table, derivative)
     if n == 0:
-        g[~inside] = (2.0 * rt / j) / ro if derivative else (2.0 * rt / j) * np.log(ro)
+        g[lead + (~inside,)] = c / ro if derivative else c * np.log(ro)
     elif derivative:
-        g_in = g_in - (rt / j) * ri ** (n - 1)
-        g[~inside] = rt / j * ro ** (-n - 1)
+        g_in = g_in - b * ri ** (n - 1)
+        g[lead + (~inside,)] = c * ro ** (-n - 1)
     else:
-        g_in = g_in - rt / (n * j) * ri**n
-        g[~inside] = -(rt / (n * j)) * ro ** (-n)
-    g[inside] = g_in
-    return float(g[0]) if scalar else g
+        g_in = g_in - b * ri**n
+        g[lead + (~inside,)] = c * ro ** (-n)
+    g[lead + (inside,)] = g_in
+    if scalar:
+        return g[..., 0] if lead else float(g[0])
+    return g
 
 
 def alpha_gradient(n, k, z, table):

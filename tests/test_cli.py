@@ -1,8 +1,13 @@
 """Tests of the command-line experiment runner."""
 
 import json
+import string
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from ginfield.cli import (
     ExperimentConfig,
@@ -162,3 +167,86 @@ def test_field_covariance_experiment(tmp_path, capsys):
     assert code == 0
     result = json.loads((tmp_path / "o" / "result.json").read_text())
     assert abs(result["result"]["estimate"] - result["result"]["target"]) < 0.15
+
+
+def test_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # eigenvalues off by 1e-3 fail the trace certificate on the first draw
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: eigvals(A) + 1e-3)
+    code = main(["clt", "--n-size", "8", "--draws", "4", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_root_table_failure_exits_3(tmp_path, monkeypatch, capsys):
+    jn_zeros = special.jn_zeros
+    monkeypatch.setattr(special, "jn_zeros", lambda n, k: jn_zeros(n, k) + 1e-6)
+    code = main(["roots", "--n-max", "4", "--k-max", "4", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# Config values as a key=value file holds them: no comment sign, no line
+# break, no surrounding blanks.
+_POSITIVE_KEYS = ("n_size", "draws", "n_max", "k_max", "workers")
+_path_text = st.text(alphabet=string.ascii_letters + string.digits + "._/-", min_size=1, max_size=20)
+
+
+def _spelled(key, draw):
+    """The key as a file may spell it, with '-' or '_' and blanks round '='."""
+    name = key.replace("_", "-") if draw(st.booleans()) else key
+    return name + draw(st.sampled_from(["=", " = ", "= ", " ="]))
+
+
+def _write_config(tmp_path, lines):
+    p = tmp_path / "run.cfg"
+    p.write_text("\n".join(lines) + "\n")
+    return p
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_file_round_trips(tmp_path, data):
+    values = {key: data.draw(st.integers(1, 10**9)) for key in _POSITIVE_KEYS}
+    values["seed"] = data.draw(st.integers(-(10**12), 10**12))
+    values["sobolev_s"] = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+    values["out"] = data.draw(_path_text)
+    keys = data.draw(st.permutations(list(values)))
+    lines = [_spelled(key, data.draw) + repr(values[key]).strip("'") for key in keys]
+    p = _write_config(tmp_path, lines)
+    cfg = config_from_args(build_parser().parse_args(["clt", "--config", str(p)]))
+    assert {key: getattr(cfg, key) for key in values} == values
+
+
+def _not_a(convert):
+    def fails(text):
+        try:
+            convert(text)
+        except ValueError:
+            return True
+        return False
+
+    return fails
+
+
+_value_text = st.text(
+    alphabet=st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="#"),
+    max_size=12,
+).map(str.strip)
+
+
+@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_bad_config_value_is_always_usage_error(tmp_path, data):
+    key = data.draw(st.sampled_from(_POSITIVE_KEYS + ("seed", "sobolev_s")))
+    if key == "sobolev_s":
+        bad = data.draw(_value_text.filter(_not_a(float)))
+    elif key == "seed":
+        bad = data.draw(_value_text.filter(_not_a(int)))
+    else:
+        bad = data.draw(
+            st.one_of(_value_text.filter(_not_a(int)), st.integers(max_value=0).map(str))
+        )
+    p = _write_config(tmp_path, [_spelled(key, data.draw) + bad])
+    with pytest.raises(UsageError):
+        config_from_args(build_parser().parse_args(["clt", "--config", str(p)]))

@@ -18,7 +18,7 @@ from ginfield.field import (
     tightness_statistic,
 )
 from ginfield.ginibre import sample_spectrum
-from ginfield.linstats import gamma
+from ginfield.linstats import GammaSample, gamma, gamma_draws
 
 
 def test_sample_h_structure(small_table):
@@ -135,3 +135,21 @@ def test_tightness_statistic(small_table):
         tightness_statistic(runs, 1.5, small_table)
     with pytest.raises(ValueError):
         tightness_statistic([], 2.5, small_table)
+
+
+def test_tightness_statistic_equals_the_per_entry_sum(small_table):
+    idx = ((0, 1), (2, 3), (1, 1), (0, 5), (7, 2))
+    G = gamma_draws(16, 6, idx, 2, small_table)
+    runs = [GammaSample(idx, g, 16, 2) for g in G]
+    per_entry = np.mean(
+        [
+            sum(
+                (1.0 if n == 0 else 2.0) * abs(v) ** 2 * small_table.root(n, k) ** -5.0
+                for (n, k), v in zip(idx, g)
+            )
+            for g in G
+        ]
+    )
+    assert abs(tightness_statistic(runs, 2.5, small_table) - per_entry) <= 1e-12 * per_entry
+    with pytest.raises(ValueError):
+        tightness_statistic(runs + [GammaSample(idx[:2], G[0, :2], 16, 2)], 2.5, small_table)

@@ -10,8 +10,11 @@ import pytest
 from ginfield.ginibre import (
     EigensolverError,
     PlaneQuadrature,
+    draw_seed,
+    eigenvalues,
     pair_variance,
     radial_pair_variance,
+    sample_matrix,
     sample_spectrum,
 )
 from ginfield.linstats import (
@@ -211,3 +214,35 @@ def test_decay_check_structure(small_table):
     for r in out["entries"]:
         assert r["scaled"] == r["variance"] * 16 * small_table.root(16, r["k"]) ** 2
     assert out["calibrated_Cprime"] < 6.0  # frozen calibration headroom
+
+
+# Orders out of order and repeated, uneven numbers of k per order, and one
+# index listed twice.
+MIXED_INDEX_SET = [(3, 2), (0, 1), (5, 1), (3, 1), (0, 4), (3, 7), (1, 1), (0, 2), (3, 2)]
+
+
+def _per_index_gamma(N, draws, index_set, master_seed, table):
+    """gamma draw by draw and index by index: the sum of alpha_values over
+    the spectrum minus centering_term."""
+    quad = PlaneQuadrature.build(N)
+    cent = [centering_term(n, k, N, table, quad) for n, k in index_set]
+    rows = []
+    for i in range(draws):
+        z = eigenvalues(sample_matrix(N, draw_seed(master_seed, i))).eigenvalues
+        rows.append(
+            [np.sum(alpha_values(n, k, z, table)) - c for (n, k), c in zip(index_set, cent)]
+        )
+    return np.array(rows)
+
+
+# N = 256 with 65 draws spans two blocks of spectra.
+@pytest.mark.parametrize("N, draws", [(4, 5), (16, 5), (64, 5), (256, 65)])
+def test_gamma_draws_equal_the_per_index_sum(N, draws, small_table):
+    G = gamma_draws(N, draws, MIXED_INDEX_SET, 11, small_table, workers=1)
+    ref = _per_index_gamma(N, draws, MIXED_INDEX_SET, 11, small_table)
+    assert G.shape == (draws, len(MIXED_INDEX_SET))
+    for i in range(draws):
+        assert np.array_equal(G[i], ref[i]), f"draw {i}"
+    i = draws - 1
+    sample = eigenvalues(sample_matrix(N, draw_seed(11, i)))
+    assert np.array_equal(gamma(sample, MIXED_INDEX_SET, small_table).values, G[i])

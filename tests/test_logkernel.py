@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginfield.basis import (
     DiskDomainError,
@@ -165,3 +167,34 @@ def test_raw_partial_sum_cross_check(table):
     assert abs(raw - target) < 1e-2
     raw2 = alpha_partial_sum(z, w, table, n_cut=70, k_cut=70)
     assert abs(raw2 - target) < 1e-2
+
+
+@pytest.mark.parametrize("fn", [alpha_radial, alpha_radial_derivative])
+@pytest.mark.parametrize("n", [0, 1, 4, 9])
+def test_alpha_radial_over_an_array_of_k_stacks_the_scalar_calls(fn, n, small_table):
+    ks = np.array([3, 1, 7, 2])
+    r = np.array([[1e-3, 0.25, 0.5, 1.0 - 1e-12], [1.0, 1.0 + 1e-12, 1.5, 3.0]])
+    g = fn(n, ks, r, small_table)
+    assert g.shape == (len(ks),) + r.shape
+    assert np.array_equal(g, np.stack([fn(n, int(k), r, small_table) for k in ks]))
+    g = fn(n, ks, 0.5, small_table)
+    assert np.array_equal(g, [fn(n, int(k), 0.5, small_table) for k in ks])
+
+
+GRID_9x8 = [(n, k) for n in range(9) for k in range(1, 9)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    delta=st.floats(1e-15, 1e-9),
+)
+def test_alpha_is_continuous_across_the_unit_circle(theta, delta, small_table):
+    # |g'(1)| = sqrt(pi) / j, so the jump over [1 - delta, 1 + delta] is
+    # below 2e-9 on the grid
+    phase = complex(math.cos(theta), math.sin(theta))
+    inner, outer = (1.0 - delta) * phase, (1.0 + delta) * phase
+    for n, k in GRID_9x8:
+        assert abs(alpha(n, k, inner, small_table) - alpha(n, k, outer, small_table)) < 1e-8
+        g = alpha_radial(n, k, np.array([1.0 - delta, 1.0 + delta]), small_table)
+        assert abs(g[0] - g[1]) < 1e-8

@@ -8,7 +8,6 @@ normalized to unit L^2 norm on the disk.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -157,80 +156,45 @@ def green_dirichlet_series(z, w, table, n_cut=None, k_cut=None):
     return -total
 
 
-@dataclass
-class CoeffVector:
-    """Sparse coefficient vector over basis indices (n, k).
+def root_window(cutoff, table):
+    """Roots j_{n,k} aligned with a real field's coefficients a[n, k-1],
+    0 <= n <= n_max and 1 <= k <= k_max, and the multiplicity of each row:
+    1 for n = 0 and 2 for n >= 1, since order -n is the conjugate of order n.
 
-    If real_field, the represented function is real and the entries must
-    satisfy entry(-n, k) = conj(entry(n, k)).
+    Raises KeyError when the cutoff reaches past the table.
     """
-
-    entries: dict
-    real_field: bool = False
-
-    def __post_init__(self):
-        self.entries = {
-            (int(n), int(k)): complex(v) for (n, k), v in self.entries.items()
-        }
-        for (n, k) in self.entries:
-            if k < 1:
-                raise ValueError(f"radial index must be >= 1, got ({n}, {k})")
-        if self.real_field:
-            for (n, k), v in self.entries.items():
-                mirror = self.entries.get((-n, k), 0.0)
-                if abs(np.conj(v) - mirror) > 1e-10 * max(1.0, abs(v)):
-                    raise ValueError(
-                        f"real_field vector violates conjugate symmetry at ({n}, {k})"
-                    )
-
-    def get(self, n, k):
-        return self.entries.get((int(n), int(k)), 0.0 + 0.0j)
-
-    def scale(self, c):
-        return CoeffVector(
-            {idx: c * v for idx, v in self.entries.items()},
-            real_field=self.real_field and float(np.imag(c)) == 0.0,
+    n_max, k_max = cutoff
+    if not (0 <= n_max <= table.n_max and 1 <= k_max <= table.k_max):
+        raise KeyError(
+            f"cutoff ({n_max}, {k_max}) outside table ({table.n_max}, {table.k_max})"
         )
-
-    def to_json(self):
-        recs = [
-            {"n": n, "k": k, "re": v.real, "im": v.imag}
-            for (n, k), v in sorted(self.entries.items())
-        ]
-        return json.dumps(recs)
-
-    @classmethod
-    def from_json(cls, text, real_field=False):
-        recs = json.loads(text)
-        return cls(
-            {(r["n"], r["k"]): complex(r["re"], r["im"]) for r in recs},
-            real_field=real_field,
-        )
-
-    def evaluate(self, z, table):
-        """Pointwise sum of entries times basis functions (cutoff-tagged by
-        the vector's own finite support)."""
-        total = np.zeros(np.shape(z), dtype=complex)
-        for (n, k), v in self.entries.items():
-            total = total + v * eval_eigenfunction(n, k, z, table)
-        return total
+    return table.roots[: n_max + 1, :k_max], _multiplicity(n_max)
 
 
-def sobolev_norm(v, s, table):
-    """Squared H^s norm: sum |a_{n,k}|^2 j_{n,k}^{2s}."""
-    total = 0.0
-    for (n, k), a in v.entries.items():
-        j = table.root(n, k)
-        total += abs(a) ** 2 * j ** (2.0 * s)
-    return total
+def _multiplicity(n_max):
+    mult = np.full((n_max + 1, 1), 2.0)
+    mult[0] = 1.0
+    return mult
+
+
+def cutoff_of(a):
+    """(n_max, k_max) of a coefficient array a[n, k-1]."""
+    return a.shape[0] - 1, a.shape[1]
+
+
+def sobolev_norm(a, s, table):
+    """Squared H^s norm of a real field: sum |a_{n,k}|^2 j_{n,k}^{2s} over
+    both signs of n."""
+    j, mult = root_window(cutoff_of(a), table)
+    return float(np.sum(mult * np.abs(a) ** 2 * j ** (2.0 * s)))
 
 
 def pairing(phi, f):
-    """Duality pairing sum over (n,k) of phi[n,k] * f[-n,k]."""
-    total = 0.0 + 0.0j
-    for (n, k), a in phi.entries.items():
-        total += a * f.get(-n, k)
-    return complex(total)
+    """Duality pairing sum over (n, k) of phi_{n,k} f_{-n,k} of two real
+    fields with coefficient arrays of one shape; the pairing is real."""
+    if phi.shape != f.shape:
+        raise ValueError(f"coefficient shapes differ: {phi.shape} and {f.shape}")
+    return float(np.sum(_multiplicity(phi.shape[0] - 1) * np.real(phi * np.conj(f))))
 
 
 def basis_matrix(indices, quad, table):
@@ -250,13 +214,13 @@ def gram_matrix(indices, quad, table):
 
 
 def project(f, indices, quad, table):
-    """Quadrature Fourier-Bessel coefficients of f on the listed indices."""
+    """Quadrature Fourier-Bessel coefficients of f on the listed indices, as
+    an array aligned with them."""
     E = basis_matrix(indices, quad, table)
     z = quad.nodes()
     vals = np.asarray(f(z)).ravel()
     w = quad.weights().ravel()
-    coeffs = E.conj().T @ (w * vals)
-    return CoeffVector(dict(zip(map(tuple, indices), coeffs)))
+    return E.conj().T @ (w * vals)
 
 
 def eigenfunction_radial_derivative(n, k, r, table):

@@ -27,13 +27,7 @@ import numpy as np
 from . import __version__
 from .basis import DiskQuadrature, gram_matrix
 from .bessel import RootBracketError, bessel_j, build_root_table, save_root_table
-from .field import (
-    covariance_mc,
-    expected_norm_sq,
-    field_norm_sq,
-    sample_h,
-    tightness_statistic,
-)
+from .field import covariance_mc, tightness_statistic
 from .ginibre import EigensolverError, sample_spectrum
 from .linstats import (
     GammaSample,

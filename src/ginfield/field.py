@@ -1,5 +1,6 @@
 """The limiting Gaussian field on the disk, its truncated samples, and the
-finite-N log-characteristic-polynomial field as a coefficient vector.
+finite-N log-characteristic-polynomial field, both as one coefficient
+array a[n, k-1] for n >= 0 (order -n is the conjugate of order n).
 
 The field is represented only through basis coefficients; pointwise values
 are always relative to an explicit cutoff, since the limit object is a
@@ -8,63 +9,53 @@ distribution, not a function.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoeffVector, radial_profile, sobolev_norm
+from .basis import DiskDomainError, cutoff_of, radial_profile, root_window, sobolev_norm
 from .ginibre import SpectrumSample
 from .linstats import gamma
 
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One truncated draw of a real field: conjugate-symmetric coefficients
-    over |n| <= n_max, k <= k_max."""
+    """One truncated draw of a real field: coefficients a[n, k-1] over
+    0 <= n <= n_max, 1 <= k <= k_max, with row 0 real and order -n the
+    conjugate of order n."""
 
-    coeffs: CoeffVector
-    cutoff: tuple
+    coeffs: np.ndarray
     seed: int
 
-    def to_json_obj(self):
-        return {
-            "cutoff": list(self.cutoff),
-            "seed": self.seed,
-            "coeffs": json.loads(self.coeffs.to_json()),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(
-            coeffs=CoeffVector.from_json(json.dumps(obj["coeffs"]), real_field=True),
-            cutoff=tuple(obj["cutoff"]),
-            seed=obj["seed"],
-        )
+    @property
+    def cutoff(self):
+        return cutoff_of(self.coeffs)
 
 
-def _coeff_arrays(rng, n_max, k_max, table, batch=None):
-    """Sampled coefficient arrays of the limit field.
-
-    Returns (a0, an): a0 has the real coefficients at (0, k); an[n-1, k-1]
-    holds the coefficient at (+n, k) for n >= 1, with the coefficient at
-    (-n, k) given by conjugation.  With batch set, a leading batch axis is
-    prepended to both.
+def _coeff_arrays(rng, cutoff, table, batch=None):
+    """Sampled coefficients a[n, k-1] of the limit field, with a leading
+    batch axis when batch is set: a_{0,k} = sqrt(pi) A_k / j_{0,k} and
+    a_{n,k} = sqrt(pi) (Z_{n,k} + W_n / sqrt(n)) / j_{n,k} for n >= 1.
+    A, Z and W are drawn from rng in that order.
     """
-    shape0 = (k_max,) if batch is None else (batch, k_max)
-    shape = (n_max, k_max) if batch is None else (batch, n_max, k_max)
-    shapew = (n_max,) if batch is None else (batch, n_max)
-    A = rng.standard_normal(shape0)
+    j, _ = root_window(cutoff, table)
+    n_max, k_max = cutoff
+    lead = () if batch is None else (batch,)
+    shape, shapew = lead + (n_max, k_max), lead + (n_max,)
+    A = rng.standard_normal(lead + (k_max,))
     Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
     W = (rng.standard_normal(shapew) + 1j * rng.standard_normal(shapew)) / math.sqrt(2)
-    j0 = table.roots[0, :k_max]
-    jn = table.roots[1 : n_max + 1, :k_max]
     ns = np.arange(1, n_max + 1)
     rt = math.sqrt(math.pi)
-    a0 = rt * A / j0
-    an = rt * (Z + W[..., :, None] / np.sqrt(ns)[:, None]) / jn
-    return a0, an
+    a = np.empty(lead + (n_max + 1, k_max), dtype=complex)
+    a[..., 0, :] = rt * A / j[0]
+    # rows n >= 1 in place: a batch of coefficients is the largest array here
+    an = a[..., 1:, :]
+    np.add(Z, W[..., :, None] / np.sqrt(ns)[:, None], out=an)
+    an *= rt
+    an /= j[1:]
+    return a
 
 
 def sample_h(cutoff, seed, table):
@@ -72,19 +63,7 @@ def sample_h(cutoff, seed, table):
     n_max, k_max = cutoff
     if n_max < 1 or k_max < 1:
         raise ValueError("cutoffs must be >= 1")
-    rng = np.random.default_rng(seed)
-    a0, an = _coeff_arrays(rng, n_max, k_max, table)
-    entries = {}
-    for k in range(1, k_max + 1):
-        entries[(0, k)] = complex(a0[k - 1])
-    for n in range(1, n_max + 1):
-        for k in range(1, k_max + 1):
-            v = complex(an[n - 1, k - 1])
-            entries[(n, k)] = v
-            entries[(-n, k)] = np.conj(v)
-    return FieldSample(
-        coeffs=CoeffVector(entries, real_field=True), cutoff=(n_max, k_max), seed=seed
-    )
+    return FieldSample(coeffs=_coeff_arrays(np.random.default_rng(seed), cutoff, table), seed=seed)
 
 
 def expected_norm_sq(s, cutoff, table):
@@ -92,15 +71,10 @@ def expected_norm_sq(s, cutoff, table):
     pi sum_k j_{0,k}^{-2-2s} + 2 pi sum_{n,k>=1} (1 + 1/n) j_{n,k}^{-2-2s}."""
     if s <= 0:
         raise ValueError("requires s > 0")
-    n_max, k_max = cutoff
-    j0 = table.roots[0, :k_max]
-    jn = table.roots[1 : n_max + 1, :k_max]
-    ns = np.arange(1, n_max + 1)
-    total = math.pi * float(np.sum(j0 ** (-2.0 - 2.0 * s)))
-    total += 2.0 * math.pi * float(
-        np.sum((1.0 + 1.0 / ns)[:, None] * jn ** (-2.0 - 2.0 * s))
-    )
-    return total
+    j, mult = root_window(cutoff, table)
+    # E|a_{n,k}|^2 j_{n,k}^2 / pi: 1 for n = 0, 1 + 1/n for n >= 1
+    var = np.append(1.0, 1.0 + 1.0 / np.arange(1, cutoff[0] + 1))[:, None]
+    return math.pi * float(np.sum(mult * var * j ** (-2.0 - 2.0 * s)))
 
 
 def field_norm_sq(sample, s, table):
@@ -112,14 +86,32 @@ def _eval_matrix(points, n_max, k_max, table):
     """(len(points), n_max + 1, k_max) values of the radial-normalized
     basis functions with phase, for fast batched field evaluation."""
     points = np.asarray(points, dtype=complex)
-    out = np.empty((len(points), n_max + 1, k_max), dtype=complex)
     r = np.abs(points)
+    if np.any(r > 1.0 + 1e-12):
+        raise DiskDomainError("point outside the closed unit disk")
+    out = np.empty((len(points), n_max + 1, k_max), dtype=complex)
     th = np.angle(points)
     ks = np.arange(1, k_max + 1)
     for n in range(n_max + 1):
         radial = radial_profile(n, ks, r[:, None], table)
         out[:, n, :] = radial * np.exp(1j * n * th)[:, None]
     return out
+
+
+def _field_values(a, E):
+    """Values at the points of E = _eval_matrix(...) of the real fields
+    a[..., n, k-1]: sum_k a_{0,k} e_{0,k} + 2 Re sum_{n>=1,k} a_{n,k} e_{n,k}."""
+    h = np.real(np.einsum("...k,pk->...p", a[..., 0, :], E[:, 0, :]))
+    h += 2.0 * np.real(np.einsum("...nk,pnk->...p", a[..., 1:, :], E[:, 1:, :]))
+    return h
+
+
+def evaluate(a, z, table):
+    """Pointwise value of the real field with coefficients a at z (scalar or
+    array), relative to the cutoff of a."""
+    z = np.asarray(z, dtype=complex)
+    h = _field_values(a, _eval_matrix(z.ravel(), *cutoff_of(a), table)).reshape(z.shape)
+    return float(h) if h.ndim == 0 else h
 
 
 def covariance_mc(z, w, cutoff, draws, seed, table, batch=1024):
@@ -135,15 +127,11 @@ def covariance_mc(z, w, cutoff, draws, seed, table, batch=1024):
     n_max, k_max = cutoff
     E = _eval_matrix([z, w], n_max, k_max, table)
     rng = np.random.default_rng(seed)
-    ns = np.arange(1, n_max + 1)
     acc = 0.0
     done = 0
     while done < draws:
         b = min(batch, draws - done)
-        a0, an = _coeff_arrays(rng, n_max, k_max, table, batch=b)
-        # h(p) = sum_k a0_k e_{0,k}(p) + 2 Re sum_{n,k} a_{n,k} e_{n,k}(p)
-        h = np.real(np.einsum("bk,pk->bp", a0.astype(complex), E[:, 0, :]))
-        h += 2.0 * np.real(np.einsum("bnk,pnk->bp", an, E[:, 1:, :]))
+        h = _field_values(_coeff_arrays(rng, cutoff, table, batch=b), E)
         acc += float(np.sum(h[:, 0] * h[:, 1]))
         done += b
     return acc / draws
@@ -151,23 +139,12 @@ def covariance_mc(z, w, cutoff, draws, seed, table, batch=1024):
 
 def h_N_coeffs(sample: SpectrumSample, cutoff, table):
     """Coefficients of the centered log-characteristic-polynomial field of
-    one spectrum draw: entry (n, k) is gamma_{n,k}^(N)."""
+    one spectrum draw: entry a[n, k-1] is gamma_{n,k}^(N)."""
     n_max, k_max = cutoff
     index_set = [(n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)]
-    gs = gamma(sample, index_set, table)
-    entries = {}
-    for (n, k) in index_set:
-        v = gs.value(n, k)
-        if n == 0:
-            entries[(0, k)] = complex(v.real)
-        else:
-            entries[(n, k)] = v
-            entries[(-n, k)] = np.conj(v)
-    return FieldSample(
-        coeffs=CoeffVector(entries, real_field=True),
-        cutoff=(n_max, k_max),
-        seed=sample.seed,
-    )
+    a = gamma(sample, index_set, table).values.reshape(n_max + 1, k_max)
+    a[0] = a[0].real
+    return FieldSample(coeffs=a, seed=sample.seed)
 
 
 def tightness_statistic(runs, s_prime, table):
@@ -194,9 +171,5 @@ def tightness_statistic(runs, s_prime, table):
 
 def tightness_bound(s_prime, cutoff, table, constant):
     """Reference bound constant * sum over the index window of j^{2 - 2s'}."""
-    n_max, k_max = cutoff
-    total = 0.0
-    for n in range(-n_max, n_max + 1):
-        js = table.roots[abs(n), :k_max]
-        total += float(np.sum(js ** (2.0 - 2.0 * s_prime)))
-    return constant * total
+    j, mult = root_window(cutoff, table)
+    return constant * float(np.sum(mult * j ** (2.0 - 2.0 * s_prime)))

@@ -20,8 +20,7 @@ TRACE_TOL_PER_N = 1e-8
 
 
 class EigensolverError(RuntimeError):
-    """Raised when the QR iteration exceeds its budget or a spectrum fails
-    the trace identity."""
+    """Raised when a spectrum fails the trace identity."""
 
 
 @dataclass(frozen=True)
@@ -75,178 +74,26 @@ def sample_matrices(N, count, master_seed):
     return out
 
 
-# ---------------------------------------------------------------------------
-# eigensolver: in-repo Hessenberg + shifted QR, plus a LAPACK backend
-# ---------------------------------------------------------------------------
-
-
-def _balance(A, iterations=5):
-    """Diagonal similarity scaling toward equal row/column norms."""
-    A = A.copy()
-    n = A.shape[0]
-    radix = 2.0
-    for _ in range(iterations):
-        converged = True
-        for i in range(n):
-            c = np.sum(np.abs(A[:, i])) - abs(A[i, i])
-            r = np.sum(np.abs(A[i, :])) - abs(A[i, i])
-            if c == 0 or r == 0:
-                continue
-            f = 1.0
-            s = c + r
-            while c < r / radix:
-                c *= radix
-                r /= radix
-                f *= radix
-            while c >= r * radix:
-                c /= radix
-                r *= radix
-                f /= radix
-            if (c + r) < 0.95 * s and f != 1.0:
-                converged = False
-                A[i, :] /= f
-                A[:, i] *= f
-        if converged:
-            break
-    return A
-
-
-def _hessenberg(A):
-    """Reduce to upper Hessenberg form by Householder similarity."""
-    H = A.astype(complex).copy()
-    n = H.shape[0]
-    for col in range(n - 2):
-        x = H[col + 1 :, col].copy()
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v = x.copy()
-        v[0] += phase * nx
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        H[col + 1 :, col:] -= 2.0 * np.outer(v, v.conj() @ H[col + 1 :, col:])
-        H[:, col + 1 :] -= 2.0 * np.outer(H[:, col + 1 :] @ v, v.conj())
-        H[col + 2 :, col] = 0.0
-    return H
-
-
-def _wilkinson_shift(H, m):
-    """Eigenvalue of the trailing 2x2 block closest to H[m, m]."""
-    if m == 0:
-        return H[0, 0]
-    a, b = H[m - 1, m - 1], H[m - 1, m]
-    c, d = H[m, m - 1], H[m, m]
-    tr = a + d
-    det = a * d - b * c
-    disc = np.sqrt(tr * tr - 4.0 * det + 0j)
-    r1 = (tr + disc) / 2.0
-    r2 = (tr - disc) / 2.0
-    return r1 if abs(r1 - d) < abs(r2 - d) else r2
-
-
-def _qr_eigenvalues(A, budget_factor=40):
-    """Complex eigenvalues by shifted QR iteration with deflation."""
-    n = A.shape[0]
-    if n == 0:
-        return np.array([], dtype=complex)
-    if n == 1:
-        return A.astype(complex).ravel().copy()
-    H = _hessenberg(_balance(np.asarray(A, dtype=complex)))
-    eigs = []
-    m = n - 1  # active block is H[0:m+1, 0:m+1]
-    budget = budget_factor * n
-    iters = 0
-    stagnation = 0
-    eps = np.finfo(float).eps
-    while m >= 0:
-        if m == 0:
-            eigs.append(H[0, 0])
-            m -= 1
-            continue
-        # deflation scan from the bottom of the active block
-        l = m
-        while l > 0:
-            if abs(H[l, l - 1]) <= eps * (abs(H[l - 1, l - 1]) + abs(H[l, l])):
-                H[l, l - 1] = 0.0
-                break
-            l -= 1
-        if l == m:
-            eigs.append(H[m, m])
-            m -= 1
-            stagnation = 0
-            continue
-        if iters >= budget:
-            raise EigensolverError(
-                f"QR iteration exceeded budget of {budget} sweeps"
-            )
-        iters += 1
-        stagnation += 1
-        if stagnation % 12 == 0:
-            # exceptional shift to break symmetry-induced stalls
-            sigma = H[m, m] + abs(H[m, m - 1]) * complex(0.75, 0.4375)
-        else:
-            sigma = _wilkinson_shift(H, m)
-        # one explicit shifted QR step on the active block: QR factor
-        # H - sigma I by Givens rotations, then form R Q + sigma I
-        B = H[l : m + 1, l : m + 1]
-        k = m - l + 1
-        idx = np.arange(k)
-        B[idx, idx] -= sigma
-        rots = []
-        for i in range(k - 1):
-            x, y = B[i, i], B[i + 1, i]
-            r = math.hypot(abs(x), abs(y))
-            if r == 0.0:
-                c, s = 1.0 + 0j, 0.0 + 0j
-            else:
-                c, s = x / r, y / r
-            rots.append((c, s))
-            row_i = B[i, i:].copy()
-            row_j = B[i + 1, i:].copy()
-            B[i, i:] = np.conj(c) * row_i + np.conj(s) * row_j
-            B[i + 1, i:] = -s * row_i + c * row_j
-            B[i + 1, i] = 0.0
-        for i, (c, s) in enumerate(rots):
-            hi = min(i + 2, k - 1)
-            col_i = B[: hi + 1, i].copy()
-            col_j = B[: hi + 1, i + 1].copy()
-            B[: hi + 1, i] = c * col_i + s * col_j
-            B[: hi + 1, i + 1] = -np.conj(s) * col_i + np.conj(c) * col_j
-        B[idx, idx] += sigma
-    return np.array(eigs, dtype=complex)
-
-
-def eigenvalues(matrix, seed=0, backend="lapack"):
-    """Eigenvalues of a square complex matrix as a SpectrumSample.
-
-    backend: "lapack" (default, numpy/LAPACK) or "qr" (in-repo shifted QR,
-    kept for cross-validation and self-containedness at small sizes).
-    """
+def eigenvalues(matrix, seed=0):
+    """Eigenvalues of a square complex matrix (LAPACK) as a SpectrumSample,
+    certified by the trace identity."""
     A = np.asarray(matrix, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     N = A.shape[0]
-    if backend == "lapack":
-        eig = np.linalg.eigvals(A)
-    elif backend == "qr":
-        eig = _qr_eigenvalues(A)
-    else:
-        raise ValueError(f"unknown eigensolver backend {backend!r}")
+    eig = np.linalg.eigvals(A)
     tr = np.trace(A)
     if abs(eig.sum() - tr) > TRACE_TOL_PER_N * N:
         raise EigensolverError("eigenvalue sum fails the trace identity")
-    # sort for reproducibility regardless of backend ordering
+    # sort for reproducibility regardless of LAPACK's ordering
     order = np.lexsort((eig.imag, eig.real))
     return SpectrumSample(eigenvalues=eig[order], matrix_size=N, seed=int(seed))
 
 
-def sample_spectrum(N, master_seed, draw_index=0, backend="lapack"):
+def sample_spectrum(N, master_seed, draw_index=0):
     """One seeded Ginibre draw reduced to its spectrum."""
     ss = draw_seed(master_seed, draw_index)
-    return eigenvalues(sample_matrix(N, ss), seed=master_seed, backend=backend)
+    return eigenvalues(sample_matrix(N, ss), seed=master_seed)
 
 
 # ---------------------------------------------------------------------------

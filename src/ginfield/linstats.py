@@ -349,39 +349,29 @@ def clt_experiment(N, draws, index_set, master_seed, table, workers=1):
     }
 
 
+def _variance_rows(cases, k_list, table, key, scale):
+    """Exact pair variance of alpha_{n,k} for every (n, N) case and every k,
+    one row each with key = scale(variance, n, j_{n,k}); one plane rule per N."""
+    quads = {N: PlaneQuadrature.build(N) for N in {N for _, N in cases}}
+    rows = []
+    for n, N in cases:
+        for k in k_list:
+            v = radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N, quads[N])
+            j = table.root(n, k)
+            rows.append({"n": n, "k": k, "N": N, "variance": v, key: scale(v, n, j)})
+    return rows
+
+
 def variance_bound_check(n_list, k_list, N_list, table):
     """Exact pair-variance of alpha over an index grid, with the ratio to
     j_{n,k}^2 and the single calibrated constant covering all entries."""
-    rows = []
-    for N in N_list:
-        quad = PlaneQuadrature.build(N)
-        for n in n_list:
-            for k in k_list:
-                v = radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N, quad)
-                j = table.root(n, k)
-                rows.append(
-                    {"n": n, "k": k, "N": N, "variance": v, "ratio": v / j**2}
-                )
-    c = max(r["ratio"] for r in rows)
-    return {"entries": rows, "calibrated_C": c}
+    cases = [(n, N) for N in N_list for n in n_list]
+    rows = _variance_rows(cases, k_list, table, "ratio", lambda v, n, j: v / j**2)
+    return {"entries": rows, "calibrated_C": max(r["ratio"] for r in rows)}
 
 
 def decay_check(cases, k_list, table):
     """High-order decay check: for |n| >= N the exact variance obeys
     E|gamma|^2 <= C' / (|n| j^2); reports the observed constants."""
-    rows = []
-    for (n, N) in cases:
-        quad = PlaneQuadrature.build(N)
-        for k in k_list:
-            v = radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N, quad)
-            j = table.root(n, k)
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "N": N,
-                    "variance": v,
-                    "scaled": v * abs(n) * j**2,
-                }
-            )
+    rows = _variance_rows(cases, k_list, table, "scaled", lambda v, n, j: v * abs(n) * j**2)
     return {"entries": rows, "calibrated_Cprime": max(r["scaled"] for r in rows)}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ginfield.basis import CoeffVector, DiskQuadrature, gram_matrix, pairing
+from ginfield.basis import DiskQuadrature, gram_matrix, pairing
 from ginfield.bessel import bessel_j, bessel_j_prime, build_root_table
 from ginfield.field import (
     covariance_mc,
@@ -195,29 +195,29 @@ def test_criterion_9_convergence_to_limit(table, big_gamma):
     G = big_gamma
     M = G.shape[0]
     # battery of fixed real test vectors for the pairing laws
+    def coeffs(entries):
+        a = np.zeros((9, 8), dtype=complex)
+        for (n, k), v in entries.items():
+            a[n, k - 1] = v
+        return a
+
     battery = [
-        CoeffVector({(0, 1): 1.0}),
-        CoeffVector({(1, 1): 0.5 - 0.3j, (-1, 1): 0.5 + 0.3j}, real_field=True),
-        CoeffVector(
-            {(0, 2): 1.0, (2, 1): 0.4 + 0.2j, (-2, 1): 0.4 - 0.2j},
-            real_field=True,
-        ),
+        coeffs({(0, 1): 1.0}),
+        coeffs({(1, 1): 0.5 - 0.3j}),
+        coeffs({(0, 2): 1.0, (2, 1): 0.4 + 0.2j}),
     ]
 
     def as_coeffs(row):
-        entries = {}
-        for (n, k), v in zip(GRID, row):
-            entries[(n, k)] = complex(v.real) if n == 0 else v
-            if n > 0:
-                entries[(-n, k)] = np.conj(v)
-        return CoeffVector(entries, real_field=True)
+        a = row.reshape(9, 8).copy()
+        a[0] = a[0].real
+        return a
 
     finite = [as_coeffs(G[i]) for i in range(M)]
     limit = [sample_h((8, 8), 10_000 + i, table).coeffs for i in range(M)]
     ok = True
     for f in battery:
-        pf = np.array([pairing(c, f).real for c in finite])
-        pl = np.array([pairing(c, f).real for c in limit])
+        pf = np.array([pairing(c, f) for c in finite])
+        pl = np.array([pairing(c, f) for c in limit])
         se_mean = math.sqrt(pf.var(ddof=1) / M + pl.var(ddof=1) / M)
         ok &= abs(pf.mean() - pl.mean()) < 4 * se_mean
         vf, vl = pf.var(ddof=1), pl.var(ddof=1)

@@ -5,11 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from ginfield.basis import (
-    CoeffVector,
     DiskDomainError,
     DiskQuadrature,
     SingularityError,
@@ -26,6 +23,7 @@ from ginfield.basis import (
     sobolev_norm,
 )
 from ginfield.bessel import bessel_j
+from ginfield.field import evaluate
 from ginfield.logkernel import power_coeff
 
 
@@ -150,63 +148,70 @@ def test_green_series_matches_closed_form(table):
     ) < 1e-14
 
 
+def _signed_entries(a):
+    """((n, k), a_{n,k}) over both signs of n of a real field's array a[n, k-1]."""
+    for n in range(a.shape[0]):
+        for k in range(1, a.shape[1] + 1):
+            yield (n, k), complex(a[n, k - 1])
+            if n > 0:
+                yield (-n, k), complex(np.conj(a[n, k - 1]))
+
+
+def _real_field(shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a[0] = a[0].real
+    return a
+
+
 def test_coeff_vector_algebra(table):
-    v = CoeffVector({(1, 1): 1 + 2j, (-1, 1): 1 - 2j}, real_field=True)
-    assert v.get(1, 1) == 1 + 2j
-    assert v.get(7, 3) == 0.0
-    w = v.scale(2.0)
-    assert w.get(-1, 1) == 2 - 4j and w.real_field
+    a, b = _real_field((4, 5), 1), _real_field((4, 5), 2)
+    assert pairing(a, b) == pairing(b, a)
+    assert abs(pairing(a, a) - sobolev_norm(a, 0.0, table)) < 1e-13 * pairing(a, a)
+    for c in (2.0, 0.5 - 1.5j):
+        scaled = sobolev_norm(c * a, 1.0, table)
+        assert abs(scaled - abs(c) ** 2 * sobolev_norm(a, 1.0, table)) < 1e-13 * scaled
     with pytest.raises(ValueError):
-        CoeffVector({(1, 1): 1 + 2j, (-1, 1): 1 + 2j}, real_field=True)
-    with pytest.raises(ValueError):
-        CoeffVector({(0, 0): 1.0})
-
-
-def test_coeff_vector_json_roundtrip():
-    v = CoeffVector({(2, 3): 0.5 - 0.25j, (0, 1): 1.5})
-    u = CoeffVector.from_json(v.to_json())
-    assert u.entries == v.entries
-
-
-@given(
-    st.dictionaries(
-        st.tuples(st.integers(-9, 9), st.integers(1, 9)),
-        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
-        max_size=12,
-    )
-)
-def test_coeff_vector_json_roundtrip_property(entries):
-    v = CoeffVector(entries)
-    u = CoeffVector.from_json(v.to_json())
-    assert u.entries == v.entries
+        pairing(a, b[:, :4])
 
 
 def test_sobolev_norm_pinned_value(table):
     # single unit coefficient at (0, 1), s = -1: j_{0,1}^{-2} = 0.172915...
-    v = CoeffVector({(0, 1): 1.0})
+    v = np.ones((1, 1), dtype=complex)
     assert abs(sobolev_norm(v, -1.0, table) - 0.17291) < 1e-5
     assert abs(sobolev_norm(v, 0.0, table) - 1.0) < 1e-15
     # scaling in s: norm at s equals j^{2s} for the same vector
     j = table.root(0, 1)
     assert abs(sobolev_norm(v, 1.5, table) - j**3.0) < 1e-10
+    # the weighted sum equals the per-entry sum over both signs of n
+    a = _real_field((6, 7), 3)
+    for s in (-1.0, 0.0, 0.75):
+        loop = sum(abs(v) ** 2 * table.root(n, k) ** (2.0 * s) for (n, k), v in _signed_entries(a))
+        assert abs(sobolev_norm(a, s, table) - loop) < 1e-13 * loop
 
 
 def test_pairing_conventions():
-    phi = CoeffVector({(1, 1): 2.0, (-1, 1): 3.0})
-    f = CoeffVector({(1, 1): 5.0, (-1, 1): 7.0})
-    # sum phi[n,k] f[-n,k] = 2*7 + 3*5
-    assert pairing(phi, f) == 29.0
+    # sum phi[n,k] f[-n,k] over n = +-1: (2 + i)(5 + 3i) + (2 - i)(5 - 3i) = 14
+    phi = np.zeros((2, 1), dtype=complex)
+    f = np.zeros((2, 1), dtype=complex)
+    phi[1, 0], f[1, 0] = 2 + 1j, 5 - 3j
+    assert pairing(phi, f) == 14.0
+    a, b = _real_field((5, 3), 4), _real_field((5, 3), 5)
+    fb = dict(_signed_entries(b))
+    loop = sum(v * fb[(-n, k)] for (n, k), v in _signed_entries(a))
+    assert abs(loop.imag) < 1e-13 and abs(pairing(a, b) - loop.real) < 1e-13 * abs(loop)
 
 
 def test_projection_recovers_power(quad, table):
     # z^2 projects onto (2, k) with coefficient 2 sqrt(pi) / j_{2,k}
     indices = [(2, k) for k in range(1, 7)] + [(1, 1), (3, 1), (-2, 1)]
     c = project(lambda z: z**2, indices, quad, table)
+    assert c.shape == (len(indices),)
     for k in range(1, 7):
-        assert abs(c.get(2, k) - power_coeff(2, k, table)) < 1e-10
-    assert abs(c.get(1, 1)) < 1e-12
-    assert abs(c.get(3, 1)) < 1e-12
-    assert abs(c.get(-2, 1)) < 1e-12
+        assert abs(c[k - 1] - power_coeff(2, k, table)) < 1e-10
+    assert abs(c[6]) < 1e-12
+    assert abs(c[7]) < 1e-12
+    assert abs(c[8]) < 1e-12
 
 
 def test_power_expansion_pointwise(quad, table):
@@ -226,9 +231,22 @@ def test_power_expansion_pointwise(quad, table):
 
 
 def test_evaluate_matches_manual(table):
-    v = CoeffVector({(0, 1): 1.0, (2, 2): 1j})
+    # real field e_{0,1} + i e_{2,2} - i e_{-2,2}
+    v = np.zeros((3, 2), dtype=complex)
+    v[0, 0], v[2, 1] = 1.0, 1j
     z = 0.25 - 0.6j
-    manual = eval_eigenfunction(0, 1, z, table) + 1j * eval_eigenfunction(
-        2, 2, z, table
+    manual = (
+        eval_eigenfunction(0, 1, z, table)
+        + 1j * eval_eigenfunction(2, 2, z, table)
+        - 1j * eval_eigenfunction(-2, 2, z, table)
     )
-    assert abs(v.evaluate(z, table) - manual) < 1e-14
+    assert abs(evaluate(v, z, table) - manual) < 1e-14
+    # a random field on an array of points against the sum over both signs of n
+    a = _real_field((5, 4), 6)
+    zs = np.array([[0.0, 0.3 + 0.1j], [-0.7j, 0.5 - 0.5j], [1.0, -0.2 + 0.9j]])
+    loop = sum(v * eval_eigenfunction(n, k, zs, table) for (n, k), v in _signed_entries(a))
+    got = evaluate(a, zs, table)
+    assert got.shape == zs.shape
+    assert np.max(np.abs(got - loop)) < 1e-13
+    with pytest.raises(DiskDomainError):
+        evaluate(a, 1.1, table)

@@ -8,8 +8,8 @@ import pytest
 
 from ginfield.basis import sobolev_norm
 from ginfield.field import (
-    FieldSample,
     covariance_mc,
+    evaluate,
     expected_norm_sq,
     field_norm_sq,
     h_N_coeffs,
@@ -24,10 +24,8 @@ from ginfield.linstats import GammaSample, gamma, gamma_draws
 def test_sample_h_structure(small_table):
     s = sample_h((4, 5), 0, small_table)
     assert s.cutoff == (4, 5)
-    assert s.coeffs.real_field
-    v = s.coeffs.get(3, 2)
-    assert s.coeffs.get(-3, 2) == np.conj(v)
-    assert s.coeffs.get(0, 1).imag == 0.0
+    assert s.coeffs.shape == (5, 5) and s.coeffs.dtype == complex
+    assert not np.any(s.coeffs[0].imag)
     with pytest.raises(ValueError):
         sample_h((0, 5), 0, small_table)
 
@@ -35,17 +33,41 @@ def test_sample_h_structure(small_table):
 def test_sample_h_deterministic(small_table):
     a = sample_h((3, 3), 9, small_table)
     b = sample_h((3, 3), 9, small_table)
-    assert a.coeffs.entries == b.coeffs.entries
+    assert np.array_equal(a.coeffs, b.coeffs)
     c = sample_h((3, 3), 10, small_table)
-    assert a.coeffs.entries != c.coeffs.entries
+    assert not np.array_equal(a.coeffs, c.coeffs)
 
 
-def test_field_sample_json_roundtrip(small_table):
-    s = sample_h((2, 2), 4, small_table)
-    t = FieldSample.from_json_obj(s.to_json_obj())
-    assert t.cutoff == (2, 2) and t.seed == 4
-    for idx, v in s.coeffs.entries.items():
-        assert abs(t.coeffs.get(*idx) - v) < 1e-15
+def test_sample_h_is_the_seeded_draw(small_table):
+    # a_{0,k} = sqrt(pi) A_k / j_{0,k}, a_{n,k} = sqrt(pi) (Z_{n,k} + W_n / sqrt(n)) / j_{n,k},
+    # with A, then Z, then W drawn from the seeded generator
+    n_max, k_max = 5, 7
+    shape = (n_max, k_max)
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal(k_max)
+    Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    W = (rng.standard_normal(n_max) + 1j * rng.standard_normal(n_max)) / math.sqrt(2)
+    rt = math.sqrt(math.pi)
+    want = np.empty((n_max + 1, k_max), dtype=complex)
+    for k in range(1, k_max + 1):
+        want[0, k - 1] = rt * A[k - 1] / small_table.root(0, k)
+        for n in range(1, n_max + 1):
+            j = small_table.root(n, k)
+            want[n, k - 1] = rt * (Z[n - 1, k - 1] + W[n - 1] / np.sqrt(n)) / j
+    assert np.array_equal(sample_h((n_max, k_max), 31, small_table).coeffs, want)
+
+
+def test_cutoff_past_the_table_raises(small_table):
+    # the 16 x 16 table must not be truncated silently to a larger cutoff
+    for cutoff in ((8, 17), (17, 8)):
+        with pytest.raises(KeyError, match=r"outside table \(16, 16\)"):
+            expected_norm_sq(1.0, cutoff, small_table)
+        with pytest.raises(KeyError, match=r"outside table \(16, 16\)"):
+            tightness_bound(2.5, cutoff, small_table, constant=0.2)
+        with pytest.raises(KeyError, match=r"outside table \(16, 16\)"):
+            sample_h(cutoff, 0, small_table)
+    with pytest.raises(KeyError, match=r"outside table \(16, 16\)"):
+        sobolev_norm(np.ones((3, 17), dtype=complex), -1.0, small_table)
 
 
 def test_expected_norm_formula(small_table):
@@ -99,10 +121,10 @@ def test_covariance_mc_sanity(small_table):
 def test_h_N_coeffs_match_gamma(small_table):
     spec = sample_spectrum(16, 21)
     fs = h_N_coeffs(spec, (3, 3), small_table)
+    assert fs.cutoff == (3, 3) and fs.seed == 21
     g = gamma(spec, [(2, 3)], small_table)
-    assert abs(fs.coeffs.get(2, 3) - g.value(2, 3)) < 1e-12
-    assert fs.coeffs.get(-2, 3) == np.conj(fs.coeffs.get(2, 3))
-    assert fs.coeffs.get(0, 1).imag == 0.0
+    assert abs(fs.coeffs[2, 2] - g.value(2, 3)) < 1e-12
+    assert not np.any(fs.coeffs[0].imag)
 
 
 def test_h_N_field_evaluates_near_log_statistic(small_table):
@@ -110,7 +132,7 @@ def test_h_N_field_evaluates_near_log_statistic(small_table):
     spec = sample_spectrum(64, 7)
     fs = h_N_coeffs(spec, (16, 16), small_table)
     z = 0.2
-    val = float(np.real(fs.coeffs.evaluate(z, small_table)))
+    val = evaluate(fs.coeffs, z, small_table)
     direct = float(np.sum(np.log(np.abs(z - spec.eigenvalues))))
     # compare after removing the deterministic centering part
     from ginfield.linstats import centering_term

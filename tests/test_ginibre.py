@@ -1,4 +1,4 @@
-"""Tests of Ginibre sampling, the eigensolvers, and the exact
+"""Tests of Ginibre sampling, the eigensolver, and the exact
 determinantal formulas."""
 
 import dataclasses
@@ -13,7 +13,6 @@ from ginfield.ginibre import (
     EigensolverError,
     PlaneQuadrature,
     SpectrumSample,
-    _qr_eigenvalues,
     draw_seed,
     eigenvalues,
     expected_linear_statistic,
@@ -54,34 +53,7 @@ def test_sample_matrix_errors():
         sample_matrix(0, 1)
 
 
-def test_qr_matches_lapack():
-    rng = np.random.default_rng(5)
-    for n in (3, 8, 24):
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        got = np.sort_complex(_qr_eigenvalues(A))
-        ref = np.sort_complex(np.linalg.eigvals(A))
-        assert np.max(np.abs(got - ref)) < 1e-10 * n
-
-
-def test_qr_handles_defective_and_real_blocks():
-    # Jordan block and a real rotation (complex-pair eigenvalues)
-    J = np.array([[2.0, 1.0], [0.0, 2.0]])
-    got = np.sort_complex(_qr_eigenvalues(J))
-    assert np.max(np.abs(got - np.array([2.0, 2.0]))) < 1e-7
-    th = 0.6
-    R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    got = np.sort_complex(_qr_eigenvalues(R))
-    ref = np.sort_complex(np.array([np.exp(1j * th), np.exp(-1j * th)]))
-    assert np.max(np.abs(got - ref)) < 1e-12
-
-
-def test_eigenvalues_backends_agree():
-    A = sample_matrix(20, 11)
-    e1 = eigenvalues(A, seed=11, backend="lapack")
-    e2 = eigenvalues(A, seed=11, backend="qr")
-    assert np.max(np.abs(e1.eigenvalues - e2.eigenvalues)) < 1e-10
-    with pytest.raises(ValueError):
-        eigenvalues(A, backend="magic")
+def test_eigenvalues_rejects_non_square():
     with pytest.raises(ValueError):
         eigenvalues(np.zeros((2, 3)))
 

@@ -216,6 +216,29 @@ def test_decay_check_structure(small_table):
     assert out["calibrated_Cprime"] < 6.0  # frozen calibration headroom
 
 
+def test_variance_checks_equal_the_per_entry_route(small_table):
+    # rows in grid order, each equal to radial_pair_variance on a fresh plane
+    # rule, though the checks share one rule per N (two decay cases share N = 8)
+    def exact(n, k, N):
+        g = partial(alpha_radial, n, k, table=small_table)
+        return radial_pair_variance(g, n, N, PlaneQuadrature.build(N))
+
+    bound = variance_bound_check([0, 3], [1, 2], [8, 16], small_table)
+    assert [(r["N"], r["n"], r["k"]) for r in bound["entries"]] == [
+        (N, n, k) for N in (8, 16) for n in (0, 3) for k in (1, 2)
+    ]
+    decay = decay_check([(16, 8), (12, 8), (16, 12)], [1, 2], small_table)
+    assert [(r["n"], r["N"], r["k"]) for r in decay["entries"]] == [
+        (n, N, k) for n, N in [(16, 8), (12, 8), (16, 12)] for k in (1, 2)
+    ]
+    for r in bound["entries"]:
+        assert r["variance"] == exact(r["n"], r["k"], r["N"])
+        assert r["ratio"] == r["variance"] / small_table.root(r["n"], r["k"]) ** 2
+    for r in decay["entries"]:
+        assert r["variance"] == exact(r["n"], r["k"], r["N"])
+        assert r["scaled"] == r["variance"] * r["n"] * small_table.root(r["n"], r["k"]) ** 2
+
+
 # Orders out of order and repeated, uneven numbers of k per order, and one
 # index listed twice.
 MIXED_INDEX_SET = [(3, 2), (0, 1), (5, 1), (3, 1), (0, 4), (3, 7), (1, 1), (0, 2), (3, 2)]

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bessel import bessel_j, bessel_j_prime
+from .bessel import bessel_j
 
 
 class DiskDomainError(ValueError):
@@ -26,14 +26,8 @@ class SingularityError(ValueError):
     """Raised when a kernel is evaluated on its diagonal z = w."""
 
 
-def normalization_constant(n, k, table):
-    """C_{n,k} = 1 / (sqrt(pi) J_{|n|+1}(j_{|n|,k})); depends on |n| only."""
-    return table.norm(n, k)
-
-
-def radial_profile(n, k, r, table, derivative=False):
-    """Radial factor C_{n,k} J_{|n|}(j_{n,k} r) of e_{n,k}, or with
-    derivative set its r-derivative C_{n,k} j_{n,k} J_{|n|}'(j_{n,k} r).
+def radial_profile(n, k, r, table):
+    """Radial factor C_{n,k} J_{|n|}(j_{n,k} r) of e_{n,k}.
 
     k is one radial index or an integer array of them; the root and the
     normalisation taken from the table broadcast against r.
@@ -46,20 +40,7 @@ def radial_profile(n, k, r, table, derivative=False):
         if n > table.n_max or i.min() < 0 or i.max() >= table.k_max:
             raise KeyError(f"indices ({n}, {k}) outside table ({table.n_max}, {table.k_max})")
         j, c = table.roots[n, i], table.norms[n, i]
-    if derivative:
-        return c * j * bessel_j_prime(n, j * r)
     return c * bessel_j(n, j * r)
-
-
-def eval_eigenfunction(n, k, z, table):
-    """Basis function value at z (scalar or array), |z| <= 1."""
-    z = np.asarray(z, dtype=complex)
-    r = np.abs(z)
-    if np.any(r > 1.0 + 1e-12):
-        raise DiskDomainError("point outside the closed unit disk")
-    radial = radial_profile(n, k, np.minimum(r, 1.0), table)
-    out = radial * np.exp(1j * n * np.angle(z))
-    return complex(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=16)
@@ -108,25 +89,6 @@ class DiskQuadrature:
 
     def weights(self):
         return self.wr[:, None] * self.wt * np.ones_like(self.theta)[None, :]
-
-
-def disk_integrate(f, quad):
-    """Integral of f over the unit disk; f maps complex arrays to values."""
-    z = quad.nodes()
-    vals = np.asarray(f(z))
-    return complex(np.sum(vals * quad.weights()))
-
-
-def green_dirichlet_closed(z, w):
-    """Dirichlet Green's function of the disk Laplacian, closed form:
-    (1/2pi)(log|z - w| - log|1 - conj(z) w|)."""
-    z = complex(z)
-    w = complex(w)
-    if abs(z) >= 1 or abs(w) >= 1:
-        raise DiskDomainError("both points must lie in the open disk")
-    if z == w:
-        raise SingularityError("Green's function diverges at z = w")
-    return (math.log(abs(z - w)) - math.log(abs(1 - np.conj(z) * w))) / (2 * math.pi)
 
 
 def green_dirichlet_series(z, w, table, n_cut=None, k_cut=None):
@@ -211,18 +173,3 @@ def gram_matrix(indices, quad, table):
     E = basis_matrix(indices, quad, table)
     w = quad.weights().ravel()
     return (E.conj().T * w) @ E
-
-
-def project(f, indices, quad, table):
-    """Quadrature Fourier-Bessel coefficients of f on the listed indices, as
-    an array aligned with them."""
-    E = basis_matrix(indices, quad, table)
-    z = quad.nodes()
-    vals = np.asarray(f(z)).ravel()
-    w = quad.weights().ravel()
-    return E.conj().T @ (w * vals)
-
-
-def eigenfunction_radial_derivative(n, k, r, table):
-    """d/dr of the radial profile C_{n,k} J_{|n|}(j r)."""
-    return radial_profile(n, k, np.asarray(r, dtype=float), table, derivative=True)

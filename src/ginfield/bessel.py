@@ -1,4 +1,4 @@
-"""Bessel functions of the first kind, derivatives, and positive roots.
+"""Bessel functions of the first kind and their certified positive roots.
 
 Evaluation is delegated to scipy.special (integer order, real argument).
 The roots j_{n,k} come from scipy.special.jn_zeros and are certified here
@@ -47,25 +47,6 @@ def bessel_j(n, x):
     n, xa = _check_order(n), _check_argument(x)
     out = special.jv(n, xa)
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
-
-
-def bessel_j_prime(n, x):
-    """d/dx J_n(x) for integer order n >= 0 and real x >= 0."""
-    n, xa = _check_order(n), _check_argument(x)
-    if n == 0:
-        out = -special.jv(1, xa)
-    else:
-        # J_n' = (J_{n-1} - J_{n+1}) / 2, valid at x = 0 as well.
-        out = 0.5 * (special.jv(n - 1, xa) - special.jv(n + 1, xa))
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
-
-
-def bessel_root(n, k):
-    """The k-th positive root j_{n,k} of J_n, for n >= 0, k >= 1."""
-    n = _check_order(n)
-    if k != int(k) or k < 1:
-        raise BesselDomainError(f"root index must be a positive integer, got {k!r}")
-    return float(special.jn_zeros(n, int(k))[-1])
 
 
 @dataclass(frozen=True)

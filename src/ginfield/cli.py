@@ -33,7 +33,6 @@ from .linstats import (
     GammaSample,
     clt_experiment,
     decay_check,
-    gamma,
     gamma_draws,
     limit_covariance_matrix,
     variance_bound_check,
@@ -165,7 +164,11 @@ def _exp_ginibre_sample(cfg, table):
     samples = []
     for i in range(cfg.draws):
         sp = sample_spectrum(cfg.n_size, cfg.seed, draw_index=i)
-        samples.append(json.loads(sp.to_json()))
+        samples.append({
+            "N": sp.matrix_size,
+            "seed": sp.seed,
+            "eigenvalues": [[z.real, z.imag] for z in sp.eigenvalues],
+        })
         rows.extend([[i, z.real, z.imag] for z in sp.eigenvalues])
     inside = sum(
         1

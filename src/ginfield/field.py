@@ -1,6 +1,6 @@
-"""The limiting Gaussian field on the disk, its truncated samples, and the
-finite-N log-characteristic-polynomial field, both as one coefficient
-array a[n, k-1] for n >= 0 (order -n is the conjugate of order n).
+"""The limiting Gaussian field on the disk and its truncated samples, as one
+coefficient array a[n, k-1] for n >= 0 (order -n is the conjugate of order
+n), and the tightness statistic of the finite-N field.
 
 The field is represented only through basis coefficients; pointwise values
 are always relative to an explicit cutoff, since the limit object is a
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DiskDomainError, cutoff_of, radial_profile, root_window, sobolev_norm
-from .ginibre import SpectrumSample
-from .linstats import gamma
 
 
 @dataclass(frozen=True)
@@ -43,16 +41,17 @@ def _coeff_arrays(rng, cutoff, table, batch=None):
     n_max, k_max = cutoff
     lead = () if batch is None else (batch,)
     shape, shapew = lead + (n_max, k_max), lead + (n_max,)
-    A = rng.standard_normal(lead + (k_max,))
-    Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-    W = (rng.standard_normal(shapew) + 1j * rng.standard_normal(shapew)) / math.sqrt(2)
-    ns = np.arange(1, n_max + 1)
     rt = math.sqrt(math.pi)
     a = np.empty(lead + (n_max + 1, k_max), dtype=complex)
-    a[..., 0, :] = rt * A / j[0]
-    # rows n >= 1 in place: a batch of coefficients is the largest array here
+    a[..., 0, :] = rt * rng.standard_normal(lead + (k_max,)) / j[0]
+    # rows n >= 1 in place, Z drawn straight into them: a batch of
+    # coefficients is the largest array here
     an = a[..., 1:, :]
-    np.add(Z, W[..., :, None] / np.sqrt(ns)[:, None], out=an)
+    an.real = rng.standard_normal(shape)
+    an.imag = rng.standard_normal(shape)
+    an /= math.sqrt(2)
+    W = (rng.standard_normal(shapew) + 1j * rng.standard_normal(shapew)) / math.sqrt(2)
+    an += W[..., :, None] / np.sqrt(np.arange(1, n_max + 1))[:, None]
     an *= rt
     an /= j[1:]
     return a
@@ -137,16 +136,6 @@ def covariance_mc(z, w, cutoff, draws, seed, table, batch=1024):
     return acc / draws
 
 
-def h_N_coeffs(sample: SpectrumSample, cutoff, table):
-    """Coefficients of the centered log-characteristic-polynomial field of
-    one spectrum draw: entry a[n, k-1] is gamma_{n,k}^(N)."""
-    n_max, k_max = cutoff
-    index_set = [(n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)]
-    a = gamma(sample, index_set, table).values.reshape(n_max + 1, k_max)
-    a[0] = a[0].real
-    return FieldSample(coeffs=a, seed=sample.seed)
-
-
 def tightness_statistic(runs, s_prime, table):
     """Empirical mean of the squared H^{-s'} norm over GammaSample runs.
 
@@ -168,8 +157,3 @@ def tightness_statistic(runs, s_prime, table):
     values = np.stack([run.values for run in runs])
     return float(np.mean(np.abs(values) ** 2 @ weights))
 
-
-def tightness_bound(s_prime, cutoff, table, constant):
-    """Reference bound constant * sum over the index window of j^{2 - 2s'}."""
-    j, mult = root_window(cutoff, table)
-    return constant * float(np.sum(mult * j ** (2.0 - 2.0 * s_prime)))

@@ -7,7 +7,6 @@ independent real and imaginary parts of variance 1/2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,21 +34,6 @@ class SpectrumSample:
         if len(self.eigenvalues) != self.matrix_size:
             raise ValueError("eigenvalue count must equal the matrix size")
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "N": self.matrix_size,
-                "seed": self.seed,
-                "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        eig = np.array([complex(re, im) for re, im in obj["eigenvalues"]])
-        return cls(eigenvalues=eig, matrix_size=obj["N"], seed=obj["seed"])
-
 
 def draw_seed(master_seed, draw_index):
     """Deterministic per-draw seed sequence derived from (master, index)."""
@@ -66,14 +50,6 @@ def sample_matrix(N, seed):
     return (re + 1j * im) / math.sqrt(2.0 * N)
 
 
-def sample_matrices(N, count, master_seed):
-    """Stack of `count` independent draws with per-draw derived seeds."""
-    out = np.empty((count, N, N), dtype=complex)
-    for i in range(count):
-        out[i] = sample_matrix(N, draw_seed(master_seed, i))
-    return out
-
-
 def eigenvalues(matrix, seed=0):
     """Eigenvalues of a square complex matrix (LAPACK) as a SpectrumSample,
     certified by the trace identity."""
@@ -83,7 +59,7 @@ def eigenvalues(matrix, seed=0):
     N = A.shape[0]
     eig = np.linalg.eigvals(A)
     tr = np.trace(A)
-    if abs(eig.sum() - tr) > TRACE_TOL_PER_N * N:
+    if not (abs(eig.sum() - tr) <= TRACE_TOL_PER_N * N):
         raise EigensolverError("eigenvalue sum fails the trace identity")
     # sort for reproducibility regardless of LAPACK's ordering
     order = np.lexsort((eig.imag, eig.real))
@@ -101,28 +77,6 @@ def sample_spectrum(N, master_seed, draw_index=0):
 # ---------------------------------------------------------------------------
 
 
-def ginibre_log_normalization(N):
-    """log Z_N = sum_{k<=N} log k! - N(N-1)/2 log N."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    return float(
-        sum(special.gammaln(k + 1) for k in range(1, N + 1))
-        - 0.5 * N * (N - 1) * math.log(N)
-    )
-
-
-def ginibre_normalization(N):
-    """Z_N itself; overflows to inf for very large N (use the log form)."""
-    return math.exp(ginibre_log_normalization(N))
-
-
-def gaussian_moment(m, N):
-    """Plane Gaussian moment: integral of |z|^{2m} e^{-N |z|^2} = pi m! / N^{m+1}."""
-    if m < 0 or N < 1:
-        raise ValueError("require m >= 0 and N >= 1")
-    return math.exp(special.gammaln(m + 1) + math.log(math.pi) - (m + 1) * math.log(N))
-
-
 def one_point_density(N, z):
     """Eigenvalue intensity rho_N(z) = (N/pi) e^{-N|z|^2} sum_{k<N} (N|z|^2)^k / k!.
 
@@ -136,18 +90,6 @@ def one_point_density(N, z):
     return float(out) if out.ndim == 0 else out
 
 
-def one_point_density_series(N, z):
-    """Direct-sum evaluation of rho_N, as an independent cross-check route."""
-    r2 = abs(complex(z)) ** 2
-    x = N * r2
-    term = 1.0
-    total = 1.0
-    for k in range(1, N):
-        term *= x / k
-        total += term
-    return (N / math.pi) * math.exp(-x) * total
-
-
 class PlaneQuadrature(DiskQuadrature):
     """Polar quadrature on |z| <= R for integrals against the Gaussian
     weight; R = sqrt(1 + 20/N) + 2/sqrt(N) makes the tail negligible."""
@@ -156,15 +98,6 @@ class PlaneQuadrature(DiskQuadrature):
     def build(cls, N, radial_order=220, angular_order=512):
         R = math.sqrt(1.0 + 20.0 / N) + 2.0 / math.sqrt(N)
         return cls._polar(radial_order, angular_order, R)
-
-
-def expected_linear_statistic(f, N, quad=None):
-    """E sum_i f(z_i) = integral of f against the one-point density."""
-    quad = quad or PlaneQuadrature.build(N)
-    z = quad.nodes()
-    vals = np.asarray(f(z), dtype=complex)
-    rho = one_point_density(N, z)
-    return complex(np.sum(vals * rho * quad.weights()))
 
 
 def _log_kernel_radial(N, r):
@@ -191,11 +124,11 @@ def _diagonal_pair_sq(R, d, c, wr):
 
 
 def _checked_variance(diag, off_sq):
-    """diag - off_sq, refused when rounding or a coarse rule drives it
-    below zero by more than 1e-12 of diag."""
-    if diag - off_sq < -1e-12 * diag:
+    """diag - off_sq, refused when it is NaN or when rounding or a coarse
+    rule drives it below zero by more than 1e-12 of diag."""
+    if not (-1e-12 * diag <= diag - off_sq):
         raise ValueError(
-            f"pair variance {diag - off_sq:.3e} is negative: "
+            f"pair variance {diag - off_sq:.3e} is negative or NaN: "
             f"cancellation ratio off_sq/diag = {off_sq / diag:.15f}"
         )
     return diag - off_sq

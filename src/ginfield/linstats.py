@@ -17,7 +17,6 @@ from functools import partial
 import numpy as np
 from scipy import stats
 
-from .basis import DiskQuadrature
 from .ginibre import (
     PlaneQuadrature,
     draw_seed,
@@ -26,7 +25,7 @@ from .ginibre import (
     radial_pair_variance,
     sample_matrix,
 )
-from .logkernel import alpha_radial, alpha_radial_derivative
+from .logkernel import alpha_radial
 
 # Eigenvalues per block of spectra that _gamma_draws_range evaluates at once.
 _BLOCK_EIGENVALUES = 2**14
@@ -93,22 +92,6 @@ def _gamma_block(Z, index_set, table, centerings):
     return out
 
 
-def gamma(sample, index_set, table, centerings=None):
-    """Centered linear statistics of alpha over one spectrum sample."""
-    index_set = tuple((int(n), int(k)) for n, k in index_set)
-    if any(n < 0 for n, _ in index_set):
-        raise ValueError("index set must have n >= 0")
-    if centerings is None:
-        centerings = _centerings(index_set, sample.matrix_size, table)
-    vals = _gamma_block(sample.eigenvalues[None, :], index_set, table, centerings)[0]
-    return GammaSample(
-        index_set=index_set,
-        values=vals,
-        matrix_size=sample.matrix_size,
-        seed=sample.seed,
-    )
-
-
 def limit_covariance(idx1, idx2, table):
     """Limiting second moments (E gamma1 conj(gamma2), E gamma1 gamma2).
 
@@ -139,119 +122,6 @@ def limit_covariance_matrix(index_set, table):
         for b, i2 in enumerate(index_set):
             out[a, b] = limit_covariance(i1, i2, table)[0]
     return out
-
-
-def limit_quadratic_form(t, s, table):
-    """Variance of sum t_{n,k} Re gamma_{n,k} + s_{n,k} Im gamma_{n,k}
-    under the limiting law; t, s are dicts keyed by (n, k) with n >= 0."""
-    keys = set(t) | set(s)
-    if any(n < 0 for n, _ in keys):
-        raise ValueError("coefficients are indexed by n >= 0")
-    total = 0.0
-    ns = sorted({n for n, _ in keys})
-    for n in ns:
-        kset = sorted({k for m, k in keys if m == n})
-        tv = np.array([t.get((n, k), 0.0) for k in kset])
-        sv = np.array([s.get((n, k), 0.0) for k in kset])
-        js = np.array([table.root(n, k) for k in kset])
-        if n == 0:
-            total += math.pi * float(np.sum(tv**2 / js**2))
-            # Im gamma_{0,k} = 0: s coefficients contribute nothing
-            continue
-        total += 0.5 * math.pi * float(np.sum((tv**2 + sv**2) / js**2))
-        total += (
-            0.5
-            * math.pi
-            / n
-            * float(np.sum(tv / js) ** 2 + np.sum(sv / js) ** 2)
-        )
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Rider-Virag limit variance from gradient + boundary data
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TestFunction:
-    """Real test function on the plane with optional analytic gradient.
-
-    value maps complex arrays to real values; gradient maps complex arrays
-    to the pair (df/dx, df/dy).  Without a gradient, central finite
-    differences at step 1e-6 are used on the disk quadrature nodes.
-    """
-
-    value: callable
-    gradient: callable = None
-
-    __test__ = False  # keep pytest from collecting this as a test class
-
-    def grad_sq(self, z):
-        if self.gradient is not None:
-            fx, fy = self.gradient(z)
-            return np.abs(fx) ** 2 + np.abs(fy) ** 2
-        h = 1e-6
-        fx = (self.value(z + h) - self.value(z - h)) / (2 * h)
-        fy = (self.value(z + 1j * h) - self.value(z - 1j * h)) / (2 * h)
-        return fx**2 + fy**2
-
-
-def rv_variance(f, quad=None, boundary_modes=512):
-    """Limiting variance of the centered linear statistic of f:
-    (1/4pi) * Dirichlet energy over the disk + (1/2) sum |k| |fhat(k)|^2."""
-    quad = quad or DiskQuadrature.build(radial_order=160, angular_order=256)
-    z = quad.nodes()
-    energy = float(np.sum(f.grad_sq(z) * quad.weights()).real)
-    theta = 2.0 * math.pi * np.arange(boundary_modes) / boundary_modes
-    bvals = np.asarray(f.value(np.exp(1j * theta)), dtype=float)
-    fhat = np.fft.fft(bvals) / boundary_modes
-    ks = np.fft.fftfreq(boundary_modes, d=1.0 / boundary_modes)
-    boundary = 0.5 * float(np.sum(np.abs(ks) * np.abs(fhat) ** 2))
-    return energy / (4.0 * math.pi) + boundary
-
-
-def alpha_combination(t, s, table):
-    """TestFunction for sum t_{n,k} Re alpha_{n,k} + s_{n,k} Im alpha_{n,k},
-    with analytic gradient from the branch-wise radial derivatives."""
-    keys = sorted(set(t) | set(s))
-    if any(n < 0 for n, _ in keys):
-        raise ValueError("combination is indexed by n >= 0")
-
-    def value(z):
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        th = np.angle(z)
-        out = np.zeros(z.shape, dtype=float)
-        for (n, k) in keys:
-            g = alpha_radial(n, k, r, table)
-            tv = t.get((n, k), 0.0)
-            sv = s.get((n, k), 0.0)
-            out += tv * g * np.cos(n * th) - sv * g * np.sin(n * th)
-        return out
-
-    def gradient(z):
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        th = np.angle(z)
-        ct, st = np.cos(th), np.sin(th)
-        fx = np.zeros(z.shape, dtype=float)
-        fy = np.zeros(z.shape, dtype=float)
-        for (n, k) in keys:
-            g = alpha_radial(n, k, r, table)
-            gp = alpha_radial_derivative(n, k, r, table)
-            tv = t.get((n, k), 0.0)
-            sv = s.get((n, k), 0.0)
-            # alpha = g(r) e^{-i n theta}; for Re part the angular factor
-            # is cos(n theta), for Im part -sin(n theta)
-            cn, sn = np.cos(n * th), np.sin(n * th)
-            fr = tv * gp * cn - sv * gp * sn
-            ft = -n * (tv * g * sn + sv * g * cn)
-            fx += ct * fr - st * ft / r
-            fy += st * fr + ct * ft / r
-        return fx, fy
-
-    return TestFunction(value=value, gradient=gradient)
 
 
 # ---------------------------------------------------------------------------

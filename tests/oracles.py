@@ -1,0 +1,348 @@
+"""Reference routes that the tests compare the library against.
+
+None of these run in the CLI or the benchmark.  Most are a second route to
+a quantity the library computes another way: pointwise basis values and
+quadrature projections, the closed-form Green's function, the direct-sum
+eigenvalue density, plane Gaussian moments, the raw double sum of the
+log-kernel expansion, and the Rider-Virag gradient-plus-boundary limit
+variance with the analytic gradient it uses.  The statistics and field
+coefficients of a single spectrum are the one-draw form of the library's
+batched route.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy import special
+
+from ginfield.basis import (
+    DiskDomainError,
+    DiskQuadrature,
+    SingularityError,
+    basis_matrix,
+    radial_profile,
+    root_window,
+)
+from ginfield.bessel import _check_argument, _check_order
+from ginfield.field import FieldSample
+from ginfield.ginibre import PlaneQuadrature, SpectrumSample, one_point_density
+from ginfield.linstats import GammaSample, _centerings, _gamma_block
+from ginfield.logkernel import alpha_radial
+
+# ---------------------------------------------------------------------------
+# Bessel functions and the disk eigenbasis
+# ---------------------------------------------------------------------------
+
+
+def bessel_j_prime(n, x):
+    """d/dx J_n(x) for integer order n >= 0 and real x >= 0."""
+    n, xa = _check_order(n), _check_argument(x)
+    if n == 0:
+        out = -special.jv(1, xa)
+    else:
+        # J_n' = (J_{n-1} - J_{n+1}) / 2, valid at x = 0 as well.
+        out = 0.5 * (special.jv(n - 1, xa) - special.jv(n + 1, xa))
+    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+
+
+def eval_eigenfunction(n, k, z, table):
+    """Basis function value at z (scalar or array), |z| <= 1."""
+    z = np.asarray(z, dtype=complex)
+    r = np.abs(z)
+    if np.any(r > 1.0 + 1e-12):
+        raise DiskDomainError("point outside the closed unit disk")
+    radial = radial_profile(n, k, np.minimum(r, 1.0), table)
+    out = radial * np.exp(1j * n * np.angle(z))
+    return complex(out) if out.ndim == 0 else out
+
+
+def disk_integrate(f, quad):
+    """Integral of f over the unit disk; f maps complex arrays to values."""
+    z = quad.nodes()
+    vals = np.asarray(f(z))
+    return complex(np.sum(vals * quad.weights()))
+
+
+def green_dirichlet_closed(z, w):
+    """Dirichlet Green's function of the disk Laplacian, closed form:
+    (1/2pi)(log|z - w| - log|1 - conj(z) w|)."""
+    z = complex(z)
+    w = complex(w)
+    if abs(z) >= 1 or abs(w) >= 1:
+        raise DiskDomainError("both points must lie in the open disk")
+    if z == w:
+        raise SingularityError("Green's function diverges at z = w")
+    return (math.log(abs(z - w)) - math.log(abs(1 - np.conj(z) * w))) / (2 * math.pi)
+
+
+def project(f, indices, quad, table):
+    """Quadrature Fourier-Bessel coefficients of f on the listed indices, as
+    an array aligned with them."""
+    E = basis_matrix(indices, quad, table)
+    z = quad.nodes()
+    vals = np.asarray(f(z)).ravel()
+    w = quad.weights().ravel()
+    return E.conj().T @ (w * vals)
+
+
+# ---------------------------------------------------------------------------
+# log-kernel coefficients
+# ---------------------------------------------------------------------------
+
+
+def power_coeff(n, k, table):
+    """Coefficient of z^n on basis index (n, k): 2 sqrt(pi) / j_{n,k}."""
+    if n < 0:
+        raise ValueError("power expansion is defined for n >= 0")
+    return 2.0 * math.sqrt(math.pi) / table.root(n, k)
+
+
+def alpha(n, k, w, table):
+    """Expansion coefficient of z -> log|z - w| on basis index (n, k).
+
+    The |w| >= 1 branch is used on the unit circle; both branches agree
+    there because the basis functions vanish on the boundary.
+    """
+    n = int(n)
+    w = complex(w)
+    j = table.root(n, k)
+    rt = math.sqrt(math.pi)
+    if abs(w) < 1.0:
+        val = -(2.0 * math.pi / j**2) * eval_eigenfunction(-n, k, w, table)
+        if n > 0:
+            val -= rt * np.conj(w) ** n / (j * n)
+        elif n < 0:
+            val -= rt * w ** (-n) / (j * (-n))
+        return complex(val)
+    if n == 0:
+        return complex(2.0 * rt / j * math.log(abs(w)))
+    if n > 0:
+        return complex(-(2.0 * rt / j) / (2.0 * n * w**n))
+    m = -n
+    return complex(-(2.0 * rt / j) / (2.0 * m * np.conj(w) ** m))
+
+
+def alpha_radial_derivative(n, k, r, table):
+    """dg/dr of the radial factor g of alpha_{n,k}, branch-wise analytic,
+    for one radial index k; vectorized over r."""
+    n = abs(int(n))
+    scalar = np.ndim(r) == 0
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    j = table.root(n, k)
+    rt = math.sqrt(math.pi)
+    a = -(2.0 * math.pi / j**2)
+    g = np.empty_like(r)
+    inside = r < 1.0
+    ri, ro = r[inside], r[~inside]
+    g_in = a * (table.norm(n, k) * j * bessel_j_prime(n, j * ri))
+    if n == 0:
+        g[~inside] = (2.0 * rt / j) / ro
+    else:
+        g_in = g_in - rt / j * ri ** (n - 1)
+        g[~inside] = rt / j * ro ** (-n - 1)
+    g[inside] = g_in
+    return float(g[0]) if scalar else g
+
+
+def alpha_partial_sum(z, w, table, n_cut, k_cut):
+    """Raw partial sum of sum alpha_{n,k}(w) e_{n,k}(z) with square cutoffs.
+
+    Converges to log|z - w| only like 1/k_cut pointwise (the harmonic part
+    of alpha is a boundary-mismatched Fourier-Bessel series); kept as a
+    low-accuracy cross-check of the coefficient formulas.
+    """
+    z = complex(z)
+    w = complex(w)
+    if z == w:
+        raise SingularityError("log|z - w| diverges at z = w")
+    total = 0.0 + 0.0j
+    for n in range(-n_cut, n_cut + 1):
+        for k in range(1, k_cut + 1):
+            total += alpha(n, k, w, table) * eval_eigenfunction(n, k, z, table)
+    return total.real
+
+
+# ---------------------------------------------------------------------------
+# Ginibre moments
+# ---------------------------------------------------------------------------
+
+
+def gaussian_moment(m, N):
+    """Plane Gaussian moment: integral of |z|^{2m} e^{-N |z|^2} = pi m! / N^{m+1}."""
+    if m < 0 or N < 1:
+        raise ValueError("require m >= 0 and N >= 1")
+    return math.exp(special.gammaln(m + 1) + math.log(math.pi) - (m + 1) * math.log(N))
+
+
+def one_point_density_series(N, z):
+    """Direct-sum evaluation of rho_N, as an independent cross-check route."""
+    r2 = abs(complex(z)) ** 2
+    x = N * r2
+    term = 1.0
+    total = 1.0
+    for k in range(1, N):
+        term *= x / k
+        total += term
+    return (N / math.pi) * math.exp(-x) * total
+
+
+def expected_linear_statistic(f, N, quad=None):
+    """E sum_i f(z_i) = integral of f against the one-point density."""
+    quad = quad or PlaneQuadrature.build(N)
+    z = quad.nodes()
+    vals = np.asarray(f(z), dtype=complex)
+    rho = one_point_density(N, z)
+    return complex(np.sum(vals * rho * quad.weights()))
+
+
+# ---------------------------------------------------------------------------
+# finite-N statistics of one spectrum and the finite-N field
+# ---------------------------------------------------------------------------
+
+
+def gamma(sample, index_set, table, centerings=None):
+    """Centered linear statistics of alpha over one spectrum sample."""
+    index_set = tuple((int(n), int(k)) for n, k in index_set)
+    if any(n < 0 for n, _ in index_set):
+        raise ValueError("index set must have n >= 0")
+    if centerings is None:
+        centerings = _centerings(index_set, sample.matrix_size, table)
+    vals = _gamma_block(sample.eigenvalues[None, :], index_set, table, centerings)[0]
+    return GammaSample(
+        index_set=index_set,
+        values=vals,
+        matrix_size=sample.matrix_size,
+        seed=sample.seed,
+    )
+
+
+def h_N_coeffs(sample: SpectrumSample, cutoff, table):
+    """Coefficients of the centered log-characteristic-polynomial field of
+    one spectrum draw: entry a[n, k-1] is gamma_{n,k}^(N)."""
+    n_max, k_max = cutoff
+    index_set = [(n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)]
+    a = gamma(sample, index_set, table).values.reshape(n_max + 1, k_max)
+    a[0] = a[0].real
+    return FieldSample(coeffs=a, seed=sample.seed)
+
+
+def tightness_bound(s_prime, cutoff, table, constant):
+    """Reference bound constant * sum over the index window of j^{2 - 2s'}."""
+    j, mult = root_window(cutoff, table)
+    return constant * float(np.sum(mult * j ** (2.0 - 2.0 * s_prime)))
+
+
+# ---------------------------------------------------------------------------
+# limit law: coefficient quadratic form and the Rider-Virag functional
+# ---------------------------------------------------------------------------
+
+
+def limit_quadratic_form(t, s, table):
+    """Variance of sum t_{n,k} Re gamma_{n,k} + s_{n,k} Im gamma_{n,k}
+    under the limiting law; t, s are dicts keyed by (n, k) with n >= 0."""
+    keys = set(t) | set(s)
+    if any(n < 0 for n, _ in keys):
+        raise ValueError("coefficients are indexed by n >= 0")
+    total = 0.0
+    ns = sorted({n for n, _ in keys})
+    for n in ns:
+        kset = sorted({k for m, k in keys if m == n})
+        tv = np.array([t.get((n, k), 0.0) for k in kset])
+        sv = np.array([s.get((n, k), 0.0) for k in kset])
+        js = np.array([table.root(n, k) for k in kset])
+        if n == 0:
+            total += math.pi * float(np.sum(tv**2 / js**2))
+            # Im gamma_{0,k} = 0: s coefficients contribute nothing
+            continue
+        total += 0.5 * math.pi * float(np.sum((tv**2 + sv**2) / js**2))
+        total += (
+            0.5
+            * math.pi
+            / n
+            * float(np.sum(tv / js) ** 2 + np.sum(sv / js) ** 2)
+        )
+    return total
+
+
+@dataclass
+class TestFunction:
+    """Real test function on the plane with optional analytic gradient.
+
+    value maps complex arrays to real values; gradient maps complex arrays
+    to the pair (df/dx, df/dy).  Without a gradient, central finite
+    differences at step 1e-6 are used on the disk quadrature nodes.
+    """
+
+    value: callable
+    gradient: callable = None
+
+    __test__ = False  # keep pytest from collecting this as a test class
+
+    def grad_sq(self, z):
+        if self.gradient is not None:
+            fx, fy = self.gradient(z)
+            return np.abs(fx) ** 2 + np.abs(fy) ** 2
+        h = 1e-6
+        fx = (self.value(z + h) - self.value(z - h)) / (2 * h)
+        fy = (self.value(z + 1j * h) - self.value(z - 1j * h)) / (2 * h)
+        return fx**2 + fy**2
+
+
+def rv_variance(f, quad=None, boundary_modes=512):
+    """Limiting variance of the centered linear statistic of f:
+    (1/4pi) * Dirichlet energy over the disk + (1/2) sum |k| |fhat(k)|^2."""
+    quad = quad or DiskQuadrature.build(radial_order=160, angular_order=256)
+    z = quad.nodes()
+    energy = float(np.sum(f.grad_sq(z) * quad.weights()).real)
+    theta = 2.0 * math.pi * np.arange(boundary_modes) / boundary_modes
+    bvals = np.asarray(f.value(np.exp(1j * theta)), dtype=float)
+    fhat = np.fft.fft(bvals) / boundary_modes
+    ks = np.fft.fftfreq(boundary_modes, d=1.0 / boundary_modes)
+    boundary = 0.5 * float(np.sum(np.abs(ks) * np.abs(fhat) ** 2))
+    return energy / (4.0 * math.pi) + boundary
+
+
+def alpha_combination(t, s, table):
+    """TestFunction for sum t_{n,k} Re alpha_{n,k} + s_{n,k} Im alpha_{n,k},
+    with analytic gradient from the branch-wise radial derivatives."""
+    keys = sorted(set(t) | set(s))
+    if any(n < 0 for n, _ in keys):
+        raise ValueError("combination is indexed by n >= 0")
+
+    def value(z):
+        z = np.asarray(z, dtype=complex)
+        r = np.abs(z)
+        th = np.angle(z)
+        out = np.zeros(z.shape, dtype=float)
+        for (n, k) in keys:
+            g = alpha_radial(n, k, r, table)
+            tv = t.get((n, k), 0.0)
+            sv = s.get((n, k), 0.0)
+            out += tv * g * np.cos(n * th) - sv * g * np.sin(n * th)
+        return out
+
+    def gradient(z):
+        z = np.asarray(z, dtype=complex)
+        r = np.abs(z)
+        th = np.angle(z)
+        ct, st = np.cos(th), np.sin(th)
+        fx = np.zeros(z.shape, dtype=float)
+        fy = np.zeros(z.shape, dtype=float)
+        for (n, k) in keys:
+            g = alpha_radial(n, k, r, table)
+            gp = alpha_radial_derivative(n, k, r, table)
+            tv = t.get((n, k), 0.0)
+            sv = s.get((n, k), 0.0)
+            # alpha = g(r) e^{-i n theta}; for Re part the angular factor
+            # is cos(n theta), for Im part -sin(n theta)
+            cn, sn = np.cos(n * th), np.sin(n * th)
+            fr = tv * gp * cn - sv * gp * sn
+            ft = -n * (tv * g * sn + sv * g * cn)
+            fx += ct * fr - st * ft / r
+            fy += st * fr + ct * ft / r
+        return fx, fy
+
+    return TestFunction(value=value, gradient=gradient)

@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from ginfield.basis import DiskQuadrature, gram_matrix, pairing
-from ginfield.bessel import bessel_j, bessel_j_prime, build_root_table
+from ginfield.bessel import bessel_j, build_root_table
 from ginfield.field import (
     covariance_mc,
     expected_norm_sq,
@@ -22,16 +22,16 @@ from ginfield.field import (
     sample_h,
     tightness_statistic,
 )
-from ginfield.ginibre import PlaneQuadrature, gaussian_moment, pair_variance
-from ginfield.linstats import (
-    GammaSample,
+from ginfield.ginibre import PlaneQuadrature, pair_variance
+from ginfield.linstats import GammaSample, gamma_draws, limit_covariance
+from ginfield.logkernel import log_abs_reconstruct
+from oracles import (
     alpha_combination,
-    gamma_draws,
-    limit_covariance,
+    bessel_j_prime,
+    gaussian_moment,
     limit_quadratic_form,
     rv_variance,
 )
-from ginfield.logkernel import log_abs_reconstruct
 
 MASTER_SEED = 2026
 BIG_N = 256

@@ -10,21 +10,21 @@ from ginfield.basis import (
     DiskDomainError,
     DiskQuadrature,
     SingularityError,
-    disk_integrate,
-    eigenfunction_radial_derivative,
-    eval_eigenfunction,
     gram_matrix,
-    green_dirichlet_closed,
     green_dirichlet_series,
-    normalization_constant,
     pairing,
-    project,
     radial_profile,
     sobolev_norm,
 )
 from ginfield.bessel import bessel_j
 from ginfield.field import evaluate
-from ginfield.logkernel import power_coeff
+from oracles import (
+    disk_integrate,
+    eval_eigenfunction,
+    green_dirichlet_closed,
+    power_coeff,
+    project,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +54,9 @@ def test_quadrature_builds_do_not_share_arrays():
 def test_radial_profile_broadcasts_over_k(table):
     r = np.array([0.0, 0.3, 0.8, 1.0])
     ks = np.arange(1, 6)
-    for derivative in (False, True):
-        grid = radial_profile(4, ks, r[:, None], table, derivative)
-        for k in ks:
-            assert np.array_equal(grid[:, k - 1], radial_profile(-4, k, r, table, derivative))
+    grid = radial_profile(4, ks, r[:, None], table)
+    for k in ks:
+        assert np.array_equal(grid[:, k - 1], radial_profile(-4, k, r, table))
     j = table.root(4, 2)
     c = 1.0 / (math.sqrt(math.pi) * bessel_j(5, j))
     assert abs(radial_profile(4, 2, 0.3, table) - c * bessel_j(4, 0.3 * j)) < 1e-14
@@ -116,7 +115,7 @@ def test_laplacian_eigenvalue(quad, table):
     # is hard directly, so check the radial ODE residual pointwise instead
     n, k = 2, 3
     j = table.root(n, k)
-    c = normalization_constant(n, k, table)
+    c = table.norm(n, k)
     r = np.linspace(0.05, 0.95, 50)
     h = 1e-5
     f = lambda rr: c * bessel_j(n, j * rr)
@@ -124,16 +123,6 @@ def test_laplacian_eigenvalue(quad, table):
         2 * h * r
     ) - n**2 * f(r) / r**2
     assert np.max(np.abs(lap + j**2 * f(r))) < 1e-4
-
-
-def test_radial_derivative(table):
-    r = np.array([0.2, 0.5, 0.8])
-    h = 1e-6
-    n, k = 3, 2
-    j = table.root(n, k)
-    c = normalization_constant(n, k, table)
-    fd = (bessel_j(n, j * (r + h)) - bessel_j(n, j * (r - h))) * c / (2 * h)
-    assert np.max(np.abs(eigenfunction_radial_derivative(n, k, r, table) - fd)) < 1e-8
 
 
 def test_green_series_matches_closed_form(table):

@@ -17,12 +17,11 @@ from ginfield.bessel import (
     RootBracketError,
     RootTable,
     bessel_j,
-    bessel_j_prime,
-    bessel_root,
     build_root_table,
     load_root_table,
     save_root_table,
 )
+from oracles import bessel_j_prime
 
 J01 = 2.404825557695773  # frozen from the series-bisection oracle below
 
@@ -39,7 +38,7 @@ def series_j0(x):
     return total
 
 
-def test_first_root_of_j0_by_series_bisection():
+def test_first_root_of_j0_by_series_bisection(table):
     lo, hi = 2.0, 3.0
     assert series_j0(lo) > 0 > series_j0(hi)
     for _ in range(60):
@@ -50,7 +49,7 @@ def test_first_root_of_j0_by_series_bisection():
             hi = mid
     oracle = 0.5 * (lo + hi)
     assert abs(oracle - J01) < 1e-12
-    assert abs(bessel_root(0, 1) - oracle) < 1e-12
+    assert abs(table.root(0, 1) - oracle) < 1e-12
 
 
 def test_trivial_values():
@@ -72,8 +71,6 @@ def test_domain_errors():
         bessel_j(-2, 1.0)
     with pytest.raises(BesselDomainError):
         bessel_j_prime(1, -0.5)
-    with pytest.raises(BesselDomainError):
-        bessel_root(0, 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 11, 20, 32])
@@ -96,7 +93,7 @@ def test_upward_recurrence_agreement(n):
         assert abs(j_cur - bessel_j(n, float(x))) < 1e-10
 
 
-def test_interlacing_by_grid_sign_changes():
+def test_interlacing_by_grid_sign_changes(table):
     # count sign changes of J_0 and J_1 on a fine grid; the orderings
     # j_{0,1} < j_{1,1} < j_{0,2} must come out of the raw grid data
     xs = np.linspace(0.05, 9.0, 30000)
@@ -105,9 +102,9 @@ def test_interlacing_by_grid_sign_changes():
     roots0 = xs[:-1][np.diff(np.sign(j0)) != 0]
     roots1 = xs[:-1][np.diff(np.sign(j1)) != 0]
     assert roots0[0] < roots1[0] < roots0[1]
-    assert abs(bessel_root(0, 1) - roots0[0]) < 1e-3
-    assert abs(bessel_root(1, 1) - roots1[0]) < 1e-3
-    assert bessel_root(0, 2) > bessel_root(1, 1) > bessel_root(0, 1)
+    assert abs(table.root(0, 1) - roots0[0]) < 1e-3
+    assert abs(table.root(1, 1) - roots1[0]) < 1e-3
+    assert table.root(0, 2) > table.root(1, 1) > table.root(0, 1)
 
 
 def test_lower_bound_inequality_64(table):
@@ -141,9 +138,9 @@ def test_negative_order_alias(table):
 
 
 def test_high_order_root(table):
-    # deep entry of the shared 70x70 table re-checked directly
-    j = bessel_root(70, 70)
-    assert abs(j - table.root(70, 70)) < 1e-11
+    # deep entry of the shared 70x70 table against mpmath's root finder
+    j = table.root(70, 70)
+    assert abs(j - float(mpmath.besseljzero(70, 70))) < 1e-11
     assert abs(bessel_j(70, j)) < 1e-12
 
 

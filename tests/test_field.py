@@ -2,23 +2,24 @@
 and the finite-N field coefficients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ginfield.basis import sobolev_norm
 from ginfield.field import (
+    _coeff_arrays,
     covariance_mc,
     evaluate,
     expected_norm_sq,
     field_norm_sq,
-    h_N_coeffs,
     sample_h,
-    tightness_bound,
     tightness_statistic,
 )
 from ginfield.ginibre import sample_spectrum
-from ginfield.linstats import GammaSample, gamma, gamma_draws
+from ginfield.linstats import GammaSample, centering_term, gamma_draws
+from oracles import eval_eigenfunction, gamma, h_N_coeffs, tightness_bound
 
 
 def test_sample_h_structure(small_table):
@@ -55,6 +56,19 @@ def test_sample_h_is_the_seeded_draw(small_table):
             j = small_table.root(n, k)
             want[n, k - 1] = rt * (Z[n - 1, k - 1] + W[n - 1] / np.sqrt(n)) / j
     assert np.array_equal(sample_h((n_max, k_max), 31, small_table).coeffs, want)
+
+
+def test_coeff_arrays_hold_no_second_copy_of_a_block(table):
+    # a 1000-draw block at cutoff (64, 64) is the largest array of the field
+    # sampler: the draw may add real temporaries, but no second complex block
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        a = _coeff_arrays(rng, (64, 64), table, batch=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * a.nbytes
 
 
 def test_cutoff_past_the_table_raises(small_table):
@@ -135,9 +149,6 @@ def test_h_N_field_evaluates_near_log_statistic(small_table):
     val = evaluate(fs.coeffs, z, small_table)
     direct = float(np.sum(np.log(np.abs(z - spec.eigenvalues))))
     # compare after removing the deterministic centering part
-    from ginfield.linstats import centering_term
-    from ginfield.basis import eval_eigenfunction
-
     centered = direct - sum(
         centering_term(0, k, 64, small_table)
         * float(np.real(eval_eigenfunction(0, k, z, small_table)))

@@ -7,26 +7,21 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
 
+from ginfield.cli import main
 from ginfield.ginibre import (
     EigensolverError,
     PlaneQuadrature,
     SpectrumSample,
     draw_seed,
     eigenvalues,
-    expected_linear_statistic,
-    gaussian_moment,
-    ginibre_log_normalization,
-    ginibre_normalization,
     one_point_density,
-    one_point_density_series,
     pair_variance,
     radial_pair_variance,
-    sample_matrices,
     sample_matrix,
     sample_spectrum,
 )
+from oracles import expected_linear_statistic, gaussian_moment, one_point_density_series
 
 
 def test_sample_matrix_scaling():
@@ -44,8 +39,6 @@ def test_sampling_determinism():
     c = sample_matrix(16, draw_seed(7, 4))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    stack = sample_matrices(16, 5, 7)
-    assert np.array_equal(stack[3], a)
 
 
 def test_sample_matrix_errors():
@@ -58,11 +51,15 @@ def test_eigenvalues_rejects_non_square():
         eigenvalues(np.zeros((2, 3)))
 
 
-def test_spectrum_sample_json_roundtrip():
-    s = sample_spectrum(8, 42)
-    t = SpectrumSample.from_json(s.to_json())
-    assert t.matrix_size == 8 and t.seed == 42
-    assert np.max(np.abs(t.eigenvalues - s.eigenvalues)) < 1e-15
+def test_spectrum_sample_json_roundtrip(tmp_path):
+    # spectra.json of the CLI holds each seeded spectrum exactly
+    assert main(["ginibre-sample", "--n-size", "8", "--draws", "2", "--seed", "42",
+                 "--out", str(tmp_path)]) == 0
+    records = json.loads((tmp_path / "spectra.json").read_text())
+    for i, rec in enumerate(records):
+        s = sample_spectrum(8, 42, draw_index=i)
+        assert rec["N"] == 8 and rec["seed"] == 42
+        assert np.array_equal([complex(re, im) for re, im in rec["eigenvalues"]], s.eigenvalues)
     with pytest.raises(ValueError):
         SpectrumSample(np.zeros(3, dtype=complex), 4, 0)
 
@@ -71,17 +68,6 @@ def test_spectrum_inside_disk_mostly():
     # at N = 128 the spectral radius concentrates near 1
     s = sample_spectrum(128, 0)
     assert float(np.max(np.abs(s.eigenvalues))) < 1.3
-
-
-def test_normalization_small_n():
-    # Z_1 = 1, Z_2 = 2!/2 * ... : check against the direct product formula
-    for N in (1, 2, 3, 5):
-        direct = math.prod(math.factorial(k) for k in range(1, N + 1)) / N ** (
-            0.5 * N * (N - 1)
-        )
-        assert abs(ginibre_normalization(N) - direct) < 1e-12 * direct
-    with pytest.raises(ValueError):
-        ginibre_log_normalization(0)
 
 
 def test_gaussian_moment_closed_form():
@@ -193,6 +179,21 @@ def test_pair_variance_refuses_negative_variance():
         pair_variance(lambda z: np.ones_like(z, dtype=complex), 8, heavy)
     with pytest.raises(ValueError, match="off_sq/diag"):
         radial_pair_variance(np.ones_like, 0, 8, heavy)
+
+
+def test_pair_variance_refuses_nan():
+    # NaN fails every comparison, so the sign check must reject it explicitly
+    with pytest.raises(ValueError, match="off_sq/diag"):
+        pair_variance(lambda z: np.full(z.shape, np.nan, dtype=complex), 8)
+    with pytest.raises(ValueError, match="off_sq/diag"):
+        radial_pair_variance(lambda r: np.full_like(r, np.nan), 0, 8)
+
+
+def test_eigenvalues_refuse_a_nan_spectrum(monkeypatch):
+    # NaN fails every comparison, so the trace certificate must reject it explicitly
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: np.full(len(A), np.nan, dtype=complex))
+    with pytest.raises(EigensolverError):
+        eigenvalues(sample_matrix(8, 0))
 
 
 def test_trace_identity_holds():

@@ -18,21 +18,17 @@ from ginfield.ginibre import (
     sample_spectrum,
 )
 from ginfield.linstats import (
-    TestFunction,
-    alpha_combination,
     alpha_values,
     centering_term,
     clt_experiment,
     decay_check,
-    gamma,
     gamma_draws,
     limit_covariance,
     limit_covariance_matrix,
-    limit_quadratic_form,
-    rv_variance,
     variance_bound_check,
 )
 from ginfield.logkernel import alpha_radial
+from oracles import TestFunction, alpha_combination, gamma, limit_quadratic_form, rv_variance
 
 
 def test_centering_zero_for_nonzero_order(small_table):

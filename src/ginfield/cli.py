@@ -7,8 +7,8 @@ the --seed flag; rerunning with the same configuration reproduces the
 result files byte for byte.
 
 Exit codes: 0 success, 1 experiment outside tolerance, 2 usage error,
-3 internal numerical failure (an eigensolve or a root table that fails its
-certificate).
+3 internal numerical failure (an eigensolve, a root table or a radial
+interpolant that fails its certificate).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .linstats import (
     limit_covariance_matrix,
     variance_bound_check,
 )
-from .logkernel import log_abs_reconstruct
+from .logkernel import InterpolantError, log_abs_reconstruct
 
 
 class UsageError(ValueError):
@@ -191,6 +191,8 @@ def _exp_pair_variance(cfg, table):
 
 
 def _exp_clt(cfg, table):
+    if cfg.draws < 2:
+        raise UsageError("clt needs --draws >= 2 for its variances and standard errors")
     index_set = [(0, 1), (1, 1), (1, 2)]
     rep = clt_experiment(
         cfg.n_size, cfg.draws, index_set, cfg.seed, table, workers=cfg.workers
@@ -219,6 +221,8 @@ def _exp_field_covariance(cfg, table):
 
 
 def _exp_sobolev_tightness(cfg, table):
+    if not cfg.sobolev_s > 2:
+        raise UsageError("sobolev-tightness needs --sobolev-s > 2, the tightness regime")
     sizes = [16, 64, 256]
     index_set = [
         (n, k) for n in range(cfg.n_max + 1) for k in range(1, cfg.k_max + 1)
@@ -331,7 +335,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EigensolverError, RootBracketError) as exc:
+    except (EigensolverError, RootBracketError, InterpolantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

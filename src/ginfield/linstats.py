@@ -25,7 +25,7 @@ from .ginibre import (
     radial_pair_variance,
     sample_matrix,
 )
-from .logkernel import alpha_radial
+from .logkernel import alpha_radial, alpha_radial_piecewise
 
 # Eigenvalues per block of spectra that _gamma_draws_range evaluates at once.
 _BLOCK_EIGENVALUES = 2**14
@@ -76,8 +76,9 @@ def alpha_values(n, k, zs, table):
 def _gamma_block(Z, index_set, table, centerings):
     """gamma over the spectra Z of shape (M, N), one row per spectrum.
 
-    One alpha_radial call over all k of an order and one angular factor per
-    order serve the whole block; each entry is bit-identical to the sum of
+    One alpha_radial_piecewise call over all k of an order and one angular
+    factor per order serve the whole block.  Each entry depends only on its
+    own spectrum and index, and is within about N 1e-15 of the sum of
     alpha_values over its spectrum minus its centering.
     """
     r = np.abs(Z)
@@ -87,7 +88,7 @@ def _gamma_block(Z, index_set, table, centerings):
         cols = [i for i, (m, _) in enumerate(index_set) if m == n]
         ks = np.array([index_set[i][1] for i in cols])
         cent = np.array([centerings[index_set[i]] for i in cols])
-        g = alpha_radial(n, ks, r, table)
+        g = alpha_radial_piecewise(n, ks, r, table)
         out[:, cols] = (np.sum(g * np.exp(-1j * n * theta), axis=-1) - cent[:, None]).T
     return out
 

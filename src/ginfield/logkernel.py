@@ -4,7 +4,9 @@ The coefficient alpha_{n,k}(w) has two branches: a disk branch (|w| < 1)
 combining the Green's-series term with a harmonic correction, and an
 exterior branch (|w| >= 1, including the circle itself).  Both have the
 angular structure g(r) e^{-i n theta} in polar coordinates w = r e^{i theta},
-so only the radial factor g is computed here.
+so only the radial factor g is computed here: alpha_radial on scipy's J_n,
+and alpha_radial_piecewise, whose disk branch is a certified piecewise-
+Chebyshev interpolant of alpha_radial for evaluation at many points.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import cheb2poly
 from scipy import special
 
 from .basis import DiskDomainError, SingularityError, green_dirichlet_series, radial_profile
@@ -21,6 +25,17 @@ from .basis import DiskDomainError, SingularityError, green_dirichlet_series, ra
 # Tail bound and term cap of the harmonic series Re sum (z conj(w))^m / m.
 _HARMONIC_TOL = 1e-14
 _HARMONIC_MAX_TERMS = 10_000_000
+# Polynomial degree on each panel of the disk-branch interpolant, and the
+# largest error against alpha_radial, relative to max |g|, a build may keep.
+_PANEL_DEGREE = 12
+_PANEL_TOL = 1e-13
+# Interpolant builds keyed by content (n, j_{n,k}, C_{n,k}): tables that agree
+# on an index share its build, tables that differ never do.
+_DISK_PANELS = {}
+
+
+class InterpolantError(RuntimeError):
+    """Raised when a disk-branch interpolant misses its certificate."""
 
 
 def alpha_radial(n, k, r, table):
@@ -67,6 +82,96 @@ def _branch_constants(n, j):
     if n == 0:
         return a, 0.0, 2.0 * rt / j
     return a, rt / (n * j), -(rt / (n * j))
+
+
+def alpha_radial_piecewise(n, ks, r, table):
+    """alpha_radial(n, ks, r, table) for a 1-D integer array ks, with the
+    disk branch r < 1 taken from a cached piecewise-polynomial interpolant
+    of alpha_radial that agrees with it to 1e-13 max |g| by certificate.
+    Points with r >= 1 go through alpha_radial and are bit-identical to it.
+    Each row depends only on its own k, whatever the other entries of ks.
+    """
+    n = abs(int(n))
+    r = np.asarray(r, dtype=float)
+    g = np.empty((len(ks),) + r.shape)
+    inside = r < 1.0
+    g[:, ~inside] = alpha_radial(n, ks, r[~inside], table)
+    ri = r[inside]
+    for row, k in enumerate(ks):
+        coef = _disk_panels(n, int(k), table)
+        g[row, inside] = _horner(coef, *_panel_coordinates(ri, coef.shape[1]))
+    return g
+
+
+def _panel_coordinates(r, panels):
+    """Panel index p and local variable t = 2 (r P - p) - 1 in [-1, 1) of
+    points 0 <= r < 1 on P uniform panels; exact, as P is a power of two."""
+    x = r * panels
+    p = x.astype(np.intp)
+    return p, 2.0 * (x - p) - 1.0
+
+
+def _horner(coef, p, t):
+    """Power series coef[:, p] in t, one gather of coefficients per step."""
+    acc = coef[-1][p]
+    for c in coef[-2::-1]:
+        acc *= t
+        acc += c[p]
+    return acc
+
+
+@lru_cache(maxsize=1)
+def _chebyshev_matrices(degree):
+    """Chebyshev points of the first kind on [-1, 1], the matrix taking values
+    there to Chebyshev coefficients, and the matrix taking those to power
+    coefficients; kept apart, because their product loses three digits."""
+    theta = math.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
+    to_cheb = np.cos(np.outer(theta, np.arange(degree + 1))) * (2.0 / (degree + 1))
+    to_cheb[:, 0] *= 0.5
+    to_power = np.zeros((degree + 1, degree + 1))
+    for m in range(degree + 1):
+        to_power[m, : m + 1] = cheb2poly([0.0] * m + [1.0])
+    nodes = np.cos(theta)
+    for a in (nodes, to_cheb, to_power):
+        a.flags.writeable = False
+    return nodes, to_cheb, to_power
+
+
+def _disk_panels(n, k, table):
+    """Power coefficients, shape (_PANEL_DEGREE + 1, P), of the interpolant
+    of the disk branch of alpha_radial(n, k): column p holds panel
+    [p / P, (p + 1) / P] in its local variable t.  Built on first use."""
+    j = table.root(n, k)
+    key = (n, j, table.norm(n, k))
+    if key not in _DISK_PANELS:
+        _DISK_PANELS[key] = _build_disk_panels(n, k, j, table)
+    return _DISK_PANELS[key]
+
+
+def _build_disk_panels(n, k, j, table):
+    """Sample alpha_radial at the Chebyshev points of P uniform panels of
+    [0, 1), P the least power of two >= max(64, j / 0.6) so that a panel
+    spans at most a tenth of a period of J_n(j r); fit each panel and check
+    the fit at off-node points of every panel."""
+    panels = 64
+    while panels < j / 0.6:
+        panels *= 2
+    nodes, to_cheb, to_power = _chebyshev_matrices(_PANEL_DEGREE)
+    base = np.arange(panels)[:, None]
+    values = alpha_radial(n, k, (base + 0.5 * (nodes + 1.0)) / panels, table)
+    coef = np.ascontiguousarray(((values @ to_cheb) @ to_power).T)
+    coef.flags.writeable = False
+    # panel edges (r = 0 among them) and four interior points off the nodes
+    check = ((base + np.array([0.0, 0.125, 0.375, 0.625, 0.875])) / panels).ravel()
+    err = np.max(np.abs(_horner(coef, *_panel_coordinates(check, panels))
+                        - alpha_radial(n, k, check, table)))
+    scale = np.max(np.abs(values))
+    if not err <= _PANEL_TOL * scale:
+        raise InterpolantError(
+            f"interpolant of alpha_{n},{k} is off by {err:.3e}, "
+            f"above {_PANEL_TOL:.0e} * max|g| = {_PANEL_TOL * scale:.3e}"
+        )
+    return coef
 
 
 def harmonic_log_series(z, w):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from ginfield import logkernel
 from ginfield.cli import (
     ExperimentConfig,
     UsageError,
@@ -184,6 +185,39 @@ def test_root_table_failure_exits_3(tmp_path, monkeypatch, capsys):
     code = main(["roots", "--n-max", "4", "--k-max", "4", "--out", str(tmp_path)])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_interpolant_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a degree-4 fit misses the 1e-13 certificate of the radial interpolant
+    monkeypatch.setattr(logkernel, "_PANEL_DEGREE", 4)
+    monkeypatch.setattr(logkernel, "_DISK_PANELS", {})
+    code = main(["clt", "--n-size", "4", "--draws", "2", "--out", str(tmp_path)])
+    assert code == 3
+    assert "interpolant" in capsys.readouterr().err
+
+
+def _no_eigensolve(monkeypatch):
+    def refuse(A):
+        raise AssertionError("eigensolve before the usage check")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+
+
+def test_clt_with_one_draw_is_usage_error(tmp_path, monkeypatch, capsys):
+    # one draw leaves no sample variance; this used to divide by zero and exit 1
+    _no_eigensolve(monkeypatch)
+    assert main(["clt", "--n-size", "8", "--draws", "1", "--out", str(tmp_path / "o")]) == 2
+    assert "--draws" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("s", ["1.5", "2", "nan"])
+def test_tightness_outside_its_regime_is_usage_error(s, tmp_path, monkeypatch, capsys):
+    # s' <= 2 used to run the N = 16 draws first and then exit 1 with a traceback
+    _no_eigensolve(monkeypatch)
+    args = ["sobolev-tightness", "--draws", "2", "--sobolev-s", s, "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert "--sobolev-s" in capsys.readouterr().err
 
 
 # Config values as a key=value file holds them: no comment sign, no line

@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginfield import logkernel
 from ginfield.basis import DiskDomainError, DiskQuadrature, SingularityError
-from ginfield.logkernel import alpha_radial, harmonic_log_series, log_abs_reconstruct
+from ginfield.bessel import RootTable
+from ginfield.logkernel import (
+    InterpolantError,
+    alpha_radial,
+    alpha_radial_piecewise,
+    harmonic_log_series,
+    log_abs_reconstruct,
+)
 from oracles import (
     alpha,
     alpha_partial_sum,
@@ -203,3 +211,72 @@ def test_alpha_is_continuous_across_the_unit_circle(theta, delta, small_table):
         assert abs(alpha(n, k, inner, small_table) - alpha(n, k, outer, small_table)) < 1e-8
         g = alpha_radial(n, k, np.array([1.0 - delta, 1.0 + delta]), small_table)
         assert abs(g[0] - g[1]) < 1e-8
+
+
+# A dense radial grid with both ends of the disk branch, and points on and
+# past the circle, where the exterior branch takes over.
+DISK_GRID = np.concatenate(
+    [np.linspace(0.0, 1.0, 20001)[:-1], [1.0 - 1e-12, np.nextafter(1.0, 0.0)]]
+)
+EXTERIOR_GRID = np.array([1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-12, 1.5, 3.0, 1e3])
+
+
+@pytest.mark.parametrize(
+    "n, ks, tol",
+    [(n, np.arange(1, 9), 1e-14) for n in range(9)]
+    + [(n, np.array([32, 64]), 1e-13) for n in (32, 64)],
+)
+def test_piecewise_alpha_radial_matches_alpha_radial(n, ks, tol, table):
+    # 1e-14 max|g| on the 9 x 8 grid; the certificate bound at large j
+    g = alpha_radial_piecewise(n, ks, DISK_GRID, table)
+    ref = alpha_radial(n, ks, DISK_GRID, table)
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(g - ref) <= tol * scale)
+    r = np.concatenate([EXTERIOR_GRID, DISK_GRID[:3]])
+    g = alpha_radial_piecewise(n, ks, r, table)
+    assert np.array_equal(g[:, :6], alpha_radial(n, ks, EXTERIOR_GRID, table))
+
+
+def test_piecewise_alpha_radial_keeps_the_shape_of_r(small_table):
+    ks = np.array([2, 1])
+    r = np.array([[0.0, 0.5, 1.5], [0.9, 1.0, 0.1]])
+    g = alpha_radial_piecewise(3, ks, r, small_table)
+    assert g.shape == (2, 2, 3)
+    ref = alpha_radial(3, ks, r, small_table)
+    assert np.all(np.abs(g - ref) <= 1e-14 * np.max(np.abs(ref)))
+    assert alpha_radial_piecewise(0, ks, np.array([2.0]), small_table).shape == (2, 1)
+
+
+def test_piecewise_builds_follow_the_table_content(small_table):
+    # a table that differs in one row gets its own values for that row, in
+    # either order of first use, and leaves the other rows' values alone
+    roots, norms = small_table.roots.copy(), small_table.norms.copy()
+    roots[3], norms[3] = roots[4], norms[4]
+    other = RootTable(small_table.n_max, small_table.k_max, roots, norms)
+    ks = np.arange(1, 9)
+    for first, second in [(small_table, other), (other, small_table)]:
+        for t in (first, second, first):
+            g = alpha_radial_piecewise(3, ks, DISK_GRID, t)
+            ref = alpha_radial(3, ks, DISK_GRID, t)
+            assert np.all(np.abs(g - ref) <= 1e-14 * np.max(np.abs(ref)))
+    assert not np.allclose(
+        alpha_radial_piecewise(3, ks, DISK_GRID, small_table),
+        alpha_radial_piecewise(3, ks, DISK_GRID, other),
+    )
+    assert np.array_equal(
+        alpha_radial_piecewise(2, ks, DISK_GRID, small_table),
+        alpha_radial_piecewise(2, ks, DISK_GRID, other),
+    )
+
+
+def test_piecewise_build_that_misses_its_certificate_raises(small_table, monkeypatch):
+    # degree 4 is far off at the 1e-13 bound; nothing is cached for later use
+    monkeypatch.setattr(logkernel, "_DISK_PANELS", {})
+    monkeypatch.setattr(logkernel, "_PANEL_DEGREE", 4)
+    with pytest.raises(InterpolantError, match="alpha_2,3"):
+        alpha_radial_piecewise(2, np.array([3]), np.array([0.5]), small_table)
+    assert logkernel._DISK_PANELS == {}
+    monkeypatch.setattr(logkernel, "_PANEL_DEGREE", 12)
+    monkeypatch.setattr(logkernel, "_PANEL_TOL", 0.0)
+    with pytest.raises(InterpolantError):
+        alpha_radial_piecewise(0, np.array([1]), np.array([0.5]), small_table)

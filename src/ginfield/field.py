@@ -113,24 +113,49 @@ def evaluate(a, z, table):
     return float(h) if h.ndim == 0 else h
 
 
+def _draw_weights(points, cutoff, table):
+    """Real weights, one (width, len(points)) matrix for each standard normal
+    array that _coeff_arrays draws, in its order: A (width k), Re Z and Im Z
+    (n k), Re W and Im W (n).  The field at the points is the sum of each
+    array times its weights."""
+    n_max, k_max = cutoff
+    j, _ = root_window(cutoff, table)
+    E = _eval_matrix(points, n_max, k_max, table) / j
+    rt = math.sqrt(math.pi)
+    # rows n >= 1 enter twice (order -n) and carry the 1/sqrt(2) of Z and W
+    c_Z = math.sqrt(2) * rt * E[:, 1:, :]
+    c_W = c_Z.sum(axis=2) / np.sqrt(np.arange(1, n_max + 1))
+    c_Z = c_Z.reshape(len(points), n_max * k_max)
+    c_A = rt * E[:, 0, :].real
+    return [np.ascontiguousarray(c.T) for c in (c_A, c_Z.real, -c_Z.imag, c_W.real, -c_W.imag)]
+
+
 def covariance_mc(z, w, cutoff, draws, seed, table, batch=1024):
     """Monte-Carlo estimate of E h(z) h(w) at a fixed cutoff.
 
-    The field is evaluated by summing coefficients times basis functions;
-    samples come in deterministic batches from a single seeded generator.
+    The field is linear in the standard normals that sample_h draws, so
+    each normal array is drawn from one seeded generator in the order and
+    shapes of _coeff_arrays, in batches of at most `batch` draws, and
+    contracted at once with its weights at z and w; no coefficient array is
+    built.
     """
     z = complex(z)
     w = complex(w)
     if z == w:
         raise ValueError("use distinct points; the diagonal diverges with cutoff")
+    if draws < 1 or batch < 1:
+        raise ValueError("draws and batch must be >= 1")
     n_max, k_max = cutoff
-    E = _eval_matrix([z, w], n_max, k_max, table)
+    weights = _draw_weights([z, w], cutoff, table)
+    widths = (k_max, n_max * k_max, n_max * k_max, n_max, n_max)
     rng = np.random.default_rng(seed)
     acc = 0.0
     done = 0
     while done < draws:
         b = min(batch, draws - done)
-        h = _field_values(_coeff_arrays(rng, cutoff, table, batch=b), E)
+        h = np.zeros((b, 2))
+        for width, c in zip(widths, weights):
+            h += rng.standard_normal((b, width)) @ c
         acc += float(np.sum(h[:, 0] * h[:, 1]))
         done += b
     return acc / draws

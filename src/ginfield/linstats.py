@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import stats
 
 from .ginibre import (
     PlaneQuadrature,
@@ -169,6 +168,10 @@ def gamma_draws(N, draws, index_set, master_seed, table, workers=1):
 
 
 def _ks_against_normal(x):
+    # scipy.stats costs about 0.9 s and 44 MB to import, so only the clt
+    # report pays for it
+    from scipy import stats
+
     res = stats.kstest(x, "norm")
     return float(res.statistic), float(res.pvalue)
 

@@ -7,7 +7,8 @@ eigenvalue density, plane Gaussian moments, the raw double sum of the
 log-kernel expansion, and the Rider-Virag gradient-plus-boundary limit
 variance with the analytic gradient it uses.  The statistics and field
 coefficients of a single spectrum are the one-draw form of the library's
-batched route.
+batched route, and the covariance estimate over built coefficient arrays is
+the form the library's streamed estimate contracts away.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ginfield.basis import (
     root_window,
 )
 from ginfield.bessel import _check_argument, _check_order
-from ginfield.field import FieldSample
+from ginfield.field import FieldSample, _coeff_arrays, _eval_matrix, _field_values
 from ginfield.ginibre import PlaneQuadrature, SpectrumSample, one_point_density
 from ginfield.linstats import GammaSample, _centerings, _gamma_block
 from ginfield.logkernel import alpha_radial
@@ -227,6 +228,20 @@ def h_N_coeffs(sample: SpectrumSample, cutoff, table):
     a = gamma(sample, index_set, table).values.reshape(n_max + 1, k_max)
     a[0] = a[0].real
     return FieldSample(coeffs=a, seed=sample.seed)
+
+
+def covariance_mc_by_coefficients(z, w, cutoff, draws, rng, table, batch=1024):
+    """E h(z) h(w) over the seeded field samples, building each batch's
+    coefficient array and evaluating it at z and w."""
+    E = _eval_matrix([complex(z), complex(w)], *cutoff, table)
+    acc = 0.0
+    done = 0
+    while done < draws:
+        b = min(batch, draws - done)
+        h = _field_values(_coeff_arrays(rng, cutoff, table, batch=b), E)
+        acc += float(np.sum(h[:, 0] * h[:, 1]))
+        done += b
+    return acc / draws
 
 
 def tightness_bound(s_prime, cutoff, table, constant):

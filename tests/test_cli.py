@@ -1,7 +1,11 @@
 """Tests of the command-line experiment runner."""
 
 import json
+import os
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,20 @@ from ginfield.cli import (
     config_from_args,
     main,
 )
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a cold start; only the clt report needs it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = "import sys, ginfield.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_version_flag(capsys):

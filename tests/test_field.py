@@ -19,7 +19,13 @@ from ginfield.field import (
 )
 from ginfield.ginibre import sample_spectrum
 from ginfield.linstats import GammaSample, centering_term, gamma_draws
-from oracles import eval_eigenfunction, gamma, h_N_coeffs, tightness_bound
+from oracles import (
+    covariance_mc_by_coefficients,
+    eval_eigenfunction,
+    gamma,
+    h_N_coeffs,
+    tightness_bound,
+)
 
 
 def test_sample_h_structure(small_table):
@@ -130,6 +136,64 @@ def test_covariance_mc_sanity(small_table):
     assert abs(v1 - target) < 0.08
     with pytest.raises(ValueError):
         covariance_mc(0.3, 0.3, (4, 4), 10, 0, small_table)
+
+
+@pytest.fixture
+def made_generators(monkeypatch):
+    """The generators np.random.default_rng returns while the test runs."""
+    made, default_rng = [], np.random.default_rng
+
+    def spy(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    return made
+
+
+@pytest.mark.parametrize("cutoff", [(0, 4), (1, 1), (3, 5), (16, 16), (64, 64)])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_covariance_mc_equals_the_estimate_over_built_coefficients(
+    table, made_generators, cutoff, seed
+):
+    # the streamed estimate takes the same normals from the generator as the
+    # coefficient arrays of sample_h, and differs from the estimate over
+    # those arrays by rounding only; batches of 7 end in partial blocks
+    z, w = 0.3 + 0.2j, -0.1 + 0.4j
+    for draws in (1, 7, 1000, 2500):
+        for batch in (1024, 7):
+            made_generators.clear()
+            got = covariance_mc(z, w, cutoff, draws, seed, table, batch=batch)
+            rng = np.random.Generator(np.random.PCG64(seed))
+            want = covariance_mc_by_coefficients(z, w, cutoff, draws, rng, table, batch=batch)
+            assert abs(got - want) <= 1e-13 * abs(want), (draws, batch)
+            assert len(made_generators) == 1
+            assert made_generators[0].bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("draws, batch", [(0, 1024), (-1, 1024), (10, 0), (10, -2)])
+def test_covariance_mc_rejects_counts_below_one(small_table, monkeypatch, draws, batch):
+    # before any draw: batch 0 used to loop forever, draws 0 to divide by zero
+
+    def no_draw(seed):
+        raise AssertionError("a generator was made before the counts were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="draws and batch"):
+        covariance_mc(0.3, -0.4, (4, 4), draws, 0, small_table, batch=batch)
+
+
+def test_covariance_mc_holds_one_real_draw_at_a_time(table):
+    # a 1000-draw block at cutoff (64, 64): one real (batch, n k) array of
+    # normals is alive at a time, and no coefficient array is built
+    draws, (n_max, k_max) = 1000, (64, 64)
+    tracemalloc.start()
+    try:
+        covariance_mc(0.3, -0.4, (n_max, k_max), draws, 0, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 8 * draws * n_max * k_max
 
 
 def test_h_N_coeffs_match_gamma(small_table):

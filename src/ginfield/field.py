@@ -81,13 +81,20 @@ def field_norm_sq(sample, s, table):
     return sobolev_norm(sample.coeffs, -s, table)
 
 
+def _disk_radii(points):
+    """|points|, after refusing any point outside the closed unit disk; the
+    comparison is written so that a NaN or infinite point fails it too."""
+    r = np.abs(points)
+    if not np.all(r <= 1.0 + 1e-12):
+        raise DiskDomainError("point not finite or outside the closed unit disk")
+    return r
+
+
 def _eval_matrix(points, n_max, k_max, table):
     """(len(points), n_max + 1, k_max) values of the radial-normalized
     basis functions with phase, for fast batched field evaluation."""
     points = np.asarray(points, dtype=complex)
-    r = np.abs(points)
-    if np.any(r > 1.0 + 1e-12):
-        raise DiskDomainError("point outside the closed unit disk")
+    r = _disk_radii(points)
     out = np.empty((len(points), n_max + 1, k_max), dtype=complex)
     th = np.angle(points)
     ks = np.arange(1, k_max + 1)
@@ -113,21 +120,41 @@ def evaluate(a, z, table):
     return float(h) if h.ndim == 0 else h
 
 
+# _draw_weights results by content: the bytes of the points, the cutoff and
+# the bytes of the root and normalisation window the weights read
+_WEIGHTS = {}
+_WEIGHTS_MAX = 8
+
+
 def _draw_weights(points, cutoff, table):
     """Real weights, one (width, len(points)) matrix for each standard normal
     array that _coeff_arrays draws, in its order: A (width k), Re Z and Im Z
     (n k), Re W and Im W (n).  The field at the points is the sum of each
-    array times its weights."""
+    array times its weights.  Built once per key of _WEIGHTS and read-only.
+    """
     n_max, k_max = cutoff
     j, _ = root_window(cutoff, table)
-    E = _eval_matrix(points, n_max, k_max, table) / j
-    rt = math.sqrt(math.pi)
-    # rows n >= 1 enter twice (order -n) and carry the 1/sqrt(2) of Z and W
-    c_Z = math.sqrt(2) * rt * E[:, 1:, :]
-    c_W = c_Z.sum(axis=2) / np.sqrt(np.arange(1, n_max + 1))
-    c_Z = c_Z.reshape(len(points), n_max * k_max)
-    c_A = rt * E[:, 0, :].real
-    return [np.ascontiguousarray(c.T) for c in (c_A, c_Z.real, -c_Z.imag, c_W.real, -c_W.imag)]
+    points = np.asarray(points, dtype=complex)
+    _disk_radii(points)
+    key = (points.tobytes(), (n_max, k_max), j.tobytes(),
+           table.norms[: n_max + 1, :k_max].tobytes())
+    if key not in _WEIGHTS:
+        E = _eval_matrix(points, n_max, k_max, table) / j
+        rt = math.sqrt(math.pi)
+        # rows n >= 1 enter twice (order -n) and carry the 1/sqrt(2) of Z and W
+        c_Z = math.sqrt(2) * rt * E[:, 1:, :]
+        c_W = c_Z.sum(axis=2) / np.sqrt(np.arange(1, n_max + 1))
+        c_Z = c_Z.reshape(len(points), n_max * k_max)
+        c_A = rt * E[:, 0, :].real
+        weights = tuple(
+            np.ascontiguousarray(c.T) for c in (c_A, c_Z.real, -c_Z.imag, c_W.real, -c_W.imag)
+        )
+        for c in weights:
+            c.flags.writeable = False
+        if len(_WEIGHTS) >= _WEIGHTS_MAX:
+            del _WEIGHTS[next(iter(_WEIGHTS))]
+        _WEIGHTS[key] = weights
+    return _WEIGHTS[key]
 
 
 def covariance_mc(z, w, cutoff, draws, seed, table, batch=1024):
@@ -137,7 +164,11 @@ def covariance_mc(z, w, cutoff, draws, seed, table, batch=1024):
     each normal array is drawn from one seeded generator in the order and
     shapes of _coeff_arrays, in batches of at most `batch` draws, and
     contracted at once with its weights at z and w; no coefficient array is
-    built.
+    built.  The weights are cached by the bytes of [z, w] (so +0 and -0
+    imaginary parts, which differ in angle, never share them), the cutoff
+    and the bytes of the table's root and normalisation window; repeated
+    seeded blocks at the same points reuse them.  Every array is drawn into
+    one flat buffer of min(batch, draws) times the largest width.
     """
     z = complex(z)
     w = complex(w)
@@ -148,6 +179,7 @@ def covariance_mc(z, w, cutoff, draws, seed, table, batch=1024):
     n_max, k_max = cutoff
     weights = _draw_weights([z, w], cutoff, table)
     widths = (k_max, n_max * k_max, n_max * k_max, n_max, n_max)
+    buf = np.empty(min(batch, draws) * max(widths))
     rng = np.random.default_rng(seed)
     acc = 0.0
     done = 0
@@ -155,7 +187,9 @@ def covariance_mc(z, w, cutoff, draws, seed, table, batch=1024):
         b = min(batch, draws - done)
         h = np.zeros((b, 2))
         for width, c in zip(widths, weights):
-            h += rng.standard_normal((b, width)) @ c
+            x = buf[: b * width].reshape(b, width)
+            rng.standard_normal(out=x)
+            h += x @ c
         acc += float(np.sum(h[:, 0] * h[:, 1]))
         done += b
     return acc / draws

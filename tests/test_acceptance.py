@@ -7,6 +7,7 @@ Smirnov significance threshold of 1e-3 with frozen seeds.  Criteria 6 and
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -46,8 +47,12 @@ def report(num, label, ok):
 
 @pytest.fixture(scope="module")
 def big_gamma(table):
-    """Shared gamma draws at N = 256: shape (2000, 72) over the 9 x 8 grid."""
-    return gamma_draws(BIG_N, BIG_DRAWS, GRID, MASTER_SEED, table, workers=1)
+    """Shared gamma draws at N = 256: shape (2000, 72) over the 9 x 8 grid,
+    one worker per usable core; the draws do not depend on the worker count,
+    and the root conftest.py pins each worker to one BLAS thread."""
+    return gamma_draws(
+        BIG_N, BIG_DRAWS, GRID, MASTER_SEED, table, workers=len(os.sched_getaffinity(0))
+    )
 
 
 def test_criterion_1_bessel_identities():

@@ -7,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ginfield.basis import sobolev_norm
+from ginfield import field
+from ginfield.basis import DiskDomainError, sobolev_norm
+from ginfield.bessel import RootTable
 from ginfield.field import (
     _coeff_arrays,
     covariance_mc,
@@ -194,6 +196,93 @@ def test_covariance_mc_holds_one_real_draw_at_a_time(table):
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * 8 * draws * n_max * k_max
+
+
+@pytest.mark.parametrize(
+    "bad", [complex("nan"), complex(0.1, math.nan), complex(math.inf, 0.0), complex(0.0, -math.inf)]
+)
+def test_a_non_finite_point_is_refused(small_table, monkeypatch, bad):
+    # |nan| > 1 is False, so the disk check used to let NaN through and both
+    # routes returned nan; the refusal comes before any weight or draw
+    a = sample_h((4, 4), 0, small_table).coeffs
+    with pytest.raises(DiskDomainError):
+        evaluate(a, bad, small_table)
+    with pytest.raises(DiskDomainError):
+        evaluate(a, np.array([0.1, bad]), small_table)
+
+    def no_draw(seed):
+        raise AssertionError("a generator was made before the points were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(field, "_WEIGHTS", {})
+    for z, w in ((bad, 0.1), (0.1, bad)):
+        with pytest.raises(DiskDomainError):
+            covariance_mc(z, w, (4, 4), 10, 0, small_table)
+    assert field._WEIGHTS == {}
+
+
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """An empty weight cache, and the list of _eval_matrix calls made."""
+    calls, eval_matrix = [], field._eval_matrix
+
+    def counted(points, n_max, k_max, table):
+        calls.append((n_max, k_max))
+        return eval_matrix(points, n_max, k_max, table)
+
+    monkeypatch.setattr(field, "_WEIGHTS", {})
+    monkeypatch.setattr(field, "_eval_matrix", counted)
+    return calls
+
+
+def test_covariance_mc_builds_its_weights_once(table, eval_calls):
+    first = covariance_mc(0.3, -0.4, (16, 16), 200, 0, table)
+    second = covariance_mc(0.3, -0.4, (16, 16), 200, 1, table)
+    assert eval_calls == [(16, 16)]
+    assert first != second
+    for c in next(iter(field._WEIGHTS.values())):
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 0] = 1.0
+
+
+def test_covariance_mc_weights_follow_the_table_content(table, small_table, eval_calls):
+    # a perturbed norm inside the window gets weights of its own; a table of
+    # another size with the same window shares the entry
+    norms = table.norms.copy()
+    norms[3, 2] = np.nextafter(norms[3, 2], np.inf)
+    perturbed = RootTable(table.n_max, table.k_max, table.roots, norms)
+    covariance_mc(0.3, -0.4, (8, 8), 50, 0, table)
+    covariance_mc(0.3, -0.4, (8, 8), 50, 0, perturbed)
+    assert len(eval_calls) == 2 and len(field._WEIGHTS) == 2
+    covariance_mc(0.3, -0.4, (8, 8), 50, 0, small_table)
+    assert len(eval_calls) == 2 and len(field._WEIGHTS) == 2
+    # a perturbation outside the window changes nothing the weights read
+    norms = table.norms.copy()
+    norms[9, 0] *= 2.0
+    covariance_mc(0.3, -0.4, (8, 8), 50, 0, RootTable(table.n_max, table.k_max, table.roots, norms))
+    assert len(eval_calls) == 2
+
+
+@pytest.mark.parametrize("z", [complex(-0.3, 0.0), complex(-0.3, -0.0)])
+def test_covariance_mc_from_the_cache_is_bit_identical(table, monkeypatch, z):
+    w, cutoff = 0.1 + 0.4j, (16, 16)
+    monkeypatch.setattr(field, "_WEIGHTS", {})
+    # the other sign of zero first: its angle differs, so its entry must not be used
+    covariance_mc(complex(z.real, -z.imag), w, cutoff, 300, 4, table)
+    hit_after_other = covariance_mc(z, w, cutoff, 300, 4, table)
+    hit = covariance_mc(z, w, cutoff, 300, 4, table)
+    assert len(field._WEIGHTS) == 2
+    monkeypatch.setattr(field, "_WEIGHTS", {})
+    cold = covariance_mc(z, w, cutoff, 300, 4, table)
+    assert hit == cold and hit_after_other == cold
+
+
+def test_covariance_mc_cache_is_bounded(small_table, monkeypatch):
+    monkeypatch.setattr(field, "_WEIGHTS", {})
+    for i in range(3 * field._WEIGHTS_MAX):
+        covariance_mc(0.01 * i, -0.4, (2, 2), 1, 0, small_table)
+    assert len(field._WEIGHTS) == field._WEIGHTS_MAX
 
 
 def test_h_N_coeffs_match_gamma(small_table):

@@ -19,7 +19,8 @@ from .bessel import bessel_j
 
 
 class DiskDomainError(ValueError):
-    """Raised when a point lies outside the closed unit disk."""
+    """Raised when a point lies outside the closed unit disk or is not
+    finite (a NaN or infinite coordinate)."""
 
 
 class SingularityError(ValueError):
@@ -33,14 +34,33 @@ def radial_profile(n, k, r, table):
     normalisation taken from the table broadcast against r.
     """
     n = abs(int(n))
-    if np.ndim(k) == 0:
-        j, c = table.root(n, k), table.norm(n, k)
-    else:
-        i = np.asarray(k) - 1
-        if n > table.n_max or i.min() < 0 or i.max() >= table.k_max:
-            raise KeyError(f"indices ({n}, {k}) outside table ({table.n_max}, {table.k_max})")
-        j, c = table.roots[n, i], table.norms[n, i]
-    return c * bessel_j(n, j * r)
+    i = np.asarray(k) - 1
+    if n > table.n_max or i.min() < 0 or i.max() >= table.k_max:
+        raise KeyError(f"indices ({n}, {k}) outside table ({table.n_max}, {table.k_max})")
+    return table.norms[n, i] * bessel_j(n, table.roots[n, i] * r)
+
+
+def _disk_radii(points):
+    """|points|, after refusing any point outside the closed unit disk; the
+    comparison is written so that a NaN or infinite point fails it too."""
+    r = np.abs(points)
+    if not np.all(r <= 1.0 + 1e-12):
+        raise DiskDomainError("point not finite or outside the closed unit disk")
+    return r
+
+
+def _eval_matrix(points, n_max, k_max, table):
+    """(len(points), n_max + 1, k_max) values of the radial-normalized
+    basis functions with phase, for fast batched field evaluation."""
+    points = np.asarray(points, dtype=complex)
+    r = _disk_radii(points)
+    out = np.empty((len(points), n_max + 1, k_max), dtype=complex)
+    th = np.angle(points)
+    ks = np.arange(1, k_max + 1)
+    for n in range(n_max + 1):
+        radial = radial_profile(n, ks, r[:, None], table)
+        out[:, n, :] = radial * np.exp(1j * n * th)[:, None]
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -93,29 +113,20 @@ class DiskQuadrature:
 
 def green_dirichlet_series(z, w, table, n_cut=None, k_cut=None):
     """Eigenfunction expansion -sum e_{n,k}(z) e_{-n,k}(w) / j_{n,k}^2,
-    truncated at |n| <= n_cut, k <= k_cut (table bounds by default)."""
+    truncated at |n| <= n_cut, k <= k_cut (table bounds by default).
+
+    Orders n and -n together give 2 Re e_{n,k}(z) conj(e_{n,k}(w)).
+    Raises DiskDomainError for a point off the closed disk or not finite,
+    and KeyError for a cutoff past the table.
+    """
     z = complex(z)
     w = complex(w)
     if z == w:
         raise SingularityError("Green's function diverges at z = w")
-    n_cut = table.n_max if n_cut is None else n_cut
-    k_cut = table.k_max if k_cut is None else k_cut
-    rz, tz = abs(z), np.angle(z)
-    rw, tw = abs(w), np.angle(w)
-    if rz > 1 + 1e-12 or rw > 1 + 1e-12:
-        raise DiskDomainError("both points must lie in the closed disk")
-    ks = np.arange(1, k_cut + 1)
-    total = 0.0
-    for n in range(0, n_cut + 1):
-        js = table.roots[n, :k_cut]
-        term = np.sum(
-            radial_profile(n, ks, rz, table) * radial_profile(n, ks, rw, table) / js**2
-        )
-        # e_{n,k}(z) e_{-n,k}(w) + e_{-n,k}(z) e_{n,k}(w): the phases
-        # combine to 2 cos(n (theta_z - theta_w)); n = 0 counted once.
-        ang = 2.0 * math.cos(n * (tz - tw)) if n > 0 else 1.0
-        total += ang * term
-    return -total
+    cutoff = (table.n_max if n_cut is None else n_cut, table.k_max if k_cut is None else k_cut)
+    j, mult = root_window(cutoff, table)
+    E = _eval_matrix([z, w], *cutoff, table)
+    return -float(np.sum(mult * np.real(E[0] * np.conj(E[1])) / j**2))
 
 
 def root_window(cutoff, table):

@@ -221,7 +221,7 @@ def _exp_field_covariance(cfg, table):
 
 
 def _exp_sobolev_tightness(cfg, table):
-    if not cfg.sobolev_s > 2:
+    if not 2 < cfg.sobolev_s < math.inf:
         raise UsageError("sobolev-tightness needs --sobolev-s > 2, the tightness regime")
     sizes = [16, 64, 256]
     index_set = [
@@ -286,6 +286,8 @@ def config_from_args(args):
     values = {}
     if getattr(args, "config", None):
         values.update(_load_config_file(args.config))
+        if "experiment" in values:
+            raise UsageError("config key 'experiment' is not allowed; the subcommand names it")
     for key in ("n_size", "draws", "n_max", "k_max", "sobolev_s", "seed",
                 "workers", "out"):
         v = getattr(args, key, None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DiskDomainError, cutoff_of, radial_profile, root_window, sobolev_norm
+from .basis import _disk_radii, _eval_matrix, cutoff_of, root_window, sobolev_norm
 
 
 @dataclass(frozen=True)
@@ -79,29 +79,6 @@ def expected_norm_sq(s, cutoff, table):
 def field_norm_sq(sample, s, table):
     """Squared H^{-s} norm of one truncated sample."""
     return sobolev_norm(sample.coeffs, -s, table)
-
-
-def _disk_radii(points):
-    """|points|, after refusing any point outside the closed unit disk; the
-    comparison is written so that a NaN or infinite point fails it too."""
-    r = np.abs(points)
-    if not np.all(r <= 1.0 + 1e-12):
-        raise DiskDomainError("point not finite or outside the closed unit disk")
-    return r
-
-
-def _eval_matrix(points, n_max, k_max, table):
-    """(len(points), n_max + 1, k_max) values of the radial-normalized
-    basis functions with phase, for fast batched field evaluation."""
-    points = np.asarray(points, dtype=complex)
-    r = _disk_radii(points)
-    out = np.empty((len(points), n_max + 1, k_max), dtype=complex)
-    th = np.angle(points)
-    ks = np.arange(1, k_max + 1)
-    for n in range(n_max + 1):
-        radial = radial_profile(n, ks, r[:, None], table)
-        out[:, n, :] = radial * np.exp(1j * n * th)[:, None]
-    return out
 
 
 def _field_values(a, E):

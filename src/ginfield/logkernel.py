@@ -211,8 +211,10 @@ def log_abs_reconstruct(z, w, table, n_cut=None, k_cut=None):
     """
     z = complex(z)
     w = complex(w)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise DiskDomainError("reconstruction point must lie in the open disk")
+    if not math.isfinite(abs(w)):
+        raise DiskDomainError("the pole w must be finite")
     if z == w:
         raise SingularityError("log|z - w| diverges at z = w")
     if abs(w) < 1.0:

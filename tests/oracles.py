@@ -23,12 +23,13 @@ from ginfield.basis import (
     DiskDomainError,
     DiskQuadrature,
     SingularityError,
+    _eval_matrix,
     basis_matrix,
     radial_profile,
     root_window,
 )
 from ginfield.bessel import _check_argument, _check_order
-from ginfield.field import FieldSample, _coeff_arrays, _eval_matrix, _field_values
+from ginfield.field import FieldSample, _coeff_arrays, _field_values
 from ginfield.ginibre import PlaneQuadrature, SpectrumSample, one_point_density
 from ginfield.linstats import GammaSample, _centerings, _gamma_block
 from ginfield.logkernel import alpha_radial
@@ -77,6 +78,23 @@ def green_dirichlet_closed(z, w):
     if z == w:
         raise SingularityError("Green's function diverges at z = w")
     return (math.log(abs(z - w)) - math.log(abs(1 - np.conj(z) * w))) / (2 * math.pi)
+
+
+def green_dirichlet_by_order(z, w, table, n_cut, k_cut):
+    """-sum e_{n,k}(z) e_{-n,k}(w) / j_{n,k}^2 summed one order at a time,
+    orders n and -n together through 2 cos(n (theta_z - theta_w))."""
+    rz, tz = abs(complex(z)), np.angle(z)
+    rw, tw = abs(complex(w)), np.angle(w)
+    ks = np.arange(1, k_cut + 1)
+    total = 0.0
+    for n in range(0, n_cut + 1):
+        js = table.roots[n, :k_cut]
+        term = np.sum(
+            radial_profile(n, ks, rz, table) * radial_profile(n, ks, rw, table) / js**2
+        )
+        ang = 2.0 * math.cos(n * (tz - tw)) if n > 0 else 1.0
+        total += ang * term
+    return -total
 
 
 def project(f, indices, quad, table):

@@ -16,11 +16,12 @@ from ginfield.basis import (
     radial_profile,
     sobolev_norm,
 )
-from ginfield.bessel import bessel_j
+from ginfield.bessel import bessel_j, build_root_table
 from ginfield.field import evaluate
 from oracles import (
     disk_integrate,
     eval_eigenfunction,
+    green_dirichlet_by_order,
     green_dirichlet_closed,
     power_coeff,
     project,
@@ -135,6 +136,33 @@ def test_green_series_matches_closed_form(table):
         green_dirichlet_series(w, z, table, n_cut=30, k_cut=30)
         - green_dirichlet_series(z, w, table, n_cut=30, k_cut=30)
     ) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "z, w",
+    [(0.0, 0.5), (0.31 + 0.22j, -0.45 + 0.1j), (0.6j, -0.2 - 0.7j), (0.1 - 0.4j, np.exp(0.7j))],
+)
+@pytest.mark.parametrize("cutoff", [(0, 5), (6, 1), (30, 30), (64, 64)])
+def test_green_series_matches_the_order_by_order_sum(table, z, w, cutoff):
+    series = green_dirichlet_series(z, w, table, *cutoff)
+    ref = green_dirichlet_by_order(z, w, table, *cutoff)
+    assert abs(series - ref) <= 1e-15 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize(
+    "bad", [complex("nan"), complex(0.1, math.nan), complex(math.inf, 0.0), complex(0.0, -math.inf)]
+)
+def test_green_series_refuses_a_non_finite_point(table, bad):
+    # the series' own disk check was False for NaN and returned nan
+    for z, w in ((bad, 0.2), (0.1, bad)):
+        with pytest.raises(DiskDomainError):
+            green_dirichlet_series(z, w, table, 8, 8)
+
+
+def test_green_series_cutoff_past_the_table_is_key_error():
+    # an order cutoff past the table used to raise IndexError
+    with pytest.raises(KeyError):
+        green_dirichlet_series(0.1, 0.5j, build_root_table(8, 8), 9, 4)
 
 
 def _signed_entries(a):

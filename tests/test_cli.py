@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from ginfield import logkernel
+from ginfield import cli, logkernel
 from ginfield.cli import (
     ExperimentConfig,
     UsageError,
@@ -86,6 +86,21 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys):
     p.write_text("n_size=abc\n")
     assert main(["clt", "--config", str(p)]) == 2
     assert "n_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["decay-check", "nosuch"])
+def test_config_file_cannot_name_the_experiment(name, tmp_path, monkeypatch, capsys):
+    # the file's experiment used to replace the subcommand (or end in a
+    # KeyError traceback); it is refused before the root table is built
+    def refuse(n_max, k_max):
+        raise AssertionError("root table built before the usage check")
+
+    monkeypatch.setattr(cli, "build_root_table", refuse)
+    p = tmp_path / "run.cfg"
+    p.write_text(f"experiment = {name}\n")
+    assert main(["roots", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "experiment" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_experiment_alias_flag_is_gone():
@@ -229,7 +244,7 @@ def test_clt_with_one_draw_is_usage_error(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("s", ["1.5", "2", "nan"])
+@pytest.mark.parametrize("s", ["1.5", "2", "nan", "inf"])
 def test_tightness_outside_its_regime_is_usage_error(s, tmp_path, monkeypatch, capsys):
     # s' <= 2 used to run the N = 16 draws first and then exit 1 with a traceback
     _no_eigensolve(monkeypatch)

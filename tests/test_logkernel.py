@@ -169,6 +169,17 @@ def test_log_reconstruction_errors(table):
         log_abs_reconstruct(0.2, 0.2, table)
 
 
+@pytest.mark.parametrize(
+    "bad", [complex("nan"), complex(0.1, math.nan), complex(math.inf, 0.0), complex(0.0, -math.inf)]
+)
+def test_log_reconstruction_refuses_a_non_finite_point(table, bad):
+    # abs(nan) >= 1 and abs(nan) < 1 are both False: a NaN point used to
+    # return nan, and an infinite pole w returned inf
+    for z, w in ((bad, 0.2), (0.1, bad)):
+        with pytest.raises(DiskDomainError):
+            log_abs_reconstruct(z, w, table, 8, 8)
+
+
 def test_raw_partial_sum_cross_check(table):
     # the raw double sum over alpha e must agree with the split route at
     # its own (slow) accuracy; this keeps both routes honest

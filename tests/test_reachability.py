@@ -3,7 +3,8 @@
 Every public top-level name in src/ginfield must be reachable from the CLI
 entry point or from a name the benchmark uses, through the references in
 the code of reachable definitions.  Independent reference routes that only
-tests need belong in tests/oracles.py.
+tests need belong in tests/oracles.py.  No module imports a name it never
+uses.
 """
 
 import ast
@@ -84,3 +85,24 @@ def test_every_public_name_runs_in_the_cli_or_the_benchmark():
     )
     # an allowed name that the CLI or the benchmark starts to use leaves the list
     assert ALLOWED <= unreached
+
+
+def _unused_imports(source):
+    """Names that the module source imports and never reads."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".", 1)[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_the_unused_import_check_sees_an_unused_name():
+    assert _unused_imports("import math\nfrom a.b import c as d, e\nd(math.pi)\n") == {"e"}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {path.name: _unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -9,7 +9,7 @@ normalized to unit L^2 norm on the disk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -74,20 +74,18 @@ def _leggauss(order):
 
 @dataclass(frozen=True)
 class DiskQuadrature:
-    """Gauss-Legendre radial rule (weight r absorbed) on [0, radius]
-    tensored with a uniform angular grid.
+    """Gauss-Legendre radial nodes r and weights wr (weight r absorbed) on
+    [0, radius], tensored with len(theta) uniform angles of weight wt.
 
-    Exact for integrands r^p e^{i m phi} with p <= 2 * radial_order - 2
-    and |m| < angular_order / 2 resolved exactly in the angular direction.
+    A rule of radial_order nodes and angular_order angles is exact for
+    integrands r^p e^{i m phi} with p <= 2 * radial_order - 2 and
+    |m| < angular_order / 2.
     """
 
-    radial_order: int
-    angular_order: int
-    r: np.ndarray = field(repr=False)
-    wr: np.ndarray = field(repr=False)
-    theta: np.ndarray = field(repr=False)
-    wt: float = field(repr=False)
-    radius: float = 1.0
+    r: np.ndarray
+    wr: np.ndarray
+    theta: np.ndarray
+    wt: float
 
     @classmethod
     def build(cls, radial_order=120, angular_order=64):
@@ -101,7 +99,7 @@ class DiskQuadrature:
         wr = 0.5 * radius * w * r  # absorb the r dr weight
         theta = 2.0 * math.pi * np.arange(angular_order) / angular_order
         wt = 2.0 * math.pi / angular_order
-        return cls(radial_order, angular_order, r, wr, theta, wt, radius)
+        return cls(r, wr, theta, wt)
 
     def nodes(self):
         """Complex nodes as a (radial, angular) grid."""

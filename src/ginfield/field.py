@@ -24,11 +24,6 @@ class FieldSample:
     conjugate of order n."""
 
     coeffs: np.ndarray
-    seed: int
-
-    @property
-    def cutoff(self):
-        return cutoff_of(self.coeffs)
 
 
 def _coeff_arrays(rng, cutoff, table, batch=None):
@@ -62,7 +57,7 @@ def sample_h(cutoff, seed, table):
     n_max, k_max = cutoff
     if n_max < 1 or k_max < 1:
         raise ValueError("cutoffs must be >= 1")
-    return FieldSample(coeffs=_coeff_arrays(np.random.default_rng(seed), cutoff, table), seed=seed)
+    return FieldSample(_coeff_arrays(np.random.default_rng(seed), cutoff, table))
 
 
 def expected_norm_sq(s, cutoff, table):
@@ -97,6 +92,8 @@ def evaluate(a, z, table):
     return float(h) if h.ndim == 0 else h
 
 
+# Draws per block of covariance_mc.
+_BATCH = 1024
 # _draw_weights results by content: the bytes of the points, the cutoff and
 # the bytes of the root and normalisation window the weights read
 _WEIGHTS = {}
@@ -134,34 +131,34 @@ def _draw_weights(points, cutoff, table):
     return _WEIGHTS[key]
 
 
-def covariance_mc(z, w, cutoff, draws, seed, table, batch=1024):
+def covariance_mc(z, w, cutoff, draws, seed, table):
     """Monte-Carlo estimate of E h(z) h(w) at a fixed cutoff.
 
     The field is linear in the standard normals that sample_h draws, so
     each normal array is drawn from one seeded generator in the order and
-    shapes of _coeff_arrays, in batches of at most `batch` draws, and
+    shapes of _coeff_arrays, in blocks of at most _BATCH draws, and
     contracted at once with its weights at z and w; no coefficient array is
     built.  The weights are cached by the bytes of [z, w] (so +0 and -0
     imaginary parts, which differ in angle, never share them), the cutoff
     and the bytes of the table's root and normalisation window; repeated
     seeded blocks at the same points reuse them.  Every array is drawn into
-    one flat buffer of min(batch, draws) times the largest width.
+    one flat buffer of min(_BATCH, draws) times the largest width.
     """
     z = complex(z)
     w = complex(w)
     if z == w:
         raise ValueError("use distinct points; the diagonal diverges with cutoff")
-    if draws < 1 or batch < 1:
-        raise ValueError("draws and batch must be >= 1")
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
     n_max, k_max = cutoff
     weights = _draw_weights([z, w], cutoff, table)
     widths = (k_max, n_max * k_max, n_max * k_max, n_max, n_max)
-    buf = np.empty(min(batch, draws) * max(widths))
+    buf = np.empty(min(_BATCH, draws) * max(widths))
     rng = np.random.default_rng(seed)
     acc = 0.0
     done = 0
     while done < draws:
-        b = min(batch, draws - done)
+        b = min(_BATCH, draws - done)
         h = np.zeros((b, 2))
         for width, c in zip(widths, weights):
             x = buf[: b * width].reshape(b, width)

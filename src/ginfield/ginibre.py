@@ -81,23 +81,24 @@ def one_point_density(N, z):
     """Eigenvalue intensity rho_N(z) = (N/pi) e^{-N|z|^2} sum_{k<N} (N|z|^2)^k / k!.
 
     Evaluated through the regularized upper incomplete gamma function,
-    which is the stable closed form of the truncated exponential sum.
+    which is the stable closed form of the truncated exponential sum.  An
+    array of the shape of z, 0-d for a scalar z.
     """
     if N < 1:
         raise ValueError("N must be positive")
     r2 = np.abs(np.asarray(z)) ** 2
-    out = (N / math.pi) * special.gammaincc(N, N * r2)
-    return float(out) if out.ndim == 0 else out
+    return (N / math.pi) * special.gammaincc(N, N * r2)
 
 
 class PlaneQuadrature(DiskQuadrature):
     """Polar quadrature on |z| <= R for integrals against the Gaussian
-    weight; R = sqrt(1 + 20/N) + 2/sqrt(N) makes the tail negligible."""
+    weight; R = sqrt(1 + 20/N) + 2/sqrt(N) makes the tail negligible.
+    220 radial nodes and 512 angles."""
 
     @classmethod
-    def build(cls, N, radial_order=220, angular_order=512):
+    def build(cls, N):
         R = math.sqrt(1.0 + 20.0 / N) + 2.0 / math.sqrt(N)
-        return cls._polar(radial_order, angular_order, R)
+        return cls._polar(220, 512, R)
 
 
 def _log_kernel_radial(N, r):
@@ -144,12 +145,12 @@ def pair_variance(f, N, quad=None):
 
     The angular reduction is done by FFT of f on the polar grid, so only
     radial integrals remain.  Every pair difference l - k must be resolved
-    by the angular grid, so N - 1 <= angular_order // 2 is required.  For
+    by the angular grid, so N - 1 <= len(quad.theta) // 2 is required.  For
     f = g(r) e^{-i n theta}, radial_pair_variance gives the same value
     without the grid.
     """
     quad = quad or PlaneQuadrature.build(N)
-    M = quad.angular_order
+    M = len(quad.theta)
     if N - 1 > M // 2:
         raise ValueError(
             f"angular order {M} resolves pair differences up to {M // 2}, "

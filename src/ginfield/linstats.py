@@ -16,14 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .ginibre import (
-    PlaneQuadrature,
-    draw_seed,
-    eigenvalues,
-    one_point_density,
-    radial_pair_variance,
-    sample_matrix,
-)
+from .ginibre import PlaneQuadrature, one_point_density, radial_pair_variance, sample_spectrum
 from .logkernel import alpha_radial, alpha_radial_piecewise
 
 # Eigenvalues per block of spectra that _gamma_draws_range evaluates at once.
@@ -41,11 +34,6 @@ class GammaSample:
     values: np.ndarray
     matrix_size: int
     seed: int
-
-    def value(self, n, k):
-        if n >= 0:
-            return complex(self.values[self.index_set.index((n, k))])
-        return complex(np.conj(self.values[self.index_set.index((-n, k))]))
 
 
 def centering_term(n, k, N, table, quad=None):
@@ -93,35 +81,26 @@ def _gamma_block(Z, index_set, table, centerings):
 
 
 def limit_covariance(idx1, idx2, table):
-    """Limiting second moments (E gamma1 conj(gamma2), E gamma1 gamma2).
-
-    Entries are independent across different n; at fixed n >= 1 the shared
-    complex Gaussian couples all k with cross term pi / (n j_k j_l).
-    """
-    n1, k1 = idx1
-    n2, k2 = idx2
-    if n1 < 0 or n2 < 0:
-        raise ValueError("limit covariance is stated for n >= 0")
-    if n1 != n2:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    j1 = table.root(n1, k1)
-    j2 = table.root(n2, k2)
-    if n1 == 0:
-        c = math.pi / j1**2 if k1 == k2 else 0.0
-        # gamma_{0,k} is real, so the plain second moment coincides
-        return complex(c), complex(c)
-    c = math.pi / (j1 * j2) * ((1.0 if k1 == k2 else 0.0) + 1.0 / n1)
-    return complex(c), 0.0 + 0.0j
+    """Limiting second moments (E gamma1 conj(gamma2), E gamma1 gamma2) of
+    two indices with n >= 0: the (0, 1) entry of limit_covariance_matrix,
+    and the same value as the plain moment when n = 0, where gamma is real
+    (0 otherwise)."""
+    c = complex(limit_covariance_matrix((idx1, idx2), table)[0, 1])
+    return c, (c if idx1[0] == 0 else 0j)
 
 
 def limit_covariance_matrix(index_set, table):
-    """Conjugate covariance matrix over an index set with n >= 0."""
-    m = len(index_set)
-    out = np.zeros((m, m), dtype=complex)
-    for a, i1 in enumerate(index_set):
-        for b, i2 in enumerate(index_set):
-            out[a, b] = limit_covariance(i1, i2, table)[0]
-    return out
+    """Conjugate covariance matrix E gamma_a conj(gamma_b) over an index set
+    with n >= 0: pi / (j_a j_b) ([k_a = k_b] + [n > 0] / n) for n_a = n_b = n,
+    0 across different n, where the shared complex Gaussian of order n
+    couples all k.  ValueError for n < 0, KeyError past the table."""
+    n, k = np.array(index_set, dtype=int).reshape(-1, 2).T
+    if np.any(n < 0):
+        raise ValueError("limit covariance is stated for n >= 0")
+    j = np.array([table.root(*idx) for idx in zip(n, k)])
+    inv_n = np.where(n > 0, 1.0 / np.maximum(n, 1), 0.0)
+    c = math.pi / np.outer(j, j) * ((k[:, None] == k) + inv_n[:, None])
+    return np.where(n[:, None] == n, c, 0.0).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +116,7 @@ def _gamma_draws_range(args):
     out = np.empty((i1 - i0, len(index_set)), dtype=complex)
     for b0 in range(i0, i1, step):
         b1 = min(b0 + step, i1)
-        Z = np.array(
-            [
-                eigenvalues(sample_matrix(N, draw_seed(master_seed, i))).eigenvalues
-                for i in range(b0, b1)
-            ]
-        )
+        Z = np.array([sample_spectrum(N, master_seed, i).eigenvalues for i in range(b0, b1)])
         out[b0 - i0 : b1 - i0] = _gamma_block(Z, index_set, table, centerings)
     return out
 

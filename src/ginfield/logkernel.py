@@ -41,14 +41,14 @@ class InterpolantError(RuntimeError):
 def alpha_radial(n, k, r, table):
     """Radial factor g(r) of alpha_{n,k}(r e^{i theta}) = g(r) e^{-i n theta}.
 
-    Real-valued; vectorized over r.  k is one radial index or a 1-D integer
-    numpy array of them; an array gives shape (len(k),) + r.shape, each row
-    bit-identical to the call with its k alone.  Uses the disk branch for
-    r < 1 and the exterior branch for r >= 1 (continuous across the circle).
+    A real array of the shape of r (0-d for a scalar r).  k is one radial
+    index or a 1-D integer numpy array of them; an array gives shape
+    (len(k),) + r.shape, each row bit-identical to the call with its k
+    alone.  Uses the disk branch for r < 1 and the exterior branch for
+    r >= 1 (continuous across the circle).
     """
     n = abs(int(n))
-    scalar = np.ndim(r) == 0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
     if isinstance(k, np.ndarray):
         # one row per k; each constant in the float arithmetic of its k alone
         k = k[:, None]
@@ -69,8 +69,6 @@ def alpha_radial(n, k, r, table):
         g_in = g_in - b * ri**n
         g[lead + (~inside,)] = c * ro ** (-n)
     g[lead + (inside,)] = g_in
-    if scalar:
-        return g[..., 0] if lead else float(g[0])
     return g
 
 
@@ -183,7 +181,7 @@ def harmonic_log_series(z, w):
     """
     q = complex(z) * np.conj(complex(w))
     aq = abs(q)
-    if aq >= 1.0:
+    if not aq < 1.0:
         raise ValueError("series requires |z conj(w)| < 1")
     terms = 1
     if aq > 0.0:

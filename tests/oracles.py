@@ -4,11 +4,12 @@ None of these run in the CLI or the benchmark.  Most are a second route to
 a quantity the library computes another way: pointwise basis values and
 quadrature projections, the closed-form Green's function, the direct-sum
 eigenvalue density, plane Gaussian moments, the raw double sum of the
-log-kernel expansion, and the Rider-Virag gradient-plus-boundary limit
-variance with the analytic gradient it uses.  The statistics and field
-coefficients of a single spectrum are the one-draw form of the library's
-batched route, and the covariance estimate over built coefficient arrays is
-the form the library's streamed estimate contracts away.
+log-kernel expansion, the case-by-case limit covariance of gamma, and the
+Rider-Virag gradient-plus-boundary limit variance with the analytic gradient
+it uses.  The statistics and field coefficients of a single spectrum are the
+one-draw form of the library's batched route, and the covariance estimate
+over built coefficient arrays is the form the library's streamed estimate
+contracts away.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def h_N_coeffs(sample: SpectrumSample, cutoff, table):
     index_set = [(n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)]
     a = gamma(sample, index_set, table).values.reshape(n_max + 1, k_max)
     a[0] = a[0].real
-    return FieldSample(coeffs=a, seed=sample.seed)
+    return FieldSample(a)
 
 
 def covariance_mc_by_coefficients(z, w, cutoff, draws, rng, table, batch=1024):
@@ -269,8 +270,38 @@ def tightness_bound(s_prime, cutoff, table, constant):
 
 
 # ---------------------------------------------------------------------------
-# limit law: coefficient quadratic form and the Rider-Virag functional
+# limit law: per-pair moments, coefficient quadratic form and the Rider-Virag
+# functional
 # ---------------------------------------------------------------------------
+
+
+def limit_covariance_by_pair(idx1, idx2, table):
+    """Limiting second moments (E gamma1 conj(gamma2), E gamma1 gamma2) of
+    one pair of indices, case by case."""
+    n1, k1 = idx1
+    n2, k2 = idx2
+    if n1 < 0 or n2 < 0:
+        raise ValueError("limit covariance is stated for n >= 0")
+    if n1 != n2:
+        return 0.0 + 0.0j, 0.0 + 0.0j
+    j1 = table.root(n1, k1)
+    j2 = table.root(n2, k2)
+    if n1 == 0:
+        c = math.pi / j1**2 if k1 == k2 else 0.0
+        # gamma_{0,k} is real, so the plain second moment coincides
+        return complex(c), complex(c)
+    c = math.pi / (j1 * j2) * ((1.0 if k1 == k2 else 0.0) + 1.0 / n1)
+    return complex(c), 0.0 + 0.0j
+
+
+def limit_covariance_matrix_by_pair(index_set, table):
+    """Conjugate covariance matrix over an index set, one pair at a time."""
+    m = len(index_set)
+    out = np.zeros((m, m), dtype=complex)
+    for a, i1 in enumerate(index_set):
+        for b, i2 in enumerate(index_set):
+            out[a, b] = limit_covariance_by_pair(i1, i2, table)[0]
+    return out
 
 
 def limit_quadratic_form(t, s, table):

@@ -98,7 +98,6 @@ def test_plane_quadrature_rule():
     R = math.sqrt(1.0 + 20.0 / N) + 2.0 / math.sqrt(N)
     x, w = np.polynomial.legendre.leggauss(220)
     quad = PlaneQuadrature.build(N)
-    assert quad.radius == R
     assert np.array_equal(quad.r, 0.5 * R * (x + 1.0))
     assert np.array_equal(quad.wr, 0.5 * R * w * quad.r)
     assert np.array_equal(quad.theta, 2.0 * math.pi * np.arange(512) / 512)
@@ -164,7 +163,8 @@ def test_radial_pair_variance_of_z(N):
 
 def test_pair_variance_refuses_unresolved_pair_differences():
     # 64 angular nodes resolve pair differences up to 32: N = 33 is the limit
-    quad = PlaneQuadrature.build(34, angular_order=64)
+    R = math.sqrt(1.0 + 20.0 / 34) + 2.0 / math.sqrt(34)
+    quad = PlaneQuadrature._polar(220, 64, R)
     assert abs(pair_variance(lambda z: z, 33, quad) - 1.0) < 1e-6
     with pytest.raises(ValueError, match="angular order 64"):
         pair_variance(lambda z: z, 34, quad)

@@ -28,7 +28,15 @@ from ginfield.linstats import (
     variance_bound_check,
 )
 from ginfield.logkernel import alpha_radial
-from oracles import TestFunction, alpha_combination, gamma, limit_quadratic_form, rv_variance
+from oracles import (
+    TestFunction,
+    alpha_combination,
+    gamma,
+    limit_covariance_by_pair,
+    limit_covariance_matrix_by_pair,
+    limit_quadratic_form,
+    rv_variance,
+)
 
 
 def test_centering_zero_for_nonzero_order(small_table):
@@ -51,7 +59,8 @@ def test_gamma_sample_accessors(small_table):
     s = sample_spectrum(16, 5)
     idx = [(0, 1), (1, 1), (2, 3)]
     g = gamma(s, idx, small_table)
-    assert g.value(1, 1) == np.conj(g.value(-1, 1))
+    assert g.index_set == tuple(idx) and g.values.shape == (3,)
+    assert (g.matrix_size, g.seed) == (16, 5)
     with pytest.raises(ValueError):
         gamma(s, [(-1, 1)], small_table)
 
@@ -60,7 +69,7 @@ def test_gamma_matches_manual_sum(small_table):
     s = sample_spectrum(8, 2)
     g = gamma(s, [(2, 1)], small_table)
     manual = complex(np.sum(alpha_values(2, 1, s.eigenvalues, small_table)))
-    assert abs(g.value(2, 1) - manual) < 1e-13
+    assert abs(g.values[0] - manual) < 1e-13
 
 
 def test_limit_covariance_entries(small_table):
@@ -77,6 +86,10 @@ def test_limit_covariance_entries(small_table):
     assert limit_covariance((1, 1), (2, 1), small_table) == (0.0, 0.0)
     with pytest.raises(ValueError):
         limit_covariance((-1, 1), (1, 1), small_table)
+    with pytest.raises(ValueError):
+        limit_covariance_matrix([(0, 1), (-2, 1)], small_table)
+    with pytest.raises(KeyError):
+        limit_covariance((3, 17), (3, 1), small_table)
 
 
 def test_limit_covariance_matrix_hermitian_psd(small_table):
@@ -271,3 +284,21 @@ def test_gamma_of_an_index_does_not_depend_on_the_index_set(small_table):
     mixed = gamma_draws(64, 3, MIXED_INDEX_SET, 11, small_table)
     assert np.array_equal(alone[:, 0], mixed[:, 0])
     assert np.array_equal(alone[:, 0], mixed[:, -1])
+
+
+@pytest.mark.parametrize(
+    "index_set",
+    [
+        [(n, k) for n in range(9) for k in range(1, 9)],
+        MIXED_INDEX_SET,
+        [(0, 1), (1, 1), (1, 2)],
+    ],
+    ids=["grid", "mixed", "clt"],
+)
+def test_limit_covariance_equals_the_per_pair_route(index_set, small_table):
+    M = limit_covariance_matrix(index_set, small_table)
+    assert np.array_equal(M, limit_covariance_matrix_by_pair(index_set, small_table))
+    for i1 in index_set:
+        for i2 in index_set:
+            want = limit_covariance_by_pair(i1, i2, small_table)
+            assert limit_covariance(i1, i2, small_table) == want, (i1, i2)

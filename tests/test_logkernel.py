@@ -127,6 +127,15 @@ def test_harmonic_log_series():
         harmonic_log_series(1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "z", [math.nan, complex(0.2, math.nan), math.inf], ids=["nan", "nan-imag", "inf"]
+)
+def test_harmonic_log_series_refuses_points_that_are_not_finite(z):
+    # |z conj(w)| < 1 is False for NaN, so NaN is refused like inf
+    with pytest.raises(ValueError, match="series requires"):
+        harmonic_log_series(z, 0.5)
+
+
 def test_harmonic_log_series_refuses_past_its_term_cap():
     # needs about 7e7 terms; it used to stop at 1e7 and return -15.376
     # where log|1 - q| = -15.425

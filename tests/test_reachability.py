@@ -2,9 +2,10 @@
 
 Every public top-level name in src/ginfield must be reachable from the CLI
 entry point or from a name the benchmark uses, through the references in
-the code of reachable definitions.  Independent reference routes that only
-tests need belong in tests/oracles.py.  No module imports a name it never
-uses.
+the code of reachable definitions, and every public field, method and
+property of a library class must be read as an attribute somewhere in that
+code.  Independent reference routes that only tests need belong in
+tests/oracles.py.  No module imports a name it never uses.
 """
 
 import ast
@@ -43,38 +44,45 @@ def _defined_names(stmt):
 
 
 def _library():
-    """(uses of each top-level definition, names used by module-level code
-    outside definitions and imports) over src/ginfield."""
-    uses, loose = {}, set()
+    """(the statements of each top-level definition, the module-level
+    statements outside definitions and imports) over src/ginfield."""
+    defs, loose = {}, []
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             names = _defined_names(stmt)
-            if names:
-                for name in names:
-                    uses.setdefault(name, set()).update(_identifiers(stmt))
-            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                loose |= _identifiers(stmt)
-    return uses, loose
+            for name in names:
+                defs.setdefault(name, []).append(stmt)
+            if not names and not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                loose.append(stmt)
+    return defs, loose
 
 
-def _benchmark_names():
-    names = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        names |= _identifiers(ast.parse(path.read_text()))
-    return names
+def _benchmark():
+    return [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
 
 
-def _unreached():
-    uses, loose = _library()
-    todo = list(ENTRY_POINTS | loose | _benchmark_names())
+def _reached():
+    """(the top-level definitions of the library, the names among them that
+    the CLI entry point, module-level code or the benchmark reach, and the
+    code that runs: the benchmark, module-level code and reached definitions)."""
+    defs, loose = _library()
+    code = loose + _benchmark()
+    todo = list(ENTRY_POINTS.union(*map(_identifiers, code)))
     seen = set()
     while todo:
         name = todo.pop()
-        if name in seen or name not in uses:
+        if name in seen or name not in defs:
             continue
         seen.add(name)
-        todo.extend(uses[name])
-    return {name for name in uses if not name.startswith("_") and name not in seen}
+        for stmt in defs[name]:
+            todo.extend(_identifiers(stmt))
+            code.append(stmt)
+    return defs, seen, code
+
+
+def _unreached():
+    defs, seen, _ = _reached()
+    return {name for name in defs if not name.startswith("_") and name not in seen}
 
 
 def test_every_public_name_runs_in_the_cli_or_the_benchmark():
@@ -85,6 +93,60 @@ def test_every_public_name_runs_in_the_cli_or_the_benchmark():
     )
     # an allowed name that the CLI or the benchmark starts to use leaves the list
     assert ALLOWED <= unreached
+
+
+def _members(tree):
+    """(class, member) for every public field, method and property of the
+    top-level classes of a module tree."""
+    return {
+        (stmt.name, name)
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef)
+        for item in stmt.body
+        for name in _defined_names(item)
+        if not name.startswith("_")
+    }
+
+
+def _unread_members(trees, code):
+    """Members of the classes of trees whose name code never reads as an
+    attribute.  Matching is by name alone, so a read of any attribute of that
+    name hides a member: the benchmark's own self.cutoff and args.seed would
+    hide a FieldSample.cutoff or FieldSample.seed."""
+    read = {
+        sub.attr
+        for node in code
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    return {(cls, name) for tree in trees for cls, name in _members(tree) if name not in read}
+
+
+def test_the_member_check_sees_an_unread_member():
+    lib = ast.parse(
+        "class A:\n"
+        "    x: int\n"
+        "    y: int\n"
+        "    def f(self):\n"
+        "        return self.x\n"
+        "    @property\n"
+        "    def g(self):\n"
+        "        return 1\n"
+        "    def _h(self):\n"
+        "        return 2\n"
+    )
+    # y is only written, and g and _h are never read; _h is private
+    used = ast.parse("a = A(1, 2)\na.y = 3\na.f()\n")
+    assert _unread_members([lib], [lib, used]) == {("A", "y"), ("A", "g")}
+
+
+def test_every_class_member_is_read_by_the_cli_or_the_benchmark():
+    _, _, code = _reached()
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert _unread_members(trees, code) == set(), (
+        "public fields, methods and properties in src/ginfield that no code "
+        "the CLI or the benchmark runs reads; delete them"
+    )
 
 
 def _unused_imports(source):

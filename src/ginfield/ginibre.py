@@ -113,6 +113,34 @@ def _log_kernel_radial(N, r):
     )
 
 
+# one_point_density and the radial kernel factors on the radial nodes of a
+# rule, by content: N and the bytes of the nodes.  Neither reads the
+# weights, so rules that differ only in wr share an entry.
+_KERNEL = {}
+_KERNEL_MAX = 8
+
+
+def _kernel_on(N, r, factors):
+    """(rho, R) on the radial nodes r: rho = one_point_density(N, r) and,
+    when factors is set, R = exp(_log_kernel_radial(N, r)) of shape
+    (N, len(r)), else None.  Built once per key of _KERNEL, R only on its
+    first request, so a route that reads only rho never builds R; read-only.
+    """
+    key = (N, r.tobytes())
+    if key not in _KERNEL:
+        if len(_KERNEL) >= _KERNEL_MAX:
+            del _KERNEL[next(iter(_KERNEL))]
+        rho = one_point_density(N, r)
+        rho.flags.writeable = False
+        _KERNEL[key] = [rho, None]
+    entry = _KERNEL[key]
+    if factors and entry[1] is None:
+        R = np.exp(_log_kernel_radial(N, r))
+        R.flags.writeable = False
+        entry[1] = R
+    return entry[0], entry[1]
+
+
 def _diagonal_pair_sq(R, d, c, wr):
     """Sum over the valid k of |A_{k,k+d}|^2, where
     A_{k,k+d} = 2 pi int c(r) R_k(r) R_{k+d}(r) r dr is the kernel overlap of
@@ -147,7 +175,9 @@ def pair_variance(f, N, quad=None):
     radial integrals remain.  Every pair difference l - k must be resolved
     by the angular grid, so N - 1 <= len(quad.theta) // 2 is required.  For
     f = g(r) e^{-i n theta}, radial_pair_variance gives the same value
-    without the grid.
+    without the grid.  rho_N and the radial kernel factors on quad.r are
+    built once per (N, radial nodes) and shared with the other exact routes
+    (_kernel_on).
     """
     quad = quad or PlaneQuadrature.build(N)
     M = len(quad.theta)
@@ -160,9 +190,8 @@ def pair_variance(f, N, quad=None):
     F = np.asarray(f(z), dtype=complex)
     # f(r, theta) = sum_m c_m(r) e^{i m theta}
     c = np.fft.fft(F, axis=1) / M  # c[:, m] with m negative aliased
-    R = np.exp(_log_kernel_radial(N, quad.r))  # (N, nr)
+    rho, R = _kernel_on(N, quad.r, factors=True)
     # diagonal part: int |f|^2 rho_N
-    rho = one_point_density(N, quad.r)
     diag = float(np.sum(np.abs(F) ** 2 * rho[:, None] * quad.wr[:, None] * quad.wt))
     off_sq = 0.0
     for d in range(-(N - 1), N):
@@ -178,11 +207,12 @@ def radial_pair_variance(g, n, N, quad=None):
 
     Only the kernel overlaps on the diagonal l - k = -n are nonzero, so the
     variance is one radial sum on the radial nodes of the same rule; no
-    pair exists when |n| >= N.
+    pair exists when |n| >= N.  rho_N and the radial kernel factors come
+    from _kernel_on, built once per (N, radial nodes); only g and the
+    weights are read per call.
     """
     quad = quad or PlaneQuadrature.build(N)
     gr = np.asarray(g(quad.r))
-    rho = one_point_density(N, quad.r)
+    rho, R = _kernel_on(N, quad.r, factors=True)
     diag = float(2.0 * math.pi * np.sum(np.abs(gr) ** 2 * rho * quad.wr))
-    R = np.exp(_log_kernel_radial(N, quad.r))
     return _checked_variance(diag, _diagonal_pair_sq(R, -n, gr, quad.wr))

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .ginibre import PlaneQuadrature, one_point_density, radial_pair_variance, sample_spectrum
+from .ginibre import PlaneQuadrature, _kernel_on, radial_pair_variance, sample_spectrum
 from .logkernel import alpha_radial, alpha_radial_piecewise
 
 # Eigenvalues per block of spectra that _gamma_draws_range evaluates at once.
@@ -38,12 +38,14 @@ class GammaSample:
 
 def centering_term(n, k, N, table, quad=None):
     """E sum_i alpha_{n,k}(z_i); exactly zero for n != 0 by rotational
-    symmetry of the one-point density, a radial integral for n = 0."""
+    symmetry of the one-point density, a radial integral for n = 0.  Reads
+    rho_N on quad.r from the cache of the exact routes (ginibre._kernel_on)
+    and never builds their radial kernel factors."""
     if n != 0:
         return 0.0
     quad = quad or PlaneQuadrature.build(N)
     g = alpha_radial(0, k, quad.r, table)
-    rho = one_point_density(N, quad.r)
+    rho, _ = _kernel_on(N, quad.r, factors=False)
     return float(2.0 * math.pi * np.sum(g * rho * quad.wr))
 
 

@@ -179,7 +179,10 @@ def harmonic_log_series(z, w):
     below 1e-14, worked out from |q| before summing; a q that needs more
     than _HARMONIC_MAX_TERMS terms raises ValueError.
     """
-    q = complex(z) * np.conj(complex(w))
+    # the product in Python complex arithmetic, as numpy warns on inf * 0
+    # before the refusal below; the powers and their division by m stay in
+    # numpy, whose division rounds differently from Python's
+    q = np.complex128(complex(z) * complex(w).conjugate())
     aq = abs(q)
     if not aq < 1.0:
         raise ValueError("series requires |z conj(w)| < 1")

@@ -7,9 +7,11 @@ eigenvalue density, plane Gaussian moments, the raw double sum of the
 log-kernel expansion, the case-by-case limit covariance of gamma, and the
 Rider-Virag gradient-plus-boundary limit variance with the analytic gradient
 it uses.  The statistics and field coefficients of a single spectrum are the
-one-draw form of the library's batched route, and the covariance estimate
-over built coefficient arrays is the form the library's streamed estimate
-contracts away.
+one-draw form of the library's batched route, the covariance estimate over
+built coefficient arrays is the form the library's streamed estimate
+contracts away, and the exact finite-N moments with the one-point density
+and the radial kernel factors rebuilt in every call are the form the
+library's shared kernel cache replaces.
 """
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ from ginfield.basis import (
 )
 from ginfield.bessel import _check_argument, _check_order
 from ginfield.field import FieldSample, _coeff_arrays, _field_values
-from ginfield.ginibre import PlaneQuadrature, SpectrumSample, one_point_density
+from ginfield.ginibre import (
+    PlaneQuadrature,
+    SpectrumSample,
+    _checked_variance,
+    _diagonal_pair_sq,
+    _log_kernel_radial,
+    one_point_density,
+)
 from ginfield.linstats import GammaSample, _centerings, _gamma_block
 from ginfield.logkernel import alpha_radial
 
@@ -216,6 +225,47 @@ def expected_linear_statistic(f, N, quad=None):
     vals = np.asarray(f(z), dtype=complex)
     rho = one_point_density(N, z)
     return complex(np.sum(vals * rho * quad.weights()))
+
+
+def pair_variance_per_call(f, N, quad=None):
+    """ginibre.pair_variance with rho_N and the radial kernel factors built
+    inside the call, in the library's arithmetic order."""
+    quad = quad or PlaneQuadrature.build(N)
+    M = len(quad.theta)
+    if N - 1 > M // 2:
+        raise ValueError(f"angular order {M} resolves pair differences up to {M // 2}")
+    F = np.asarray(f(quad.nodes()), dtype=complex)
+    c = np.fft.fft(F, axis=1) / M
+    R = np.exp(_log_kernel_radial(N, quad.r))
+    rho = one_point_density(N, quad.r)
+    diag = float(np.sum(np.abs(F) ** 2 * rho[:, None] * quad.wr[:, None] * quad.wt))
+    off_sq = 0.0
+    for d in range(-(N - 1), N):
+        cm = c[:, d % M]
+        if np.any(cm):
+            off_sq += _diagonal_pair_sq(R, d, cm, quad.wr)
+    return _checked_variance(diag, off_sq)
+
+
+def radial_pair_variance_per_call(g, n, N, quad=None):
+    """ginibre.radial_pair_variance with rho_N and the radial kernel factors
+    built inside the call."""
+    quad = quad or PlaneQuadrature.build(N)
+    gr = np.asarray(g(quad.r))
+    rho = one_point_density(N, quad.r)
+    diag = float(2.0 * math.pi * np.sum(np.abs(gr) ** 2 * rho * quad.wr))
+    R = np.exp(_log_kernel_radial(N, quad.r))
+    return _checked_variance(diag, _diagonal_pair_sq(R, -n, gr, quad.wr))
+
+
+def centering_term_per_call(n, k, N, table, quad=None):
+    """linstats.centering_term with rho_N built inside the call."""
+    if n != 0:
+        return 0.0
+    quad = quad or PlaneQuadrature.build(N)
+    g = alpha_radial(0, k, quad.r, table)
+    rho = one_point_density(N, quad.r)
+    return float(2.0 * math.pi * np.sum(g * rho * quad.wr))
 
 
 # ---------------------------------------------------------------------------

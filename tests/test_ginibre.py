@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ginfield import ginibre
 from ginfield.cli import main
 from ginfield.ginibre import (
     EigensolverError,
@@ -21,7 +22,12 @@ from ginfield.ginibre import (
     sample_matrix,
     sample_spectrum,
 )
-from oracles import expected_linear_statistic, gaussian_moment, one_point_density_series
+from oracles import (
+    expected_linear_statistic,
+    gaussian_moment,
+    one_point_density_series,
+    pair_variance_per_call,
+)
 
 
 def test_sample_matrix_scaling():
@@ -187,6 +193,41 @@ def test_pair_variance_refuses_nan():
         pair_variance(lambda z: np.full(z.shape, np.nan, dtype=complex), 8)
     with pytest.raises(ValueError, match="off_sq/diag"):
         radial_pair_variance(lambda r: np.full_like(r, np.nan), 0, 8)
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_pair_variance_equals_the_per_call_oracle(N, cold_kernel):
+    expected = pair_variance_per_call(lambda z: z, N)
+    cold = pair_variance(lambda z: z, N)
+    assert len(cold_kernel) == 1
+    assert cold == expected and pair_variance(lambda z: z, N) == expected
+
+
+def test_kernel_cache_is_keyed_by_N_and_the_radial_nodes(cold_kernel):
+    base = PlaneQuadrature.build(8)
+    radial_pair_variance(lambda r: r, -1, 8, base)
+    radial_pair_variance(lambda r: r, -1, 8, PlaneQuadrature._polar(220, 1, 3.0))
+    assert len(cold_kernel) == 2
+    radial_pair_variance(lambda r: r, -1, 16, base)
+    assert len(cold_kernel) == 3
+    # rho and R do not read wr: a rule with other weights shares the entry of
+    # its base rule and still gets its own diagonal term
+    heavy = dataclasses.replace(base, wr=1.01 * base.wr)
+    with pytest.raises(ValueError, match="off_sq/diag"):
+        radial_pair_variance(np.ones_like, 0, 8, heavy)
+    assert len(cold_kernel) == 3
+    for rho, R in cold_kernel.values():
+        for a in (rho, R):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
+def test_kernel_cache_is_bounded(cold_kernel):
+    sizes = range(1, 3 * ginibre._KERNEL_MAX + 1)
+    for N in sizes:
+        pair_variance(lambda z: z, N)
+    assert [N for N, _ in cold_kernel] == list(sizes[-ginibre._KERNEL_MAX :])
 
 
 def test_eigenvalues_refuse_a_nan_spectrum(monkeypatch):

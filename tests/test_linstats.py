@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from ginfield import ginibre
 from ginfield.ginibre import (
     EigensolverError,
     PlaneQuadrature,
@@ -18,6 +19,7 @@ from ginfield.ginibre import (
     sample_spectrum,
 )
 from ginfield.linstats import (
+    _centerings,
     alpha_values,
     centering_term,
     clt_experiment,
@@ -31,10 +33,12 @@ from ginfield.logkernel import alpha_radial
 from oracles import (
     TestFunction,
     alpha_combination,
+    centering_term_per_call,
     gamma,
     limit_covariance_by_pair,
     limit_covariance_matrix_by_pair,
     limit_quadratic_form,
+    radial_pair_variance_per_call,
     rv_variance,
 )
 
@@ -246,6 +250,81 @@ def test_variance_checks_equal_the_per_entry_route(small_table):
     for r in decay["entries"]:
         assert r["variance"] == exact(r["n"], r["k"], r["N"])
         assert r["scaled"] == r["variance"] * r["n"] * small_table.root(r["n"], r["k"]) ** 2
+
+
+def _exact_per_call(n, k, N, table):
+    return radial_pair_variance_per_call(partial(alpha_radial, n, k, table=table), n, N)
+
+
+def _variances(report):
+    return [r["variance"] for r in report["entries"]]
+
+
+@pytest.mark.parametrize("N", [8, 32])
+def test_variance_bound_check_equals_the_per_call_oracle(N, table, cold_kernel):
+    def library():
+        return _variances(variance_bound_check(range(9), range(1, 9), [N], table))
+
+    expected = [_exact_per_call(n, k, N, table) for n in range(9) for k in range(1, 9)]
+    cold = library()
+    assert cold == expected and library() == expected
+
+
+def test_decay_check_equals_the_per_call_oracle(table, cold_kernel):
+    cases = [(32, 16), (64, 32)]
+
+    def library():
+        return _variances(decay_check(cases, [1, 2, 3, 4], table))
+
+    expected = [_exact_per_call(n, k, N, table) for n, N in cases for k in (1, 2, 3, 4)]
+    cold = library()
+    assert cold == expected and library() == expected
+
+
+def test_clt_exact_variances_equal_the_per_call_oracle(table, cold_kernel):
+    idx = [(0, 1), (1, 1), (1, 2)]
+
+    def library():
+        return clt_experiment(256, 2, idx, 0, table)["exact_pair_variance"]
+
+    expected = {f"{n}_{k}": _exact_per_call(n, k, 256, table) for n, k in idx}
+    cold = library()
+    assert cold == expected and library() == expected
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+def test_centerings_equal_the_per_call_oracle(N, table, cold_kernel):
+    idx = tuple((0, k) for k in range(1, 9)) + ((2, 1),)
+    expected = {(n, k): centering_term_per_call(n, k, N, table) for n, k in idx}
+    cold = _centerings(idx, N, table)
+    assert cold == expected and _centerings(idx, N, table) == expected
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """The list of N of every _log_kernel_radial call made."""
+    calls, log_kernel_radial = [], ginibre._log_kernel_radial
+
+    def counted(N, r):
+        calls.append(N)
+        return log_kernel_radial(N, r)
+
+    monkeypatch.setattr(ginibre, "_log_kernel_radial", counted)
+    return calls
+
+
+def test_variance_bound_check_builds_the_kernel_factors_once_per_N(
+    table, cold_kernel, kernel_builds
+):
+    report = variance_bound_check(range(9), range(1, 9), [8, 32], table)
+    assert len(report["entries"]) == 144
+    assert kernel_builds == [8, 32]
+
+
+def test_gamma_draws_build_no_kernel_factors(small_table, cold_kernel, kernel_builds):
+    gamma_draws(16, 2, [(0, 1), (1, 1), (0, 2)], 0, small_table)
+    assert kernel_builds == []
+    assert [R for _, R in cold_kernel.values()] == [None]
 
 
 # Orders out of order and repeated, uneven numbers of k per order, and one

@@ -44,9 +44,7 @@ def _check_argument(x):
 
 def bessel_j(n, x):
     """J_n(x) for integer order n >= 0 and real x >= 0."""
-    n, xa = _check_order(n), _check_argument(x)
-    out = special.jv(n, xa)
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+    return special.jv(_check_order(n), _check_argument(x))
 
 
 @dataclass(frozen=True)

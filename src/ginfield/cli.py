@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +115,7 @@ def _exp_roots(cfg, table):
     ]
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
     save_root_table(table, Path(cfg.out) / "roots.txt")
-    residual = max(abs(bessel_j(n, v)) for n, k, v in rows)
+    residual = float(max(np.abs(bessel_j(n, roots)).max() for n, roots in enumerate(table.roots)))
     ok = residual < 1e-12
     return ok, {"max_residual": residual}, {"roots": (["n", "k", "j_nk"], rows)}
 
@@ -143,7 +143,7 @@ def _exp_verify_basis(cfg, table):
 def _exp_reconstruct_log(cfg, table):
     z_in, w_in = 0.0, 0.5
     z_out, w_out = 0.3, 2.0
-    cutoffs = [20, 30, 40, 50, min(60, table.n_max)]
+    cutoffs = [20, 30, 40, 50, 60]
     rows = []
     for c in cutoffs:
         err = abs(log_abs_reconstruct(z_in, w_in, table, c, c) - math.log(0.5))
@@ -227,18 +227,15 @@ def _exp_sobolev_tightness(cfg, table):
     index_set = [
         (n, k) for n in range(cfg.n_max + 1) for k in range(1, cfg.k_max + 1)
     ]
-    stats_by_n = {}
-    rows = []
+    stats = []
     for N in sizes:
         G = gamma_draws(N, cfg.draws, index_set, cfg.seed, table, workers=cfg.workers)
         runs = [GammaSample(tuple(index_set), g, N, cfg.seed) for g in G]
-        stat = tightness_statistic(runs, cfg.sobolev_s, table)
-        stats_by_n[str(N)] = stat
-        rows.append([N, stat])
-    vals = [stats_by_n[str(N)] for N in sizes]
-    ok = vals[-1] < 2.0 * vals[0] + 1e-9  # no growth trend
-    return ok, {"statistic_by_N": stats_by_n, "s_prime": cfg.sobolev_s}, {
-        "tightness": (["N", "statistic"], rows)
+        stats.append((N, tightness_statistic(runs, cfg.sobolev_s, table)))
+    ok = stats[-1][1] < 2.0 * stats[0][1] + 1e-9  # no growth trend
+    by_n = {str(N): stat for N, stat in stats}
+    return ok, {"statistic_by_N": by_n, "s_prime": cfg.sobolev_s}, {
+        "tightness": (["N", "statistic"], stats)
     }
 
 
@@ -260,6 +257,15 @@ _EXPERIMENTS = {
     "sobolev-tightness": (_exp_sobolev_tightness, "norm boundedness across sizes"),
     "decay-check": (_exp_decay_check, "high-order variance decay"),
 }
+# Least root table (n_max, k_max) of the experiments whose fixed indices
+# (reconstruction cutoffs, decay cases, the clt index set) may pass the
+# flags; every experiment builds max(flags, this), (1, 1) if not listed.
+_TABLE_MIN = {"reconstruct-log": (60, 60), "decay-check": (64, 4), "clt": (1, 2)}
+
+# One flag and config key per ExperimentConfig field bar the experiment,
+# typed as the field's default; two fields keep a short spelling as well.
+_OPTIONS = {f.name: type(f.default) for f in fields(ExperimentConfig) if f.name != "experiment"}
+_ALIASES = {"n_size": ("--N",), "draws": ("--M",)}
 
 
 def build_parser():
@@ -271,14 +277,9 @@ def build_parser():
     for name, (_, help_text) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--n-size", "--N", dest="n_size", type=int)
-        p.add_argument("--draws", "--M", dest="draws", type=int)
-        p.add_argument("--n-max", type=int)
-        p.add_argument("--k-max", type=int)
-        p.add_argument("--sobolev-s", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--out", type=str)
+        for key, kind in _OPTIONS.items():
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, *_ALIASES.get(key, ()), dest=key, type=kind)
     return parser
 
 
@@ -288,21 +289,19 @@ def config_from_args(args):
         values.update(_load_config_file(args.config))
         if "experiment" in values:
             raise UsageError("config key 'experiment' is not allowed; the subcommand names it")
-    for key in ("n_size", "draws", "n_max", "k_max", "sobolev_s", "seed",
-                "workers", "out"):
+    for key in _OPTIONS:
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v
     cfg = ExperimentConfig(experiment=args.experiment)
     for key, val in values.items():
-        if not hasattr(cfg, key):
+        if key not in _OPTIONS:
             raise UsageError(f"unknown config key {key!r}")
-        target_type = type(getattr(cfg, key))
         try:
-            setattr(cfg, key, target_type(val))
+            setattr(cfg, key, _OPTIONS[key](val))
         except ValueError:
             raise UsageError(
-                f"config key {key!r} needs a {target_type.__name__}, got {val!r}"
+                f"config key {key!r} needs a {_OPTIONS[key].__name__}, got {val!r}"
             ) from None
     cfg.validate()
     return cfg
@@ -312,12 +311,8 @@ def run(cfg):
     """Run one experiment; returns the process exit status."""
     started = time.time()
     fn, _ = _EXPERIMENTS[cfg.experiment]
-    # root table large enough for the experiment's fixed reference points
-    # (reconstruction cutoffs, high-order decay cases) and the config cutoffs
-    table_n = max(cfg.n_max, 64)
-    table_k = max(cfg.k_max, 64 if cfg.experiment in
-                  ("reconstruct-log", "field-covariance") else 8)
-    table = build_root_table(table_n, table_k)
+    n0, k0 = _TABLE_MIN.get(cfg.experiment, (1, 1))
+    table = build_root_table(max(cfg.n_max, n0), max(cfg.k_max, k0))
     ok, result, series = fn(cfg, table)
     result = {"passed": bool(ok), **result}
     _write_outputs(cfg, result, series, started)

@@ -150,22 +150,18 @@ def covariance_mc(z, w, cutoff, draws, seed, table):
         raise ValueError("use distinct points; the diagonal diverges with cutoff")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    n_max, k_max = cutoff
     weights = _draw_weights([z, w], cutoff, table)
-    widths = (k_max, n_max * k_max, n_max * k_max, n_max, n_max)
-    buf = np.empty(min(_BATCH, draws) * max(widths))
+    buf = np.empty(min(_BATCH, draws) * max(c.shape[0] for c in weights))
     rng = np.random.default_rng(seed)
     acc = 0.0
-    done = 0
-    while done < draws:
+    for done in range(0, draws, _BATCH):
         b = min(_BATCH, draws - done)
         h = np.zeros((b, 2))
-        for width, c in zip(widths, weights):
-            x = buf[: b * width].reshape(b, width)
+        for c in weights:
+            x = buf[: b * c.shape[0]].reshape(b, c.shape[0])
             rng.standard_normal(out=x)
             h += x @ c
         acc += float(np.sum(h[:, 0] * h[:, 1]))
-        done += b
     return acc / draws
 
 

@@ -110,10 +110,9 @@ def limit_covariance_matrix(index_set, table):
 # ---------------------------------------------------------------------------
 
 
-def _gamma_draws_range(args):
+def _gamma_draws_range(N, master_seed, index_set, table, centerings, i0, i1):
     """gamma of draws i0 .. i1 - 1, eigensolved one by one through the trace
     certificate and evaluated in blocks of at most _BLOCK_EIGENVALUES."""
-    N, master_seed, i0, i1, index_set, table, centerings = args
     step = max(1, _BLOCK_EIGENVALUES // N)
     out = np.empty((i1 - i0, len(index_set)), dtype=complex)
     for b0 in range(i0, i1, step):
@@ -128,19 +127,12 @@ def gamma_draws(N, draws, index_set, master_seed, table, workers=1):
     per (master_seed, draw index) independent of worker count."""
     index_set = tuple((int(n), int(k)) for n, k in index_set)
     centerings = _centerings(index_set, N, table)
+    run = partial(_gamma_draws_range, N, master_seed, index_set, table, centerings)
     if workers <= 1:
-        return _gamma_draws_range(
-            (N, master_seed, 0, draws, index_set, table, centerings)
-        )
+        return run(0, draws)
     bounds = np.linspace(0, draws, workers + 1, dtype=int)
-    jobs = [
-        (N, master_seed, int(bounds[i]), int(bounds[i + 1]), index_set, table, centerings)
-        for i in range(workers)
-        if bounds[i + 1] > bounds[i]
-    ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_gamma_draws_range, jobs))
-    return np.vstack(chunks)
+        return np.vstack(list(pool.map(run, bounds[:-1], bounds[1:])))
 
 
 def _ks_against_normal(x):
@@ -174,11 +166,10 @@ def clt_experiment(N, draws, index_set, master_seed, table, workers=1):
     se_var = np.sqrt(2.0 / (draws - 1)) * np.real(np.diag(cov))
     ks = {}
     for jdx, (n, k) in enumerate(index_set):
-        sigma_re = math.sqrt(limit[jdx, jdx].real * (0.5 if n > 0 else 1.0))
-        ks[f"re_{n}_{k}"] = _ks_against_normal(G[:, jdx].real / sigma_re)
+        sigma = math.sqrt(limit[jdx, jdx].real * (0.5 if n > 0 else 1.0))
+        ks[f"re_{n}_{k}"] = _ks_against_normal(G[:, jdx].real / sigma)
         if n > 0:
-            sigma_im = math.sqrt(limit[jdx, jdx].real * 0.5)
-            ks[f"im_{n}_{k}"] = _ks_against_normal(G[:, jdx].imag / sigma_im)
+            ks[f"im_{n}_{k}"] = _ks_against_normal(G[:, jdx].imag / sigma)
     exact = {
         f"{n}_{k}": radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N)
         for (n, k) in index_set

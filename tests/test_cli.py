@@ -1,5 +1,6 @@
 """Tests of the command-line experiment runner."""
 
+import argparse
 import json
 import os
 import string
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from ginfield import cli, logkernel
+from ginfield.bessel import build_root_table
 from ginfield.cli import (
     ExperimentConfig,
     UsageError,
@@ -79,6 +81,10 @@ def test_unknown_config_key(tmp_path):
     args = parser.parse_args(["clt", "--config", str(p)])
     with pytest.raises(UsageError):
         config_from_args(args)
+    # a method of ExperimentConfig is no key; this used to end in a TypeError
+    p.write_text("validate=1\n")
+    with pytest.raises(UsageError):
+        config_from_args(args)
 
 
 def test_bad_config_value_is_usage_error(tmp_path, capsys):
@@ -109,6 +115,77 @@ def test_experiment_alias_flag_is_gone():
     assert exc.value.code == 2
 
 
+def test_every_subcommand_takes_the_same_options():
+    # the flags are derived from ExperimentConfig's fields; pin what they are
+    expected = {
+        ("-h", "--help"): ("help", None),
+        ("--config",): ("config", None),
+        ("--n-size", "--N"): ("n_size", int),
+        ("--draws", "--M"): ("draws", int),
+        ("--n-max",): ("n_max", int),
+        ("--k-max",): ("k_max", int),
+        ("--sobolev-s",): ("sobolev_s", float),
+        ("--seed",): ("seed", int),
+        ("--workers",): ("workers", int),
+        ("--out",): ("out", str),
+    }
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._EXPERIMENTS)
+    for name, p in sub.choices.items():
+        got = {tuple(a.option_strings): (a.dest, a.type) for a in p._actions}
+        assert got == expected, name
+
+
+class _TableBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "name, n_max, k_max",
+    [
+        ("roots", 8, 8),
+        ("verify-basis", 8, 8),
+        ("reconstruct-log", 60, 60),
+        ("ginibre-sample", 8, 8),
+        ("pair-variance", 8, 8),
+        ("clt", 8, 8),
+        ("field-covariance", 8, 8),
+        ("sobolev-tightness", 8, 8),
+        ("decay-check", 64, 8),
+    ],
+)
+def test_each_experiment_builds_the_root_table_of_its_flags(
+    name, n_max, k_max, tmp_path, monkeypatch
+):
+    # the table used to be at least 64 x 8 for every experiment (64 x 64
+    # for two of them), whatever --n-max and --k-max asked for
+    asked = []
+
+    def record(n, k):
+        asked.append((n, k))
+        raise _TableBuilt
+
+    monkeypatch.setattr(cli, "build_root_table", record)
+    with pytest.raises(_TableBuilt):
+        main([name, "--out", str(tmp_path)])
+    assert asked == [(n_max, k_max)]
+
+
+def test_clt_with_one_radial_index_builds_the_roots_of_its_index_set(tmp_path, monkeypatch):
+    # the clt index set reads j_{1,2}, past --k-max 1
+    asked = []
+
+    def record(n_max, k_max):
+        asked.append((n_max, k_max))
+        return build_root_table(n_max, k_max)
+
+    monkeypatch.setattr(cli, "build_root_table", record)
+    args = ["clt", "--k-max", "1", "--n-size", "16", "--draws", "200", "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert asked == [(8, 2)]
+
+
 def test_config_validation():
     cfg = ExperimentConfig(experiment="clt", workers=0)
     with pytest.raises(UsageError):
@@ -127,8 +204,9 @@ def test_roots_experiment_outputs(tmp_path, capsys):
     result = json.loads((out / "result.json").read_text())
     assert result["result"]["passed"] is True
     assert result["result"]["max_residual"] < 1e-12
-    assert (out / "roots.csv").exists()
-    assert (out / "roots.txt").exists()
+    # exactly the 5 x 4 table the flags ask for
+    assert len((out / "roots.txt").read_text().splitlines()) == 20
+    assert len((out / "roots.csv").read_text().splitlines()) == 1 + 20
 
 
 def test_verify_basis_experiment(tmp_path, capsys):

@@ -159,12 +159,14 @@ def test_rv_variance_matches_finite_N_trend(small_table):
     assert abs(v64 - limit) < 0.01
 
 
-def test_gamma_draws_deterministic_and_worker_invariant(small_table):
+# 2 draws on 3 workers leave one worker an empty range of draws.
+@pytest.mark.parametrize("draws, workers", [(6, 2), (2, 3)])
+def test_gamma_draws_deterministic_and_worker_invariant(draws, workers, small_table):
     idx = [(0, 1), (1, 1)]
-    a = gamma_draws(8, 6, idx, 3, small_table, workers=1)
-    b = gamma_draws(8, 6, idx, 3, small_table, workers=2)
+    a = gamma_draws(8, draws, idx, 3, small_table, workers=1)
+    b = gamma_draws(8, draws, idx, 3, small_table, workers=workers)
     assert np.array_equal(a, b)
-    c = gamma_draws(8, 6, idx, 4, small_table, workers=1)
+    c = gamma_draws(8, draws, idx, 4, small_table, workers=1)
     assert not np.array_equal(a, c)
 
 

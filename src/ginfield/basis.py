@@ -156,6 +156,8 @@ def cutoff_of(a):
 def sobolev_norm(a, s, table):
     """Squared H^s norm of a real field: sum |a_{n,k}|^2 j_{n,k}^{2s} over
     both signs of n."""
+    if not math.isfinite(s):
+        raise ValueError(f"Sobolev exponent must be finite, got {s!r}")
     j, mult = root_window(cutoff_of(a), table)
     return float(np.sum(mult * np.abs(a) ** 2 * j ** (2.0 * s)))
 

@@ -118,17 +118,10 @@ def build_root_table(n_max, k_max):
     )
 
 
-def save_root_table(table, path):
-    """Write the table as plain text, one line 'n k value' per entry."""
-    n, k = np.indices(table.roots.shape)
-    rows = np.column_stack([n.ravel(), k.ravel() + 1, table.roots.ravel()])
-    np.savetxt(path, rows, fmt="%d %d %.17g")
-
-
 def load_root_table(path):
-    """Read a table written by save_root_table and certify it as
-    build_root_table does."""
-    data = np.loadtxt(path, ndmin=2)
+    """Read the roots.csv (header n,k,j_nk) that the roots experiment writes
+    and certify it as build_root_table does."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     n, k = data[:, 0].astype(int), data[:, 1].astype(int)
     roots = np.full((n.max() + 1, k.max()), np.nan)
     roots[n, k - 1] = data[:, 2]

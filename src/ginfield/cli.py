@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
-One subcommand per verification experiment; every run writes a manifest
-(config echo, package version, wall time), a machine-readable result JSON,
-and CSV plot data into the output directory.  All randomness is driven by
+One subcommand per verification experiment.  Each experiment returns its
+data, and _write_outputs alone writes it into the output directory: a
+manifest (config echo, package version, wall time), a machine-readable
+result JSON, and one CSV per dataset.  All randomness is driven by
 the --seed flag; rerunning with the same configuration reproduces the
 result files byte for byte.
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .basis import DiskQuadrature, gram_matrix
-from .bessel import RootBracketError, bessel_j, build_root_table, save_root_table
+from .bessel import RootBracketError, bessel_j, build_root_table
 from .field import covariance_mc, tightness_statistic
 from .ginibre import EigensolverError, sample_spectrum
 from .linstats import (
@@ -113,8 +114,6 @@ def _exp_roots(cfg, table):
         for n in range(table.n_max + 1)
         for k in range(1, table.k_max + 1)
     ]
-    Path(cfg.out).mkdir(parents=True, exist_ok=True)
-    save_root_table(table, Path(cfg.out) / "roots.txt")
     residual = float(max(np.abs(bessel_j(n, roots)).max() for n, roots in enumerate(table.roots)))
     ok = residual < 1e-12
     return ok, {"max_residual": residual}, {"roots": (["n", "k", "j_nk"], rows)}
@@ -144,39 +143,19 @@ def _exp_reconstruct_log(cfg, table):
     z_in, w_in = 0.0, 0.5
     z_out, w_out = 0.3, 2.0
     cutoffs = [20, 30, 40, 50, 60]
-    rows = []
-    for c in cutoffs:
-        err = abs(log_abs_reconstruct(z_in, w_in, table, c, c) - math.log(0.5))
-        rows.append([c, err])
+    errors = [abs(log_abs_reconstruct(z_in, w_in, table, c, c) - math.log(0.5)) for c in cutoffs]
     ext_err = abs(log_abs_reconstruct(z_out, w_out, table) - math.log(1.7))
-    errors = [r[1] for r in rows]
-    ok = errors[-1] < 2e-2 and all(
-        errors[i + 1] < errors[i] for i in range(len(errors) - 1)
-    ) and ext_err < 1e-6
+    ok = errors[-1] < 2e-2 and all(b < a for a, b in zip(errors, errors[1:])) and ext_err < 1e-6
     return ok, {
         "interior_errors": dict(zip(map(str, cutoffs), errors)),
         "exterior_error": ext_err,
-    }, {"reconstruction": (["cutoff", "interior_error"], rows)}
+    }, {"reconstruction": (["cutoff", "interior_error"], list(zip(cutoffs, errors)))}
 
 
 def _exp_ginibre_sample(cfg, table):
-    rows = []
-    samples = []
-    for i in range(cfg.draws):
-        sp = sample_spectrum(cfg.n_size, cfg.seed, draw_index=i)
-        samples.append({
-            "N": sp.matrix_size,
-            "seed": sp.seed,
-            "eigenvalues": [[z.real, z.imag] for z in sp.eigenvalues],
-        })
-        rows.extend([[i, z.real, z.imag] for z in sp.eigenvalues])
-    inside = sum(
-        1
-        for _, re, im in rows
-        if re * re + im * im < 0.64
-    ) / len(rows)
-    Path(cfg.out).mkdir(parents=True, exist_ok=True)
-    (Path(cfg.out) / "spectra.json").write_text(json.dumps(samples, sort_keys=True))
+    Z = np.array([sample_spectrum(cfg.n_size, cfg.seed, i).eigenvalues for i in range(cfg.draws)])
+    rows = [[i, z.real, z.imag] for i, zs in enumerate(Z) for z in zs]
+    inside = float(np.mean(Z.real**2 + Z.imag**2 < 0.64))
     return True, {"fraction_inside_r0.8": inside}, {
         "eigenvalues": (["draw", "re", "im"], rows)
     }

@@ -63,8 +63,8 @@ def sample_h(cutoff, seed, table):
 def expected_norm_sq(s, cutoff, table):
     """E of the squared H^{-s} norm of the truncated field:
     pi sum_k j_{0,k}^{-2-2s} + 2 pi sum_{n,k>=1} (1 + 1/n) j_{n,k}^{-2-2s}."""
-    if s <= 0:
-        raise ValueError("requires s > 0")
+    if not 0 < s < math.inf:
+        raise ValueError(f"requires finite s > 0, got {s!r}")
     j, mult = root_window(cutoff, table)
     # E|a_{n,k}|^2 j_{n,k}^2 / pi: 1 for n = 0, 1 + 1/n for n >= 1
     var = np.append(1.0, 1.0 + 1.0 / np.arange(1, cutoff[0] + 1))[:, None]
@@ -173,8 +173,8 @@ def tightness_statistic(runs, s_prime, table):
     Used to verify that the norm stays bounded as the matrix size grows
     (s' > 2).
     """
-    if s_prime <= 2:
-        raise ValueError("tightness regime requires s' > 2")
+    if not 2 < s_prime < math.inf:
+        raise ValueError(f"tightness regime requires finite s' > 2, got {s_prime!r}")
     if not runs:
         raise ValueError("need at least one run")
     index_set = runs[0].index_set

@@ -128,6 +128,8 @@ def gamma_draws(N, draws, index_set, master_seed, table, workers=1):
     index_set = tuple((int(n), int(k)) for n, k in index_set)
     centerings = _centerings(index_set, N, table)
     run = partial(_gamma_draws_range, N, master_seed, index_set, table, centerings)
+    # the pool starts all max_workers processes at the first submit
+    workers = min(workers, draws)
     if workers <= 1:
         return run(0, draws)
     bounds = np.linspace(0, draws, workers + 1, dtype=int)

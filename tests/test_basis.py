@@ -206,6 +206,13 @@ def test_sobolev_norm_pinned_value(table):
         assert abs(sobolev_norm(a, s, table) - loop) < 1e-13 * loop
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_sobolev_norm_refuses_a_non_finite_exponent(s, table):
+    # s = nan used to give nan, and s = +-inf 0.0 or inf
+    with pytest.raises(ValueError, match="finite"):
+        sobolev_norm(_real_field((3, 3), 1), s, table)
+
+
 def test_pairing_conventions():
     # sum phi[n,k] f[-n,k] over n = +-1: (2 + i)(5 + 3i) + (2 - i)(5 - 3i) = 14
     phi = np.zeros((2, 1), dtype=complex)

@@ -19,8 +19,8 @@ from ginfield.bessel import (
     bessel_j,
     build_root_table,
     load_root_table,
-    save_root_table,
 )
+from ginfield.cli import main
 from oracles import bessel_j_prime
 
 J01 = 2.404825557695773  # frozen from the series-bisection oracle below
@@ -157,32 +157,38 @@ def test_derivative_product_identity():
             assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(rhs))
 
 
+def _roots_csv(tmp_path, n_max, k_max):
+    """The roots.csv that the roots experiment writes for an n_max x k_max table."""
+    out = tmp_path / f"o{n_max}x{k_max}"
+    assert main(["roots", "--n-max", str(n_max), "--k-max", str(k_max), "--out", str(out)]) == 0
+    return out / "roots.csv"
+
+
 def test_cache_roundtrip(tmp_path):
-    t = build_root_table(5, 4)
-    path = tmp_path / "roots.txt"
-    save_root_table(t, path)
-    loaded = load_root_table(path)
-    assert isinstance(loaded, RootTable)
-    assert loaded.n_max == 5 and loaded.k_max == 4
-    assert np.array_equal(loaded.roots, t.roots)
+    # the CSV holds the table bit for bit: roots, and the norms derived from them
+    for n_max, k_max in [(5, 4), (64, 64)]:
+        t = build_root_table(n_max, k_max)
+        loaded = load_root_table(_roots_csv(tmp_path, n_max, k_max))
+        assert isinstance(loaded, RootTable)
+        assert loaded.n_max == n_max and loaded.k_max == k_max
+        assert np.array_equal(loaded.roots, t.roots)
+        assert np.array_equal(loaded.norms, t.norms)
 
 
 def test_load_rejects_perturbed_root(tmp_path):
-    path = tmp_path / "roots.txt"
-    save_root_table(build_root_table(5, 4), path)
+    path = _roots_csv(tmp_path, 5, 4)
     lines = path.read_text().splitlines()
-    n, k, v = lines[9].split()
-    lines[9] = f"{n} {k} {float(v) + 1e-6:.17g}"
+    n, k, v = lines[10].split(",")
+    lines[10] = f"{n},{k},{float(v) + 1e-6!r}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(RootBracketError, match="residual"):
         load_root_table(path)
 
 
 def test_load_rejects_missing_entry(tmp_path):
-    path = tmp_path / "roots.txt"
-    save_root_table(build_root_table(5, 4), path)
+    path = _roots_csv(tmp_path, 5, 4)
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:3] + lines[4:]) + "\n")
+    path.write_text("\n".join(lines[:4] + lines[5:]) + "\n")
     with pytest.raises(RootBracketError):
         load_root_table(path)
 
@@ -193,11 +199,10 @@ def test_load_rejects_broken_interlacing(tmp_path):
     # the interlacing j_{0,k} < j_{1,k} exposes
     roots = np.array([special.jn_zeros(n, 5) for n in range(4)])
     roots[0] = special.jn_zeros(0, 6)[1:]
-    path = tmp_path / "roots.txt"
+    path = tmp_path / "roots.csv"
     path.write_text(
-        "".join(
-            f"{n} {k} {roots[n, k - 1]:.17g}\n" for n in range(4) for k in range(1, 6)
-        )
+        "n,k,j_nk\n"
+        + "".join(f"{n},{k},{roots[n, k - 1]:.17g}\n" for n in range(4) for k in range(1, 6))
     )
     with pytest.raises(RootBracketError, match="j_{n\\+1,k}"):
         load_root_table(path)

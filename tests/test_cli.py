@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from ginfield import cli, logkernel
-from ginfield.bessel import build_root_table
+from ginfield.bessel import build_root_table, load_root_table
 from ginfield.cli import (
     ExperimentConfig,
     UsageError,
@@ -24,6 +24,7 @@ from ginfield.cli import (
     config_from_args,
     main,
 )
+from ginfield.ginibre import sample_spectrum
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -186,6 +187,31 @@ def test_clt_with_one_radial_index_builds_the_roots_of_its_index_set(tmp_path, m
     assert asked == [(8, 2)]
 
 
+# Each subcommand at small flags, with the CSVs it writes.
+_OUTPUT_CASES = [
+    ("roots", ["--n-max", "2", "--k-max", "2"], ["roots"]),
+    ("verify-basis", ["--n-max", "2", "--k-max", "2"], ["gram_outliers"]),
+    ("reconstruct-log", [], ["reconstruction"]),
+    ("ginibre-sample", ["--n-size", "4", "--draws", "2"], ["eigenvalues"]),
+    ("pair-variance", ["--n-size", "8", "--n-max", "2", "--k-max", "2"], ["pair_variance"]),
+    ("clt", ["--n-size", "4", "--draws", "20"], ["clt_variances"]),
+    ("field-covariance", ["--draws", "100", "--n-max", "4", "--k-max", "4"], ["covariance"]),
+    ("sobolev-tightness", ["--draws", "2", "--n-max", "2", "--k-max", "2"], ["tightness"]),
+    ("decay-check", [], ["decay"]),
+]
+
+
+@pytest.mark.parametrize("name, flags, csvs", _OUTPUT_CASES)
+def test_each_run_writes_its_manifest_result_and_csvs_only(name, flags, csvs, tmp_path):
+    # roots used to write its table a second time as roots.txt, and
+    # ginibre-sample its spectra a second time as spectra.json
+    assert [case[0] for case in _OUTPUT_CASES] == list(cli._EXPERIMENTS)
+    out = tmp_path / "o"
+    assert main([name, *flags, "--out", str(out)]) in (0, 1)
+    expected = {"manifest.json", "result.json", *(f"{c}.csv" for c in csvs)}
+    assert {p.name for p in out.iterdir()} == expected
+
+
 def test_config_validation():
     cfg = ExperimentConfig(experiment="clt", workers=0)
     with pytest.raises(UsageError):
@@ -204,9 +230,11 @@ def test_roots_experiment_outputs(tmp_path, capsys):
     result = json.loads((out / "result.json").read_text())
     assert result["result"]["passed"] is True
     assert result["result"]["max_residual"] < 1e-12
-    # exactly the 5 x 4 table the flags ask for
-    assert len((out / "roots.txt").read_text().splitlines()) == 20
+    # exactly the 5 x 4 table the flags ask for, bit for bit
     assert len((out / "roots.csv").read_text().splitlines()) == 1 + 20
+    loaded, table = load_root_table(out / "roots.csv"), build_root_table(4, 4)
+    assert np.array_equal(loaded.roots, table.roots)
+    assert np.array_equal(loaded.norms, table.norms)
 
 
 def test_verify_basis_experiment(tmp_path, capsys):
@@ -234,12 +262,17 @@ def test_ginibre_sample_experiment(tmp_path):
         ]
     )
     assert code == 0
-    spectra = json.loads((out / "spectra.json").read_text())
-    assert len(spectra) == 3
-    assert spectra[0]["N"] == 8
     csv_lines = (out / "eigenvalues.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "draw,re,im"
     assert len(csv_lines) == 1 + 3 * 8
+    # the CSV holds each seeded spectrum bit for bit, in draw order
+    draw, re, im = np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1).T
+    assert np.array_equal(draw, np.repeat(np.arange(3), 8))
+    for i, z in enumerate((re + 1j * im).reshape(3, 8)):
+        assert np.array_equal(z, sample_spectrum(8, 1, draw_index=i).eigenvalues)
+    inside = sum(x * x + y * y < 0.64 for x, y in zip(re, im)) / len(re)
+    result = json.loads((out / "result.json").read_text())["result"]
+    assert result["fraction_inside_r0.8"] == inside
 
 
 def test_reproducibility_of_result_files(tmp_path):
@@ -258,11 +291,11 @@ def test_reproducibility_of_result_files(tmp_path):
             == 0
         )
     # the config echo contains the differing output paths, so compare the
-    # result payloads and raw sample files only
+    # result payloads and the sample CSVs only
     ra = json.loads((a / "result.json").read_text())["result"]
     rb = json.loads((b / "result.json").read_text())["result"]
     assert ra == rb
-    assert (a / "spectra.json").read_text() == (b / "spectra.json").read_text()
+    assert (a / "eigenvalues.csv").read_bytes() == (b / "eigenvalues.csv").read_bytes()
 
 
 def test_field_covariance_experiment(tmp_path, capsys):

@@ -106,6 +106,15 @@ def test_expected_norm_formula(small_table):
         expected_norm_sq(-0.5, (2, 2), small_table)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_field_norms_refuse_a_non_finite_exponent(s, small_table):
+    # each used to return nan for s = nan and 0.0 for s = inf
+    with pytest.raises(ValueError, match="finite"):
+        field_norm_sq(sample_h((3, 3), 1, small_table), s, small_table)
+    with pytest.raises(ValueError, match="finite"):
+        expected_norm_sq(s, (3, 3), small_table)
+
+
 def test_norm_concentrates_on_expectation(small_table):
     cutoff = (8, 8)
     s = 1.0
@@ -321,6 +330,15 @@ def test_tightness_statistic(small_table):
         tightness_statistic(runs, 1.5, small_table)
     with pytest.raises(ValueError):
         tightness_statistic([], 2.5, small_table)
+
+
+@pytest.mark.parametrize("s_prime", [math.nan, math.inf])
+def test_tightness_statistic_refuses_a_non_finite_exponent(s_prime, small_table):
+    # this used to return nan for s' = nan and 0.0 for s' = inf
+    idx = ((0, 1), (1, 1))
+    runs = [GammaSample(idx, g, 8, 0) for g in gamma_draws(8, 2, idx, 0, small_table)]
+    with pytest.raises(ValueError, match="finite"):
+        tightness_statistic(runs, s_prime, small_table)
 
 
 def test_tightness_statistic_equals_the_per_entry_sum(small_table):

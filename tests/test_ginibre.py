@@ -2,7 +2,6 @@
 determinantal formulas."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -57,15 +56,14 @@ def test_eigenvalues_rejects_non_square():
         eigenvalues(np.zeros((2, 3)))
 
 
-def test_spectrum_sample_json_roundtrip(tmp_path):
-    # spectra.json of the CLI holds each seeded spectrum exactly
-    assert main(["ginibre-sample", "--n-size", "8", "--draws", "2", "--seed", "42",
+def test_spectrum_sample_csv_roundtrip(tmp_path):
+    # eigenvalues.csv of the CLI holds each seeded spectrum exactly
+    assert main(["ginibre-sample", "--n-size", "64", "--draws", "20", "--seed", "5",
                  "--out", str(tmp_path)]) == 0
-    records = json.loads((tmp_path / "spectra.json").read_text())
-    for i, rec in enumerate(records):
-        s = sample_spectrum(8, 42, draw_index=i)
-        assert rec["N"] == 8 and rec["seed"] == 42
-        assert np.array_equal([complex(re, im) for re, im in rec["eigenvalues"]], s.eigenvalues)
+    draw, re, im = np.loadtxt(tmp_path / "eigenvalues.csv", delimiter=",", skiprows=1).T
+    assert np.array_equal(draw, np.repeat(np.arange(20), 64))
+    for i, z in enumerate((re + 1j * im).reshape(20, 64)):
+        assert np.array_equal(z, sample_spectrum(64, 5, draw_index=i).eigenvalues)
     with pytest.raises(ValueError):
         SpectrumSample(np.zeros(3, dtype=complex), 4, 0)
 

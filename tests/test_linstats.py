@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ginfield import ginibre
+from ginfield import ginibre, linstats
 from ginfield.ginibre import (
     EigensolverError,
     PlaneQuadrature,
@@ -159,7 +159,7 @@ def test_rv_variance_matches_finite_N_trend(small_table):
     assert abs(v64 - limit) < 0.01
 
 
-# 2 draws on 3 workers leave one worker an empty range of draws.
+# 2 draws on 3 workers: more workers than draws.
 @pytest.mark.parametrize("draws, workers", [(6, 2), (2, 3)])
 def test_gamma_draws_deterministic_and_worker_invariant(draws, workers, small_table):
     idx = [(0, 1), (1, 1)]
@@ -168,6 +168,34 @@ def test_gamma_draws_deterministic_and_worker_invariant(draws, workers, small_ta
     assert np.array_equal(a, b)
     c = gamma_draws(8, draws, idx, 4, small_table, workers=1)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("draws, workers, started", [(1, 4, []), (2, 64, [2]), (6, 2, [2])])
+def test_the_pool_starts_no_more_processes_than_draws(
+    draws, workers, started, small_table, monkeypatch
+):
+    # the pool forks all max_workers processes at its first submit, so one
+    # draw on 4 workers used to start 4 processes; this pool starts none
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(linstats, "ProcessPoolExecutor", SerialPool)
+    idx = [(0, 1), (1, 1)]
+    G = gamma_draws(8, draws, idx, 3, small_table, workers=workers)
+    assert pools == started
+    assert np.array_equal(G, gamma_draws(8, draws, idx, 3, small_table, workers=1))
 
 
 def test_gamma_draws_run_the_trace_certificate(small_table, monkeypatch):

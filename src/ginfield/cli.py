@@ -74,7 +74,11 @@ class ExperimentConfig:
 def _load_config_file(path):
     """key=value configuration file; '#' starts a comment."""
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc}") from None
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -288,6 +292,8 @@ def config_from_args(args):
 
 def run(cfg):
     """Run one experiment; returns the process exit status."""
+    if any(p.exists() and not p.is_dir() for p in (Path(cfg.out), *Path(cfg.out).parents)):
+        raise UsageError(f"--out {cfg.out!r} is not a directory")
     started = time.time()
     fn, _ = _EXPERIMENTS[cfg.experiment]
     n0, k0 = _TABLE_MIN.get(cfg.experiment, (1, 1))

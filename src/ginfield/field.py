@@ -92,8 +92,8 @@ def evaluate(a, z, table):
     return float(h) if h.ndim == 0 else h
 
 
-# Draws per block of covariance_mc.
-_BATCH = 1024
+_BATCH = 1024  # draws per block of covariance_mc
+_SLICE = 1 << 16  # doubles of normals it draws and contracts at once: 512 KB, in cache
 # _draw_weights results by content: the bytes of the points, the cutoff and
 # the bytes of the root and normalisation window the weights read
 _WEIGHTS = {}
@@ -141,8 +141,9 @@ def covariance_mc(z, w, cutoff, draws, seed, table):
     built.  The weights are cached by the bytes of [z, w] (so +0 and -0
     imaginary parts, which differ in angle, never share them), the cutoff
     and the bytes of the table's root and normalisation window; repeated
-    seeded blocks at the same points reuse them.  Every array is drawn into
-    one flat buffer of min(_BATCH, draws) times the largest width.
+    seeded blocks at the same points reuse them.  Each array is drawn into
+    one reused buffer in row slices of at most _SLICE doubles (one row if
+    wider), and each slice is contracted as soon as it is drawn.
     """
     z = complex(z)
     w = complex(w)
@@ -151,16 +152,18 @@ def covariance_mc(z, w, cutoff, draws, seed, table):
     if draws < 1:
         raise ValueError("draws must be >= 1")
     weights = _draw_weights([z, w], cutoff, table)
-    buf = np.empty(min(_BATCH, draws) * max(c.shape[0] for c in weights))
+    buf = np.empty(max(_SLICE, *(len(c) for c in weights)))
     rng = np.random.default_rng(seed)
     acc = 0.0
     for done in range(0, draws, _BATCH):
         b = min(_BATCH, draws - done)
         h = np.zeros((b, 2))
         for c in weights:
-            x = buf[: b * c.shape[0]].reshape(b, c.shape[0])
-            rng.standard_normal(out=x)
-            h += x @ c
+            step = max(1, _SLICE // max(1, len(c)))
+            for r0 in range(0, b, step):
+                hs = h[r0 : r0 + step]
+                x = buf[: len(hs) * len(c)].reshape(len(hs), len(c))
+                hs += rng.standard_normal(out=x) @ c
         acc += float(np.sum(h[:, 0] * h[:, 1]))
     return acc / draws
 

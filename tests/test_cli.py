@@ -95,19 +95,50 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys):
     assert "n_size" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["decay-check", "nosuch"])
-def test_config_file_cannot_name_the_experiment(name, tmp_path, monkeypatch, capsys):
-    # the file's experiment used to replace the subcommand (or end in a
-    # KeyError traceback); it is refused before the root table is built
+def _no_root_table(monkeypatch):
     def refuse(n_max, k_max):
         raise AssertionError("root table built before the usage check")
 
     monkeypatch.setattr(cli, "build_root_table", refuse)
+
+
+@pytest.mark.parametrize("name", ["decay-check", "nosuch"])
+def test_config_file_cannot_name_the_experiment(name, tmp_path, monkeypatch, capsys):
+    # the file's experiment used to replace the subcommand (or end in a
+    # KeyError traceback); it is refused before the root table is built
+    _no_root_table(monkeypatch)
     p = tmp_path / "run.cfg"
     p.write_text(f"experiment = {name}\n")
     assert main(["roots", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "experiment" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+def test_unreadable_config_file_is_usage_error(kind, tmp_path, monkeypatch, capsys):
+    # this used to end in a FileNotFoundError, IsADirectoryError or
+    # UnicodeDecodeError traceback with exit code 1
+    _no_root_table(monkeypatch)
+    p = tmp_path / "run.cfg"
+    if kind == "directory":
+        p.mkdir()
+    elif kind == "undecodable":
+        p.write_bytes(b"\xff\xfe n_size = 8\n")
+    assert main(["roots", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_naming_a_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    # the whole experiment used to run before mkdir raised FileExistsError,
+    # with a traceback and exit code 1; it is refused before the root table
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    _no_root_table(monkeypatch)
+    for out in (taken, taken / "sub"):
+        assert main(["roots", "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
 
 
 def test_experiment_alias_flag_is_gone():

@@ -168,18 +168,23 @@ def test_covariance_mc_equals_the_estimate_over_built_coefficients(
 ):
     # the streamed estimate takes the same normals from the generator as the
     # coefficient arrays of sample_h, and differs from the estimate over
-    # those arrays by rounding only; blocks of 7 draws end in partial blocks
+    # those arrays by rounding only; blocks of 7 draws end in partial blocks,
+    # and slices of 1, 7 and 200 doubles (between the widths of the larger
+    # cutoffs' arrays) end rows and blocks at other edges
     z, w = 0.3 + 0.2j, -0.1 + 0.4j
     for batch in (1024, 7):
         monkeypatch.setattr(field, "_BATCH", batch)
         for draws in (1, 7, 1000, 2500):
-            made_generators.clear()
-            got = covariance_mc(z, w, cutoff, draws, seed, table)
             rng = np.random.Generator(np.random.PCG64(seed))
             want = covariance_mc_by_coefficients(z, w, cutoff, draws, rng, table, batch=batch)
-            assert abs(got - want) <= 1e-13 * abs(want), (draws, batch)
-            assert len(made_generators) == 1
-            assert made_generators[0].bit_generator.state == rng.bit_generator.state
+            for slice_ in (field._SLICE, 1, 7, 200):
+                with monkeypatch.context() as m:
+                    m.setattr(field, "_SLICE", slice_)
+                    made_generators.clear()
+                    got = covariance_mc(z, w, cutoff, draws, seed, table)
+                assert abs(got - want) <= 1e-13 * abs(want), (draws, batch, slice_)
+                assert len(made_generators) == 1
+                assert made_generators[0].bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("draws", [0, -1])
@@ -194,17 +199,18 @@ def test_covariance_mc_rejects_counts_below_one(small_table, monkeypatch, draws)
         covariance_mc(0.3, -0.4, (4, 4), draws, 0, small_table)
 
 
-def test_covariance_mc_holds_one_real_draw_at_a_time(table):
-    # a 1000-draw block at cutoff (64, 64): one real (batch, n k) array of
-    # normals is alive at a time, and no coefficient array is built
-    draws, (n_max, k_max) = 1000, (64, 64)
+@pytest.mark.parametrize("draws", [1000, 5000])
+def test_covariance_mc_memory_stays_under_a_mebibyte_at_any_draw_count(table, draws):
+    # at cutoff (64, 64) the normals go through one cache-sized buffer, so
+    # the peak does not grow with the draws; a whole (1024, n k) block of
+    # normals would take 32 MiB, and no coefficient array is built
     tracemalloc.start()
     try:
-        covariance_mc(0.3, -0.4, (n_max, k_max), draws, 0, table)
+        covariance_mc(0.3, -0.4, (64, 64), draws, 0, table)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.2 * 8 * draws * n_max * k_max
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

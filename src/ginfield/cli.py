@@ -2,10 +2,10 @@
 
 One subcommand per verification experiment.  Each experiment returns its
 data, and _write_outputs alone writes it into the output directory: a
-manifest (config echo, package version, wall time), a machine-readable
-result JSON, and one CSV per dataset.  All randomness is driven by
-the --seed flag; rerunning with the same configuration reproduces the
-result files byte for byte.
+manifest (config echo, files written, root-table time, version, wall time),
+a machine-readable result JSON, and one CSV per dataset.  All randomness is
+driven by the --seed flag; rerunning with the same configuration reproduces
+the result files byte for byte.
 
 Exit codes: 0 success, 1 experiment outside tolerance, 2 usage error,
 3 internal numerical failure (an eigensolve, a root table or a radial
@@ -89,11 +89,13 @@ def _load_config_file(path):
     return values
 
 
-def _write_outputs(config, result, series, started):
+def _write_outputs(config, result, series, started, timings):
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config": asdict(config),
+        "outputs": sorted(["manifest.json", "result.json", *(f"{n}.csv" for n in series)]),
+        "timings": timings,
         "version": __version__,
         "wall_time_s": time.time() - started,
     }
@@ -297,10 +299,12 @@ def run(cfg):
     started = time.time()
     fn, _ = _EXPERIMENTS[cfg.experiment]
     n0, k0 = _TABLE_MIN.get(cfg.experiment, (1, 1))
+    table_started = time.perf_counter()
     table = build_root_table(max(cfg.n_max, n0), max(cfg.k_max, k0))
+    timings = {"bessel.build_root_table": time.perf_counter() - table_started}
     ok, result, series = fn(cfg, table)
     result = {"passed": bool(ok), **result}
-    _write_outputs(cfg, result, series, started)
+    _write_outputs(cfg, result, series, started, timings)
     print(f"{cfg.experiment}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

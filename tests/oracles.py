@@ -6,7 +6,8 @@ quadrature projections, the closed-form Green's function, the direct-sum
 eigenvalue density, plane Gaussian moments, the raw double sum of the
 log-kernel expansion, the case-by-case limit covariance of gamma, and the
 Rider-Virag gradient-plus-boundary limit variance with the analytic gradient
-it uses.  The statistics and field coefficients of a single spectrum are the
+it uses, and the root table of scipy's per-order jn_zeros.  The statistics
+and field coefficients of a single spectrum are the
 one-draw form of the library's batched route, the covariance estimate over
 built coefficient arrays is the form the library's streamed estimate
 contracts away, and the exact finite-N moments with the one-point density
@@ -58,6 +59,11 @@ def bessel_j_prime(n, x):
         # J_n' = (J_{n-1} - J_{n+1}) / 2, valid at x = 0 as well.
         out = 0.5 * (special.jv(n - 1, xa) - special.jv(n + 1, xa))
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+
+
+def jn_zeros_table(n_max, k_max):
+    """roots[n, k-1] = j_{n,k} from scipy.special.jn_zeros, one order at a time."""
+    return np.array([special.jn_zeros(n, k_max) for n in range(n_max + 1)])
 
 
 def eval_eigenfunction(n, k, z, table):

@@ -1,8 +1,8 @@
 """Tests of Bessel evaluation and certified root finding.
 
 The oracles here are independent of the implementation route: a bisection
-on the raw power series, an interlacing scan on a fine grid, and mpmath
-arbitrary-precision evaluation.
+on the raw power series, an interlacing scan on a fine grid, mpmath
+arbitrary-precision evaluation, and scipy's per-order jn_zeros.
 """
 
 import math
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from ginfield import bessel
 from ginfield.bessel import (
     BesselDomainError,
     RootBracketError,
@@ -21,7 +22,7 @@ from ginfield.bessel import (
     load_root_table,
 )
 from ginfield.cli import main
-from oracles import bessel_j_prime
+from oracles import bessel_j_prime, jn_zeros_table
 
 J01 = 2.404825557695773  # frozen from the series-bisection oracle below
 
@@ -144,6 +145,37 @@ def test_high_order_root(table):
     assert abs(bessel_j(70, j)) < 1e-12
 
 
+def _assert_within_two_ulps_of_jn_zeros(roots):
+    ref = jn_zeros_table(roots.shape[0] - 1, roots.shape[1])
+    assert np.all(np.abs(roots - ref) <= 2 * np.spacing(ref))
+
+
+def test_shared_table_matches_jn_zeros(table):
+    _assert_within_two_ulps_of_jn_zeros(table.roots)
+
+
+@pytest.mark.parametrize("n_max, k_max", [(1, 1), (2, 400), (300, 4)])
+def test_edge_shapes_match_jn_zeros(n_max, k_max):
+    # (300, 4) runs the recurrence to order 301 beside rows of order 0,
+    # which must not overflow (warnings are errors here)
+    _assert_within_two_ulps_of_jn_zeros(build_root_table(n_max, k_max).roots)
+
+
+def test_guesses_one_root_too_high_are_refused(monkeypatch):
+    # Newton then converges to j_{n,k+1} everywhere: a table that passes the
+    # residual, lower bound and interlacing, and only the bound on row 0 refuses
+    guesses = bessel._initial_guesses
+    monkeypatch.setattr(bessel, "_initial_guesses", lambda n, k: guesses(n, k + 1)[:, 1:])
+    with pytest.raises(RootBracketError, match="upper bound"):
+        build_root_table(8, 8)
+
+
+def test_newton_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(bessel, "_NEWTON_STEPS", 1)
+    with pytest.raises(RootBracketError, match="converge"):
+        build_root_table(8, 8)
+
+
 def test_derivative_product_identity():
     # d/dx (x^{n+1} J_{n+1}(x)) = x^{n+1} J_n(x), finite differences
     h = 1e-6
@@ -162,6 +194,16 @@ def _roots_csv(tmp_path, n_max, k_max):
     out = tmp_path / f"o{n_max}x{k_max}"
     assert main(["roots", "--n-max", str(n_max), "--k-max", str(k_max), "--out", str(out)]) == 0
     return out / "roots.csv"
+
+
+def _write_roots_csv(tmp_path, roots):
+    """A roots.csv holding roots[n, k-1] as j_{n,k}."""
+    path = tmp_path / "roots.csv"
+    path.write_text(
+        "n,k,j_nk\n"
+        + "".join(f"{n},{k + 1},{v:.17g}\n" for (n, k), v in np.ndenumerate(roots))
+    )
+    return path
 
 
 def test_cache_roundtrip(tmp_path):
@@ -195,17 +237,19 @@ def test_load_rejects_missing_entry(tmp_path):
 
 def test_load_rejects_broken_interlacing(tmp_path):
     # row n = 0 holds true roots of J_0 that pass the residual and lower
-    # bound certificates, but starts at j_{0,2}: a skipped root, which only
-    # the interlacing j_{0,k} < j_{1,k} exposes
-    roots = np.array([special.jn_zeros(n, 5) for n in range(4)])
+    # bound certificates, but starts at j_{0,2}: a skipped root, which the
+    # interlacing j_{0,k} < j_{1,k} exposes first
+    roots = jn_zeros_table(3, 5)
     roots[0] = special.jn_zeros(0, 6)[1:]
-    path = tmp_path / "roots.csv"
-    path.write_text(
-        "n,k,j_nk\n"
-        + "".join(f"{n},{k},{roots[n, k - 1]:.17g}\n" for n in range(4) for k in range(1, 6))
-    )
     with pytest.raises(RootBracketError, match="j_{n\\+1,k}"):
-        load_root_table(path)
+        load_root_table(_write_roots_csv(tmp_path, roots))
+
+
+def test_load_rejects_table_shifted_by_one_root(tmp_path):
+    # roots[n, k-1] = j_{n,k+1}: true roots, bounded below and interlaced
+    roots = jn_zeros_table(3, 6)[:, 1:]
+    with pytest.raises(RootBracketError, match="upper bound"):
+        load_root_table(_write_roots_csv(tmp_path, roots))
 
 
 @pytest.mark.parametrize("n, k", [(0, 1), (1, 3), (7, 12), (20, 9), (32, 32)])

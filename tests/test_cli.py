@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy import special
 
-from ginfield import cli, logkernel
+from ginfield import bessel, cli, logkernel
 from ginfield.bessel import build_root_table, load_root_table
 from ginfield.cli import (
     ExperimentConfig,
@@ -241,6 +240,21 @@ def test_each_run_writes_its_manifest_result_and_csvs_only(name, flags, csvs, tm
     assert main([name, *flags, "--out", str(out)]) in (0, 1)
     expected = {"manifest.json", "result.json", *(f"{c}.csv" for c in csvs)}
     assert {p.name for p in out.iterdir()} == expected
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(expected)
+    assert list(manifest["timings"]) == ["bessel.build_root_table"]
+    assert manifest["timings"]["bessel.build_root_table"] >= 0
+
+
+def test_manifest_lists_only_the_files_of_its_run(tmp_path):
+    # a second run into the same directory leaves the first run's CSV in
+    # place; its manifest must not claim it
+    out = tmp_path / "d"
+    assert main(["roots", "--out", str(out)]) == 0
+    assert main(["reconstruct-log", "--out", str(out)]) == 0
+    assert (out / "roots.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["manifest.json", "reconstruction.csv", "result.json"]
 
 
 def test_config_validation():
@@ -355,8 +369,8 @@ def test_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_root_table_failure_exits_3(tmp_path, monkeypatch, capsys):
-    jn_zeros = special.jn_zeros
-    monkeypatch.setattr(special, "jn_zeros", lambda n, k: jn_zeros(n, k) + 1e-6)
+    newton_roots = bessel._newton_roots
+    monkeypatch.setattr(bessel, "_newton_roots", lambda n, k: newton_roots(n, k) + 1e-6)
     code = main(["roots", "--n-max", "4", "--k-max", "4", "--out", str(tmp_path)])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ")

@@ -14,8 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-from .bessel import bessel_j
+from scipy import special
 
 
 class DiskDomainError(ValueError):
@@ -37,7 +36,7 @@ def radial_profile(n, k, r, table):
     i = np.asarray(k) - 1
     if n > table.n_max or i.min() < 0 or i.max() >= table.k_max:
         raise KeyError(f"indices ({n}, {k}) outside table ({table.n_max}, {table.k_max})")
-    return table.norms[n, i] * bessel_j(n, table.roots[n, i] * r)
+    return table.norms[n, i] * special.jv(n, table.roots[n, i] * r)
 
 
 def _disk_radii(points):

@@ -1,12 +1,13 @@
-"""Bessel functions of the first kind and their certified positive roots.
+"""Certified tables of the positive roots j_{n,k} of the Bessel functions J_n.
 
-Evaluation is delegated to scipy.special (integer order, real argument).
-The roots j_{n,k} come from one Newton solve over the whole table and are
-certified through scipy's jv: the residual |J_n(j_{n,k})| below
-``ROOT_RESIDUAL_TOL``, the strict lower bound j^2 > n^2 + (k - 1/4)^2 pi^2,
-Watson's interlacing j_{n,k} < j_{n+1,k} < j_{n,k+1} and j_{0,k} <
-(k - 1/8) pi, which fix the index k of every root but those of the last
-column above row 0.  It stores C_{n,k} = 1 / (sqrt(pi) J_{n+1}(j_{n,k})).
+The roots come from one Newton solve over the whole table and are certified
+through scipy's jv: the residual |J_n(j_{n,k})| below ``ROOT_RESIDUAL_TOL``,
+the strict lower bound j^2 > n^2 + (k - 1/4)^2 pi^2, Watson's interlacing
+j_{n,k} < j_{n+1,k} < j_{n,k+1}, j_{0,k} < (k - 1/8) pi, and a distance below
+1/2 from the initial guesses.  The guesses lie within 1e-2 of the roots and
+consecutive roots of a row more than 3 apart, so the residual and the
+distance fix the index k of every root.  The table stores
+C_{n,k} = 1 / (sqrt(pi) J_{n+1}(j_{n,k})).
 """
 
 from __future__ import annotations
@@ -21,30 +22,8 @@ ROOT_RESIDUAL_TOL = 1e-12
 _NEWTON_STEPS = 8  # three reach every root of the tables tried
 
 
-class BesselDomainError(ValueError):
-    """Raised for negative order or negative argument."""
-
-
 class RootBracketError(RuntimeError):
     """Raised when a root table does not converge or fails a certificate."""
-
-
-def _check_order(n):
-    if n != int(n) or n < 0:
-        raise BesselDomainError(f"order must be a nonnegative integer, got {n!r}")
-    return int(n)
-
-
-def _check_argument(x):
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0):
-        raise BesselDomainError("argument must be nonnegative")
-    return xa
-
-
-def bessel_j(n, x):
-    """J_n(x) for integer order n >= 0 and real x >= 0."""
-    return special.jv(_check_order(n), _check_argument(x))
 
 
 @dataclass(frozen=True)
@@ -81,7 +60,7 @@ class RootTable:
 
 
 def _certified_table(roots):
-    """RootTable over roots[n, k-1] after the four certificates of the module
+    """RootTable over roots[n, k-1] after the five certificates of the module
     docstring, with the normalisations C_{n,k} attached.
 
     Raises RootBracketError on the first certificate that fails; a missing
@@ -100,6 +79,8 @@ def _certified_table(roots):
         raise RootBracketError("roots violate j_{n,k} < j_{n+1,k} < j_{n,k+1}")
     if not np.all(roots[0] < (ks[0] - 0.125) * math.pi):
         raise RootBracketError("a root violates the upper bound j_{0,k} < (k - 1/8) pi")
+    if not np.all(np.abs(roots - _initial_guesses(roots.shape[0] - 1, roots.shape[1])) < 0.5):
+        raise RootBracketError("a root lies 1/2 or more from its initial guess")
     norms = 1.0 / (math.sqrt(math.pi) * special.jv(ns + 1, roots))
     return RootTable(
         n_max=roots.shape[0] - 1, k_max=roots.shape[1], roots=roots, norms=norms
@@ -151,8 +132,7 @@ def build_root_table(n_max, k_max):
     """Certified RootTable of j_{n,k}, 0 <= n <= n_max, 1 <= k <= k_max.
 
     Raises RootBracketError if Newton's method does not converge, or if a
-    root fails the residual |J_n(j_{n,k})| < 1e-12, the lower bound
-    j^2 > n^2 + (k - 1/4)^2 pi^2, the interlacing or j_{0,k} < (k - 1/8) pi.
+    root fails a certificate of the module docstring.
     """
     if n_max < 1 or k_max < 1:
         raise ValueError("n_max and k_max must be >= 1")
@@ -161,9 +141,18 @@ def build_root_table(n_max, k_max):
 
 def load_root_table(path):
     """Read the roots.csv (header n,k,j_nk) that the roots experiment writes
-    and certify it as build_root_table does."""
+    and certify it as build_root_table does.  Raises RootBracketError unless
+    the rows list each integer (n, k) with 0 <= n <= n_max, 1 <= k <= k_max
+    exactly once, in any order."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n, k = data[:, 0].astype(int), data[:, 1].astype(int)
-    roots = np.full((n.max() + 1, k.max()), np.nan)
-    roots[n, k - 1] = data[:, 2]
-    return _certified_table(roots)
+    index, k_max = data[:, :2], data[:, 1].max()
+    slot = index @ [k_max, 1.0] - 1.0  # n k_max + k - 1, the row-major position
+    order = np.argsort(slot)
+    if not (
+        np.all(index == np.round(index))
+        and data[:, 1].min() >= 1
+        and len(slot) % k_max == 0
+        and np.array_equal(slot[order], np.arange(len(slot)))
+    ):
+        raise RootBracketError("roots.csv must list each (n, k) of its table exactly once")
+    return _certified_table(data[order, 2].reshape(-1, int(k_max)))

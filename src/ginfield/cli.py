@@ -24,10 +24,11 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from . import __version__
 from .basis import DiskQuadrature, gram_matrix
-from .bessel import RootBracketError, bessel_j, build_root_table
+from .bessel import ROOT_RESIDUAL_TOL, RootBracketError, build_root_table
 from .field import covariance_mc, tightness_statistic
 from .ginibre import EigensolverError, sample_spectrum
 from .linstats import (
@@ -120,8 +121,9 @@ def _exp_roots(cfg, table):
         for n in range(table.n_max + 1)
         for k in range(1, table.k_max + 1)
     ]
-    residual = float(max(np.abs(bessel_j(n, roots)).max() for n, roots in enumerate(table.roots)))
-    ok = residual < 1e-12
+    ns = np.arange(table.n_max + 1)[:, None]
+    residual = float(np.abs(special.jv(ns, table.roots)).max())
+    ok = residual < ROOT_RESIDUAL_TOL
     return ok, {"max_residual": residual}, {"roots": (["n", "k", "j_nk"], rows)}
 
 

@@ -172,17 +172,17 @@ def tightness_statistic(runs, s_prime, table):
     """Empirical mean of the squared H^{-s'} norm over GammaSample runs.
 
     Counts negative orders through conjugation symmetry: the weighted sum
-    of multiplicity x j^{-2s'} x |gamma|^2 over the runs' shared index set.
-    Used to verify that the norm stays bounded as the matrix size grows
-    (s' > 2).
+    of multiplicity x j^{-2s'} x |gamma|^2 over the runs' shared index set
+    and matrix size, to verify that the norm stays bounded as that size
+    grows (s' > 2).
     """
     if not 2 < s_prime < math.inf:
         raise ValueError(f"tightness regime requires finite s' > 2, got {s_prime!r}")
     if not runs:
         raise ValueError("need at least one run")
-    index_set = runs[0].index_set
-    if any(run.index_set != index_set for run in runs):
-        raise ValueError("runs must share one index set")
+    index_set, N = runs[0].index_set, runs[0].matrix_size
+    if any((run.index_set, run.matrix_size) != (index_set, N) for run in runs):
+        raise ValueError("runs must share one index set and one matrix size")
     weights = np.array(
         [(1.0 if n == 0 else 2.0) * table.root(n, k) ** (-2.0 * s_prime) for n, k in index_set]
     )

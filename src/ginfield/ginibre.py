@@ -27,12 +27,7 @@ class SpectrumSample:
     """Eigenvalues of one Ginibre draw with provenance."""
 
     eigenvalues: np.ndarray
-    matrix_size: int
     seed: int
-
-    def __post_init__(self):
-        if len(self.eigenvalues) != self.matrix_size:
-            raise ValueError("eigenvalue count must equal the matrix size")
 
 
 def draw_seed(master_seed, draw_index):
@@ -63,7 +58,7 @@ def eigenvalues(matrix, seed=0):
         raise EigensolverError("eigenvalue sum fails the trace identity")
     # sort for reproducibility regardless of LAPACK's ordering
     order = np.lexsort((eig.imag, eig.real))
-    return SpectrumSample(eigenvalues=eig[order], matrix_size=N, seed=int(seed))
+    return SpectrumSample(eigenvalues=eig[order], seed=int(seed))
 
 
 def sample_spectrum(N, master_seed, draw_index=0):

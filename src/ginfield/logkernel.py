@@ -4,9 +4,11 @@ The coefficient alpha_{n,k}(w) has two branches: a disk branch (|w| < 1)
 combining the Green's-series term with a harmonic correction, and an
 exterior branch (|w| >= 1, including the circle itself).  Both have the
 angular structure g(r) e^{-i n theta} in polar coordinates w = r e^{i theta},
-so only the radial factor g is computed here: alpha_radial on scipy's J_n,
-and alpha_radial_piecewise, whose disk branch is a certified piecewise-
-Chebyshev interpolant of alpha_radial for evaluation at many points.
+so only the radial factor g is computed here: alpha_radial for one index
+(n, k) on scipy's J_n, and alpha_radial_piecewise for several k of one
+order, whose disk branch is a certified piecewise-Chebyshev interpolant of
+alpha_radial for evaluation at many points.  Both take the exterior branch
+from one formula.
 """
 
 from __future__ import annotations
@@ -39,36 +41,21 @@ class InterpolantError(RuntimeError):
 
 
 def alpha_radial(n, k, r, table):
-    """Radial factor g(r) of alpha_{n,k}(r e^{i theta}) = g(r) e^{-i n theta}.
+    """Radial factor g(r) of alpha_{n,k}(r e^{i theta}) = g(r) e^{-i n theta}
+    for one radial index k.
 
-    A real array of the shape of r (0-d for a scalar r).  k is one radial
-    index or a 1-D integer numpy array of them; an array gives shape
-    (len(k),) + r.shape, each row bit-identical to the call with its k
-    alone.  Uses the disk branch for r < 1 and the exterior branch for
-    r >= 1 (continuous across the circle).
+    A real array of the shape of r (0-d for a scalar r).  Uses the disk
+    branch for r < 1 and the exterior branch for r >= 1 (continuous across
+    the circle).
     """
     n = abs(int(n))
     r = np.asarray(r, dtype=float)
-    if isinstance(k, np.ndarray):
-        # one row per k; each constant in the float arithmetic of its k alone
-        k = k[:, None]
-        consts = [_branch_constants(n, table.root(n, kk)) for kk in k[:, 0]]
-        a, b, c = (np.array(col)[:, None] for col in zip(*consts))
-        g = np.empty((len(k),) + r.shape)
-        lead = (slice(None),)
-    else:
-        a, b, c = _branch_constants(n, table.root(n, k))
-        g = np.empty_like(r)
-        lead = ()
+    a, b, c = _branch_constants(n, table.root(n, k))
+    g = np.empty_like(r)
     inside = r < 1.0
-    ri, ro = r[inside], r[~inside]
-    g_in = a * radial_profile(n, k, ri, table)
-    if n == 0:
-        g[lead + (~inside,)] = c * np.log(ro)
-    else:
-        g_in = g_in - b * ri**n
-        g[lead + (~inside,)] = c * ro ** (-n)
-    g[lead + (inside,)] = g_in
+    ri = r[inside]
+    g[inside] = a * radial_profile(n, k, ri, table) - b * ri**n  # b = 0 for n = 0
+    g[~inside] = _exterior(n, c, r[~inside])
     return g
 
 
@@ -82,18 +69,26 @@ def _branch_constants(n, j):
     return a, rt / (n * j), -(rt / (n * j))
 
 
+def _exterior(n, c, r):
+    """Exterior branch c log r (n = 0) or c r^-n of the radial factor at
+    r >= 1; c broadcasts against r."""
+    return c * np.log(r) if n == 0 else c * r ** (-n)
+
+
 def alpha_radial_piecewise(n, ks, r, table):
-    """alpha_radial(n, ks, r, table) for a 1-D integer array ks, with the
-    disk branch r < 1 taken from a cached piecewise-polynomial interpolant
-    of alpha_radial that agrees with it to 1e-13 max |g| by certificate.
-    Points with r >= 1 go through alpha_radial and are bit-identical to it.
+    """alpha_radial(n, k, r, table) for each k of a 1-D integer array ks,
+    stacked into shape (len(ks),) + r.shape, with the disk branch r < 1
+    taken from a cached piecewise-polynomial interpolant of alpha_radial
+    that agrees with it to 1e-13 max |g| by certificate.  Points with r >= 1
+    share the exterior branch of alpha_radial and are bit-identical to it.
     Each row depends only on its own k, whatever the other entries of ks.
     """
     n = abs(int(n))
     r = np.asarray(r, dtype=float)
     g = np.empty((len(ks),) + r.shape)
     inside = r < 1.0
-    g[:, ~inside] = alpha_radial(n, ks, r[~inside], table)
+    c = np.array([_branch_constants(n, table.root(n, k))[2] for k in ks])
+    g[:, ~inside] = _exterior(n, c[:, None], r[~inside])
     ri = r[inside]
     for row, k in enumerate(ks):
         coef = _disk_panels(n, int(k), table)

@@ -6,7 +6,9 @@ quadrature projections, the closed-form Green's function, the direct-sum
 eigenvalue density, plane Gaussian moments, the raw double sum of the
 log-kernel expansion, the case-by-case limit covariance of gamma, and the
 Rider-Virag gradient-plus-boundary limit variance with the analytic gradient
-it uses, and the root table of scipy's per-order jn_zeros.  The statistics
+it uses, and the root table of scipy's per-order jn_zeros.  The radial
+factor of several k, stacked from one-index alpha_radial calls, is the
+layout of the library's piecewise route.  The statistics
 and field coefficients of a single spectrum are the
 one-draw form of the library's batched route, the covariance estimate over
 built coefficient arrays is the form the library's streamed estimate
@@ -32,7 +34,6 @@ from ginfield.basis import (
     radial_profile,
     root_window,
 )
-from ginfield.bessel import _check_argument, _check_order
 from ginfield.field import FieldSample, _coeff_arrays, _field_values
 from ginfield.ginibre import (
     PlaneQuadrature,
@@ -52,7 +53,7 @@ from ginfield.logkernel import alpha_radial
 
 def bessel_j_prime(n, x):
     """d/dx J_n(x) for integer order n >= 0 and real x >= 0."""
-    n, xa = _check_order(n), _check_argument(x)
+    xa = np.asarray(x, dtype=float)
     if n == 0:
         out = -special.jv(1, xa)
     else:
@@ -264,6 +265,12 @@ def radial_pair_variance_per_call(g, n, N, quad=None):
     return _checked_variance(diag, _diagonal_pair_sq(R, -n, gr, quad.wr))
 
 
+def alpha_radial_rows(n, ks, r, table):
+    """alpha_radial(n, k, r, table) for each k of ks, stacked into shape
+    (len(ks),) + r.shape: the layout of alpha_radial_piecewise."""
+    return np.stack([alpha_radial(n, int(k), r, table) for k in ks])
+
+
 def centering_term_per_call(n, k, N, table, quad=None):
     """linstats.centering_term with rho_N built inside the call."""
     if n != 0:
@@ -285,12 +292,12 @@ def gamma(sample, index_set, table, centerings=None):
     if any(n < 0 for n, _ in index_set):
         raise ValueError("index set must have n >= 0")
     if centerings is None:
-        centerings = _centerings(index_set, sample.matrix_size, table)
+        centerings = _centerings(index_set, len(sample.eigenvalues), table)
     vals = _gamma_block(sample.eigenvalues[None, :], index_set, table, centerings)[0]
     return GammaSample(
         index_set=index_set,
         values=vals,
-        matrix_size=sample.matrix_size,
+        matrix_size=len(sample.eigenvalues),
         seed=sample.seed,
     )
 

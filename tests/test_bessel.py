@@ -1,4 +1,4 @@
-"""Tests of Bessel evaluation and certified root finding.
+"""Tests of scipy's Bessel evaluation and of certified root finding.
 
 The oracles here are independent of the implementation route: a bisection
 on the raw power series, an interlacing scan on a fine grid, mpmath
@@ -13,14 +13,7 @@ import pytest
 from scipy import special
 
 from ginfield import bessel
-from ginfield.bessel import (
-    BesselDomainError,
-    RootBracketError,
-    RootTable,
-    bessel_j,
-    build_root_table,
-    load_root_table,
-)
+from ginfield.bessel import RootBracketError, RootTable, build_root_table, load_root_table
 from ginfield.cli import main
 from oracles import bessel_j_prime, jn_zeros_table
 
@@ -54,24 +47,15 @@ def test_first_root_of_j0_by_series_bisection(table):
 
 
 def test_trivial_values():
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(1, 0.0) == 0.0
-    assert abs(bessel_j(0, J01)) < 1e-12
+    assert special.jv(0, 0.0) == 1.0
+    assert special.jv(1, 0.0) == 0.0
+    assert abs(special.jv(0, J01)) < 1e-12
 
 
 def test_derivative_values():
     assert bessel_j_prime(0, 0.0) == 0.0
     assert abs(bessel_j_prime(1, 0.0) - 0.5) < 1e-14
-    assert abs(bessel_j_prime(0, J01) + bessel_j(1, J01)) < 1e-12
-
-
-def test_domain_errors():
-    with pytest.raises(BesselDomainError):
-        bessel_j(0, -1.0)
-    with pytest.raises(BesselDomainError):
-        bessel_j(-2, 1.0)
-    with pytest.raises(BesselDomainError):
-        bessel_j_prime(1, -0.5)
+    assert abs(bessel_j_prime(0, J01) + special.jv(1, J01)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 11, 20, 32])
@@ -79,7 +63,7 @@ def test_against_mpmath(n):
     xs = np.linspace(0.0, 50.0, 41)
     for x in xs:
         ref = float(mpmath.besselj(n, mpmath.mpf(x)))
-        got = bessel_j(n, float(x))
+        got = special.jv(n, float(x))
         assert abs(got - ref) < 1e-12 * max(1.0, abs(ref)) + 1e-14
 
 
@@ -88,18 +72,18 @@ def test_upward_recurrence_agreement(n):
     # J_{m+1} = (2m/x) J_m - J_{m-1}, stable while x >= m; compare both
     # evaluation routes there to 1e-10
     for x in np.linspace(n + 0.5, 50.0, 25):
-        j_prev, j_cur = bessel_j(0, float(x)), bessel_j(1, float(x))
+        j_prev, j_cur = special.jv(0, float(x)), special.jv(1, float(x))
         for m in range(1, n):
             j_prev, j_cur = j_cur, (2.0 * m / x) * j_cur - j_prev
-        assert abs(j_cur - bessel_j(n, float(x))) < 1e-10
+        assert abs(j_cur - special.jv(n, float(x))) < 1e-10
 
 
 def test_interlacing_by_grid_sign_changes(table):
     # count sign changes of J_0 and J_1 on a fine grid; the orderings
     # j_{0,1} < j_{1,1} < j_{0,2} must come out of the raw grid data
     xs = np.linspace(0.05, 9.0, 30000)
-    j0 = bessel_j(0, xs)
-    j1 = bessel_j(1, xs)
+    j0 = special.jv(0, xs)
+    j1 = special.jv(1, xs)
     roots0 = xs[:-1][np.diff(np.sign(j0)) != 0]
     roots1 = xs[:-1][np.diff(np.sign(j1)) != 0]
     assert roots0[0] < roots1[0] < roots0[1]
@@ -119,7 +103,7 @@ def test_table_monotone_and_residuals(table):
     assert np.all(np.diff(table.roots, axis=0) > 0)
     assert np.all(np.diff(table.roots, axis=1) > 0)
     for n in range(0, table.n_max + 1, 7):
-        res = np.abs(bessel_j(n, table.roots[n]))
+        res = np.abs(special.jv(n, table.roots[n]))
         assert res.max() < 1e-12
 
 
@@ -142,7 +126,7 @@ def test_high_order_root(table):
     # deep entry of the shared 70x70 table against mpmath's root finder
     j = table.root(70, 70)
     assert abs(j - float(mpmath.besseljzero(70, 70))) < 1e-11
-    assert abs(bessel_j(70, j)) < 1e-12
+    assert abs(special.jv(70, j)) < 1e-12
 
 
 def _assert_within_two_ulps_of_jn_zeros(roots):
@@ -182,10 +166,10 @@ def test_derivative_product_identity():
     for n in range(0, 6):
         for x in np.linspace(0.3, 20.0, 15):
             lhs = (
-                (x + h) ** (n + 1) * bessel_j(n + 1, x + h)
-                - (x - h) ** (n + 1) * bessel_j(n + 1, x - h)
+                (x + h) ** (n + 1) * special.jv(n + 1, x + h)
+                - (x - h) ** (n + 1) * special.jv(n + 1, x - h)
             ) / (2 * h)
-            rhs = x ** (n + 1) * bessel_j(n, x)
+            rhs = x ** (n + 1) * special.jv(n, x)
             assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(rhs))
 
 
@@ -250,6 +234,35 @@ def test_load_rejects_table_shifted_by_one_root(tmp_path):
     roots = jn_zeros_table(3, 6)[:, 1:]
     with pytest.raises(RootBracketError, match="upper bound"):
         load_root_table(_write_roots_csv(tmp_path, roots))
+
+
+def test_load_rejects_last_column_shifted_by_one_root(tmp_path):
+    # roots[3, -1] = j_{3,7}: a true root, bounded below by the lower bound
+    # and j_{2,6}, and bounded above by nothing but its initial guess
+    roots = jn_zeros_table(3, 6)
+    roots[3, -1] = special.jn_zeros(3, 7)[-1]
+    with pytest.raises(RootBracketError, match="initial guess"):
+        load_root_table(_write_roots_csv(tmp_path, roots))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # an extra row (0, 0) first, which k - 1 = -1 used to write into the
+        # last column before the true (0, k_max) row overwrote it
+        lambda lines: lines[:1] + ["0,0,999.0"] + lines[1:],
+        # a duplicate (0, 1) with a wrong value first, overwritten likewise
+        lambda lines: lines[:1] + ["0,1,2.5"] + lines[1:],
+        # k = 1.7 in place of k = 1, which truncation used to read as 1
+        lambda lines: lines[:1] + ["0,1.7," + lines[1].split(",")[2]] + lines[2:],
+    ],
+    ids=["k_zero", "duplicate", "non_integer_k"],
+)
+def test_load_rejects_malformed_index_rows(tmp_path, edit):
+    path = _write_roots_csv(tmp_path, jn_zeros_table(3, 6))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(RootBracketError, match="exactly once"):
+        load_root_table(path)
 
 
 @pytest.mark.parametrize("n, k", [(0, 1), (1, 3), (7, 12), (20, 9), (32, 32)])

@@ -347,6 +347,15 @@ def test_tightness_statistic_refuses_a_non_finite_exponent(s_prime, small_table)
         tightness_statistic(runs, s_prime, small_table)
 
 
+def test_tightness_statistic_refuses_runs_of_two_matrix_sizes(small_table):
+    # the mean over runs is a statistic of one N; runs of several N mix them
+    idx = ((0, 1), (1, 1))
+    g = gamma_draws(8, 1, idx, 0, small_table)[0]
+    runs = [GammaSample(idx, g, 8, 0), GammaSample(idx, g, 16, 0)]
+    with pytest.raises(ValueError, match="matrix size"):
+        tightness_statistic(runs, 2.5, small_table)
+
+
 def test_tightness_statistic_equals_the_per_entry_sum(small_table):
     idx = ((0, 1), (2, 3), (1, 1), (0, 5), (7, 2))
     G = gamma_draws(16, 6, idx, 2, small_table)

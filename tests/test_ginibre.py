@@ -12,7 +12,6 @@ from ginfield.cli import main
 from ginfield.ginibre import (
     EigensolverError,
     PlaneQuadrature,
-    SpectrumSample,
     draw_seed,
     eigenvalues,
     one_point_density,
@@ -64,8 +63,6 @@ def test_spectrum_sample_csv_roundtrip(tmp_path):
     assert np.array_equal(draw, np.repeat(np.arange(20), 64))
     for i, z in enumerate((re + 1j * im).reshape(20, 64)):
         assert np.array_equal(z, sample_spectrum(64, 5, draw_index=i).eigenvalues)
-    with pytest.raises(ValueError):
-        SpectrumSample(np.zeros(3, dtype=complex), 4, 0)
 
 
 def test_spectrum_inside_disk_mostly():

@@ -23,6 +23,7 @@ from oracles import (
     alpha,
     alpha_partial_sum,
     alpha_radial_derivative,
+    alpha_radial_rows,
     disk_integrate,
     eval_eigenfunction,
     power_coeff,
@@ -206,18 +207,6 @@ def test_raw_partial_sum_cross_check(table):
     assert abs(raw2 - target) < 1e-2
 
 
-@pytest.mark.parametrize("fn", [alpha_radial])
-@pytest.mark.parametrize("n", [0, 1, 4, 9])
-def test_alpha_radial_over_an_array_of_k_stacks_the_scalar_calls(fn, n, small_table):
-    ks = np.array([3, 1, 7, 2])
-    r = np.array([[1e-3, 0.25, 0.5, 1.0 - 1e-12], [1.0, 1.0 + 1e-12, 1.5, 3.0]])
-    g = fn(n, ks, r, small_table)
-    assert g.shape == (len(ks),) + r.shape
-    assert np.array_equal(g, np.stack([fn(n, int(k), r, small_table) for k in ks]))
-    g = fn(n, ks, 0.5, small_table)
-    assert np.array_equal(g, [fn(n, int(k), 0.5, small_table) for k in ks])
-
-
 GRID_9x8 = [(n, k) for n in range(9) for k in range(1, 9)]
 
 
@@ -253,12 +242,12 @@ EXTERIOR_GRID = np.array([1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-12, 1.5, 3.0, 1e
 def test_piecewise_alpha_radial_matches_alpha_radial(n, ks, tol, table):
     # 1e-14 max|g| on the 9 x 8 grid; the certificate bound at large j
     g = alpha_radial_piecewise(n, ks, DISK_GRID, table)
-    ref = alpha_radial(n, ks, DISK_GRID, table)
+    ref = alpha_radial_rows(n, ks, DISK_GRID, table)
     scale = np.max(np.abs(ref), axis=1, keepdims=True)
     assert np.all(np.abs(g - ref) <= tol * scale)
     r = np.concatenate([EXTERIOR_GRID, DISK_GRID[:3]])
     g = alpha_radial_piecewise(n, ks, r, table)
-    assert np.array_equal(g[:, :6], alpha_radial(n, ks, EXTERIOR_GRID, table))
+    assert np.array_equal(g[:, :6], alpha_radial_rows(n, ks, EXTERIOR_GRID, table))
 
 
 def test_piecewise_alpha_radial_keeps_the_shape_of_r(small_table):
@@ -266,7 +255,7 @@ def test_piecewise_alpha_radial_keeps_the_shape_of_r(small_table):
     r = np.array([[0.0, 0.5, 1.5], [0.9, 1.0, 0.1]])
     g = alpha_radial_piecewise(3, ks, r, small_table)
     assert g.shape == (2, 2, 3)
-    ref = alpha_radial(3, ks, r, small_table)
+    ref = alpha_radial_rows(3, ks, r, small_table)
     assert np.all(np.abs(g - ref) <= 1e-14 * np.max(np.abs(ref)))
     assert alpha_radial_piecewise(0, ks, np.array([2.0]), small_table).shape == (2, 1)
 
@@ -281,7 +270,7 @@ def test_piecewise_builds_follow_the_table_content(small_table):
     for first, second in [(small_table, other), (other, small_table)]:
         for t in (first, second, first):
             g = alpha_radial_piecewise(3, ks, DISK_GRID, t)
-            ref = alpha_radial(3, ks, DISK_GRID, t)
+            ref = alpha_radial_rows(3, ks, DISK_GRID, t)
             assert np.all(np.abs(g - ref) <= 1e-14 * np.max(np.abs(ref)))
     assert not np.allclose(
         alpha_radial_piecewise(3, ks, DISK_GRID, small_table),

@@ -168,3 +168,45 @@ def test_the_unused_import_check_sees_an_unused_name():
 def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _runtime_errors(trees):
+    """Names of the classes in trees that derive from RuntimeError, directly
+    or through another class defined there."""
+    bases = {
+        stmt.name: {b.id for b in stmt.bases if isinstance(b, ast.Name)}
+        for tree in trees
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef)
+    }
+    found, grew = {"RuntimeError"}, True
+    while grew:
+        new = {name for name, b in bases.items() if b & found} - found
+        found |= new
+        grew = bool(new)
+    return found - {"RuntimeError"}
+
+
+def _exit_3_errors(cli):
+    """Exception names of the handlers in cli.main whose body returns 3."""
+    main = next(s for s in cli.body if isinstance(s, ast.FunctionDef) and s.name == "main")
+    return {
+        name.id
+        for handler in ast.walk(main)
+        if isinstance(handler, ast.ExceptHandler)
+        and any(
+            isinstance(r, ast.Return) and isinstance(r.value, ast.Constant) and r.value.value == 3
+            for r in handler.body
+        )
+        for name in ast.walk(handler.type)
+        if isinstance(name, ast.Name)
+    }
+
+
+def test_every_certificate_failure_exits_3():
+    # a RuntimeError of the library is a numerical certificate that failed,
+    # which the CLI reports with exit code 3
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    errors = _runtime_errors(trees)
+    assert {"EigensolverError", "RootBracketError", "InterpolantError"} <= errors
+    assert errors - _exit_3_errors(ast.parse((SRC / "cli.py").read_text())) == set()

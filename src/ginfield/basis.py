@@ -138,18 +138,9 @@ def root_window(cutoff, table):
         raise KeyError(
             f"cutoff ({n_max}, {k_max}) outside table ({table.n_max}, {table.k_max})"
         )
-    return table.roots[: n_max + 1, :k_max], _multiplicity(n_max)
-
-
-def _multiplicity(n_max):
     mult = np.full((n_max + 1, 1), 2.0)
     mult[0] = 1.0
-    return mult
-
-
-def cutoff_of(a):
-    """(n_max, k_max) of a coefficient array a[n, k-1]."""
-    return a.shape[0] - 1, a.shape[1]
+    return table.roots[: n_max + 1, :k_max], mult
 
 
 def sobolev_norm(a, s, table):
@@ -157,16 +148,8 @@ def sobolev_norm(a, s, table):
     both signs of n."""
     if not math.isfinite(s):
         raise ValueError(f"Sobolev exponent must be finite, got {s!r}")
-    j, mult = root_window(cutoff_of(a), table)
+    j, mult = root_window((a.shape[0] - 1, a.shape[1]), table)
     return float(np.sum(mult * np.abs(a) ** 2 * j ** (2.0 * s)))
-
-
-def pairing(phi, f):
-    """Duality pairing sum over (n, k) of phi_{n,k} f_{-n,k} of two real
-    fields with coefficient arrays of one shape; the pairing is real."""
-    if phi.shape != f.shape:
-        raise ValueError(f"coefficient shapes differ: {phi.shape} and {f.shape}")
-    return float(np.sum(_multiplicity(phi.shape[0] - 1) * np.real(phi * np.conj(f))))
 
 
 def basis_matrix(indices, quad, table):

@@ -138,21 +138,3 @@ def build_root_table(n_max, k_max):
         raise ValueError("n_max and k_max must be >= 1")
     return _certified_table(_newton_roots(n_max, k_max))
 
-
-def load_root_table(path):
-    """Read the roots.csv (header n,k,j_nk) that the roots experiment writes
-    and certify it as build_root_table does.  Raises RootBracketError unless
-    the rows list each integer (n, k) with 0 <= n <= n_max, 1 <= k <= k_max
-    exactly once, in any order."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    index, k_max = data[:, :2], data[:, 1].max()
-    slot = index @ [k_max, 1.0] - 1.0  # n k_max + k - 1, the row-major position
-    order = np.argsort(slot)
-    if not (
-        np.all(index == np.round(index))
-        and data[:, 1].min() >= 1
-        and len(slot) % k_max == 0
-        and np.array_equal(slot[order], np.arange(len(slot)))
-    ):
-        raise RootBracketError("roots.csv must list each (n, k) of its table exactly once")
-    return _certified_table(data[order, 2].reshape(-1, int(k_max)))

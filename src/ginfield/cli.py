@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise UsageError("index cutoffs must be positive")
         if self.workers < 1:
             raise UsageError("--workers must be positive")
+        if self.seed < 0:
+            raise UsageError("--seed must be non-negative")
 
 
 def _load_config_file(path):

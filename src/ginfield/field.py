@@ -2,9 +2,9 @@
 coefficient array a[n, k-1] for n >= 0 (order -n is the conjugate of order
 n), and the tightness statistic of the finite-N field.
 
-The field is represented only through basis coefficients; pointwise values
-are always relative to an explicit cutoff, since the limit object is a
-distribution, not a function.
+The field is represented only through basis coefficients, since the limit
+object is a distribution, not a function; covariance_mc reads its values at
+two points, at an explicit cutoff, through the normals it draws.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _disk_radii, _eval_matrix, cutoff_of, root_window, sobolev_norm
+from .basis import _disk_radii, _eval_matrix, root_window, sobolev_norm
 
 
 @dataclass(frozen=True)
@@ -26,27 +26,24 @@ class FieldSample:
     coeffs: np.ndarray
 
 
-def _coeff_arrays(rng, cutoff, table, batch=None):
-    """Sampled coefficients a[n, k-1] of the limit field, with a leading
-    batch axis when batch is set: a_{0,k} = sqrt(pi) A_k / j_{0,k} and
+def _coeff_arrays(rng, cutoff, table):
+    """Sampled coefficients a[n, k-1] of one draw of the limit field:
+    a_{0,k} = sqrt(pi) A_k / j_{0,k} and
     a_{n,k} = sqrt(pi) (Z_{n,k} + W_n / sqrt(n)) / j_{n,k} for n >= 1.
     A, Z and W are drawn from rng in that order.
     """
     j, _ = root_window(cutoff, table)
     n_max, k_max = cutoff
-    lead = () if batch is None else (batch,)
-    shape, shapew = lead + (n_max, k_max), lead + (n_max,)
     rt = math.sqrt(math.pi)
-    a = np.empty(lead + (n_max + 1, k_max), dtype=complex)
-    a[..., 0, :] = rt * rng.standard_normal(lead + (k_max,)) / j[0]
-    # rows n >= 1 in place, Z drawn straight into them: a batch of
-    # coefficients is the largest array here
-    an = a[..., 1:, :]
-    an.real = rng.standard_normal(shape)
-    an.imag = rng.standard_normal(shape)
+    a = np.empty((n_max + 1, k_max), dtype=complex)
+    a[0] = rt * rng.standard_normal(k_max) / j[0]
+    # rows n >= 1 in place, Z drawn straight into them
+    an = a[1:]
+    an.real = rng.standard_normal((n_max, k_max))
+    an.imag = rng.standard_normal((n_max, k_max))
     an /= math.sqrt(2)
-    W = (rng.standard_normal(shapew) + 1j * rng.standard_normal(shapew)) / math.sqrt(2)
-    an += W[..., :, None] / np.sqrt(np.arange(1, n_max + 1))[:, None]
+    W = (rng.standard_normal(n_max) + 1j * rng.standard_normal(n_max)) / math.sqrt(2)
+    an += W[:, None] / np.sqrt(np.arange(1, n_max + 1))[:, None]
     an *= rt
     an /= j[1:]
     return a
@@ -74,22 +71,6 @@ def expected_norm_sq(s, cutoff, table):
 def field_norm_sq(sample, s, table):
     """Squared H^{-s} norm of one truncated sample."""
     return sobolev_norm(sample.coeffs, -s, table)
-
-
-def _field_values(a, E):
-    """Values at the points of E = _eval_matrix(...) of the real fields
-    a[..., n, k-1]: sum_k a_{0,k} e_{0,k} + 2 Re sum_{n>=1,k} a_{n,k} e_{n,k}."""
-    h = np.real(np.einsum("...k,pk->...p", a[..., 0, :], E[:, 0, :]))
-    h += 2.0 * np.real(np.einsum("...nk,pnk->...p", a[..., 1:, :], E[:, 1:, :]))
-    return h
-
-
-def evaluate(a, z, table):
-    """Pointwise value of the real field with coefficients a at z (scalar or
-    array), relative to the cutoff of a."""
-    z = np.asarray(z, dtype=complex)
-    h = _field_values(a, _eval_matrix(z.ravel(), *cutoff_of(a), table)).reshape(z.shape)
-    return float(h) if h.ndim == 0 else h
 
 
 _BATCH = 1024  # draws per block of covariance_mc
@@ -135,8 +116,8 @@ def covariance_mc(z, w, cutoff, draws, seed, table):
     """Monte-Carlo estimate of E h(z) h(w) at a fixed cutoff.
 
     The field is linear in the standard normals that sample_h draws, so
-    each normal array is drawn from one seeded generator in the order and
-    shapes of _coeff_arrays, in blocks of at most _BATCH draws, and
+    each normal array is drawn from one seeded generator in the order of
+    _coeff_arrays, for a block of at most _BATCH draws at once, and
     contracted at once with its weights at z and w; no coefficient array is
     built.  The weights are cached by the bytes of [z, w] (so +0 and -0
     imaginary parts, which differ in angle, never share them), the cutoff

@@ -2,16 +2,17 @@
 
 None of these run in the CLI or the benchmark.  Most are a second route to
 a quantity the library computes another way: pointwise basis values and
-quadrature projections, the closed-form Green's function, the direct-sum
+quadrature projections, pointwise values of a coefficient array and the
+duality pairing of two, the closed-form Green's function, the direct-sum
 eigenvalue density, plane Gaussian moments, the raw double sum of the
 log-kernel expansion, the case-by-case limit covariance of gamma, and the
 Rider-Virag gradient-plus-boundary limit variance with the analytic gradient
 it uses, and the root table of scipy's per-order jn_zeros.  The radial
 factor of several k, stacked from one-index alpha_radial calls, is the
-layout of the library's piecewise route.  The statistics
-and field coefficients of a single spectrum are the
-one-draw form of the library's batched route, the covariance estimate over
-built coefficient arrays is the form the library's streamed estimate
+layout of the library's piecewise route.  The statistics and field
+coefficients of a single spectrum are the one-draw form of the library's
+batched route, the covariance estimate over coefficient arrays built a
+batch of draws at a time is the form the library's streamed estimate
 contracts away, and the exact finite-N moments with the one-point density
 and the radial kernel factors rebuilt in every call are the form the
 library's shared kernel cache replaces.
@@ -34,7 +35,7 @@ from ginfield.basis import (
     radial_profile,
     root_window,
 )
-from ginfield.field import FieldSample, _coeff_arrays, _field_values
+from ginfield.field import FieldSample
 from ginfield.ginibre import (
     PlaneQuadrature,
     SpectrumSample,
@@ -122,6 +123,33 @@ def project(f, indices, quad, table):
     vals = np.asarray(f(z)).ravel()
     w = quad.weights().ravel()
     return E.conj().T @ (w * vals)
+
+
+def pairing(phi, f):
+    """Duality pairing sum over (n, k) of phi_{n,k} f_{-n,k} of two real
+    fields with coefficient arrays of one shape; the pairing is real."""
+    if phi.shape != f.shape:
+        raise ValueError(f"coefficient shapes differ: {phi.shape} and {f.shape}")
+    mult = np.full((phi.shape[0], 1), 2.0)
+    mult[0] = 1.0
+    return float(np.sum(mult * np.real(phi * np.conj(f))))
+
+
+def _field_values(a, E):
+    """Values at the points of E = _eval_matrix(...) of the real fields
+    a[..., n, k-1]: sum_k a_{0,k} e_{0,k} + 2 Re sum_{n>=1,k} a_{n,k} e_{n,k}."""
+    h = np.real(np.einsum("...k,pk->...p", a[..., 0, :], E[:, 0, :]))
+    h += 2.0 * np.real(np.einsum("...nk,pnk->...p", a[..., 1:, :], E[:, 1:, :]))
+    return h
+
+
+def evaluate(a, z, table):
+    """Pointwise value of the real field with coefficients a at z (scalar or
+    array), relative to the cutoff of a."""
+    z = np.asarray(z, dtype=complex)
+    E = _eval_matrix(z.ravel(), a.shape[0] - 1, a.shape[1], table)
+    h = _field_values(a, E).reshape(z.shape)
+    return float(h) if h.ndim == 0 else h
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +340,27 @@ def h_N_coeffs(sample: SpectrumSample, cutoff, table):
     return FieldSample(a)
 
 
+def coeff_arrays_batched(rng, cutoff, table, batch):
+    """batch draws of the limit field's coefficients a[draw, n, k-1], with
+    each of A, Z and W drawn for the whole batch at once, in that order: the
+    order of the normals that covariance_mc contracts."""
+    j, _ = root_window(cutoff, table)
+    n_max, k_max = cutoff
+    shape, shapew = (batch, n_max, k_max), (batch, n_max)
+    rt = math.sqrt(math.pi)
+    a = np.empty((batch, n_max + 1, k_max), dtype=complex)
+    a[:, 0, :] = rt * rng.standard_normal((batch, k_max)) / j[0]
+    an = a[:, 1:, :]
+    an.real = rng.standard_normal(shape)
+    an.imag = rng.standard_normal(shape)
+    an /= math.sqrt(2)
+    W = (rng.standard_normal(shapew) + 1j * rng.standard_normal(shapew)) / math.sqrt(2)
+    an += W[:, :, None] / np.sqrt(np.arange(1, n_max + 1))[:, None]
+    an *= rt
+    an /= j[1:]
+    return a
+
+
 def covariance_mc_by_coefficients(z, w, cutoff, draws, rng, table, batch=1024):
     """E h(z) h(w) over the seeded field samples, building each batch's
     coefficient array and evaluating it at z and w."""
@@ -320,7 +369,7 @@ def covariance_mc_by_coefficients(z, w, cutoff, draws, rng, table, batch=1024):
     done = 0
     while done < draws:
         b = min(batch, draws - done)
-        h = _field_values(_coeff_arrays(rng, cutoff, table, batch=b), E)
+        h = _field_values(coeff_arrays_batched(rng, cutoff, table, b), E)
         acc += float(np.sum(h[:, 0] * h[:, 1]))
         done += b
     return acc / draws

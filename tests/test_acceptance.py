@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from ginfield.basis import DiskQuadrature, gram_matrix, pairing
+from ginfield.basis import DiskQuadrature, gram_matrix
 from ginfield.bessel import build_root_table
 from ginfield.field import (
     covariance_mc,
@@ -31,6 +31,7 @@ from oracles import (
     bessel_j_prime,
     gaussian_moment,
     limit_quadratic_form,
+    pairing,
     rv_variance,
 )
 

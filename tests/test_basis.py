@@ -13,17 +13,17 @@ from ginfield.basis import (
     SingularityError,
     gram_matrix,
     green_dirichlet_series,
-    pairing,
     radial_profile,
     sobolev_norm,
 )
 from ginfield.bessel import build_root_table
-from ginfield.field import evaluate
 from oracles import (
     disk_integrate,
     eval_eigenfunction,
+    evaluate,
     green_dirichlet_by_order,
     green_dirichlet_closed,
+    pairing,
     power_coeff,
     project,
 )

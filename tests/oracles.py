@@ -14,8 +14,8 @@ coefficients of a single spectrum are the one-draw form of the library's
 batched route, the covariance estimate over coefficient arrays built a
 batch of draws at a time is the form the library's streamed estimate
 contracts away, and the exact finite-N moments with the one-point density
-and the radial kernel factors rebuilt in every call are the form the
-library's shared kernel cache replaces.
+and the radial kernel factors rebuilt in every call, on any rule, are the
+form the library's per-N plane-rule cache replaces.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from ginfield.ginibre import (
     _log_kernel_radial,
     one_point_density,
 )
-from ginfield.linstats import GammaSample, _centerings, _gamma_block
+from ginfield.linstats import GammaSample, _gamma_block, centering_term
 from ginfield.logkernel import alpha_radial
 
 # ---------------------------------------------------------------------------
@@ -320,7 +320,8 @@ def gamma(sample, index_set, table, centerings=None):
     if any(n < 0 for n, _ in index_set):
         raise ValueError("index set must have n >= 0")
     if centerings is None:
-        centerings = _centerings(index_set, len(sample.eigenvalues), table)
+        N = len(sample.eigenvalues)
+        centerings = {idx: centering_term(idx[0], idx[1], N, table) for idx in index_set}
     vals = _gamma_block(sample.eigenvalues[None, :], index_set, table, centerings)[0]
     return GammaSample(
         index_set=index_set,

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from ginfield import ginibre
 from ginfield.cli import main
 from ginfield.ginibre import (
     EigensolverError,
@@ -20,11 +19,13 @@ from ginfield.ginibre import (
     sample_matrix,
     sample_spectrum,
 )
+from ginfield.linstats import centering_term
 from oracles import (
     expected_linear_statistic,
     gaussian_moment,
     one_point_density_series,
     pair_variance_per_call,
+    radial_pair_variance_per_call,
 )
 
 
@@ -157,9 +158,10 @@ def test_pair_variance_of_constant_is_zero():
 def test_radial_pair_variance_of_z(N):
     # Var sum z_i = E|tr A|^2 = 1; z = r e^{-i(-1)theta}.  The default plane
     # rule truncates at a radius whose Gaussian tail leaves up to 6e-11 at
-    # N = 64, so the identity is checked to 1e-12 on a rule out to radius 3.
+    # N = 64, so the identity is checked to 1e-12, through the per-call
+    # oracle, on a rule out to radius 3.
     quad = PlaneQuadrature._polar(220, 1, 3.0)
-    assert abs(radial_pair_variance(lambda r: r, -1, N, quad) - 1.0) < 1e-12
+    assert abs(radial_pair_variance_per_call(lambda r: r, -1, N, quad) - 1.0) < 1e-12
 
 
 def test_pair_variance_refuses_unresolved_pair_differences():
@@ -179,7 +181,7 @@ def test_pair_variance_refuses_negative_variance():
     with pytest.raises(ValueError, match="off_sq/diag"):
         pair_variance(lambda z: np.ones_like(z, dtype=complex), 8, heavy)
     with pytest.raises(ValueError, match="off_sq/diag"):
-        radial_pair_variance(np.ones_like, 0, 8, heavy)
+        radial_pair_variance_per_call(np.ones_like, 0, 8, heavy)
 
 
 def test_pair_variance_refuses_nan():
@@ -194,35 +196,38 @@ def test_pair_variance_refuses_nan():
 def test_pair_variance_equals_the_per_call_oracle(N, cold_kernel):
     expected = pair_variance_per_call(lambda z: z, N)
     cold = pair_variance(lambda z: z, N)
-    assert len(cold_kernel) == 1
+    # the general route builds its kernel in the call and caches no rule
+    assert cold_kernel.cache_info().currsize == 0
     assert cold == expected and pair_variance(lambda z: z, N) == expected
 
 
-def test_kernel_cache_is_keyed_by_N_and_the_radial_nodes(cold_kernel):
-    base = PlaneQuadrature.build(8)
-    radial_pair_variance(lambda r: r, -1, 8, base)
-    radial_pair_variance(lambda r: r, -1, 8, PlaneQuadrature._polar(220, 1, 3.0))
-    assert len(cold_kernel) == 2
-    radial_pair_variance(lambda r: r, -1, 16, base)
-    assert len(cold_kernel) == 3
-    # rho and R do not read wr: a rule with other weights shares the entry of
-    # its base rule and still gets its own diagonal term
-    heavy = dataclasses.replace(base, wr=1.01 * base.wr)
-    with pytest.raises(ValueError, match="off_sq/diag"):
-        radial_pair_variance(np.ones_like, 0, 8, heavy)
-    assert len(cold_kernel) == 3
-    for rho, R in cold_kernel.values():
-        for a in (rho, R):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 1.0
+def test_kernel_cache_is_keyed_by_N_and_the_radial_nodes(small_table, cold_kernel):
+    # one rule per N, so N alone fixes the radial nodes; the centering and
+    # the radial route share its entry
+    radial_pair_variance(lambda r: r, -1, 8)
+    centering_term(0, 1, 8, small_table)
+    assert cold_kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
+    radial_pair_variance(lambda r: r, -1, 16)
+    assert cold_kernel.cache_info().currsize == 2
+    quad, rho, R = cold_kernel(8)
+    assert np.array_equal(quad.r, PlaneQuadrature.build(8).r)
+    assert R.shape == (8, len(quad.r))
+    for a in (quad.r, quad.wr, rho, R):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_kernel_cache_is_bounded(cold_kernel):
-    sizes = range(1, 3 * ginibre._KERNEL_MAX + 1)
+    sizes = range(1, 3 * 8 + 1)
     for N in sizes:
-        pair_variance(lambda z: z, N)
-    assert [N for N, _ in cold_kernel] == list(sizes[-ginibre._KERNEL_MAX :])
+        radial_pair_variance(lambda r: r, -1, N)
+    assert cold_kernel.cache_info().currsize == 8
+    # the last 8 sizes are the ones held
+    misses = cold_kernel.cache_info().misses
+    for N in sizes[-8:]:
+        cold_kernel(N)
+    assert cold_kernel.cache_info().misses == misses
 
 
 def test_eigenvalues_refuse_a_nan_spectrum(monkeypatch):

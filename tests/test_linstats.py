@@ -19,7 +19,6 @@ from ginfield.ginibre import (
     sample_spectrum,
 )
 from ginfield.linstats import (
-    _centerings,
     alpha_values,
     centering_term,
     clt_experiment,
@@ -234,7 +233,7 @@ def test_radial_pair_variance_matches_grid_route(n, N, table):
     quad = PlaneQuadrature.build(N)
     for k in (1, 4, 8):
         grid = pair_variance(partial(alpha_values, n, k, table=table), N, quad)
-        radial = radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N, quad)
+        radial = radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N)
         assert abs(radial - grid) < 1e-12
 
 
@@ -260,11 +259,10 @@ def test_decay_check_structure(small_table):
 
 
 def test_variance_checks_equal_the_per_entry_route(small_table):
-    # rows in grid order, each equal to radial_pair_variance on a fresh plane
-    # rule, though the checks share one rule per N (two decay cases share N = 8)
+    # rows in grid order, each equal to its own radial_pair_variance call
+    # (two decay cases share N = 8)
     def exact(n, k, N):
-        g = partial(alpha_radial, n, k, table=small_table)
-        return radial_pair_variance(g, n, N, PlaneQuadrature.build(N))
+        return radial_pair_variance(partial(alpha_radial, n, k, table=small_table), n, N)
 
     bound = variance_bound_check([0, 3], [1, 2], [8, 16], small_table)
     assert [(r["N"], r["n"], r["k"]) for r in bound["entries"]] == [
@@ -325,9 +323,13 @@ def test_clt_exact_variances_equal_the_per_call_oracle(table, cold_kernel):
 @pytest.mark.parametrize("N", [16, 64, 256])
 def test_centerings_equal_the_per_call_oracle(N, table, cold_kernel):
     idx = tuple((0, k) for k in range(1, 9)) + ((2, 1),)
-    expected = {(n, k): centering_term_per_call(n, k, N, table) for n, k in idx}
-    cold = _centerings(idx, N, table)
-    assert cold == expected and _centerings(idx, N, table) == expected
+    expected = [centering_term_per_call(n, k, N, table) for n, k in idx]
+
+    def library():
+        return [centering_term(n, k, N, table) for n, k in idx]
+
+    cold = library()
+    assert cold == expected and library() == expected
 
 
 @pytest.fixture
@@ -351,12 +353,6 @@ def test_variance_bound_check_builds_the_kernel_factors_once_per_N(
     assert kernel_builds == [8, 32]
 
 
-def test_gamma_draws_build_no_kernel_factors(small_table, cold_kernel, kernel_builds):
-    gamma_draws(16, 2, [(0, 1), (1, 1), (0, 2)], 0, small_table)
-    assert kernel_builds == []
-    assert [R for _, R in cold_kernel.values()] == [None]
-
-
 # Orders out of order and repeated, uneven numbers of k per order, and one
 # index listed twice.
 MIXED_INDEX_SET = [(3, 2), (0, 1), (5, 1), (3, 1), (0, 4), (3, 7), (1, 1), (0, 2), (3, 2)]
@@ -365,8 +361,7 @@ MIXED_INDEX_SET = [(3, 2), (0, 1), (5, 1), (3, 1), (0, 4), (3, 7), (1, 1), (0, 2
 def _per_index_gamma(N, draws, index_set, master_seed, table):
     """gamma draw by draw and index by index: the sum of alpha_values over
     the spectrum minus centering_term."""
-    quad = PlaneQuadrature.build(N)
-    cent = [centering_term(n, k, N, table, quad) for n, k in index_set]
+    cent = [centering_term(n, k, N, table) for n, k in index_set]
     rows = []
     for i in range(draws):
         z = eigenvalues(sample_matrix(N, draw_seed(master_seed, i))).eigenvalues

@@ -54,7 +54,7 @@ def _eval_matrix(points, n_max, k_max, table):
     points = np.asarray(points, dtype=complex)
     r = _disk_radii(points)
     out = np.empty((len(points), n_max + 1, k_max), dtype=complex)
-    th = np.angle(points)
+    th = np.angle(points + 0)  # + 0 turns -0 into +0: one angle per point
     ks = np.arange(1, k_max + 1)
     for n in range(n_max + 1):
         radial = radial_profile(n, ks, r[:, None], table)

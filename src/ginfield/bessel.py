@@ -26,13 +26,13 @@ class RootBracketError(RuntimeError):
     """Raised when a root table does not converge or fails a certificate."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootTable:
     """Dense table of certified Bessel roots j_{n,k}, 0 <= n <= n_max,
     1 <= k <= k_max.
 
     ``roots[n, k-1]`` holds j_{n,k} and ``norms[n, k-1]`` the basis
-    normalisation C_{n,k}.  Immutable after construction.
+    normalisation C_{n,k}.  Immutable, so caches key on the table by identity.
     """
 
     n_max: int
@@ -40,23 +40,19 @@ class RootTable:
     roots: np.ndarray
     norms: np.ndarray
 
-    def _slot(self, n, k):
+    def root(self, n, k):
+        """j_{|n|,k}; negative orders use j_{-n,k} = j_{n,k}."""
         n = abs(int(n))
         if n > self.n_max or not (1 <= k <= self.k_max):
             raise KeyError(f"index ({n}, {k}) outside table ({self.n_max}, {self.k_max})")
-        return n, k - 1
-
-    def root(self, n, k):
-        """j_{|n|,k}; negative orders use j_{-n,k} = j_{n,k}."""
-        return float(self.roots[self._slot(n, k)])
-
-    def norm(self, n, k):
-        """C_{|n|,k} = 1 / (sqrt(pi) J_{|n|+1}(j_{|n|,k}))."""
-        return float(self.norms[self._slot(n, k)])
+        return float(self.roots[n, k - 1])
 
     def __post_init__(self):
         self.roots.setflags(write=False)
         self.norms.setflags(write=False)
+
+    def __reduce__(self):  # through __init__, so a pool worker's copy is read-only too
+        return RootTable, (self.n_max, self.k_max, self.roots, self.norms)
 
 
 def _certified_table(roots):

@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -68,8 +69,9 @@ class ExperimentConfig:
             raise UsageError("--draws must be positive")
         if self.n_max < 1 or self.k_max < 1:
             raise UsageError("index cutoffs must be positive")
-        if self.workers < 1:
-            raise UsageError("--workers must be positive")
+        cores = len(os.sched_getaffinity(0))  # the pool forks every worker at once
+        if not 1 <= self.workers <= cores:
+            raise UsageError(f"--workers must be from 1 to the {cores} usable cores")
         if self.seed < 0:
             raise UsageError("--seed must be non-negative")
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import _disk_radii, _eval_matrix, root_window, sobolev_norm
+from .basis import _eval_matrix, root_window, sobolev_norm
 
 
 @dataclass(frozen=True)
@@ -75,41 +76,29 @@ def field_norm_sq(sample, s, table):
 
 _BATCH = 1024  # draws per block of covariance_mc
 _SLICE = 1 << 16  # doubles of normals it draws and contracts at once: 512 KB, in cache
-# _draw_weights results by content: the bytes of the points, the cutoff and
-# the bytes of the root and normalisation window the weights read
-_WEIGHTS = {}
-_WEIGHTS_MAX = 8
 
 
-def _draw_weights(points, cutoff, table):
-    """Real weights, one (width, len(points)) matrix for each standard normal
-    array that _coeff_arrays draws, in its order: A (width k), Re Z and Im Z
-    (n k), Re W and Im W (n).  The field at the points is the sum of each
-    array times its weights.  Built once per key of _WEIGHTS and read-only.
-    """
+@lru_cache(maxsize=8)
+def _draw_weights(z, w, cutoff, table):
+    """Real weights, one (width, 2) matrix for each standard normal array
+    that _coeff_arrays draws, in its order: A (width k), Re Z and Im Z (n k),
+    Re W and Im W (n).  The field at z and w is the sum of each array times
+    its weights.  Read-only, and built once per z, w, cutoff and table."""
     n_max, k_max = cutoff
     j, _ = root_window(cutoff, table)
-    points = np.asarray(points, dtype=complex)
-    _disk_radii(points)
-    key = (points.tobytes(), (n_max, k_max), j.tobytes(),
-           table.norms[: n_max + 1, :k_max].tobytes())
-    if key not in _WEIGHTS:
-        E = _eval_matrix(points, n_max, k_max, table) / j
-        rt = math.sqrt(math.pi)
-        # rows n >= 1 enter twice (order -n) and carry the 1/sqrt(2) of Z and W
-        c_Z = math.sqrt(2) * rt * E[:, 1:, :]
-        c_W = c_Z.sum(axis=2) / np.sqrt(np.arange(1, n_max + 1))
-        c_Z = c_Z.reshape(len(points), n_max * k_max)
-        c_A = rt * E[:, 0, :].real
-        weights = tuple(
-            np.ascontiguousarray(c.T) for c in (c_A, c_Z.real, -c_Z.imag, c_W.real, -c_W.imag)
-        )
-        for c in weights:
-            c.flags.writeable = False
-        if len(_WEIGHTS) >= _WEIGHTS_MAX:
-            del _WEIGHTS[next(iter(_WEIGHTS))]
-        _WEIGHTS[key] = weights
-    return _WEIGHTS[key]
+    E = _eval_matrix(np.array([z, w]), n_max, k_max, table) / j
+    rt = math.sqrt(math.pi)
+    # rows n >= 1 enter twice (order -n) and carry the 1/sqrt(2) of Z and W
+    c_Z = math.sqrt(2) * rt * E[:, 1:, :]
+    c_W = c_Z.sum(axis=2) / np.sqrt(np.arange(1, n_max + 1))
+    c_Z = c_Z.reshape(2, n_max * k_max)
+    c_A = rt * E[:, 0, :].real
+    weights = tuple(
+        np.ascontiguousarray(c.T) for c in (c_A, c_Z.real, -c_Z.imag, c_W.real, -c_W.imag)
+    )
+    for c in weights:
+        c.flags.writeable = False
+    return weights
 
 
 def covariance_mc(z, w, cutoff, draws, seed, table):
@@ -119,12 +108,11 @@ def covariance_mc(z, w, cutoff, draws, seed, table):
     each normal array is drawn from one seeded generator in the order of
     _coeff_arrays, for a block of at most _BATCH draws at once, and
     contracted at once with its weights at z and w; no coefficient array is
-    built.  The weights are cached by the bytes of [z, w] (so +0 and -0
-    imaginary parts, which differ in angle, never share them), the cutoff
-    and the bytes of the table's root and normalisation window; repeated
-    seeded blocks at the same points reuse them.  Each array is drawn into
-    one reused buffer in row slices of at most _SLICE doubles (one row if
-    wider), and each slice is contracted as soon as it is drawn.
+    built.  The weights are cached by z, w, the cutoff and the table, so
+    repeated seeded blocks at the same points reuse them; a -0 imaginary
+    part gives the value, and the cache entry, of +0.  Each array is drawn
+    into one reused buffer in row slices of at most _SLICE doubles (one row
+    if wider), and each slice is contracted as soon as it is drawn.
     """
     z = complex(z)
     w = complex(w)
@@ -132,7 +120,7 @@ def covariance_mc(z, w, cutoff, draws, seed, table):
         raise ValueError("use distinct points; the diagonal diverges with cutoff")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    weights = _draw_weights([z, w], cutoff, table)
+    weights = _draw_weights(z, w, tuple(cutoff), table)
     buf = np.empty(max(_SLICE, *(len(c) for c in weights)))
     rng = np.random.default_rng(seed)
     acc = 0.0

@@ -31,9 +31,6 @@ _HARMONIC_MAX_TERMS = 10_000_000
 # largest error against alpha_radial, relative to max |g|, a build may keep.
 _PANEL_DEGREE = 12
 _PANEL_TOL = 1e-13
-# Interpolant builds keyed by content (n, j_{n,k}, C_{n,k}): tables that agree
-# on an index share its build, tables that differ never do.
-_DISK_PANELS = {}
 
 
 class InterpolantError(RuntimeError):
@@ -130,22 +127,16 @@ def _chebyshev_matrices(degree):
     return nodes, to_cheb, to_power
 
 
+@lru_cache(maxsize=None)
 def _disk_panels(n, k, table):
     """Power coefficients, shape (_PANEL_DEGREE + 1, P), of the interpolant
     of the disk branch of alpha_radial(n, k): column p holds panel
-    [p / P, (p + 1) / P] in its local variable t.  Built on first use."""
+    [p / P, (p + 1) / P] in its local variable t.  Fitted to alpha_radial at
+    the Chebyshev points of P uniform panels, P the least power of two >=
+    max(64, j / 0.6) so that a panel spans at most a tenth of a period of
+    J_n(j r), and checked at off-node points of every panel.  Cached per
+    (n, k, table) without bound: a 64 x 64 index set would thrash a bound."""
     j = table.root(n, k)
-    key = (n, j, table.norm(n, k))
-    if key not in _DISK_PANELS:
-        _DISK_PANELS[key] = _build_disk_panels(n, k, j, table)
-    return _DISK_PANELS[key]
-
-
-def _build_disk_panels(n, k, j, table):
-    """Sample alpha_radial at the Chebyshev points of P uniform panels of
-    [0, 1), P the least power of two >= max(64, j / 0.6) so that a panel
-    spans at most a tenth of a period of J_n(j r); fit each panel and check
-    the fit at off-node points of every panel."""
     panels = 64
     while panels < j / 0.6:
         panels *= 2

@@ -201,7 +201,7 @@ def alpha_radial_derivative(n, k, r, table):
     g = np.empty_like(r)
     inside = r < 1.0
     ri, ro = r[inside], r[~inside]
-    g_in = a * (table.norm(n, k) * j * bessel_j_prime(n, j * ri))
+    g_in = a * (table.norms[n, k - 1] * j * bessel_j_prime(n, j * ri))
     if n == 0:
         g[~inside] = (2.0 * rt / j) / ro
     else:

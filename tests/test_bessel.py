@@ -6,15 +6,18 @@ arbitrary-precision evaluation, and scipy's per-order jn_zeros.
 """
 
 import math
+import pickle
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
-from ginfield import bessel
+from ginfield import bessel, field, logkernel
 from ginfield.bessel import RootBracketError, build_root_table
 from ginfield.cli import main
+from ginfield.field import covariance_mc
+from ginfield.logkernel import alpha_radial_piecewise
 from oracles import bessel_j_prime, jn_zeros_table
 
 J01 = 2.404825557695773  # frozen from the series-bisection oracle below
@@ -114,6 +117,33 @@ def test_build_table_shape_and_determinism():
     a = build_root_table(8, 8)
     b = build_root_table(8, 8)
     assert np.array_equal(a.roots, b.roots)
+
+
+def test_a_table_is_its_own_cache_key():
+    # a table compares and hashes by identity, so one table reuses what was
+    # built from it and a second one with the same content builds its own;
+    # comparing two tables used to raise ValueError, and hashing TypeError
+    t, same = build_root_table(8, 8), build_root_table(8, 8)
+    assert t == t and t != same and hash(t) == hash(t)
+    logkernel._disk_panels.cache_clear()
+    field._draw_weights.cache_clear()
+    for _ in range(3):
+        alpha_radial_piecewise(2, np.array([3]), np.array([0.5]), t)
+        covariance_mc(0.3, -0.4, (4, 4), 10, 0, t)
+    for cached in (logkernel._disk_panels, field._draw_weights):
+        assert cached.cache_info()[:2] == (2, 1)  # (hits, misses)
+    alpha_radial_piecewise(2, np.array([3]), np.array([0.5]), same)
+    covariance_mc(0.3, -0.4, (4, 4), 10, 0, same)
+    for cached in (logkernel._disk_panels, field._draw_weights):
+        assert cached.cache_info()[:2] == (2, 2)
+
+
+def test_a_pickled_table_stays_read_only():
+    # a pool worker gets its table by pickle, which used to skip __post_init__
+    # and leave the arrays writeable under the caches keyed on the table
+    t = pickle.loads(pickle.dumps(build_root_table(4, 4)))
+    assert not t.roots.flags.writeable and not t.norms.flags.writeable
+    assert np.array_equal(t.roots, build_root_table(4, 4).roots)
 
 
 def test_negative_order_alias(table):

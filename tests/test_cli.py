@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ginfield import bessel, cli, logkernel
+from ginfield import bessel, cli, linstats, logkernel
 from ginfield.bessel import build_root_table
 from ginfield.cli import (
     ExperimentConfig,
@@ -279,6 +279,29 @@ def test_config_validation():
         cfg.validate()
 
 
+@pytest.mark.parametrize("extra", [1, 10**5])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_more_workers_than_usable_cores_is_usage_error(
+    extra, via_config, tmp_path, monkeypatch, capsys
+):
+    # the pool forks all its workers at its first submit, so --workers 100000
+    # used to fork 100,000 processes; the refusal comes before the root table
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool or a root table was made before the usage check")
+
+    monkeypatch.setattr(linstats, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(cli, "build_root_table", refuse)
+    workers = str(len(os.sched_getaffinity(0)) + extra)
+    args = ["clt", "--draws", "100000", "--out", str(tmp_path / "o")]
+    if via_config:
+        args += ["--config", str(_write_config(tmp_path, ["workers = " + workers]))]
+    else:
+        args += ["--workers", workers]
+    assert main(args) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_roots_experiment_outputs(tmp_path, capsys):
     code = main(
         ["roots", "--n-max", "4", "--k-max", "4", "--out", str(tmp_path / "o")]
@@ -395,7 +418,7 @@ def test_root_table_failure_exits_3(tmp_path, monkeypatch, capsys):
 def test_interpolant_failure_exits_3(tmp_path, monkeypatch, capsys):
     # a degree-4 fit misses the 1e-13 certificate of the radial interpolant
     monkeypatch.setattr(logkernel, "_PANEL_DEGREE", 4)
-    monkeypatch.setattr(logkernel, "_DISK_PANELS", {})
+    logkernel._disk_panels.cache_clear()
     code = main(["clt", "--n-size", "4", "--draws", "2", "--out", str(tmp_path)])
     assert code == 3
     assert "interpolant" in capsys.readouterr().err
@@ -447,6 +470,7 @@ def _write_config(tmp_path, lines):
 @given(data=st.data())
 def test_config_file_round_trips(tmp_path, data):
     values = {key: data.draw(st.integers(1, 10**9)) for key in _POSITIVE_KEYS}
+    values["workers"] = data.draw(st.integers(1, len(os.sched_getaffinity(0))))
     values["seed"] = data.draw(st.integers(0, 10**12))
     values["sobolev_s"] = data.draw(st.floats(allow_nan=False, allow_infinity=False))
     values["out"] = data.draw(_path_text)

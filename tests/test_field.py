@@ -226,11 +226,11 @@ def test_a_non_finite_point_is_refused(small_table, monkeypatch, bad):
         raise AssertionError("a generator was made before the points were checked")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
-    monkeypatch.setattr(field, "_WEIGHTS", {})
+    field._draw_weights.cache_clear()
     for z, w in ((bad, 0.1), (0.1, bad)):
         with pytest.raises(DiskDomainError):
             covariance_mc(z, w, (4, 4), 10, 0, small_table)
-    assert field._WEIGHTS == {}
+    assert field._draw_weights.cache_info().currsize == 0
 
 
 @pytest.fixture
@@ -242,7 +242,7 @@ def eval_calls(monkeypatch):
         calls.append((n_max, k_max))
         return eval_matrix(points, n_max, k_max, table)
 
-    monkeypatch.setattr(field, "_WEIGHTS", {})
+    field._draw_weights.cache_clear()
     monkeypatch.setattr(field, "_eval_matrix", counted)
     return calls
 
@@ -252,49 +252,44 @@ def test_covariance_mc_builds_its_weights_once(table, eval_calls):
     second = covariance_mc(0.3, -0.4, (16, 16), 200, 1, table)
     assert eval_calls == [(16, 16)]
     assert first != second
-    for c in next(iter(field._WEIGHTS.values())):
+    assert field._draw_weights.cache_info()[:2] == (1, 1)  # (hits, misses)
+    for c in field._draw_weights(0.3 + 0j, -0.4 + 0j, (16, 16), table):
         assert not c.flags.writeable
         with pytest.raises(ValueError):
             c[0, 0] = 1.0
 
 
-def test_covariance_mc_weights_follow_the_table_content(table, small_table, eval_calls):
-    # a perturbed norm inside the window gets weights of its own; a table of
-    # another size with the same window shares the entry
+def test_covariance_mc_weights_follow_the_table_content(table, eval_calls):
+    # a perturbed norm inside the window gets weights of its own
     norms = table.norms.copy()
     norms[3, 2] = np.nextafter(norms[3, 2], np.inf)
     perturbed = RootTable(table.n_max, table.k_max, table.roots, norms)
     covariance_mc(0.3, -0.4, (8, 8), 50, 0, table)
     covariance_mc(0.3, -0.4, (8, 8), 50, 0, perturbed)
-    assert len(eval_calls) == 2 and len(field._WEIGHTS) == 2
-    covariance_mc(0.3, -0.4, (8, 8), 50, 0, small_table)
-    assert len(eval_calls) == 2 and len(field._WEIGHTS) == 2
-    # a perturbation outside the window changes nothing the weights read
-    norms = table.norms.copy()
-    norms[9, 0] *= 2.0
-    covariance_mc(0.3, -0.4, (8, 8), 50, 0, RootTable(table.n_max, table.k_max, table.roots, norms))
-    assert len(eval_calls) == 2
+    assert len(eval_calls) == 2 and field._draw_weights.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("z", [complex(-0.3, 0.0), complex(-0.3, -0.0)])
-def test_covariance_mc_from_the_cache_is_bit_identical(table, monkeypatch, z):
+def test_covariance_mc_from_the_cache_is_bit_identical(table, z):
+    # the two signs of a zero imaginary part are one point: one estimate and
+    # one cache entry, whichever spelling comes first; -0 used to take the
+    # angle -pi and move the estimate by rounding
     w, cutoff = 0.1 + 0.4j, (16, 16)
-    monkeypatch.setattr(field, "_WEIGHTS", {})
-    # the other sign of zero first: its angle differs, so its entry must not be used
-    covariance_mc(complex(z.real, -z.imag), w, cutoff, 300, 4, table)
-    hit_after_other = covariance_mc(z, w, cutoff, 300, 4, table)
-    hit = covariance_mc(z, w, cutoff, 300, 4, table)
-    assert len(field._WEIGHTS) == 2
-    monkeypatch.setattr(field, "_WEIGHTS", {})
+    field._draw_weights.cache_clear()
     cold = covariance_mc(z, w, cutoff, 300, 4, table)
-    assert hit == cold and hit_after_other == cold
+    other = complex(z.real, -z.imag)
+    assert [covariance_mc(p, w, cutoff, 300, 4, table) for p in (other, z)] == [cold, cold]
+    assert field._draw_weights.cache_info()[:2] == (2, 1)  # (hits, misses)
+    assert field._draw_weights.cache_info().currsize == 1
+    field._draw_weights.cache_clear()
+    assert covariance_mc(other, w, cutoff, 300, 4, table) == cold
 
 
-def test_covariance_mc_cache_is_bounded(small_table, monkeypatch):
-    monkeypatch.setattr(field, "_WEIGHTS", {})
-    for i in range(3 * field._WEIGHTS_MAX):
+def test_covariance_mc_cache_is_bounded(small_table):
+    field._draw_weights.cache_clear()
+    for i in range(24):
         covariance_mc(0.01 * i, -0.4, (2, 2), 1, 0, small_table)
-    assert len(field._WEIGHTS) == field._WEIGHTS_MAX
+    assert field._draw_weights.cache_info().currsize == 8
 
 
 def test_h_N_coeffs_match_gamma(small_table):

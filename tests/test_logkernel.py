@@ -284,11 +284,11 @@ def test_piecewise_builds_follow_the_table_content(small_table):
 
 def test_piecewise_build_that_misses_its_certificate_raises(small_table, monkeypatch):
     # degree 4 is far off at the 1e-13 bound; nothing is cached for later use
-    monkeypatch.setattr(logkernel, "_DISK_PANELS", {})
+    logkernel._disk_panels.cache_clear()
     monkeypatch.setattr(logkernel, "_PANEL_DEGREE", 4)
     with pytest.raises(InterpolantError, match="alpha_2,3"):
         alpha_radial_piecewise(2, np.array([3]), np.array([0.5]), small_table)
-    assert logkernel._DISK_PANELS == {}
+    assert logkernel._disk_panels.cache_info().currsize == 0
     monkeypatch.setattr(logkernel, "_PANEL_DEGREE", 12)
     monkeypatch.setattr(logkernel, "_PANEL_TOL", 0.0)
     with pytest.raises(InterpolantError):

@@ -165,6 +165,48 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def _empty_containers(tree):
+    """Module-level names of tree bound to an empty {}, [], set(), dict() or
+    list(): the start of a hand-rolled cache, where functools.lru_cache is
+    the one idiom."""
+    def empty(value):
+        if value is None:  # a bare annotation
+            return False
+        if isinstance(value, ast.Dict):
+            return not value.keys
+        if isinstance(value, ast.List):
+            return not value.elts
+        return (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in {"set", "dict", "list"}
+            and not value.args
+            and not value.keywords
+        )
+
+    return {
+        name
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and empty(stmt.value)
+        for name in _defined_names(stmt)
+    }
+
+
+def test_the_empty_container_check_sees_a_cache():
+    tree = ast.parse("A = {}\nB: list = []\nC = set()\nD = {1: 2}\nE = [0]\nF = set(x)\nG: int\n")
+    assert _empty_containers(tree) == {"A", "B", "C"}
+
+
+def test_no_module_level_name_is_an_empty_container():
+    found = {
+        path.name: _empty_containers(ast.parse(path.read_text()))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names} == {}, (
+        "module-level empty containers in src/ginfield; memoise with functools.lru_cache"
+    )
+
+
 def _runtime_errors(trees):
     """Names of the classes in trees that derive from RuntimeError, directly
     or through another class defined there."""

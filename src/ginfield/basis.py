@@ -48,7 +48,7 @@ def _disk_radii(points):
     return r
 
 
-def _eval_matrix(points, n_max, k_max, table):
+def eval_matrix(points, n_max, k_max, table):
     """(len(points), n_max + 1, k_max) values of the radial-normalized
     basis functions with phase, for fast batched field evaluation."""
     points = np.asarray(points, dtype=complex)
@@ -74,7 +74,7 @@ def _leggauss(order):
 @dataclass(frozen=True)
 class DiskQuadrature:
     """Gauss-Legendre radial nodes r and weights wr (weight r absorbed) on
-    [0, radius], tensored with len(theta) uniform angles of weight wt.
+    radial panels, tensored with len(theta) uniform angles of weight wt.
 
     A rule of radial_order nodes and angular_order angles is exact for
     integrands r^p e^{i m phi} with p <= 2 * radial_order - 2 and
@@ -89,13 +89,14 @@ class DiskQuadrature:
     @classmethod
     def build(cls, radial_order=120, angular_order=64):
         """The rule on the unit disk."""
-        return cls._polar(radial_order, angular_order, 1.0)
+        return cls._polar(radial_order, angular_order, (0.0, 1.0))
 
     @classmethod
-    def _polar(cls, radial_order, angular_order, radius):
+    def _polar(cls, radial_order, angular_order, interval):
+        a, b = interval
         x, w = _leggauss(radial_order)
-        r = 0.5 * radius * (x + 1.0)
-        wr = 0.5 * radius * w * r  # absorb the r dr weight
+        r = a + 0.5 * (b - a) * (x + 1.0)
+        wr = 0.5 * (b - a) * w * r  # absorb the r dr weight
         theta = 2.0 * math.pi * np.arange(angular_order) / angular_order
         wt = 2.0 * math.pi / angular_order
         return cls(r, wr, theta, wt)
@@ -122,7 +123,7 @@ def green_dirichlet_series(z, w, table, n_cut=None, k_cut=None):
         raise SingularityError("Green's function diverges at z = w")
     cutoff = (table.n_max if n_cut is None else n_cut, table.k_max if k_cut is None else k_cut)
     j, mult = root_window(cutoff, table)
-    E = _eval_matrix([z, w], *cutoff, table)
+    E = eval_matrix([z, w], *cutoff, table)
     return -float(np.sum(mult * np.real(E[0] * np.conj(E[1])) / j**2))
 
 

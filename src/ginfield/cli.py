@@ -1,15 +1,17 @@
 """Command-line experiment runner.
 
-One subcommand per verification experiment.  Each experiment returns its
-data, and _write_outputs alone writes it into the output directory: a
-manifest (config echo, files written, root-table time, version, wall time),
-a machine-readable result JSON, and one CSV per dataset.  All randomness is
-driven by the --seed flag; rerunning with the same configuration reproduces
-the result files byte for byte.
+One subcommand per verification experiment, whose _exp_* function computes
+its whole report (clt's from linstats.gamma_draws, the limit law and the
+exact variances).  Each returns its data, and _write_outputs alone writes
+it into the output directory: a manifest (config echo, files written,
+root-table time, version, wall time), a machine-readable result JSON, and
+one CSV per dataset.  All randomness is driven by the --seed flag;
+rerunning with the same configuration reproduces the result files byte
+for byte.
 
 Exit codes: 0 success, 1 experiment outside tolerance, 2 usage error,
-3 internal numerical failure (an eigensolve, a root table or a radial
-interpolant that fails its certificate).
+3 internal numerical failure (an eigensolve, a root table, a radial
+interpolant or an exact variance that fails its certificate).
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from . import __version__
 from .basis import DiskQuadrature, gram_matrix
 from .bessel import ROOT_RESIDUAL_TOL, RootBracketError, build_root_table
 from .field import covariance_mc, tightness_statistic
-from .ginibre import EigensolverError, sample_spectrum
+from .ginibre import EigensolverError, VarianceError, radial_pair_variance, sample_spectrum
 from .linstats import (
     GammaSample,
-    clt_experiment,
     decay_check,
+    exact_variance,
     gamma_draws,
     limit_covariance_matrix,
     variance_bound_check,
@@ -177,25 +179,59 @@ def _exp_pair_variance(cfg, table):
     ns = list(range(0, cfg.n_max + 1))
     ks = list(range(1, cfg.k_max + 1))
     rep = variance_bound_check(ns, ks, [cfg.n_size], table)
+    # Var sum_i z_i = E|tr A|^2 = 1 checks the rule of the exact variances
+    rep["identity_error"] = abs(radial_pair_variance(lambda r: r, -1, cfg.n_size) - 1.0)
     rows = [[r["n"], r["k"], r["N"], r["variance"], r["ratio"]] for r in rep["entries"]]
-    return True, rep, {"pair_variance": (["n", "k", "N", "variance", "ratio"], rows)}
+    ok = rep["identity_error"] <= 1e-6
+    return ok, rep, {"pair_variance": (["n", "k", "N", "variance", "ratio"], rows)}
 
 
 def _exp_clt(cfg, table):
     if cfg.draws < 2:
         raise UsageError("clt needs --draws >= 2 for its variances and standard errors")
-    index_set = [(0, 1), (1, 1), (1, 2)]
-    rep = clt_experiment(
-        cfg.n_size, cfg.draws, index_set, cfg.seed, table, workers=cfg.workers
-    )
+    # scipy.stats costs about 0.9 s and 44 MB to import, so only this
+    # report pays for it
+    from scipy import stats
+
+    N, draws = cfg.n_size, cfg.draws
+    index_set = ((0, 1), (1, 1), (1, 2))
+    G = gamma_draws(N, draws, index_set, cfg.seed, table, workers=cfg.workers)
+    mean = G.mean(axis=0)
+    Gc = G - mean
+    cov = (Gc.conj().T @ Gc) / (draws - 1)
+    pseudo = (Gc.T @ Gc) / (draws - 1)
     limit = limit_covariance_matrix(index_set, table)
-    emp = np.array([[complex(a, b) for a, b in row] for row in rep["empirical_cov"]])
-    dev = np.abs(np.diag(emp) - np.diag(limit))
-    ok = bool(np.all(dev <= 5.0 * np.array(rep["se_var"]))) and all(
-        v["pvalue"] > 1e-3 for v in rep["ks"].values()
+    # standard errors: of the mean from the marginal std, of each variance
+    # from the Gaussian formula var(S^2) ~ 2 sigma^4 / (M - 1)
+    var = np.real(np.diag(cov))
+    se_var = np.sqrt(2.0 / (draws - 1)) * var
+    # Kolmogorov-Smirnov of each part under the limit law; Im gamma_{0,k} = 0
+    ks = {}
+    for i, (n, k) in enumerate(index_set):
+        sigma = math.sqrt(limit[i, i].real * (0.5 if n > 0 else 1.0))
+        parts = {"re": G[:, i].real, "im": G[:, i].imag} if n > 0 else {"re": G[:, i].real}
+        for part, x in parts.items():
+            res = stats.kstest(x / sigma, "norm")
+            ks[f"{part}_{n}_{k}"] = {"statistic": float(res.statistic), "pvalue": float(res.pvalue)}
+    ok = bool(np.all(np.abs(np.diag(cov) - np.diag(limit)) <= 5.0 * se_var)) and all(
+        v["pvalue"] > 1e-3 for v in ks.values()
     )
+    rep = {
+        "N": N,
+        "draws": draws,
+        "seed": cfg.seed,
+        "index_set": [list(i) for i in index_set],
+        "empirical_mean": [[v.real, v.imag] for v in mean],
+        "empirical_cov": [[[c.real, c.imag] for c in row] for row in cov],
+        "empirical_pseudo_cov": [[[c.real, c.imag] for c in row] for row in pseudo],
+        "limit_cov": [[[c.real, c.imag] for c in row] for row in limit],
+        "se_mean": list(np.sqrt(var / draws)),
+        "se_var": list(se_var),
+        "ks": ks,
+        "exact_pair_variance": {f"{n}_{k}": exact_variance(n, k, N, table) for n, k in index_set},
+    }
     rows = [
-        [n, k, emp[i, i].real, limit[i, i].real, rep["se_var"][i]]
+        [n, k, cov[i, i].real, limit[i, i].real, se_var[i]]
         for i, (n, k) in enumerate(index_set)
     ]
     return ok, rep, {"clt_variances": (["n", "k", "empirical", "limit", "se"], rows)}
@@ -327,7 +363,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EigensolverError, RootBracketError, InterpolantError) as exc:
+    except (EigensolverError, RootBracketError, InterpolantError, VarianceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

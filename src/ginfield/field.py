@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _eval_matrix, root_window, sobolev_norm
+from .basis import eval_matrix, root_window, sobolev_norm
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _draw_weights(z, w, cutoff, table):
     its weights.  Read-only, and built once per z, w, cutoff and table."""
     n_max, k_max = cutoff
     j, _ = root_window(cutoff, table)
-    E = _eval_matrix(np.array([z, w]), n_max, k_max, table) / j
+    E = eval_matrix(np.array([z, w]), n_max, k_max, table) / j
     rt = math.sqrt(math.pi)
     # rows n >= 1 enter twice (order -n) and carry the 1/sqrt(2) of Z and W
     c_Z = math.sqrt(2) * rt * E[:, 1:, :]

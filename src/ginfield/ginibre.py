@@ -23,6 +23,10 @@ class EigensolverError(RuntimeError):
     """Raised when a spectrum fails the trace identity."""
 
 
+class VarianceError(RuntimeError):
+    """Raised when an exact variance comes out negative or NaN."""
+
+
 @dataclass(frozen=True)
 class SpectrumSample:
     """Eigenvalues of one Ginibre draw with provenance."""
@@ -87,14 +91,20 @@ def one_point_density(N, z):
 
 
 class PlaneQuadrature(DiskQuadrature):
-    """Polar quadrature on |z| <= R for integrals against the Gaussian
-    weight; R = sqrt(1 + 20/N) + 2/sqrt(N) makes the tail negligible.
-    220 radial nodes and 512 angles."""
+    """Polar quadrature for integrals against the kernel of Ginibre(N): 512
+    angles, and Gauss-Legendre radii on two panels split at r = 1, where
+    alpha is only C^2: max(80, ceil(3 sqrt N)) on [0, 1], where the kernel
+    factors have width 1/sqrt(2N), and 40 on [1, R = sqrt(1 + 20/N) +
+    4/sqrt(N)]: R^2 - 1 >= 8/sqrt(N), 8 sd of Kostlan's outermost |z|^2."""
 
     @classmethod
     def build(cls, N):
-        R = math.sqrt(1.0 + 20.0 / N) + 2.0 / math.sqrt(N)
-        return cls._polar(220, 512, R)
+        R = math.sqrt(1.0 + 20.0 / N) + 4.0 / math.sqrt(N)
+        inner = cls._polar(max(80, math.ceil(3.0 * math.sqrt(N))), 512, (0.0, 1.0))
+        outer = cls._polar(40, 512, (1.0, R))
+        r = np.concatenate([inner.r, outer.r])
+        wr = np.concatenate([inner.wr, outer.wr])
+        return cls(r, wr, inner.theta, inner.wt)
 
 
 def _log_kernel_radial(N, r):
@@ -140,10 +150,10 @@ def _diagonal_pair_sq(R, d, c, wr):
 
 
 def _checked_variance(diag, off_sq):
-    """diag - off_sq, refused when it is NaN or when rounding or a coarse
-    rule drives it below zero by more than 1e-12 of diag."""
+    """diag - off_sq; VarianceError when it is NaN or when rounding or a
+    coarse rule drives it below zero by more than 1e-12 of diag."""
     if not (-1e-12 * diag <= diag - off_sq):
-        raise ValueError(
+        raise VarianceError(
             f"pair variance {diag - off_sq:.3e} is negative or NaN: "
             f"cancellation ratio off_sq/diag = {off_sq / diag:.15f}"
         )
@@ -188,17 +198,24 @@ def pair_variance(f, N, quad=None):
     return _checked_variance(diag, off_sq)
 
 
+def radial_mean(g, N):
+    """E sum_i g(|z_i|) = 2 pi int g(r) rho_N(r) r dr for a radial g, one
+    radial sum on the nodes of _plane_rule(N)."""
+    quad, rho, _ = _plane_rule(N)
+    return float(2.0 * math.pi * np.sum(np.asarray(g(quad.r)) * rho * quad.wr))
+
+
 def radial_pair_variance(g, n, N):
     """pair_variance of the single-mode function f(r e^{i theta}) =
     g(r) e^{-i n theta}, given its radial factor g.
 
     Only the kernel overlaps on the diagonal l - k = -n are nonzero, so the
-    variance is one radial sum on the radial nodes of the default plane
-    rule; no pair exists when |n| >= N.  The rule, rho_N and the radial
-    kernel factors come from _plane_rule(N), built once per N; only g is
+    variance is radial_mean of |g|^2 less one radial sum of overlaps; no
+    pair exists when |n| >= N.  The rule, rho_N and the radial kernel
+    factors come from _plane_rule(N), built once per N; only g is
     evaluated per call.
     """
-    quad, rho, R = _plane_rule(N)
+    quad, _, R = _plane_rule(N)
     gr = np.asarray(g(quad.r))
-    diag = float(2.0 * math.pi * np.sum(np.abs(gr) ** 2 * rho * quad.wr))
+    diag = radial_mean(lambda r: np.abs(gr) ** 2, N)
     return _checked_variance(diag, _diagonal_pair_sq(R, -n, gr, quad.wr))

@@ -1,10 +1,12 @@
-"""Centered linear statistics of the log-kernel coefficients, their limiting
-Gaussian law, and Monte-Carlo CLT experiments.
+"""Centered linear statistics of the log-kernel coefficients, their exact
+finite-N moments, their limiting Gaussian law, and their Monte-Carlo draws.
 
 gamma_{n,k}^(N) is the centered linear statistic of alpha_{n,k} over one
 Ginibre spectrum.  Its limit is sqrt(pi)/j_{n,k} times a standard Gaussian
 for n = 0, and sqrt(pi)/j_{n,k} (Z + W/sqrt(n)) for n >= 1 with the complex
-Gaussian W shared across all k at fixed n.
+Gaussian W shared across all k at fixed n.  The exact finite-N mean and
+variance of gamma are the radial moments of alpha_{n,k}'s radial factor
+that ginibre.radial_mean and ginibre.radial_pair_variance compute.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .ginibre import _plane_rule, radial_pair_variance, sample_spectrum
+from .ginibre import radial_mean, radial_pair_variance, sample_spectrum
 from .logkernel import alpha_radial, alpha_radial_piecewise
 
 # Eigenvalues per block of spectra that _gamma_draws_range evaluates at once.
@@ -37,15 +39,14 @@ class GammaSample:
 
 
 def centering_term(n, k, N, table):
-    """E sum_i alpha_{n,k}(z_i); exactly zero for n != 0 by rotational
-    symmetry of the one-point density, a radial integral for n = 0.  Reads
-    the plane rule and rho_N from ginibre._plane_rule(N), the cache of the
-    radial exact routes, which builds the radial kernel factors too."""
-    if n != 0:
-        return 0.0
-    quad, rho, _ = _plane_rule(N)
-    g = alpha_radial(0, k, quad.r, table)
-    return float(2.0 * math.pi * np.sum(g * rho * quad.wr))
+    """E sum_i alpha_{n,k}(z_i): the radial mean of alpha_{0,k} for n = 0,
+    and exactly zero for n != 0 by rotational symmetry of rho_N."""
+    return radial_mean(partial(alpha_radial, 0, k, table=table), N) if n == 0 else 0.0
+
+
+def exact_variance(n, k, N, table):
+    """Exact finite-N variance E|gamma_{n,k}^(N)|^2 of the centered statistic."""
+    return radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N)
 
 
 def alpha_values(n, k, zs, table):
@@ -99,7 +100,7 @@ def limit_covariance_matrix(index_set, table):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo experiments
+# Monte-Carlo draws and the exact-variance checks
 # ---------------------------------------------------------------------------
 
 
@@ -130,69 +131,13 @@ def gamma_draws(N, draws, index_set, master_seed, table, workers=1):
         return np.vstack(list(pool.map(run, bounds[:-1], bounds[1:])))
 
 
-def _ks_against_normal(x):
-    # scipy.stats costs about 0.9 s and 44 MB to import, so only the clt
-    # report pays for it
-    from scipy import stats
-
-    res = stats.kstest(x, "norm")
-    return float(res.statistic), float(res.pvalue)
-
-
-def clt_experiment(N, draws, index_set, master_seed, table, workers=1):
-    """CLT experiment report for gamma over an index set at matrix size N.
-
-    Contains empirical means and covariances with standard errors, the
-    limiting covariance, per-marginal Kolmogorov-Smirnov statistics of the
-    standardized real and imaginary parts, and the exact finite-N
-    pair-variance values.
-    """
-    index_set = tuple((int(n), int(k)) for n, k in index_set)
-    G = gamma_draws(N, draws, index_set, master_seed, table, workers=workers)
-    m = len(index_set)
-    mean = G.mean(axis=0)
-    Gc = G - mean
-    cov = (Gc.conj().T @ Gc) / (draws - 1)
-    pseudo = (Gc.T @ Gc) / (draws - 1)
-    limit = limit_covariance_matrix(index_set, table)
-    # standard errors: mean via marginal std; variance entries via the
-    # Gaussian formula var(S^2) ~ 2 sigma^4 / (M-1) on each diagonal
-    se_mean = np.sqrt(np.real(np.diag(cov)) / draws)
-    se_var = np.sqrt(2.0 / (draws - 1)) * np.real(np.diag(cov))
-    ks = {}
-    for jdx, (n, k) in enumerate(index_set):
-        sigma = math.sqrt(limit[jdx, jdx].real * (0.5 if n > 0 else 1.0))
-        ks[f"re_{n}_{k}"] = _ks_against_normal(G[:, jdx].real / sigma)
-        if n > 0:
-            ks[f"im_{n}_{k}"] = _ks_against_normal(G[:, jdx].imag / sigma)
-    exact = {
-        f"{n}_{k}": radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N)
-        for (n, k) in index_set
-    }
-    return {
-        "N": N,
-        "draws": draws,
-        "seed": master_seed,
-        "index_set": [list(i) for i in index_set],
-        "empirical_mean": [[v.real, v.imag] for v in mean],
-        "empirical_cov": [[[c.real, c.imag] for c in row] for row in cov],
-        "empirical_pseudo_cov": [[[c.real, c.imag] for c in row] for row in pseudo],
-        "limit_cov": [[[c.real, c.imag] for c in row] for row in limit],
-        "se_mean": list(se_mean),
-        "se_var": list(se_var),
-        "ks": {key: {"statistic": v[0], "pvalue": v[1]} for key, v in ks.items()},
-        "exact_pair_variance": exact,
-    }
-
-
 def _variance_rows(cases, k_list, table, key, scale):
-    """Exact pair variance of alpha_{n,k} for every (n, N) case and every k,
-    one row each with key = scale(variance, n, j_{n,k}); the plane rule and
-    kernel of each N come from ginibre._plane_rule, built once per N."""
+    """exact_variance of alpha_{n,k} for every (n, N) case and every k, one
+    row each with key = scale(variance, n, j_{n,k})."""
     rows = []
     for n, N in cases:
         for k in k_list:
-            v = radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N)
+            v = exact_variance(n, k, N, table)
             j = table.root(n, k)
             rows.append({"n": n, "k": k, "N": N, "variance": v, key: scale(v, n, j)})
     return rows

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import string
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ginfield import bessel, cli, linstats, logkernel
+from ginfield import bessel, cli, ginibre, linstats, logkernel
 from ginfield.bessel import build_root_table
 from ginfield.cli import (
     ExperimentConfig,
@@ -422,6 +423,38 @@ def test_interpolant_failure_exits_3(tmp_path, monkeypatch, capsys):
     code = main(["clt", "--n-size", "4", "--draws", "2", "--out", str(tmp_path)])
     assert code == 3
     assert "interpolant" in capsys.readouterr().err
+
+
+def test_variance_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # overlaps past the diagonal term leave a negative exact variance, which
+    # used to end in a ValueError traceback with exit code 1
+    monkeypatch.setattr(ginibre, "_diagonal_pair_sq", lambda *args: math.inf)
+    args = ["pair-variance", "--n-size", "8", "--n-max", "1", "--k-max", "1"]
+    assert main([*args, "--out", str(tmp_path)]) == 3
+    assert "off_sq/diag" in capsys.readouterr().err
+
+
+def test_pair_variance_fails_when_its_rule_misses_the_trace_identity(
+    tmp_path, monkeypatch, cold_kernel
+):
+    # Var sum z_i = 1 on the rule of the exact variances; one panel of 220
+    # radii out to sqrt(1 + 20/N) + 2/sqrt(N) misses it by 1.4e-5 at
+    # N = 1024, where pair-variance used to PASS
+    args = ["pair-variance", "--n-size", "1024", "--n-max", "1", "--k-max", "1", "--out"]
+
+    def identity_error(out):
+        return json.loads((out / "result.json").read_text())["result"]["identity_error"]
+
+    assert main([*args, str(tmp_path / "two")]) == 0
+    assert identity_error(tmp_path / "two") < 1e-10
+
+    def one_panel(cls, N):
+        return cls._polar(220, 512, (0.0, math.sqrt(1.0 + 20.0 / N) + 2.0 / math.sqrt(N)))
+
+    monkeypatch.setattr(ginibre.PlaneQuadrature, "build", classmethod(one_panel))
+    cold_kernel.cache_clear()
+    assert main([*args, str(tmp_path / "one")]) == 1
+    assert 1e-6 < identity_error(tmp_path / "one") < 1e-4
 
 
 def _no_eigensolve(monkeypatch):

@@ -235,15 +235,15 @@ def test_a_non_finite_point_is_refused(small_table, monkeypatch, bad):
 
 @pytest.fixture
 def eval_calls(monkeypatch):
-    """An empty weight cache, and the list of _eval_matrix calls made."""
-    calls, eval_matrix = [], field._eval_matrix
+    """An empty weight cache, and the list of eval_matrix calls made."""
+    calls, eval_matrix = [], field.eval_matrix
 
     def counted(points, n_max, k_max, table):
         calls.append((n_max, k_max))
         return eval_matrix(points, n_max, k_max, table)
 
     field._draw_weights.cache_clear()
-    monkeypatch.setattr(field, "_eval_matrix", counted)
+    monkeypatch.setattr(field, "eval_matrix", counted)
     return calls
 
 

@@ -11,10 +11,12 @@ from ginfield.cli import main
 from ginfield.ginibre import (
     EigensolverError,
     PlaneQuadrature,
+    VarianceError,
     draw_seed,
     eigenvalues,
     one_point_density,
     pair_variance,
+    radial_mean,
     radial_pair_variance,
     sample_matrix,
     sample_spectrum,
@@ -94,16 +96,21 @@ def test_gaussian_moment_vs_quadrature():
 
 
 def test_plane_quadrature_rule():
-    # Gauss-Legendre on [0, R] with the r dr weight absorbed, pinned bit
-    # for bit to the formulas the rule is defined by
-    N = 32
-    R = math.sqrt(1.0 + 20.0 / N) + 2.0 / math.sqrt(N)
-    x, w = np.polynomial.legendre.leggauss(220)
-    quad = PlaneQuadrature.build(N)
-    assert np.array_equal(quad.r, 0.5 * R * (x + 1.0))
-    assert np.array_equal(quad.wr, 0.5 * R * w * quad.r)
-    assert np.array_equal(quad.theta, 2.0 * math.pi * np.arange(512) / 512)
-    assert quad.wt == 2.0 * math.pi / 512
+    # Gauss-Legendre on [0, 1] and [1, R] with the r dr weight absorbed,
+    # pinned bit for bit to the formulas the rule is defined by; the inner
+    # panel has max(80, ceil(3 sqrt N)) radii
+    for N, inner in [(32, 80), (1024, 96)]:
+        R = math.sqrt(1.0 + 20.0 / N) + 4.0 / math.sqrt(N)
+        r, wr = [], []
+        for order, (a, b) in [(inner, (0.0, 1.0)), (40, (1.0, R))]:
+            x, w = np.polynomial.legendre.leggauss(order)
+            r.append(a + 0.5 * (b - a) * (x + 1.0))
+            wr.append(0.5 * (b - a) * w * r[-1])
+        quad = PlaneQuadrature.build(N)
+        assert np.array_equal(quad.r, np.concatenate(r))
+        assert np.array_equal(quad.wr, np.concatenate(wr))
+        assert np.array_equal(quad.theta, 2.0 * math.pi * np.arange(512) / 512)
+        assert quad.wt == 2.0 * math.pi / 512
 
 
 def test_one_point_density_routes_agree():
@@ -156,18 +163,27 @@ def test_pair_variance_of_constant_is_zero():
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64])
 def test_radial_pair_variance_of_z(N):
-    # Var sum z_i = E|tr A|^2 = 1; z = r e^{-i(-1)theta}.  The default plane
-    # rule truncates at a radius whose Gaussian tail leaves up to 6e-11 at
-    # N = 64, so the identity is checked to 1e-12, through the per-call
-    # oracle, on a rule out to radius 3.
-    quad = PlaneQuadrature._polar(220, 1, 3.0)
+    # Var sum z_i = E|tr A|^2 = 1; z = r e^{-i(-1)theta}, checked to 1e-12
+    # through the per-call oracle on one panel out to radius 3
+    quad = PlaneQuadrature._polar(220, 1, (0.0, 3.0))
     assert abs(radial_pair_variance_per_call(lambda r: r, -1, N, quad) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 8, 64, 256, 1024])
+def test_radial_moments_meet_kostlans_closed_forms(N):
+    # by Kostlan, N |z_i|^2 are independent Gamma(k, 1) laws, k = 1..N, so
+    # E sum 1 = N, E sum |z|^2 = (N + 1)/2 and Var sum |z|^2 = (N + 1)/(2N);
+    # Var sum z = E|tr A|^2 = 1
+    assert radial_mean(np.ones_like, N) == pytest.approx(N, rel=1e-13, abs=0)
+    assert radial_mean(np.square, N) == pytest.approx((N + 1) / 2, rel=1e-13, abs=0)
+    assert abs(radial_pair_variance(np.square, 0, N) - (N + 1) / (2 * N)) < 1e-10
+    assert abs(radial_pair_variance(lambda r: r, -1, N) - 1.0) < 1e-10
 
 
 def test_pair_variance_refuses_unresolved_pair_differences():
     # 64 angular nodes resolve pair differences up to 32: N = 33 is the limit
     R = math.sqrt(1.0 + 20.0 / 34) + 2.0 / math.sqrt(34)
-    quad = PlaneQuadrature._polar(220, 64, R)
+    quad = PlaneQuadrature._polar(220, 64, (0.0, R))
     assert abs(pair_variance(lambda z: z, 33, quad) - 1.0) < 1e-6
     with pytest.raises(ValueError, match="angular order 64"):
         pair_variance(lambda z: z, 34, quad)
@@ -178,17 +194,17 @@ def test_pair_variance_refuses_negative_variance():
     # sum exceeds the diagonal term and the variance would come out negative
     quad = PlaneQuadrature.build(8)
     heavy = dataclasses.replace(quad, wr=1.01 * quad.wr)
-    with pytest.raises(ValueError, match="off_sq/diag"):
+    with pytest.raises(VarianceError, match="off_sq/diag"):
         pair_variance(lambda z: np.ones_like(z, dtype=complex), 8, heavy)
-    with pytest.raises(ValueError, match="off_sq/diag"):
+    with pytest.raises(VarianceError, match="off_sq/diag"):
         radial_pair_variance_per_call(np.ones_like, 0, 8, heavy)
 
 
 def test_pair_variance_refuses_nan():
     # NaN fails every comparison, so the sign check must reject it explicitly
-    with pytest.raises(ValueError, match="off_sq/diag"):
+    with pytest.raises(VarianceError, match="off_sq/diag"):
         pair_variance(lambda z: np.full(z.shape, np.nan, dtype=complex), 8)
-    with pytest.raises(ValueError, match="off_sq/diag"):
+    with pytest.raises(VarianceError, match="off_sq/diag"):
         radial_pair_variance(lambda r: np.full_like(r, np.nan), 0, 8)
 
 
@@ -203,10 +219,11 @@ def test_pair_variance_equals_the_per_call_oracle(N, cold_kernel):
 
 def test_kernel_cache_is_keyed_by_N_and_the_radial_nodes(small_table, cold_kernel):
     # one rule per N, so N alone fixes the radial nodes; the centering and
-    # the radial route share its entry
+    # the radial route share its entry, which the route reads once itself and
+    # once through radial_mean
     radial_pair_variance(lambda r: r, -1, 8)
     centering_term(0, 1, 8, small_table)
-    assert cold_kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert cold_kernel.cache_info()[:2] == (2, 1)  # (hits, misses)
     radial_pair_variance(lambda r: r, -1, 16)
     assert cold_kernel.cache_info().currsize == 2
     quad, rho, R = cold_kernel(8)

@@ -1,5 +1,6 @@
-"""Tests of centered linear statistics, limit covariances, the
-gradient-plus-boundary variance functional, and the CLT machinery."""
+"""Tests of centered linear statistics, their exact finite-N moments, limit
+covariances, the gradient-plus-boundary variance functional, and the CLT
+report of the clt experiment."""
 
 import math
 from functools import partial
@@ -7,7 +8,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ginfield import ginibre, linstats
+from ginfield import cli, ginibre, linstats
+from ginfield.cli import ExperimentConfig
 from ginfield.ginibre import (
     EigensolverError,
     PlaneQuadrature,
@@ -21,8 +23,8 @@ from ginfield.ginibre import (
 from ginfield.linstats import (
     alpha_values,
     centering_term,
-    clt_experiment,
     decay_check,
+    exact_variance,
     gamma_draws,
     limit_covariance,
     limit_covariance_matrix,
@@ -32,7 +34,9 @@ from ginfield.logkernel import alpha_radial
 from oracles import (
     TestFunction,
     alpha_combination,
+    alpha_moments,
     centering_term_per_call,
+    fine_plane_rule,
     gamma,
     limit_covariance_by_pair,
     limit_covariance_matrix_by_pair,
@@ -205,11 +209,17 @@ def test_gamma_draws_run_the_trace_certificate(small_table, monkeypatch):
         gamma_draws(16, 2, [(0, 1)], 0, small_table, workers=1)
 
 
+def _clt_report(N, draws, table):
+    """The result of the clt experiment at --n-size N --draws draws --seed 0."""
+    _, rep, _ = cli._exp_clt(ExperimentConfig("clt", n_size=N, draws=draws, seed=0), table)
+    return rep
+
+
 def test_clt_experiment_small(small_table):
-    idx = [(0, 1), (1, 1)]
-    rep = clt_experiment(16, 200, idx, 0, small_table)
+    rep = _clt_report(16, 200, small_table)
     assert rep["N"] == 16 and rep["draws"] == 200
-    assert len(rep["empirical_mean"]) == 2
+    assert rep["index_set"] == [[0, 1], [1, 1], [1, 2]]
+    assert len(rep["empirical_mean"]) == 3
     # centered statistic: mean within 6 se of zero
     for mu, se in zip(rep["empirical_mean"], rep["se_mean"]):
         assert abs(complex(*mu)) < 6 * se
@@ -238,7 +248,7 @@ def test_radial_pair_variance_matches_grid_route(n, N, table):
 
 
 def test_clt_experiment_reports_exact_variance_at_large_N(small_table):
-    rep = clt_experiment(128, 4, [(0, 1)], 0, small_table)
+    rep = _clt_report(128, 4, small_table)
     grid = pair_variance(partial(alpha_values, 0, 1, table=small_table), 128)
     assert abs(rep["exact_pair_variance"]["0_1"] - grid) < 1e-12
 
@@ -313,11 +323,24 @@ def test_clt_exact_variances_equal_the_per_call_oracle(table, cold_kernel):
     idx = [(0, 1), (1, 1), (1, 2)]
 
     def library():
-        return clt_experiment(256, 2, idx, 0, table)["exact_pair_variance"]
+        return [exact_variance(n, k, 256, table) for n, k in idx]
 
-    expected = {f"{n}_{k}": _exact_per_call(n, k, 256, table) for n, k in idx}
+    expected = [_exact_per_call(n, k, 256, table) for n, k in idx]
     cold = library()
     assert cold == expected and library() == expected
+
+
+@pytest.mark.parametrize("N", [8, 64, 256, 1024])
+def test_exact_moments_match_a_fine_reference_rule(N, small_table):
+    # the plane rule's panels split at alpha's kink r = 1 and its cut lies
+    # past the edge layer; one panel to sqrt(1 + 20/N) + 2/sqrt(N) missed
+    # the variances by up to 1.2e-5 and the centerings by up to 1.8e-6 here
+    idx = [(n, k) for n in range(9) for k in range(1, 9)]
+    ref_var, ref_cent = alpha_moments(N, idx, small_table, fine_plane_rule(N))
+    var = np.array([exact_variance(n, k, N, small_table) for n, k in idx])
+    cent = np.array([centering_term(n, k, N, small_table) for n, k in idx])
+    assert np.max(np.abs(var / ref_var - 1.0)) < 1e-9
+    assert np.max(np.abs(cent - ref_cent)) < 1e-9
 
 
 @pytest.mark.parametrize("N", [16, 64, 256])

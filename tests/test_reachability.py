@@ -5,7 +5,8 @@ from the CLI entry point or from a name the benchmark uses, through the
 references in the code of reachable definitions, and every public field,
 method and property of a library class must be read as an attribute
 somewhere in that code.  Independent reference routes that only tests need
-belong in tests/oracles.py.  No module imports a name it never uses.
+belong in tests/oracles.py.  No module imports a name it never uses, nor
+another module's private name.
 """
 
 import ast
@@ -163,6 +164,35 @@ def test_the_unused_import_check_sees_an_unused_name():
 def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _private_imports(source):
+    """Underscore names, dunders aside, that the module source imports from
+    a module of the package."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "ginfield")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    }
+
+
+def test_the_private_import_check_sees_a_private_name():
+    source = (
+        "from . import __version__\n"
+        "from .a import _b, c\n"
+        "from ginfield.d import _e\n"
+        "from numpy import _f\n"
+    )
+    assert _private_imports(source) == {"_b", "_e"}
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name a second module needs is that module's interface, so it is public
+    found = {path.name: _private_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def _empty_containers(tree):

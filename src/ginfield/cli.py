@@ -35,6 +35,8 @@ from .bessel import ROOT_RESIDUAL_TOL, RootBracketError, build_root_table
 from .field import covariance_mc, tightness_statistic
 from .ginibre import EigensolverError, VarianceError, radial_pair_variance, sample_spectrum
 from .linstats import (
+    DECAY_CPRIME_MAX,
+    VARIANCE_C_MAX,
     GammaSample,
     decay_check,
     exact_variance,
@@ -182,7 +184,7 @@ def _exp_pair_variance(cfg, table):
     # Var sum_i z_i = E|tr A|^2 = 1 checks the rule of the exact variances
     rep["identity_error"] = abs(radial_pair_variance(lambda r: r, -1, cfg.n_size) - 1.0)
     rows = [[r["n"], r["k"], r["N"], r["variance"], r["ratio"]] for r in rep["entries"]]
-    ok = rep["identity_error"] <= 1e-6
+    ok = rep["identity_error"] <= 1e-6 and rep["calibrated_C"] <= VARIANCE_C_MAX
     return ok, rep, {"pair_variance": (["n", "k", "N", "variance", "ratio"], rows)}
 
 
@@ -270,7 +272,8 @@ def _exp_decay_check(cfg, table):
     cases = [(32, 16), (64, 32)]
     rep = decay_check(cases, [1, 2, 3, 4], table)
     rows = [[r["n"], r["k"], r["N"], r["variance"], r["scaled"]] for r in rep["entries"]]
-    return True, rep, {"decay": (["n", "k", "N", "variance", "scaled"], rows)}
+    ok = rep["calibrated_Cprime"] <= DECAY_CPRIME_MAX
+    return ok, rep, {"decay": (["n", "k", "N", "variance", "scaled"], rows)}
 
 
 _EXPERIMENTS = {

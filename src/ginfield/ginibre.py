@@ -139,14 +139,15 @@ def _plane_rule(N):
 
 
 def _diagonal_pair_sq(R, d, c, wr):
-    """Sum over the valid k of |A_{k,k+d}|^2, where
-    A_{k,k+d} = 2 pi int c(r) R_k(r) R_{k+d}(r) r dr is the kernel overlap of
-    the angular mode c(r) e^{i d theta} (r dr already in wr)."""
-    N = R.shape[0]
-    ks = np.arange(max(0, -d), min(N, N - d))
-    prod = R[ks, :] * R[ks + d, :] * (c * wr)[None, :]
-    A = 2.0 * math.pi * prod.sum(axis=1)
-    return float(np.sum(np.abs(A) ** 2))
+    """Sum over the valid k of |A_{k,k+d}|^2 per row of c (a float for 1-D
+    c), A_{k,k+d} = 2 pi int c(r) R_k(r) R_{k+d}(r) r dr the kernel overlap
+    of the angular mode c(r) e^{i d theta} (r dr already in wr); one (pairs,
+    radii) product at a time, whatever the number of rows."""
+    pairs = max(R.shape[0] - abs(d), 0)
+    K = R[max(0, -d) :][:pairs] * R[max(0, d) :][:pairs]
+    A = [2.0 * math.pi * (K * w).sum(axis=1) for w in np.atleast_2d(c * wr)]
+    sums = [float((np.abs(a) ** 2).sum()) for a in A]
+    return sums if np.ndim(c) > 1 else sums[0]
 
 
 def _checked_variance(diag, off_sq):
@@ -205,17 +206,28 @@ def radial_mean(g, N):
     return float(2.0 * math.pi * np.sum(np.asarray(g(quad.r)) * rho * quad.wr))
 
 
-def radial_pair_variance(g, n, N):
-    """pair_variance of the single-mode function f(r e^{i theta}) =
-    g(r) e^{-i n theta}, given its radial factor g.
+def radial_nodes(Ns):
+    """(r, cols): the sorted union r of the radial nodes of _plane_rule(N)
+    over every N of Ns, and for each N the indices into r of its own nodes,
+    so that values on r taken at cols[N] are values on that rule's nodes."""
+    nodes = {N: _plane_rule(N)[0].r for N in Ns}
+    r = np.unique(np.concatenate(list(nodes.values())))
+    return r, {N: np.searchsorted(r, x) for N, x in nodes.items()}
 
-    Only the kernel overlaps on the diagonal l - k = -n are nonzero, so the
-    variance is radial_mean of |g|^2 less one radial sum of overlaps; no
-    pair exists when |n| >= N.  The rule, rho_N and the radial kernel
-    factors come from _plane_rule(N), built once per N; only g is
-    evaluated per call.
-    """
-    quad, _, R = _plane_rule(N)
-    gr = np.asarray(g(quad.r))
-    diag = radial_mean(lambda r: np.abs(gr) ** 2, N)
-    return _checked_variance(diag, _diagonal_pair_sq(R, -n, gr, quad.wr))
+
+def radial_pair_variance(g, n, N):
+    """pair_variance of g(r) e^{-i n theta}: radial_pair_variances of g alone."""
+    return radial_pair_variances(np.asarray(g(_plane_rule(N)[0].r))[None, :], n, N)[0]
+
+
+def radial_pair_variances(G, n, N):
+    """pair_variance of g(r) e^{-i n theta} for each radial factor g in the
+    rows of G, on the radial nodes of _plane_rule(N): the radial mean of
+    |g|^2 less the overlaps on the diagonal l - k = -n (none when |n| >= N).
+    Sums run along the radii of C-contiguous arrays, so rows do not mix;
+    VarianceError for the first row that fails _checked_variance."""
+    quad, rho, R = _plane_rule(N)
+    G = np.ascontiguousarray(G)
+    diag = 2.0 * math.pi * (np.abs(G) ** 2 * rho * quad.wr).sum(axis=-1)
+    off_sq = _diagonal_pair_sq(R, -n, G, quad.wr)
+    return [_checked_variance(float(d), float(o)) for d, o in np.broadcast(diag, off_sq)]

@@ -18,11 +18,13 @@ from functools import partial
 
 import numpy as np
 
-from .ginibre import radial_mean, radial_pair_variance, sample_spectrum
+from .ginibre import radial_mean, radial_nodes, radial_pair_variances, sample_spectrum
 from .logkernel import alpha_radial, alpha_radial_piecewise
 
 # Eigenvalues per block of spectra that _gamma_draws_range evaluates at once.
 _BLOCK_EIGENVALUES = 2**14
+# Largest calibrated_C and calibrated_Cprime that criterion 5 accepts.
+VARIANCE_C_MAX, DECAY_CPRIME_MAX = 0.2, 6.0
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,9 @@ def centering_term(n, k, N, table):
 
 
 def exact_variance(n, k, N, table):
-    """Exact finite-N variance E|gamma_{n,k}^(N)|^2 of the centered statistic."""
-    return radial_pair_variance(partial(alpha_radial, n, k, table=table), n, N)
+    """Exact finite-N variance E|gamma_{n,k}^(N)|^2 of the centered statistic:
+    the one entry of variance_bound_check([n], [k], [N])."""
+    return variance_bound_check([n], [k], [N], table)["entries"][0]["variance"]
 
 
 def alpha_values(n, k, zs, table):
@@ -132,14 +135,16 @@ def gamma_draws(N, draws, index_set, master_seed, table, workers=1):
 
 
 def _variance_rows(cases, k_list, table, key, scale):
-    """exact_variance of alpha_{n,k} for every (n, N) case and every k, one
-    row each with key = scale(variance, n, j_{n,k})."""
+    """Exact variance of gamma_{n,k}^(N) for every (n, N) case and every k,
+    one row each with key = scale(variance, n, j_{n,k}).  Each alpha_{n,k}
+    is evaluated once, on the union of the radial nodes of every N, and the
+    k of each case go to one radial_pair_variances call."""
+    r, cols = radial_nodes(N for _, N in cases)
+    g = {n: np.array([alpha_radial(n, k, r, table) for k in k_list]) for n in {n for n, _ in cases}}
     rows = []
     for n, N in cases:
-        for k in k_list:
-            v = exact_variance(n, k, N, table)
-            j = table.root(n, k)
-            rows.append({"n": n, "k": k, "N": N, "variance": v, key: scale(v, n, j)})
+        for k, v in zip(k_list, radial_pair_variances(g[n][:, cols[N]], n, N)):
+            rows.append({"n": n, "k": k, "N": N, "variance": v, key: scale(v, n, table.root(n, k))})
     return rows
 
 

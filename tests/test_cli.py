@@ -434,6 +434,30 @@ def test_variance_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "off_sq/diag" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, check, key, bound",
+    [
+        ("pair-variance", "variance_bound_check", "calibrated_C", linstats.VARIANCE_C_MAX),
+        ("decay-check", "decay_check", "calibrated_Cprime", linstats.DECAY_CPRIME_MAX),
+    ],
+)
+def test_criterion_5_constant_past_its_bound_fails(
+    name, check, key, bound, tmp_path, monkeypatch, capsys
+):
+    # each experiment fails once its calibrated constant passes the bound
+    real = getattr(cli, check)
+
+    def reporting(value):
+        return lambda *args: {**real(*args), key: value}
+
+    args = [name, "--n-size", "8", "--n-max", "1", "--k-max", "1", "--out", str(tmp_path)]
+    monkeypatch.setattr(cli, check, reporting(bound))
+    assert main(args) == 0
+    monkeypatch.setattr(cli, check, reporting(math.nextafter(bound, math.inf)))
+    assert main(args) == 1
+    assert f"{name}: FAIL" in capsys.readouterr().out
+
+
 def test_pair_variance_fails_when_its_rule_misses_the_trace_identity(
     tmp_path, monkeypatch, cold_kernel
 ):

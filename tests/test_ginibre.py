@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ginfield import ginibre
 from ginfield.cli import main
 from ginfield.ginibre import (
     EigensolverError,
@@ -18,6 +19,7 @@ from ginfield.ginibre import (
     pair_variance,
     radial_mean,
     radial_pair_variance,
+    radial_pair_variances,
     sample_matrix,
     sample_spectrum,
 )
@@ -208,6 +210,30 @@ def test_pair_variance_refuses_nan():
         radial_pair_variance(lambda r: np.full_like(r, np.nan), 0, 8)
 
 
+# A row that fails the check, and the weight factor of the rule: NaN fails
+# every comparison, and with weights 1 % too heavy the overlaps of g = 1,
+# whose variance is 0, exceed its diagonal term.
+FAILING_ROWS = {"nan": (lambda r: np.full_like(r, np.nan), 1.0), "negative": (np.ones_like, 1.01)}
+
+
+@pytest.mark.parametrize("bad", FAILING_ROWS)
+def test_one_failing_row_fails_the_batch_with_its_own_ratio(bad, cold_kernel, monkeypatch):
+    g, weight = FAILING_ROWS[bad]
+    quad, rho, R = cold_kernel(8)
+    quad = dataclasses.replace(quad, wr=weight * quad.wr)
+    monkeypatch.setattr(ginibre, "_plane_rule", lambda N: (quad, rho, R))
+    good = [np.square, lambda r: r]
+    G = np.array([good[0](quad.r), g(quad.r), good[1](quad.r)])
+    with pytest.raises(VarianceError) as alone:
+        radial_pair_variance_per_call(g, 0, 8, quad)
+    # warnings are errors here, so a numpy RuntimeWarning would fail this too
+    with pytest.raises(VarianceError) as batch:
+        radial_pair_variances(G, 0, 8)
+    assert str(batch.value) == str(alone.value)
+    expected = [radial_pair_variance_per_call(f, 0, 8, quad) for f in good]
+    assert radial_pair_variances(G[[0, 2]], 0, 8) == expected
+
+
 @pytest.mark.parametrize("N", [8, 64])
 def test_pair_variance_equals_the_per_call_oracle(N, cold_kernel):
     expected = pair_variance_per_call(lambda z: z, N)
@@ -219,8 +245,8 @@ def test_pair_variance_equals_the_per_call_oracle(N, cold_kernel):
 
 def test_kernel_cache_is_keyed_by_N_and_the_radial_nodes(small_table, cold_kernel):
     # one rule per N, so N alone fixes the radial nodes; the centering and
-    # the radial route share its entry, which the route reads once itself and
-    # once through radial_mean
+    # the radial route share its entry, which the route reads once for its
+    # nodes and once in radial_pair_variances
     radial_pair_variance(lambda r: r, -1, 8)
     centering_term(0, 1, 8, small_table)
     assert cold_kernel.cache_info()[:2] == (2, 1)  # (hits, misses)

@@ -376,6 +376,42 @@ def test_variance_bound_check_builds_the_kernel_factors_once_per_N(
     assert kernel_builds == [8, 32]
 
 
+@pytest.fixture
+def alpha_calls(monkeypatch):
+    """The (n, k) of every alpha_radial call made by linstats."""
+    calls, alpha = [], linstats.alpha_radial
+
+    def counted(n, k, r, table):
+        calls.append((n, k))
+        return alpha(n, k, r, table)
+
+    monkeypatch.setattr(linstats, "alpha_radial", counted)
+    return calls
+
+
+def test_variance_bound_check_evaluates_alpha_once_per_index(table, alpha_calls):
+    # one call per index on the nodes of both N, not one per index and N
+    variance_bound_check(range(9), range(1, 9), [8, 32], table)
+    assert sorted(alpha_calls) == [(n, k) for n in range(9) for k in range(1, 9)]
+
+
+# Inner rules of 80 (N = 8) and 96 (N = 1024) radii, orders at and past N
+# (no pair of kernel terms couples), and three cases sharing N = 8.
+MIXED_CASES = [(16, 8), (2, 1024), (8, 8), (40, 1024), (5, 8)]
+
+
+def test_one_call_over_mixed_rules_and_cases_equals_the_per_call_oracle(table, cold_kernel):
+    assert [len(PlaneQuadrature.build(N).r) for N in (8, 1024)] == [80 + 40, 96 + 40]
+    ks = [1, 3, 8]
+    rows = decay_check(MIXED_CASES, ks, table)["entries"]
+    assert [(r["n"], r["N"], r["k"]) for r in rows] == [
+        (n, N, k) for n, N in MIXED_CASES for k in ks
+    ]
+    assert [r["variance"] for r in rows] == [
+        _exact_per_call(n, k, N, table) for n, N in MIXED_CASES for k in ks
+    ]
+
+
 # Orders out of order and repeated, uneven numbers of k per order, and one
 # index listed twice.
 MIXED_INDEX_SET = [(3, 2), (0, 1), (5, 1), (3, 1), (0, 4), (3, 7), (1, 1), (0, 2), (3, 2)]

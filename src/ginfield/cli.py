@@ -172,9 +172,17 @@ def _exp_ginibre_sample(cfg, table):
     Z = np.array([sample_spectrum(cfg.n_size, cfg.seed, i).eigenvalues for i in range(cfg.draws)])
     rows = [[i, z.real, z.imag] for i, zs in enumerate(Z) for z in zs]
     inside = float(np.mean(Z.real**2 + Z.imag**2 < 0.64))
-    return True, {"fraction_inside_r0.8": inside}, {
-        "eigenvalues": (["draw", "re", "im"], rows)
-    }
+    # by Kostlan the count inside r = 0.8 is a sum of independent
+    # Bernoulli(p_k), p_k = P(Gamma(k, 1) < 0.64 N) for k = 1 .. N
+    N = cfg.n_size
+    p = special.gammainc(np.arange(1, N + 1), 0.64 * N)
+    mean = float(p.sum()) / N
+    se = math.sqrt(float(np.sum(p * (1.0 - p))) / cfg.draws) / N
+    return abs(inside - mean) <= 4.0 * se, {
+        "fraction_inside_r0.8": inside,
+        "kostlan_mean_inside_r0.8": mean,
+        "kostlan_se_inside_r0.8": se,
+    }, {"eigenvalues": (["draw", "re", "im"], rows)}
 
 
 def _exp_pair_variance(cfg, table):

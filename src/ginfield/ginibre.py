@@ -207,26 +207,27 @@ def radial_mean(g, N):
 
 
 def radial_nodes(Ns):
-    """(r, cols): the sorted union r of the radial nodes of _plane_rule(N)
-    over every N of Ns, and for each N the indices into r of its own nodes,
-    so that values on r taken at cols[N] are values on that rule's nodes."""
-    nodes = {N: _plane_rule(N)[0].r for N in Ns}
-    r = np.unique(np.concatenate(list(nodes.values())))
-    return r, {N: np.searchsorted(r, x) for N, x in nodes.items()}
+    """(r, rules): the sorted union r of the radial nodes of _plane_rule(N)
+    over every N of Ns, and for each N the pair (cols, rule) of the indices
+    into r of its own nodes and that rule, read once here."""
+    rules = {N: _plane_rule(N) for N in Ns}
+    r = np.unique(np.concatenate([quad.r for quad, _, _ in rules.values()]))
+    return r, {N: (np.searchsorted(r, rule[0].r), rule) for N, rule in rules.items()}
 
 
 def radial_pair_variance(g, n, N):
     """pair_variance of g(r) e^{-i n theta}: radial_pair_variances of g alone."""
-    return radial_pair_variances(np.asarray(g(_plane_rule(N)[0].r))[None, :], n, N)[0]
+    rule = _plane_rule(N)
+    return radial_pair_variances(np.asarray(g(rule[0].r))[None, :], n, rule)[0]
 
 
-def radial_pair_variances(G, n, N):
+def radial_pair_variances(G, n, rule):
     """pair_variance of g(r) e^{-i n theta} for each radial factor g in the
-    rows of G, on the radial nodes of _plane_rule(N): the radial mean of
-    |g|^2 less the overlaps on the diagonal l - k = -n (none when |n| >= N).
-    Sums run along the radii of C-contiguous arrays, so rows do not mix;
-    VarianceError for the first row that fails _checked_variance."""
-    quad, rho, R = _plane_rule(N)
+    rows of G, on the radial nodes of rule = _plane_rule(N): the radial mean
+    of |g|^2 less the overlaps on the diagonal l - k = -n (none when |n| >=
+    N).  Sums run along the radii of C-contiguous arrays, so rows do not
+    mix; VarianceError for the first row that fails _checked_variance."""
+    quad, rho, R = rule
     G = np.ascontiguousarray(G)
     diag = 2.0 * math.pi * (np.abs(G) ** 2 * rho * quad.wr).sum(axis=-1)
     off_sq = _diagonal_pair_sq(R, -n, G, quad.wr)

@@ -138,12 +138,14 @@ def _variance_rows(cases, k_list, table, key, scale):
     """Exact variance of gamma_{n,k}^(N) for every (n, N) case and every k,
     one row each with key = scale(variance, n, j_{n,k}).  Each alpha_{n,k}
     is evaluated once, on the union of the radial nodes of every N, and the
-    k of each case go to one radial_pair_variances call."""
-    r, cols = radial_nodes(N for _, N in cases)
+    k of each case go to one radial_pair_variances call, on the rule that
+    radial_nodes read."""
+    r, rules = radial_nodes(N for _, N in cases)
     g = {n: np.array([alpha_radial(n, k, r, table) for k in k_list]) for n in {n for n, _ in cases}}
     rows = []
     for n, N in cases:
-        for k, v in zip(k_list, radial_pair_variances(g[n][:, cols[N]], n, N)):
+        cols, rule = rules[N]
+        for k, v in zip(k_list, radial_pair_variances(g[n][:, cols], n, rule)):
             rows.append({"n": n, "k": k, "N": N, "variance": v, key: scale(v, n, table.root(n, k))})
     return rows
 

@@ -13,20 +13,14 @@ from one formula.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import cheb2poly
-from scipy import special
 
 from .basis import DiskDomainError, SingularityError, green_dirichlet_series, radial_profile
 
-# Tail bound and term cap of the harmonic series Re sum (z conj(w))^m / m.
-_HARMONIC_TOL = 1e-14
-_HARMONIC_MAX_TERMS = 10_000_000
 # Polynomial degree on each panel of the disk-branch interpolant, and the
 # largest error against alpha_radial, relative to max |g|, a build may keep.
 _PANEL_DEGREE = 12
@@ -158,43 +152,15 @@ def _disk_panels(n, k, table):
     return coef
 
 
-def harmonic_log_series(z, w):
-    """-Re sum_{m=1}^{M} q^m / m = log|1 - q| for q = z conj(w), |q| < 1.
-
-    M is the least term count whose tail bound |q|^M / (M (1 - |q|)) falls
-    below 1e-14, worked out from |q| before summing; a q that needs more
-    than _HARMONIC_MAX_TERMS terms raises ValueError.
-    """
-    # the product in Python complex arithmetic, as numpy warns on inf * 0
-    # before the refusal below; the powers and their division by m stay in
-    # numpy, whose division rounds differently from Python's
-    q = np.complex128(complex(z) * complex(w).conjugate())
-    aq = abs(q)
-    if not aq < 1.0:
-        raise ValueError("series requires |z conj(w)| < 1")
-    terms = 1
-    if aq > 0.0:
-        # |q|^M / M = tol (1 - |q|) solved for M by the Lambert W function
-        L = -math.log(aq)
-        terms = math.ceil(special.lambertw(L / (_HARMONIC_TOL * (1.0 - aq))).real / L)
-    if terms > _HARMONIC_MAX_TERMS:
-        raise ValueError(
-            f"series needs {terms} terms at |z conj(w)| = {aq!r}, "
-            f"more than the cap of {_HARMONIC_MAX_TERMS}"
-        )
-    powers = itertools.accumulate(itertools.repeat(q, terms), operator.mul)
-    return -math.fsum((p / m).real for m, p in enumerate(powers, 1))
-
-
 def log_abs_reconstruct(z, w, table, n_cut=None, k_cut=None):
     """Truncated expansion of log|z - w| for |z| < 1, built from the
     log-kernel split.
 
     For |w| < 1 this is 2 pi times the truncated Green's-function series
-    plus the harmonic correction log|1 - z conj(w)| summed to its geometric
-    tail bound; the truncation error lives entirely in the Green's
-    series and decays with the cutoffs.  For |w| >= 1 it is log|w| plus
-    the geometric series in z/w, which converges to machine precision.
+    plus the harmonic correction log|1 - z conj(w)| in closed form, so the
+    truncation error lives entirely in the Green's series and decays with
+    the cutoffs.  For |w| >= 1 it is log|w| + log|1 - z/w|, exact up to
+    rounding.  The checks below keep |z conj(w)| and |z/w| below 1.
     """
     z = complex(z)
     w = complex(w)
@@ -206,7 +172,5 @@ def log_abs_reconstruct(z, w, table, n_cut=None, k_cut=None):
         raise SingularityError("log|z - w| diverges at z = w")
     if abs(w) < 1.0:
         g = green_dirichlet_series(z, w, table, n_cut=n_cut, k_cut=k_cut)
-        return 2.0 * math.pi * g + harmonic_log_series(z, w)
-    # exterior branch: log|w| - Re sum (z/w)^m / m
-    return math.log(abs(w)) + harmonic_log_series(z, 1.0 / np.conj(w))
-
+        return 2.0 * math.pi * g + math.log(abs(1.0 - z * w.conjugate()))
+    return math.log(abs(w)) + math.log(abs(1.0 - z / w))

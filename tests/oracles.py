@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import integrate, special
 
 from ginfield.basis import (
     DiskDomainError,
@@ -292,6 +292,24 @@ def radial_pair_variance_per_call(g, n, N, quad=None):
     diag = float(2.0 * math.pi * np.sum(np.abs(gr) ** 2 * rho * quad.wr))
     R = np.exp(_log_kernel_radial(N, quad.r))
     return _checked_variance(diag, _diagonal_pair_sq(R, -n, gr, quad.wr))
+
+
+def circle_average_variance(N):
+    """Var A_1 of the circle average A_1 = sum_i log max(1, |z_i|) by Kostlan:
+    the N |z_i|^2 have the laws of independent G_k ~ Gamma(k, 1), k = 1..N,
+    so Var A_1 = sum_k Var (1/2) log max(1, G_k / N), each term from its
+    first two moments by scipy.integrate.quad over the Gamma mass above N."""
+
+    def moment(k, m):
+        def f(x):
+            return (0.5 * math.log(x / N)) ** m * math.exp(
+                (k - 1) * math.log(x) - x - special.gammaln(k)
+            )
+
+        top = N + 40.0 * math.sqrt(N) + 40.0
+        return integrate.quad(f, N, top, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    return sum(moment(k, 2) - moment(k, 1) ** 2 for k in range(1, N + 1))
 
 
 def alpha_radial_rows(n, ks, r, table):

@@ -360,6 +360,25 @@ def test_ginibre_sample_experiment(tmp_path):
     assert result["fraction_inside_r0.8"] == inside
 
 
+def test_ginibre_sample_fails_a_biased_sampler(tmp_path, monkeypatch, capsys):
+    # spectra shrunk by 0.9 put about 0.79 of the eigenvalues inside r = 0.8,
+    # where Kostlan's law puts 0.640 with a standard error of 0.0066
+    def shrunk(N, master_seed, draw_index=0):
+        s = sample_spectrum(N, master_seed, draw_index)
+        return ginibre.SpectrumSample(0.9 * s.eigenvalues, s.seed)
+
+    args = ["ginibre-sample", "--n-size", "64", "--draws", "20", "--out", str(tmp_path)]
+    assert main(args) == 0
+    monkeypatch.setattr(cli, "sample_spectrum", shrunk)
+    assert main(args) == 1
+    assert "ginibre-sample: FAIL" in capsys.readouterr().out
+    result = json.loads((tmp_path / "result.json").read_text())["result"]
+    assert result["passed"] is False
+    assert result["fraction_inside_r0.8"] - result["kostlan_mean_inside_r0.8"] > (
+        4.0 * result["kostlan_se_inside_r0.8"]
+    )
+
+
 def test_reproducibility_of_result_files(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from ginfield import ginibre
 from ginfield.cli import main
 from ginfield.ginibre import (
     EigensolverError,
@@ -25,6 +24,7 @@ from ginfield.ginibre import (
 )
 from ginfield.linstats import centering_term
 from oracles import (
+    circle_average_variance,
     expected_linear_statistic,
     gaussian_moment,
     one_point_density_series,
@@ -182,6 +182,18 @@ def test_radial_moments_meet_kostlans_closed_forms(N):
     assert abs(radial_pair_variance(lambda r: r, -1, N) - 1.0) < 1e-10
 
 
+def test_the_circle_average_has_no_zero_mode():
+    # A_1 = sum_i log max(1, |z_i|) is the average of h_N over the unit
+    # circle (Jensen); Var A_1 meets Kostlan's law and falls like 0.052 /
+    # sqrt(N), so the limit field adds no constant part
+    scaled = []
+    for N in (16, 64, 256):
+        v = radial_pair_variance(lambda r: np.log(np.maximum(1.0, r)), 0, N)
+        assert abs(v - circle_average_variance(N)) < 1e-12
+        scaled.append(math.sqrt(N) * v)
+    assert 0.045 <= scaled[0] < scaled[1] < scaled[2] <= 0.055
+
+
 def test_pair_variance_refuses_unresolved_pair_differences():
     # 64 angular nodes resolve pair differences up to 32: N = 33 is the limit
     R = math.sqrt(1.0 + 20.0 / 34) + 2.0 / math.sqrt(34)
@@ -217,21 +229,21 @@ FAILING_ROWS = {"nan": (lambda r: np.full_like(r, np.nan), 1.0), "negative": (np
 
 
 @pytest.mark.parametrize("bad", FAILING_ROWS)
-def test_one_failing_row_fails_the_batch_with_its_own_ratio(bad, cold_kernel, monkeypatch):
+def test_one_failing_row_fails_the_batch_with_its_own_ratio(bad, cold_kernel):
     g, weight = FAILING_ROWS[bad]
     quad, rho, R = cold_kernel(8)
     quad = dataclasses.replace(quad, wr=weight * quad.wr)
-    monkeypatch.setattr(ginibre, "_plane_rule", lambda N: (quad, rho, R))
+    rule = (quad, rho, R)
     good = [np.square, lambda r: r]
     G = np.array([good[0](quad.r), g(quad.r), good[1](quad.r)])
     with pytest.raises(VarianceError) as alone:
         radial_pair_variance_per_call(g, 0, 8, quad)
     # warnings are errors here, so a numpy RuntimeWarning would fail this too
     with pytest.raises(VarianceError) as batch:
-        radial_pair_variances(G, 0, 8)
+        radial_pair_variances(G, 0, rule)
     assert str(batch.value) == str(alone.value)
     expected = [radial_pair_variance_per_call(f, 0, 8, quad) for f in good]
-    assert radial_pair_variances(G[[0, 2]], 0, 8) == expected
+    assert radial_pair_variances(G[[0, 2]], 0, rule) == expected
 
 
 @pytest.mark.parametrize("N", [8, 64])
@@ -245,11 +257,10 @@ def test_pair_variance_equals_the_per_call_oracle(N, cold_kernel):
 
 def test_kernel_cache_is_keyed_by_N_and_the_radial_nodes(small_table, cold_kernel):
     # one rule per N, so N alone fixes the radial nodes; the centering and
-    # the radial route share its entry, which the route reads once for its
-    # nodes and once in radial_pair_variances
+    # the radial route share its entry, which each reads once
     radial_pair_variance(lambda r: r, -1, 8)
     centering_term(0, 1, 8, small_table)
-    assert cold_kernel.cache_info()[:2] == (2, 1)  # (hits, misses)
+    assert cold_kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
     radial_pair_variance(lambda r: r, -1, 16)
     assert cold_kernel.cache_info().currsize == 2
     quad, rho, R = cold_kernel(8)

@@ -290,6 +290,20 @@ def test_variance_checks_equal_the_per_entry_route(small_table):
         assert r["scaled"] == r["variance"] * r["n"] * small_table.root(r["n"], r["k"]) ** 2
 
 
+def test_finite_N_variances_stay_below_the_limit_and_rise_with_N(table):
+    # the sharp ratio Var_N gamma / Var_inf gamma, Var_inf = pi (1 + 1/n) / j^2
+    # (no 1/n for n = 0), over the 9 x 8 grid: at most 1 and rising with N
+    # at every index; criterion 5's C = 0.2 bounds Var_N / j^2 alone
+    Ns = [8, 32, 256, 1024]
+    grid = [(n, k) for n in range(9) for k in range(1, 9)]
+    limit = np.diag(limit_covariance_matrix(grid, table)).real
+    rows = variance_bound_check(range(9), range(1, 9), Ns, table)["entries"]
+    ratio = np.array([r["variance"] for r in rows]).reshape(len(Ns), len(grid)) / limit
+    assert np.all(ratio <= 1.0 + 1e-9)
+    assert np.all(np.diff(ratio, axis=0) > 0.0)
+    assert ratio.max(axis=1) == pytest.approx([0.9291, 0.9798, 0.9973, 0.9993], abs=1e-4)
+
+
 def _exact_per_call(n, k, N, table):
     return radial_pair_variance_per_call(partial(alpha_radial, n, k, table=table), n, N)
 
@@ -374,6 +388,17 @@ def test_variance_bound_check_builds_the_kernel_factors_once_per_N(
     report = variance_bound_check(range(9), range(1, 9), [8, 32], table)
     assert len(report["entries"]) == 144
     assert kernel_builds == [8, 32]
+
+
+def test_a_call_over_more_N_than_the_rule_cache_builds_each_rule_once(
+    table, cold_kernel, kernel_builds
+):
+    # 10 N against the 8 entries of the rule cache: the reduction gets the
+    # rules radial_nodes read, and reading them again built each one twice
+    Ns = range(2, 12)
+    report = variance_bound_check([0, 1], [1], Ns, table)
+    assert kernel_builds == list(Ns)
+    assert _variances(report) == [_exact_per_call(n, 1, N, table) for N in Ns for n in (0, 1)]
 
 
 @pytest.fixture

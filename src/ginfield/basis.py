@@ -73,12 +73,11 @@ def _leggauss(order):
 
 @dataclass(frozen=True)
 class DiskQuadrature:
-    """Gauss-Legendre radial nodes r and weights wr (weight r absorbed) on
-    radial panels, tensored with len(theta) uniform angles of weight wt.
-
-    A rule of radial_order nodes and angular_order angles is exact for
-    integrands r^p e^{i m phi} with p <= 2 * radial_order - 2 and
-    |m| < angular_order / 2.
+    """Gauss-Legendre radial nodes r and weights wr (weight r absorbed) on a
+    list of radial panels, tensored with len(theta) uniform angles of weight
+    wt.  Panels of radial_order nodes and angular_order angles are exact for
+    integrands r^p e^{i m phi} with p <= 2 * radial_order - 2 on each panel
+    and |m| < angular_order / 2, so a radial factor must be smooth on each.
     """
 
     r: np.ndarray
@@ -89,17 +88,20 @@ class DiskQuadrature:
     @classmethod
     def build(cls, radial_order=120, angular_order=64):
         """The rule on the unit disk."""
-        return cls._polar(radial_order, angular_order, (0.0, 1.0))
+        return cls._polar(angular_order, (0.0, 1.0, radial_order))
 
     @classmethod
-    def _polar(cls, radial_order, angular_order, interval):
-        a, b = interval
-        x, w = _leggauss(radial_order)
-        r = a + 0.5 * (b - a) * (x + 1.0)
-        wr = 0.5 * (b - a) * w * r  # absorb the r dr weight
+    def _polar(cls, angular_order, *panels):
+        """The rule of angular_order angles and, for each panel (a, b, order)
+        in turn, order Gauss-Legendre radii on [a, b]."""
+        r, wr = [], []
+        for a, b, order in panels:
+            x, w = _leggauss(order)
+            r.append(a + 0.5 * (b - a) * (x + 1.0))
+            wr.append(0.5 * (b - a) * w * r[-1])  # absorb the r dr weight
         theta = 2.0 * math.pi * np.arange(angular_order) / angular_order
         wt = 2.0 * math.pi / angular_order
-        return cls(r, wr, theta, wt)
+        return cls(np.concatenate(r), np.concatenate(wr), theta, wt)
 
     def nodes(self):
         """Complex nodes as a (radial, angular) grid."""

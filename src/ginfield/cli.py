@@ -36,6 +36,7 @@ from .field import covariance_mc, tightness_statistic
 from .ginibre import EigensolverError, VarianceError, radial_pair_variance, sample_spectrum
 from .linstats import (
     DECAY_CPRIME_MAX,
+    SHARP_RATIO_MAX,
     VARIANCE_C_MAX,
     GammaSample,
     decay_check,
@@ -191,9 +192,14 @@ def _exp_pair_variance(cfg, table):
     rep = variance_bound_check(ns, ks, [cfg.n_size], table)
     # Var sum_i z_i = E|tr A|^2 = 1 checks the rule of the exact variances
     rep["identity_error"] = abs(radial_pair_variance(lambda r: r, -1, cfg.n_size) - 1.0)
-    rows = [[r["n"], r["k"], r["N"], r["variance"], r["ratio"]] for r in rep["entries"]]
-    ok = rep["identity_error"] <= 1e-6 and rep["calibrated_C"] <= VARIANCE_C_MAX
-    return ok, rep, {"pair_variance": (["n", "k", "N", "variance", "ratio"], rows)}
+    cols = ["n", "k", "N", "variance", "ratio", "sharp_ratio"]
+    rows = [[r[c] for c in cols] for r in rep["entries"]]
+    ok = (
+        rep["identity_error"] <= 1e-6
+        and rep["calibrated_C"] <= VARIANCE_C_MAX
+        and rep["max_sharp_ratio"] <= SHARP_RATIO_MAX
+    )
+    return ok, rep, {"pair_variance": (cols, rows)}
 
 
 def _exp_clt(cfg, table):

@@ -45,9 +45,12 @@ def sample_matrix(N, seed):
     if N < 1:
         raise ValueError("matrix size must be positive")
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal((N, N))
-    im = rng.standard_normal((N, N))
-    return (re + 1j * im) / math.sqrt(2.0 * N)
+    out = np.empty((N, N), dtype=complex)
+    part = np.empty((N, N))
+    # numpy divides (re + 1j im) by s as re * (1 / s) and im * (1 / s)
+    for dest in (out.real, out.imag):
+        np.multiply(rng.standard_normal(out=part), 1.0 / math.sqrt(2.0 * N), out=dest)
+    return out
 
 
 def eigenvalues(matrix, seed=0):
@@ -100,11 +103,7 @@ class PlaneQuadrature(DiskQuadrature):
     @classmethod
     def build(cls, N):
         R = math.sqrt(1.0 + 20.0 / N) + 4.0 / math.sqrt(N)
-        inner = cls._polar(max(80, math.ceil(3.0 * math.sqrt(N))), 512, (0.0, 1.0))
-        outer = cls._polar(40, 512, (1.0, R))
-        r = np.concatenate([inner.r, outer.r])
-        wr = np.concatenate([inner.wr, outer.wr])
-        return cls(r, wr, inner.theta, inner.wt)
+        return cls._polar(512, (0.0, 1.0, max(80, math.ceil(3.0 * math.sqrt(N)))), (1.0, R, 40))
 
 
 def _log_kernel_radial(N, r):
@@ -138,16 +137,14 @@ def _plane_rule(N):
     return quad, rho, R
 
 
-def _diagonal_pair_sq(R, d, c, wr):
-    """Sum over the valid k of |A_{k,k+d}|^2 per row of c (a float for 1-D
-    c), A_{k,k+d} = 2 pi int c(r) R_k(r) R_{k+d}(r) r dr the kernel overlap
-    of the angular mode c(r) e^{i d theta} (r dr already in wr); one (pairs,
-    radii) product at a time, whatever the number of rows."""
+def _diagonal_pair_sq(R, d, C, wr):
+    """List of the sums over the valid k of |A_{k,k+d}|^2, one per row c of
+    the 2-D C, A_{k,k+d} = 2 pi int c(r) R_k(r) R_{k+d}(r) r dr the kernel
+    overlap of the angular mode c(r) e^{i d theta} (r dr already in wr); one
+    (pairs, radii) product at a time, whatever the number of rows."""
     pairs = max(R.shape[0] - abs(d), 0)
     K = R[max(0, -d) :][:pairs] * R[max(0, d) :][:pairs]
-    A = [2.0 * math.pi * (K * w).sum(axis=1) for w in np.atleast_2d(c * wr)]
-    sums = [float((np.abs(a) ** 2).sum()) for a in A]
-    return sums if np.ndim(c) > 1 else sums[0]
+    return [float((np.abs(2.0 * math.pi * (K * w).sum(axis=1)) ** 2).sum()) for w in C * wr]
 
 
 def _checked_variance(diag, off_sq):
@@ -195,7 +192,7 @@ def pair_variance(f, N, quad=None):
     for d in range(-(N - 1), N):
         cm = c[:, d % M]
         if np.any(cm):
-            off_sq += _diagonal_pair_sq(R, d, cm, quad.wr)
+            off_sq += _diagonal_pair_sq(R, d, cm[None, :], quad.wr)[0]
     return _checked_variance(diag, off_sq)
 
 
@@ -231,4 +228,4 @@ def radial_pair_variances(G, n, rule):
     G = np.ascontiguousarray(G)
     diag = 2.0 * math.pi * (np.abs(G) ** 2 * rho * quad.wr).sum(axis=-1)
     off_sq = _diagonal_pair_sq(R, -n, G, quad.wr)
-    return [_checked_variance(float(d), float(o)) for d, o in np.broadcast(diag, off_sq)]
+    return [_checked_variance(float(d), o) for d, o in zip(diag, off_sq)]

@@ -23,8 +23,9 @@ from .logkernel import alpha_radial, alpha_radial_piecewise
 
 # Eigenvalues per block of spectra that _gamma_draws_range evaluates at once.
 _BLOCK_EIGENVALUES = 2**14
-# Largest calibrated_C and calibrated_Cprime that criterion 5 accepts.
-VARIANCE_C_MAX, DECAY_CPRIME_MAX = 0.2, 6.0
+# Largest calibrated_C and calibrated_Cprime that criterion 5 accepts, and
+# the largest max_sharp_ratio that pair-variance accepts.
+VARIANCE_C_MAX, DECAY_CPRIME_MAX, SHARP_RATIO_MAX = 0.2, 6.0, 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,32 +135,40 @@ def gamma_draws(N, draws, index_set, master_seed, table, workers=1):
         return np.vstack(list(pool.map(run, bounds[:-1], bounds[1:])))
 
 
-def _variance_rows(cases, k_list, table, key, scale):
+def _variance_rows(cases, k_list, table, **scales):
     """Exact variance of gamma_{n,k}^(N) for every (n, N) case and every k,
-    one row each with key = scale(variance, n, j_{n,k}).  Each alpha_{n,k}
-    is evaluated once, on the union of the radial nodes of every N, and the
-    k of each case go to one radial_pair_variances call, on the rule that
-    radial_nodes read."""
+    one row each with key = scale(variance, n, j_{n,k}) for each scale.
+    Each order's alpha rows come from one alpha_radial call, on the union
+    of the radial nodes of every N, and the k of each case go to one
+    radial_pair_variances call, on the rule that radial_nodes read."""
     r, rules = radial_nodes(N for _, N in cases)
-    g = {n: np.array([alpha_radial(n, k, r, table) for k in k_list]) for n in {n for n, _ in cases}}
+    g = {n: alpha_radial(n, k_list, r, table) for n in {n for n, _ in cases}}
     rows = []
     for n, N in cases:
         cols, rule = rules[N]
         for k, v in zip(k_list, radial_pair_variances(g[n][:, cols], n, rule)):
-            rows.append({"n": n, "k": k, "N": N, "variance": v, key: scale(v, n, table.root(n, k))})
+            j = table.root(n, k)
+            row = {"n": n, "k": k, "N": N, "variance": v}
+            rows.append(row | {key: scale(v, n, j) for key, scale in scales.items()})
     return rows
 
 
 def variance_bound_check(n_list, k_list, N_list, table):
     """Exact pair-variance of alpha over an index grid, with the ratio to
-    j_{n,k}^2 and the single calibrated constant covering all entries."""
+    j_{n,k}^2 and the single calibrated constant covering all entries, and
+    the sharp ratio to the limit variance pi (1 + 1/n) / j^2 (no 1/n for
+    n = 0) with its maximum."""
     cases = [(n, N) for N in N_list for n in n_list]
-    rows = _variance_rows(cases, k_list, table, "ratio", lambda v, n, j: v / j**2)
-    return {"entries": rows, "calibrated_C": max(r["ratio"] for r in rows)}
+    rows = _variance_rows(
+        cases, k_list, table, ratio=lambda v, n, j: v / j**2,
+        sharp_ratio=lambda v, n, j: v * j**2 / (math.pi * (1.0 + (1.0 / abs(n) if n else 0.0))),
+    )
+    return {"entries": rows, "calibrated_C": max(r["ratio"] for r in rows),
+            "max_sharp_ratio": max(r["sharp_ratio"] for r in rows)}
 
 
 def decay_check(cases, k_list, table):
     """High-order decay check: for |n| >= N the exact variance obeys
     E|gamma|^2 <= C' / (|n| j^2); reports the observed constants."""
-    rows = _variance_rows(cases, k_list, table, "scaled", lambda v, n, j: v * abs(n) * j**2)
+    rows = _variance_rows(cases, k_list, table, scaled=lambda v, n, j: v * abs(n) * j**2)
     return {"entries": rows, "calibrated_Cprime": max(r["scaled"] for r in rows)}

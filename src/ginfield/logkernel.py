@@ -4,11 +4,11 @@ The coefficient alpha_{n,k}(w) has two branches: a disk branch (|w| < 1)
 combining the Green's-series term with a harmonic correction, and an
 exterior branch (|w| >= 1, including the circle itself).  Both have the
 angular structure g(r) e^{-i n theta} in polar coordinates w = r e^{i theta},
-so only the radial factor g is computed here: alpha_radial for one index
-(n, k) on scipy's J_n, and alpha_radial_piecewise for several k of one
-order, whose disk branch is a certified piecewise-Chebyshev interpolant of
-alpha_radial for evaluation at many points.  Both take the exterior branch
-from one formula.
+so only the radial factor g is computed here.  alpha_radial is the one
+evaluator of both branches, on scipy's J_n, for one k or any set of k of
+one order; alpha_radial_piecewise takes its disk branch from a certified
+piecewise-Chebyshev interpolant of alpha_radial, for evaluation at many
+points, and everything else from alpha_radial itself.
 """
 
 from __future__ import annotations
@@ -33,21 +33,24 @@ class InterpolantError(RuntimeError):
 
 def alpha_radial(n, k, r, table):
     """Radial factor g(r) of alpha_{n,k}(r e^{i theta}) = g(r) e^{-i n theta}
-    for one radial index k.
+    for one radial index k, or for each k of a 1-D array, one row per k.
 
-    A real array of the shape of r (0-d for a scalar r).  Uses the disk
-    branch for r < 1 and the exterior branch for r >= 1 (continuous across
-    the circle).
+    A real array of the shape of r (0-d for a scalar r), or of shape
+    (len(k),) + r.shape.  Uses the disk branch for r < 1 and the exterior
+    branch for r >= 1 (continuous across the circle); each row depends only
+    on its own k.
     """
     n = abs(int(n))
     r = np.asarray(r, dtype=float)
-    a, b, c = _branch_constants(n, table.root(n, k))
-    g = np.empty_like(r)
+    k = np.asarray(k)
+    ks = k.reshape(-1, 1)  # one row per k
+    a, b, c = np.array([_branch_constants(n, table.root(n, i)) for i in k.flat]).T[..., None]
+    g = np.empty((len(ks),) + r.shape)
     inside = r < 1.0
-    ri = r[inside]
-    g[inside] = a * radial_profile(n, k, ri, table) - b * ri**n  # b = 0 for n = 0
-    g[~inside] = _exterior(n, c, r[~inside])
-    return g
+    ri, ro = r[inside], r[~inside]
+    g[:, inside] = a * radial_profile(n, ks, ri, table) - b * ri**n  # b = 0 for n = 0
+    g[:, ~inside] = c * (np.log(ro) if n == 0 else ro ** (-n))
+    return g.reshape(k.shape + r.shape)
 
 
 def _branch_constants(n, j):
@@ -60,43 +63,32 @@ def _branch_constants(n, j):
     return a, rt / (n * j), -(rt / (n * j))
 
 
-def _exterior(n, c, r):
-    """Exterior branch c log r (n = 0) or c r^-n of the radial factor at
-    r >= 1; c broadcasts against r."""
-    return c * np.log(r) if n == 0 else c * r ** (-n)
-
-
 def alpha_radial_piecewise(n, ks, r, table):
-    """alpha_radial(n, k, r, table) for each k of a 1-D integer array ks,
-    stacked into shape (len(ks),) + r.shape, with the disk branch r < 1
-    taken from a cached piecewise-polynomial interpolant of alpha_radial
-    that agrees with it to 1e-13 max |g| by certificate.  Points with r >= 1
-    share the exterior branch of alpha_radial and are bit-identical to it.
-    Each row depends only on its own k, whatever the other entries of ks.
+    """alpha_radial(n, ks, r, table) for a 1-D integer array ks, with the
+    disk branch r < 1 taken from a cached piecewise-polynomial interpolant
+    of alpha_radial that agrees with it to 1e-13 max |g| by certificate.
+    Points with r >= 1 are alpha_radial's own values.  Each row depends only
+    on its own k, whatever the other entries of ks.
     """
     n = abs(int(n))
     r = np.asarray(r, dtype=float)
     g = np.empty((len(ks),) + r.shape)
     inside = r < 1.0
-    c = np.array([_branch_constants(n, table.root(n, k))[2] for k in ks])
-    g[:, ~inside] = _exterior(n, c[:, None], r[~inside])
+    g[:, ~inside] = alpha_radial(n, ks, r[~inside], table)
     ri = r[inside]
     for row, k in enumerate(ks):
-        coef = _disk_panels(n, int(k), table)
-        g[row, inside] = _horner(coef, *_panel_coordinates(ri, coef.shape[1]))
+        g[row, inside] = _interpolant(_disk_panels(n, int(k), table), ri)
     return g
 
 
-def _panel_coordinates(r, panels):
-    """Panel index p and local variable t = 2 (r P - p) - 1 in [-1, 1) of
-    points 0 <= r < 1 on P uniform panels; exact, as P is a power of two."""
-    x = r * panels
+def _interpolant(coef, r):
+    """Piecewise power series coef at points 0 <= r < 1: on panel p of the
+    P = coef.shape[1] uniform panels, the series coef[:, p] in the local
+    variable t = 2 (r P - p) - 1 in [-1, 1), exact as P is a power of two;
+    one gather of coefficients per Horner step."""
+    x = r * coef.shape[1]
     p = x.astype(np.intp)
-    return p, 2.0 * (x - p) - 1.0
-
-
-def _horner(coef, p, t):
-    """Power series coef[:, p] in t, one gather of coefficients per step."""
+    t = 2.0 * (x - p) - 1.0
     acc = coef[-1][p]
     for c in coef[-2::-1]:
         acc *= t
@@ -141,8 +133,7 @@ def _disk_panels(n, k, table):
     coef.flags.writeable = False
     # panel edges (r = 0 among them) and four interior points off the nodes
     check = ((base + np.array([0.0, 0.125, 0.375, 0.625, 0.875])) / panels).ravel()
-    err = np.max(np.abs(_horner(coef, *_panel_coordinates(check, panels))
-                        - alpha_radial(n, k, check, table)))
+    err = np.max(np.abs(_interpolant(coef, check) - alpha_radial(n, k, check, table)))
     scale = np.max(np.abs(values))
     if not err <= _PANEL_TOL * scale:
         raise InterpolantError(

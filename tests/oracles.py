@@ -279,7 +279,7 @@ def pair_variance_per_call(f, N, quad=None):
     for d in range(-(N - 1), N):
         cm = c[:, d % M]
         if np.any(cm):
-            off_sq += _diagonal_pair_sq(R, d, cm, quad.wr)
+            off_sq += _diagonal_pair_sq(R, d, cm[None, :], quad.wr)[0]
     return _checked_variance(diag, off_sq)
 
 
@@ -291,7 +291,7 @@ def radial_pair_variance_per_call(g, n, N, quad=None):
     rho = one_point_density(N, quad.r)
     diag = float(2.0 * math.pi * np.sum(np.abs(gr) ** 2 * rho * quad.wr))
     R = np.exp(_log_kernel_radial(N, quad.r))
-    return _checked_variance(diag, _diagonal_pair_sq(R, -n, gr, quad.wr))
+    return _checked_variance(diag, _diagonal_pair_sq(R, -n, gr[None, :], quad.wr)[0])
 
 
 def circle_average_variance(N):
@@ -335,11 +335,7 @@ def fine_plane_rule(N, order=2000):
     edge layer; one angle.  3000 radii per panel move the 9 x 8 alpha
     variances by at most 7e-12 relative, and their centerings by at most
     5e-12, for N <= 1024."""
-    inner = DiskQuadrature._polar(order, 1, (0.0, 1.0))
-    outer = DiskQuadrature._polar(order, 1, (1.0, 1.0 + 14.0 / math.sqrt(N)))
-    r = np.concatenate([inner.r, outer.r])
-    wr = np.concatenate([inner.wr, outer.wr])
-    return DiskQuadrature(r, wr, inner.theta, inner.wt)
+    return DiskQuadrature._polar(1, (0.0, 1.0, order), (1.0, 1.0 + 14.0 / math.sqrt(N), order))
 
 
 def alpha_moments(N, index_set, table, quad):
@@ -352,7 +348,7 @@ def alpha_moments(N, index_set, table, quad):
     for n, k in index_set:
         g = alpha_radial(n, k, quad.r, table)
         diag = float(2.0 * math.pi * np.sum(g**2 * rho * quad.wr))
-        variances.append(_checked_variance(diag, _diagonal_pair_sq(R, -n, g, quad.wr)))
+        variances.append(_checked_variance(diag, _diagonal_pair_sq(R, -n, g[None, :], quad.wr)[0]))
         centerings.append(float(2.0 * math.pi * np.sum(g * rho * quad.wr)) if n == 0 else 0.0)
     return np.array(variances), np.array(centerings)
 

@@ -1,6 +1,7 @@
 """Tests of the command-line experiment runner."""
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -447,7 +448,7 @@ def test_interpolant_failure_exits_3(tmp_path, monkeypatch, capsys):
 def test_variance_failure_exits_3(tmp_path, monkeypatch, capsys):
     # overlaps past the diagonal term leave a negative exact variance, which
     # used to end in a ValueError traceback with exit code 1
-    monkeypatch.setattr(ginibre, "_diagonal_pair_sq", lambda *args: math.inf)
+    monkeypatch.setattr(ginibre, "_diagonal_pair_sq", lambda R, d, C, wr: [math.inf] * len(C))
     args = ["pair-variance", "--n-size", "8", "--n-max", "1", "--k-max", "1"]
     assert main([*args, "--out", str(tmp_path)]) == 3
     assert "off_sq/diag" in capsys.readouterr().err
@@ -457,6 +458,7 @@ def test_variance_failure_exits_3(tmp_path, monkeypatch, capsys):
     "name, check, key, bound",
     [
         ("pair-variance", "variance_bound_check", "calibrated_C", linstats.VARIANCE_C_MAX),
+        ("pair-variance", "variance_bound_check", "max_sharp_ratio", linstats.SHARP_RATIO_MAX),
         ("decay-check", "decay_check", "calibrated_Cprime", linstats.DECAY_CPRIME_MAX),
     ],
 )
@@ -477,6 +479,17 @@ def test_criterion_5_constant_past_its_bound_fails(
     assert f"{name}: FAIL" in capsys.readouterr().out
 
 
+def test_pair_variance_reports_the_sharp_ratio(tmp_path):
+    # criterion 5's grid at N = 32: Var_N stays below the limit variance
+    assert main(["pair-variance", "--n-size", "32", "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "result.json").read_text())["result"]
+    assert result["max_sharp_ratio"] == pytest.approx(0.9798, abs=1e-4)
+    with open(tmp_path / "pair_variance.csv") as f:
+        header, *rows = list(csv.reader(f))
+    assert header == ["n", "k", "N", "variance", "ratio", "sharp_ratio"]
+    assert max(float(row[-1]) for row in rows) == result["max_sharp_ratio"]
+
+
 def test_pair_variance_fails_when_its_rule_misses_the_trace_identity(
     tmp_path, monkeypatch, cold_kernel
 ):
@@ -492,7 +505,7 @@ def test_pair_variance_fails_when_its_rule_misses_the_trace_identity(
     assert identity_error(tmp_path / "two") < 1e-10
 
     def one_panel(cls, N):
-        return cls._polar(220, 512, (0.0, math.sqrt(1.0 + 20.0 / N) + 2.0 / math.sqrt(N)))
+        return cls._polar(512, (0.0, math.sqrt(1.0 + 20.0 / N) + 2.0 / math.sqrt(N), 220))
 
     monkeypatch.setattr(ginibre.PlaneQuadrature, "build", classmethod(one_panel))
     cold_kernel.cache_clear()

@@ -50,6 +50,18 @@ def test_sampling_determinism():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("N", [1, 16, 64, 256])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sample_matrix_builds_the_matrix_of_the_plain_expression(N, seed):
+    # the in-place build equals (re + 1j im) / sqrt(2 N) bit for bit, which
+    # numpy computes as re * (1 / s) and im * (1 / s)
+    rng = np.random.default_rng(draw_seed(seed, 3))
+    re = rng.standard_normal((N, N))
+    im = rng.standard_normal((N, N))
+    expected = (re + 1j * im) / math.sqrt(2.0 * N)
+    assert np.array_equal(sample_matrix(N, draw_seed(seed, 3)), expected)
+
+
 def test_sample_matrix_errors():
     with pytest.raises(ValueError):
         sample_matrix(0, 1)
@@ -167,7 +179,7 @@ def test_pair_variance_of_constant_is_zero():
 def test_radial_pair_variance_of_z(N):
     # Var sum z_i = E|tr A|^2 = 1; z = r e^{-i(-1)theta}, checked to 1e-12
     # through the per-call oracle on one panel out to radius 3
-    quad = PlaneQuadrature._polar(220, 1, (0.0, 3.0))
+    quad = PlaneQuadrature._polar(1, (0.0, 3.0, 220))
     assert abs(radial_pair_variance_per_call(lambda r: r, -1, N, quad) - 1.0) < 1e-12
 
 
@@ -194,10 +206,23 @@ def test_the_circle_average_has_no_zero_mode():
     assert 0.045 <= scaled[0] < scaled[1] < scaled[2] <= 0.055
 
 
+@pytest.mark.parametrize("N", [8, 711, 712, 4096])
+def test_plane_rule_is_its_two_panels_joined(N):
+    # 712 is the least N whose inner panel has 81 radii, not 80
+    R = math.sqrt(1.0 + 20.0 / N) + 4.0 / math.sqrt(N)
+    inner = PlaneQuadrature._polar(512, (0.0, 1.0, max(80, math.ceil(3.0 * math.sqrt(N)))))
+    outer = PlaneQuadrature._polar(512, (1.0, R, 40))
+    quad = PlaneQuadrature.build(N)
+    assert len(inner.r) == (81 if N == 712 else max(80, math.ceil(3.0 * math.sqrt(N))))
+    assert np.array_equal(quad.r, np.concatenate([inner.r, outer.r]))
+    assert np.array_equal(quad.wr, np.concatenate([inner.wr, outer.wr]))
+    assert np.array_equal(quad.theta, inner.theta) and quad.wt == inner.wt
+
+
 def test_pair_variance_refuses_unresolved_pair_differences():
     # 64 angular nodes resolve pair differences up to 32: N = 33 is the limit
     R = math.sqrt(1.0 + 20.0 / 34) + 2.0 / math.sqrt(34)
-    quad = PlaneQuadrature._polar(220, 64, (0.0, R))
+    quad = PlaneQuadrature._polar(64, (0.0, R, 220))
     assert abs(pair_variance(lambda z: z, 33, quad) - 1.0) < 1e-6
     with pytest.raises(ValueError, match="angular order 64"):
         pair_variance(lambda z: z, 34, quad)

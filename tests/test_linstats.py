@@ -297,8 +297,12 @@ def test_finite_N_variances_stay_below_the_limit_and_rise_with_N(table):
     Ns = [8, 32, 256, 1024]
     grid = [(n, k) for n in range(9) for k in range(1, 9)]
     limit = np.diag(limit_covariance_matrix(grid, table)).real
-    rows = variance_bound_check(range(9), range(1, 9), Ns, table)["entries"]
+    report = variance_bound_check(range(9), range(1, 9), Ns, table)
+    rows = report["entries"]
     ratio = np.array([r["variance"] for r in rows]).reshape(len(Ns), len(grid)) / limit
+    sharp = np.array([r["sharp_ratio"] for r in rows])
+    assert sharp == pytest.approx(ratio.ravel(), rel=1e-14, abs=0)
+    assert report["max_sharp_ratio"] == sharp.max()
     assert np.all(ratio <= 1.0 + 1e-9)
     assert np.all(np.diff(ratio, axis=0) > 0.0)
     assert ratio.max(axis=1) == pytest.approx([0.9291, 0.9798, 0.9973, 0.9993], abs=1e-4)
@@ -403,11 +407,12 @@ def test_a_call_over_more_N_than_the_rule_cache_builds_each_rule_once(
 
 @pytest.fixture
 def alpha_calls(monkeypatch):
-    """The (n, k) of every alpha_radial call made by linstats."""
+    """The (n, ks) of every alpha_radial call made by linstats, ks the list
+    of the radial indices it evaluates."""
     calls, alpha = [], linstats.alpha_radial
 
     def counted(n, k, r, table):
-        calls.append((n, k))
+        calls.append((n, [int(i) for i in np.ravel(k)]))
         return alpha(n, k, r, table)
 
     monkeypatch.setattr(linstats, "alpha_radial", counted)
@@ -415,9 +420,13 @@ def alpha_calls(monkeypatch):
 
 
 def test_variance_bound_check_evaluates_alpha_once_per_index(table, alpha_calls):
-    # one call per index on the nodes of both N, not one per index and N
+    # one call per order on the nodes of both N, each index once, not one
+    # call per index and N
     variance_bound_check(range(9), range(1, 9), [8, 32], table)
-    assert sorted(alpha_calls) == [(n, k) for n in range(9) for k in range(1, 9)]
+    assert sorted(n for n, _ in alpha_calls) == list(range(9))
+    assert sorted((n, k) for n, ks in alpha_calls for k in ks) == [
+        (n, k) for n in range(9) for k in range(1, 9)
+    ]
 
 
 # Inner rules of 80 (N = 8) and 96 (N = 1024) radii, orders at and past N

@@ -220,6 +220,21 @@ def test_piecewise_alpha_radial_matches_alpha_radial(n, ks, tol, table):
     assert np.array_equal(g[:, :6], alpha_radial_rows(n, ks, EXTERIOR_GRID, table))
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 32])
+def test_alpha_radial_of_several_k_stacks_the_one_k_rows(n, table):
+    # one row per k, each equal to its own one-k call at r = 0, inside, on
+    # and outside the circle; the r >= 1 columns of the piecewise route are
+    # these values too
+    ks = np.array([1, 2, 7, 8, 32])
+    r = np.concatenate([[0.0, 0.25, 0.5, np.nextafter(1.0, 0.0)], EXTERIOR_GRID])
+    g = alpha_radial(n, ks, r, table)
+    assert g.shape == (len(ks), len(r))
+    assert np.array_equal(g, alpha_radial_rows(n, ks, r, table))
+    assert np.array_equal(alpha_radial_piecewise(n, ks, r, table)[:, 4:], g[:, 4:])
+    assert alpha_radial(n, ks, 0.5, table).shape == (len(ks),)
+    assert alpha_radial(n, 3, 0.5, table).shape == ()
+
+
 def test_piecewise_alpha_radial_keeps_the_shape_of_r(small_table):
     ks = np.array([2, 1])
     r = np.array([[0.0, 0.5, 1.5], [0.9, 1.0, 0.1]])

@@ -43,24 +43,19 @@ def alpha_radial(n, k, r, table):
     n = abs(int(n))
     r = np.asarray(r, dtype=float)
     k = np.asarray(k)
-    ks = k.reshape(-1, 1)  # one row per k
-    a, b, c = np.array([_branch_constants(n, table.root(n, i)) for i in k.flat]).T[..., None]
-    g = np.empty((len(ks),) + r.shape)
-    inside = r < 1.0
-    ri, ro = r[inside], r[~inside]
-    g[:, inside] = a * radial_profile(n, ks, ri, table) - b * ri**n  # b = 0 for n = 0
-    g[:, ~inside] = c * (np.log(ro) if n == 0 else ro ** (-n))
-    return g.reshape(k.shape + r.shape)
-
-
-def _branch_constants(n, j):
-    """Factors (a, b, c) of the radial factor at one root j: a * profile -
-    b * r^n on the disk, c times r^-n or log r outside."""
+    inside = r.ravel() < 1.0
+    ri, ro = r.ravel()[inside], r.ravel()[~inside]
+    rn, exterior = ri**n, (np.log(ro) if n == 0 else ro ** (-n))
     rt = math.sqrt(math.pi)
-    a = -(2.0 * math.pi / j**2)
-    if n == 0:
-        return a, 0.0, 2.0 * rt / j
-    return a, rt / (n * j), -(rt / (n * j))
+    g = np.empty(k.shape + r.shape)
+    # a * profile - b r^n on the disk and c * exterior outside, a = -2 pi / j^2,
+    # b = sqrt(pi) / (n j) (0 for n = 0), c = 2 sqrt(pi) / j (n = 0) or -b
+    for row, i in zip(g.reshape(k.size, r.size), k.ravel().tolist()):
+        j = table.root(n, i)
+        b = rt / (n * j) if n else 0.0
+        row[inside] = -(2.0 * math.pi / j**2) * radial_profile(n, i, ri, table) - b * rn
+        row[~inside] = (2.0 * rt / j if n == 0 else -b) * exterior
+    return g
 
 
 def alpha_radial_piecewise(n, ks, r, table):

@@ -9,7 +9,7 @@ log-kernel expansion, the case-by-case limit covariance of gamma, and the
 Rider-Virag gradient-plus-boundary limit variance with the analytic gradient
 it uses, and the root table of scipy's per-order jn_zeros.  The radial
 factor of several k, stacked from one-index alpha_radial calls, is the
-layout of the library's piecewise route.  The statistics and field
+layout of the library's several-k and piecewise routes.  The statistics and field
 coefficients of a single spectrum are the one-draw form of the library's
 batched route, the covariance estimate over coefficient arrays built a
 batch of draws at a time is the form the library's streamed estimate
@@ -314,7 +314,8 @@ def circle_average_variance(N):
 
 def alpha_radial_rows(n, ks, r, table):
     """alpha_radial(n, k, r, table) for each k of ks, stacked into shape
-    (len(ks),) + r.shape: the layout of alpha_radial_piecewise."""
+    (len(ks),) + r.shape: the layout of alpha_radial(n, ks, r, table) and
+    alpha_radial_piecewise."""
     return np.stack([alpha_radial(n, int(k), r, table) for k in ks])
 
 

@@ -203,29 +203,28 @@ def radial_mean(g, N):
     return float(2.0 * math.pi * np.sum(np.asarray(g(quad.r)) * rho * quad.wr))
 
 
-def radial_nodes(Ns):
-    """(r, rules): the sorted union r of the radial nodes of _plane_rule(N)
-    over every N of Ns, and for each N the pair (cols, rule) of the indices
-    into r of its own nodes and that rule, read once here."""
-    rules = {N: _plane_rule(N) for N in Ns}
-    r = np.unique(np.concatenate([quad.r for quad, _, _ in rules.values()]))
-    return r, {N: (np.searchsorted(r, rule[0].r), rule) for N, rule in rules.items()}
-
-
 def radial_pair_variance(g, n, N):
-    """pair_variance of g(r) e^{-i n theta}: radial_pair_variances of g alone."""
-    rule = _plane_rule(N)
-    return radial_pair_variances(np.asarray(g(rule[0].r))[None, :], n, rule)[0]
+    """pair_variance of g(r) e^{-i n theta}: one case, one row of radial_pair_variances."""
+    return radial_pair_variances(lambda _, r: np.asarray(g(r))[None, :], [(n, N)])[0][0]
 
 
-def radial_pair_variances(G, n, rule):
-    """pair_variance of g(r) e^{-i n theta} for each radial factor g in the
-    rows of G, on the radial nodes of rule = _plane_rule(N): the radial mean
-    of |g|^2 less the overlaps on the diagonal l - k = -n (none when |n| >=
-    N).  Sums run along the radii of C-contiguous arrays, so rows do not
-    mix; VarianceError for the first row that fails _checked_variance."""
-    quad, rho, R = rule
-    G = np.ascontiguousarray(G)
-    diag = 2.0 * math.pi * (np.abs(G) ** 2 * rho * quad.wr).sum(axis=-1)
-    off_sq = _diagonal_pair_sq(R, -n, G, quad.wr)
-    return [_checked_variance(float(d), o) for d, o in zip(diag, off_sq)]
+def radial_pair_variances(g, cases):
+    """For each case (n, N), the list of pair_variance of f(r) e^{-i n theta}
+    for each radial factor f in the rows of g(n, r): the radial mean of
+    |f|^2 less the overlaps on the diagonal l - k = -n (none when |n| >= N),
+    on the radial nodes of _plane_rule(N).  Each rule is read once, and g is
+    called once per order, on the sorted union r of the nodes of every N.
+    Sums run along the radii of C-contiguous arrays, so rows do not mix;
+    VarianceError for the first row that fails _checked_variance."""
+    rules = {N: _plane_rule(N) for _, N in cases}
+    r = np.unique(np.concatenate([quad.r for quad, _, _ in rules.values()]))
+    cols = {N: np.searchsorted(r, quad.r) for N, (quad, _, _) in rules.items()}
+    rows = {n: np.asarray(g(n, r)) for n in dict.fromkeys(n for n, _ in cases)}
+    out = []
+    for n, N in cases:
+        quad, rho, R = rules[N]
+        G = np.ascontiguousarray(rows[n][:, cols[N]])
+        diag = 2.0 * math.pi * (np.abs(G) ** 2 * rho * quad.wr).sum(axis=-1)
+        off_sq = _diagonal_pair_sq(R, -n, G, quad.wr)
+        out.append([_checked_variance(float(d), o) for d, o in zip(diag, off_sq)])
+    return out

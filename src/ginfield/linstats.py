@@ -4,9 +4,9 @@ finite-N moments, their limiting Gaussian law, and their Monte-Carlo draws.
 gamma_{n,k}^(N) is the centered linear statistic of alpha_{n,k} over one
 Ginibre spectrum.  Its limit is sqrt(pi)/j_{n,k} times a standard Gaussian
 for n = 0, and sqrt(pi)/j_{n,k} (Z + W/sqrt(n)) for n >= 1 with the complex
-Gaussian W shared across all k at fixed n.  The exact finite-N mean and
-variance of gamma are the radial moments of alpha_{n,k}'s radial factor
-that ginibre.radial_mean and ginibre.radial_pair_variance compute.
+Gaussian W shared across all k at fixed n.  Its exact finite-N mean is
+ginibre.radial_mean of alpha_{n,k}'s radial factor; its variances over a
+set of (n, N) cases take one ginibre.radial_pair_variances call.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .ginibre import radial_mean, radial_nodes, radial_pair_variances, sample_spectrum
+from .ginibre import radial_mean, radial_pair_variances, sample_spectrum
 from .logkernel import alpha_radial, alpha_radial_piecewise
 
 # Eigenvalues per block of spectra that _gamma_draws_range evaluates at once.
@@ -137,16 +137,13 @@ def gamma_draws(N, draws, index_set, master_seed, table, workers=1):
 
 def _variance_rows(cases, k_list, table, **scales):
     """Exact variance of gamma_{n,k}^(N) for every (n, N) case and every k,
-    one row each with key = scale(variance, n, j_{n,k}) for each scale.
-    Each order's alpha rows come from one alpha_radial call, on the union
-    of the radial nodes of every N, and the k of each case go to one
-    radial_pair_variances call, on the rule that radial_nodes read."""
-    r, rules = radial_nodes(N for _, N in cases)
-    g = {n: alpha_radial(n, k_list, r, table) for n in {n for n, _ in cases}}
+    one row each with key = scale(variance, n, j_{n,k}) for each scale: one
+    radial_pair_variances call, whose alpha rows of all k come from one
+    alpha_radial call per order."""
+    variances = radial_pair_variances(lambda n, r: alpha_radial(n, k_list, r, table), cases)
     rows = []
-    for n, N in cases:
-        cols, rule = rules[N]
-        for k, v in zip(k_list, radial_pair_variances(g[n][:, cols], n, rule)):
+    for (n, N), vs in zip(cases, variances):
+        for k, v in zip(k_list, vs):
             j = table.root(n, k)
             row = {"n": n, "k": k, "N": N, "variance": v}
             rows.append(row | {key: scale(v, n, j) for key, scale in scales.items()})

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ginfield import ginibre
 from ginfield.cli import main
 from ginfield.ginibre import (
     EigensolverError,
@@ -254,21 +255,24 @@ FAILING_ROWS = {"nan": (lambda r: np.full_like(r, np.nan), 1.0), "negative": (np
 
 
 @pytest.mark.parametrize("bad", FAILING_ROWS)
-def test_one_failing_row_fails_the_batch_with_its_own_ratio(bad, cold_kernel):
+def test_one_failing_row_fails_the_batch_with_its_own_ratio(bad, cold_kernel, monkeypatch):
     g, weight = FAILING_ROWS[bad]
     quad, rho, R = cold_kernel(8)
     quad = dataclasses.replace(quad, wr=weight * quad.wr)
-    rule = (quad, rho, R)
+    monkeypatch.setattr(ginibre, "_plane_rule", lambda N: (quad, rho, R))
     good = [np.square, lambda r: r]
-    G = np.array([good[0](quad.r), g(quad.r), good[1](quad.r)])
+
+    def rows(*fs):
+        return lambda n, r: np.array([f(r) for f in fs])
+
     with pytest.raises(VarianceError) as alone:
         radial_pair_variance_per_call(g, 0, 8, quad)
     # warnings are errors here, so a numpy RuntimeWarning would fail this too
     with pytest.raises(VarianceError) as batch:
-        radial_pair_variances(G, 0, rule)
+        radial_pair_variances(rows(good[0], g, good[1]), [(0, 8)])
     assert str(batch.value) == str(alone.value)
     expected = [radial_pair_variance_per_call(f, 0, 8, quad) for f in good]
-    assert radial_pair_variances(G[[0, 2]], 0, rule) == expected
+    assert radial_pair_variances(rows(*good), [(0, 8)]) == [expected]
 
 
 @pytest.mark.parametrize("N", [8, 64])

@@ -294,7 +294,7 @@ def test_finite_N_variances_stay_below_the_limit_and_rise_with_N(table):
     # the sharp ratio Var_N gamma / Var_inf gamma, Var_inf = pi (1 + 1/n) / j^2
     # (no 1/n for n = 0), over the 9 x 8 grid: at most 1 and rising with N
     # at every index; criterion 5's C = 0.2 bounds Var_N / j^2 alone
-    Ns = [8, 32, 256, 1024]
+    Ns = [8 * 2**i for i in range(10)]  # every doubling from 8 to 4096
     grid = [(n, k) for n in range(9) for k in range(1, 9)]
     limit = np.diag(limit_covariance_matrix(grid, table)).real
     report = variance_bound_check(range(9), range(1, 9), Ns, table)
@@ -305,7 +305,21 @@ def test_finite_N_variances_stay_below_the_limit_and_rise_with_N(table):
     assert report["max_sharp_ratio"] == sharp.max()
     assert np.all(ratio <= 1.0 + 1e-9)
     assert np.all(np.diff(ratio, axis=0) > 0.0)
-    assert ratio.max(axis=1) == pytest.approx([0.9291, 0.9798, 0.9973, 0.9993], abs=1e-4)
+    assert ratio.max(axis=1) == pytest.approx(
+        [0.92910, 0.96160, 0.97976, 0.98952, 0.99463, 0.99727, 0.99862, 0.99931, 0.99965, 0.99982],
+        abs=1e-4,
+    )
+
+
+def test_the_finite_N_gap_tends_to_minus_pi_over_8N(table):
+    # x(N) = N (Var_N - Var_inf) tends to -pi/8 as N^{-1/2} for n = 0 and as
+    # N^{-1} for n >= 1; one Richardson step from N = 1024 and 4096 removes
+    # the leading rate
+    report = variance_bound_check([0, 1, 2], [1], [1024, 4096], table)
+    limit = np.diag(limit_covariance_matrix([(0, 1), (1, 1), (2, 1)], table)).real
+    x = np.array([[1024], [4096]]) * (np.reshape(_variances(report), (2, 3)) - limit)
+    richardson = [2 * x[1, 0] - x[0, 0]] + [(4 * x[1, i] - x[0, i]) / 3 for i in (1, 2)]
+    assert richardson == pytest.approx([-math.pi / 8] * 3, abs=1e-3)
 
 
 def _exact_per_call(n, k, N, table):
@@ -397,8 +411,9 @@ def test_variance_bound_check_builds_the_kernel_factors_once_per_N(
 def test_a_call_over_more_N_than_the_rule_cache_builds_each_rule_once(
     table, cold_kernel, kernel_builds
 ):
-    # 10 N against the 8 entries of the rule cache: the reduction gets the
-    # rules radial_nodes read, and reading them again built each one twice
+    # 10 N against the 8 entries of the rule cache: radial_pair_variances
+    # reads each rule once and keeps it for the whole call, so none is
+    # built again after the cache has dropped it
     Ns = range(2, 12)
     report = variance_bound_check([0, 1], [1], Ns, table)
     assert kernel_builds == list(Ns)
@@ -434,10 +449,23 @@ def test_variance_bound_check_evaluates_alpha_once_per_index(table, alpha_calls)
 MIXED_CASES = [(16, 8), (2, 1024), (8, 8), (40, 1024), (5, 8)]
 
 
-def test_one_call_over_mixed_rules_and_cases_equals_the_per_call_oracle(table, cold_kernel):
+def test_one_call_over_mixed_rules_and_cases_equals_the_per_call_oracle(
+    table, cold_kernel, monkeypatch
+):
     assert [len(PlaneQuadrature.build(N).r) for N in (8, 1024)] == [80 + 40, 96 + 40]
+    calls, alpha = [], linstats.alpha_radial
+
+    def counted(n, k, r, table):
+        calls.append((n, r))
+        return alpha(n, k, r, table)
+
+    monkeypatch.setattr(linstats, "alpha_radial", counted)
     ks = [1, 3, 8]
     rows = decay_check(MIXED_CASES, ks, table)["entries"]
+    # one alpha call per distinct order, each on the union of both rules' radii
+    union = np.union1d(PlaneQuadrature.build(8).r, PlaneQuadrature.build(1024).r)
+    assert sorted(n for n, _ in calls) == sorted({n for n, _ in MIXED_CASES})
+    assert all(np.array_equal(r, union) for _, r in calls)
     assert [(r["n"], r["N"], r["k"]) for r in rows] == [
         (n, N, k) for n, N in MIXED_CASES for k in ks
     ]

@@ -31,8 +31,8 @@ from scipy import special
 
 from . import __version__
 from .basis import DiskQuadrature, gram_matrix
-from .bessel import ROOT_RESIDUAL_TOL, RootBracketError, build_root_table
-from .field import covariance_mc, tightness_statistic
+from .bessel import RootBracketError, build_root_table
+from .field import covariance_mc, tightness_statistic, truncated_covariance
 from .ginibre import EigensolverError, VarianceError, radial_pair_variance, sample_spectrum
 from .linstats import (
     DECAY_CPRIME_MAX,
@@ -132,8 +132,14 @@ def _exp_roots(cfg, table):
     ]
     ns = np.arange(table.n_max + 1)[:, None]
     residual = float(np.abs(special.jv(ns, table.roots)).max())
-    ok = residual < ROOT_RESIDUAL_TOL
-    return ok, {"max_residual": residual}, {"roots": (["n", "k", "j_nk"], rows)}
+    # build_root_table certified the residual; scipy's per-order zeros are
+    # an independent route to the roots themselves
+    ref = np.array([special.jn_zeros(n, table.k_max) for n in range(table.n_max + 1)])
+    deviation = float(np.abs(table.roots - ref).max())
+    return deviation <= 1e-10, {
+        "max_deviation_from_jn_zeros": deviation,
+        "max_residual": residual,
+    }, {"roots": (["n", "k", "j_nk"], rows)}
 
 
 def _exp_verify_basis(cfg, table):
@@ -255,10 +261,22 @@ def _exp_clt(cfg, table):
 
 def _exp_field_covariance(cfg, table):
     z, w = 0.3, -0.4
-    est = covariance_mc(z, w, (cfg.n_max, cfg.k_max), cfg.draws, cfg.seed, table)
+    cutoff = (cfg.n_max, cfg.k_max)
+    est = covariance_mc(z, w, cutoff, cfg.draws, cfg.seed, table)
+    C = truncated_covariance(z, w, cutoff, table)
+    exact = float(C[0, 1])
+    # the variance of one draw h(z) h(w) of a Gaussian pair
+    se = math.sqrt(float(C[0, 0] * C[1, 1] + C[0, 1] ** 2) / cfg.draws)
+    z_score = (est - exact) / se
     target = -0.5 * math.log(abs(z - w))
-    ok = abs(est - target) < 4.0 * math.sqrt(6.0 / cfg.draws) + 2e-2
-    return ok, {"estimate": est, "target": target}, {
+    ok = abs(est - target) < 4.0 * math.sqrt(6.0 / cfg.draws) + 2e-2 and abs(z_score) <= 4.0
+    return ok, {
+        "estimate": est,
+        "exact_truncated": exact,
+        "se": se,
+        "target": target,
+        "z_score": z_score,
+    }, {
         "covariance": (["z", "w", "estimate", "target"], [[z, w, est, target]])
     }
 

@@ -3,8 +3,8 @@ coefficient array a[n, k-1] for n >= 0 (order -n is the conjugate of order
 n), and the tightness statistic of the finite-N field.
 
 The field is represented only through basis coefficients, since the limit
-object is a distribution, not a function; covariance_mc reads its values at
-two points, at an explicit cutoff, through the normals it draws.
+object is a distribution, not a function; its values at two points, at an
+explicit cutoff, are read through the exact law of that pair.
 """
 
 from __future__ import annotations
@@ -74,45 +74,44 @@ def field_norm_sq(sample, s, table):
     return sobolev_norm(sample.coeffs, -s, table)
 
 
-_BATCH = 1024  # draws per block of covariance_mc
-_SLICE = 1 << 16  # doubles of normals it draws and contracts at once: 512 KB, in cache
+_BLOCK = 1 << 14  # draws per block of covariance_mc: 256 KiB of normals
 
 
 @lru_cache(maxsize=8)
-def _draw_weights(z, w, cutoff, table):
-    """Real weights, one (width, 2) matrix for each standard normal array
-    that _coeff_arrays draws, in its order: A (width k), Re Z and Im Z (n k),
-    Re W and Im W (n).  The field at z and w is the sum of each array times
-    its weights.  Read-only, and built once per z, w, cutoff and table."""
+def _pair_factor(z, w, cutoff, table):
+    """R of M = QR, M (width x 2) the weights in h(z) and h(w) of the
+    standard normals that _coeff_arrays draws, so R^T R = M^T M is the exact
+    covariance of the pair.  R has len(R) <= 2 rows and may be singular (a
+    point on the circle).  Read-only, built once per z, w, cutoff and table."""
     n_max, k_max = cutoff
     j, _ = root_window(cutoff, table)
-    E = eval_matrix(np.array([z, w]), n_max, k_max, table) / j
-    rt = math.sqrt(math.pi)
+    E = math.sqrt(math.pi) * eval_matrix(np.array([z, w]), n_max, k_max, table) / j
     # rows n >= 1 enter twice (order -n) and carry the 1/sqrt(2) of Z and W
-    c_Z = math.sqrt(2) * rt * E[:, 1:, :]
+    c_Z = math.sqrt(2) * E[:, 1:, :]
     c_W = c_Z.sum(axis=2) / np.sqrt(np.arange(1, n_max + 1))
     c_Z = c_Z.reshape(2, n_max * k_max)
-    c_A = rt * E[:, 0, :].real
-    weights = tuple(
-        np.ascontiguousarray(c.T) for c in (c_A, c_Z.real, -c_Z.imag, c_W.real, -c_W.imag)
-    )
-    for c in weights:
-        c.flags.writeable = False
-    return weights
+    M = np.hstack([E[:, 0, :].real, c_Z.real, c_Z.imag, c_W.real, c_W.imag]).T
+    R = np.linalg.qr(M, mode="r")
+    R.flags.writeable = False
+    return R
+
+
+def truncated_covariance(z, w, cutoff, table):
+    """Exact 2 x 2 covariance of (h(z), h(w)) at a fixed cutoff."""
+    R = _pair_factor(complex(z), complex(w), tuple(cutoff), table)
+    return R.T @ R
 
 
 def covariance_mc(z, w, cutoff, draws, seed, table):
     """Monte-Carlo estimate of E h(z) h(w) at a fixed cutoff.
 
-    The field is linear in the standard normals that sample_h draws, so
-    each normal array is drawn from one seeded generator in the order of
-    _coeff_arrays, for a block of at most _BATCH draws at once, and
-    contracted at once with its weights at z and w; no coefficient array is
-    built.  The weights are cached by z, w, the cutoff and the table, so
-    repeated seeded blocks at the same points reuse them; a -0 imaginary
-    part gives the value, and the cache entry, of +0.  Each array is drawn
-    into one reused buffer in row slices of at most _SLICE doubles (one row
-    if wider), and each slice is contracted as soon as it is drawn.
+    The field is linear in its standard normals, so (h(z), h(w)) is the
+    Gaussian pair x R, with R = _pair_factor(z, w, cutoff, table) and x
+    len(R) <= 2 standard normals.  Each draw takes its x from one seeded
+    generator, in blocks of at most _BLOCK draws.  R is cached by z, w, the
+    cutoff and the table, so repeated seeded blocks at the same points
+    reuse it; a -0 imaginary part gives the value, and the cache entry, of
+    +0.
     """
     z = complex(z)
     w = complex(w)
@@ -120,20 +119,12 @@ def covariance_mc(z, w, cutoff, draws, seed, table):
         raise ValueError("use distinct points; the diagonal diverges with cutoff")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    weights = _draw_weights(z, w, tuple(cutoff), table)
-    buf = np.empty(max(_SLICE, *(len(c) for c in weights)))
+    R = _pair_factor(z, w, tuple(cutoff), table)
     rng = np.random.default_rng(seed)
     acc = 0.0
-    for done in range(0, draws, _BATCH):
-        b = min(_BATCH, draws - done)
-        h = np.zeros((b, 2))
-        for c in weights:
-            step = max(1, _SLICE // max(1, len(c)))
-            for r0 in range(0, b, step):
-                hs = h[r0 : r0 + step]
-                x = buf[: len(hs) * len(c)].reshape(len(hs), len(c))
-                hs += rng.standard_normal(out=x) @ c
-        acc += float(np.sum(h[:, 0] * h[:, 1]))
+    for done in range(0, draws, _BLOCK):
+        h = rng.standard_normal((min(_BLOCK, draws - done), len(R))) @ R
+        acc += float(h[:, 0] @ h[:, 1])
     return acc / draws
 
 

@@ -11,9 +11,9 @@ it uses, and the root table of scipy's per-order jn_zeros.  The radial
 factor of several k, stacked from one-index alpha_radial calls, is the
 layout of the library's several-k and piecewise routes.  The statistics and field
 coefficients of a single spectrum are the one-draw form of the library's
-batched route, the covariance estimate over coefficient arrays built a
-batch of draws at a time is the form the library's streamed estimate
-contracts away, and the exact finite-N moments with the one-point density
+batched route, the covariance of the truncated limit field summed order by
+order from its coefficient law is the second route to the library's
+factored pair covariance, and the exact finite-N moments with the one-point density
 and the radial kernel factors rebuilt in every call, on any rule, are the
 form the library's per-N plane-rule cache replaces; on a rule of 2,000
 radii per panel they are the accuracy reference of the library's rule.
@@ -386,39 +386,25 @@ def h_N_coeffs(sample: SpectrumSample, cutoff, table):
     return FieldSample(a)
 
 
-def coeff_arrays_batched(rng, cutoff, table, batch):
-    """batch draws of the limit field's coefficients a[draw, n, k-1], with
-    each of A, Z and W drawn for the whole batch at once, in that order: the
-    order of the normals that covariance_mc contracts."""
-    j, _ = root_window(cutoff, table)
+def truncated_covariance(p, q, cutoff, table):
+    """E h(p) h(q) of the limit field at a cutoff, from the coefficient law
+    of sample_h, one order at a time:
+    pi sum_k e_{0,k}(p) e_{0,k}(q) / j^2
+    + 2 pi sum_{n>=1} Re[sum_k e_{n,k}(p) conj e_{n,k}(q) / j^2 + S_n(p) conj S_n(q) / n],
+    with S_n = sum_k e_{n,k} / j_{n,k}."""
     n_max, k_max = cutoff
-    shape, shapew = (batch, n_max, k_max), (batch, n_max)
-    rt = math.sqrt(math.pi)
-    a = np.empty((batch, n_max + 1, k_max), dtype=complex)
-    a[:, 0, :] = rt * rng.standard_normal((batch, k_max)) / j[0]
-    an = a[:, 1:, :]
-    an.real = rng.standard_normal(shape)
-    an.imag = rng.standard_normal(shape)
-    an /= math.sqrt(2)
-    W = (rng.standard_normal(shapew) + 1j * rng.standard_normal(shapew)) / math.sqrt(2)
-    an += W[:, :, None] / np.sqrt(np.arange(1, n_max + 1))[:, None]
-    an *= rt
-    an /= j[1:]
-    return a
-
-
-def covariance_mc_by_coefficients(z, w, cutoff, draws, rng, table, batch=1024):
-    """E h(z) h(w) over the seeded field samples, building each batch's
-    coefficient array and evaluating it at z and w."""
-    E = eval_matrix([complex(z), complex(w)], *cutoff, table)
-    acc = 0.0
-    done = 0
-    while done < draws:
-        b = min(batch, draws - done)
-        h = _field_values(coeff_arrays_batched(rng, cutoff, table, b), E)
-        acc += float(np.sum(h[:, 0] * h[:, 1]))
-        done += b
-    return acc / draws
+    ks = np.arange(1, k_max + 1)
+    j = table.roots[0, :k_max]
+    total = math.pi * np.sum(
+        eval_eigenfunction(0, ks, p, table) * eval_eigenfunction(0, ks, q, table) / j**2
+    ).real
+    for n in range(1, n_max + 1):
+        j = table.roots[n, :k_max]
+        ep = eval_eigenfunction(n, ks, p, table)
+        eq = eval_eigenfunction(n, ks, q, table)
+        pair = np.sum(ep * np.conj(eq) / j**2) + np.sum(ep / j) * np.conj(np.sum(eq / j)) / n
+        total += 2.0 * math.pi * pair.real
+    return float(total)
 
 
 def tightness_bound(s_prime, cutoff, table, constant):

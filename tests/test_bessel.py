@@ -126,15 +126,15 @@ def test_a_table_is_its_own_cache_key():
     t, same = build_root_table(8, 8), build_root_table(8, 8)
     assert t == t and t != same and hash(t) == hash(t)
     logkernel._disk_panels.cache_clear()
-    field._draw_weights.cache_clear()
+    field._pair_factor.cache_clear()
     for _ in range(3):
         alpha_radial_piecewise(2, np.array([3]), np.array([0.5]), t)
         covariance_mc(0.3, -0.4, (4, 4), 10, 0, t)
-    for cached in (logkernel._disk_panels, field._draw_weights):
+    for cached in (logkernel._disk_panels, field._pair_factor):
         assert cached.cache_info()[:2] == (2, 1)  # (hits, misses)
     alpha_radial_piecewise(2, np.array([3]), np.array([0.5]), same)
     covariance_mc(0.3, -0.4, (4, 4), 10, 0, same)
-    for cached in (logkernel._disk_panels, field._draw_weights):
+    for cached in (logkernel._disk_panels, field._pair_factor):
         assert cached.cache_info()[:2] == (2, 2)
 
 

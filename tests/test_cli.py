@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ginfield import bessel, cli, ginibre, linstats, logkernel
+from ginfield import bessel, cli, field, ginibre, linstats, logkernel
 from ginfield.bessel import build_root_table
 from ginfield.cli import (
     ExperimentConfig,
@@ -316,6 +316,7 @@ def test_roots_experiment_outputs(tmp_path, capsys):
     result = json.loads((out / "result.json").read_text())
     assert result["result"]["passed"] is True
     assert result["result"]["max_residual"] < 1e-12
+    assert result["result"]["max_deviation_from_jn_zeros"] <= 1e-10
     # exactly the 5 x 4 table the flags ask for, bit for bit
     assert len((out / "roots.csv").read_text().splitlines()) == 1 + 20
     rows = np.loadtxt(out / "roots.csv", delimiter=",", skiprows=1)
@@ -415,8 +416,26 @@ def test_field_covariance_experiment(tmp_path, capsys):
         ]
     )
     assert code == 0
-    result = json.loads((tmp_path / "o" / "result.json").read_text())
-    assert abs(result["result"]["estimate"] - result["result"]["target"]) < 0.15
+    result = json.loads((tmp_path / "o" / "result.json").read_text())["result"]
+    assert abs(result["estimate"] - result["target"]) < 0.15
+    assert result["z_score"] == (result["estimate"] - result["exact_truncated"]) / result["se"]
+    assert abs(result["z_score"]) <= 4.0
+
+
+def test_field_covariance_fails_an_estimate_far_from_the_exact_value(tmp_path, monkeypatch):
+    # at (4, 4) with 20,000 draws the se is about 0.0097 and the band about
+    # 0.089: an estimate 4.5 se off the exact truncated covariance passes the
+    # band and fails the z-score
+    table = build_root_table(4, 4)
+    C = field.truncated_covariance(0.3, -0.4, (4, 4), table)
+    se = math.sqrt((C[0, 0] * C[1, 1] + C[0, 1] ** 2) / 20000)
+    off = float(C[0, 1]) + 4.5 * se
+    assert abs(off - (-0.5 * math.log(0.7))) < 4.0 * math.sqrt(6.0 / 20000) + 2e-2
+    monkeypatch.setattr(cli, "covariance_mc", lambda *args: off)
+    args = ["--n-max", "4", "--k-max", "4", "--draws", "20000", "--out", str(tmp_path)]
+    assert main(["field-covariance", *args]) == 1
+    result = json.loads((tmp_path / "result.json").read_text())["result"]
+    assert result["passed"] is False and abs(result["z_score"] - 4.5) < 1e-9
 
 
 def test_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -434,6 +453,20 @@ def test_root_table_failure_exits_3(tmp_path, monkeypatch, capsys):
     code = main(["roots", "--n-max", "4", "--k-max", "4", "--out", str(tmp_path)])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_roots_fail_when_a_root_strays_from_jn_zeros(tmp_path, monkeypatch, capsys):
+    # the residual is certified inside build_root_table, so only an
+    # independent route can fail the experiment: a root moved by 1e-9
+    good = build_root_table(4, 4)
+    roots = good.roots.copy()
+    roots[2, 1] += 1e-9
+    moved = bessel.RootTable(4, 4, roots, good.norms.copy())
+    monkeypatch.setattr(cli, "build_root_table", lambda n_max, k_max: moved)
+    assert main(["roots", "--n-max", "4", "--k-max", "4", "--out", str(tmp_path)]) == 1
+    assert "roots: FAIL" in capsys.readouterr().out
+    result = json.loads((tmp_path / "result.json").read_text())["result"]
+    assert 1e-10 < result["max_deviation_from_jn_zeros"] < 2e-9
 
 
 def test_interpolant_failure_exits_3(tmp_path, monkeypatch, capsys):

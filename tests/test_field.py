@@ -20,13 +20,12 @@ from ginfield.field import (
 from ginfield.ginibre import sample_spectrum
 from ginfield.linstats import GammaSample, centering_term, gamma_draws
 from oracles import (
-    coeff_arrays_batched,
-    covariance_mc_by_coefficients,
     eval_eigenfunction,
     evaluate,
     gamma,
     h_N_coeffs,
     tightness_bound,
+    truncated_covariance,
 )
 
 
@@ -63,16 +62,6 @@ def test_sample_h_is_the_seeded_draw(small_table):
             j = small_table.root(n, k)
             want[n, k - 1] = rt * (Z[n - 1, k - 1] + W[n - 1] / np.sqrt(n)) / j
     assert np.array_equal(sample_h((n_max, k_max), 31, small_table).coeffs, want)
-
-
-@pytest.mark.parametrize("cutoff", [(1, 1), (5, 7), (16, 3), (64, 64)])
-@pytest.mark.parametrize("seed", [0, 31])
-def test_a_batch_of_one_is_the_draw_of_sample_h(table, cutoff, seed):
-    # the batched oracle draws the normals in the order covariance_mc
-    # contracts them; at one draw it must give sample_h bit for bit, which
-    # ties covariance_mc's stream to the field that sample_h draws
-    a = coeff_arrays_batched(np.random.default_rng(seed), cutoff, table, 1)
-    assert np.array_equal(a[0], sample_h(cutoff, seed, table).coeffs)
 
 
 def test_cutoff_past_the_table_raises(small_table):
@@ -159,29 +148,38 @@ def made_generators(monkeypatch):
 
 
 @pytest.mark.parametrize("cutoff", [(0, 4), (1, 1), (3, 5), (16, 16), (64, 64)])
+def test_the_pair_factor_gives_the_covariance_of_the_coefficient_law(table, cutoff):
+    z, w = 0.3 + 0.2j, -0.1 + 0.4j
+    R = field._pair_factor(z, w, cutoff, table)
+    got = R.T @ R
+    want = np.array(
+        [[truncated_covariance(p, q, cutoff, table) for q in (z, w)] for p in (z, w)]
+    )
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    assert np.array_equal(field.truncated_covariance(z, w, cutoff, table), got)
+
+
+@pytest.mark.parametrize("cutoff", [(0, 1), (1, 1), (3, 5), (16, 16), (64, 64)])
 @pytest.mark.parametrize("seed", [0, 5])
-def test_covariance_mc_equals_the_estimate_over_built_coefficients(
+def test_covariance_mc_is_the_mean_over_seeded_pairs(
     table, made_generators, monkeypatch, cutoff, seed
 ):
-    # the streamed estimate takes the same normals from the generator as the
-    # coefficient arrays of sample_h, and differs from the estimate over
-    # those arrays by rounding only; blocks of 7 draws end in partial blocks,
-    # and slices of 1, 7 and 200 doubles (between the widths of the larger
-    # cutoffs' arrays) end rows and blocks at other edges
+    # each draw is x R for len(R) standard normals x taken from one seeded
+    # generator in draw order, whatever the block size; blocks of 1 and 7
+    # draws end in partial blocks, and cutoff (0, 1) has a one-row R
     z, w = 0.3 + 0.2j, -0.1 + 0.4j
-    for batch in (1024, 7):
-        monkeypatch.setattr(field, "_BATCH", batch)
+    R = field._pair_factor(z, w, cutoff, table)
+    for block in (field._BLOCK, 1, 7):
+        monkeypatch.setattr(field, "_BLOCK", block)
         for draws in (1, 7, 1000, 2500):
             rng = np.random.Generator(np.random.PCG64(seed))
-            want = covariance_mc_by_coefficients(z, w, cutoff, draws, rng, table, batch=batch)
-            for slice_ in (field._SLICE, 1, 7, 200):
-                with monkeypatch.context() as m:
-                    m.setattr(field, "_SLICE", slice_)
-                    made_generators.clear()
-                    got = covariance_mc(z, w, cutoff, draws, seed, table)
-                assert abs(got - want) <= 1e-13 * abs(want), (draws, batch, slice_)
-                assert len(made_generators) == 1
-                assert made_generators[0].bit_generator.state == rng.bit_generator.state
+            h = rng.standard_normal((draws, len(R))) @ R
+            want = float(np.mean(h[:, 0] * h[:, 1]))
+            made_generators.clear()
+            got = covariance_mc(z, w, cutoff, draws, seed, table)
+            assert abs(got - want) <= 1e-13 * abs(want), (draws, block)
+            assert len(made_generators) == 1
+            assert made_generators[0].bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("draws", [0, -1])
@@ -196,11 +194,11 @@ def test_covariance_mc_rejects_counts_below_one(small_table, monkeypatch, draws)
         covariance_mc(0.3, -0.4, (4, 4), draws, 0, small_table)
 
 
-@pytest.mark.parametrize("draws", [1000, 5000])
+@pytest.mark.parametrize("draws", [1000, 5000, 100_000])
 def test_covariance_mc_memory_stays_under_a_mebibyte_at_any_draw_count(table, draws):
-    # at cutoff (64, 64) the normals go through one cache-sized buffer, so
-    # the peak does not grow with the draws; a whole (1024, n k) block of
-    # normals would take 32 MiB, and no coefficient array is built
+    # at cutoff (64, 64) the draws go in blocks of _BLOCK pairs, so the peak
+    # does not grow with the draws; one (100000, 2) array of normals would
+    # take 1.6 MB, and no coefficient array is built
     tracemalloc.start()
     try:
         covariance_mc(0.3, -0.4, (64, 64), draws, 0, table)
@@ -226,23 +224,23 @@ def test_a_non_finite_point_is_refused(small_table, monkeypatch, bad):
         raise AssertionError("a generator was made before the points were checked")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
-    field._draw_weights.cache_clear()
+    field._pair_factor.cache_clear()
     for z, w in ((bad, 0.1), (0.1, bad)):
         with pytest.raises(DiskDomainError):
             covariance_mc(z, w, (4, 4), 10, 0, small_table)
-    assert field._draw_weights.cache_info().currsize == 0
+    assert field._pair_factor.cache_info().currsize == 0
 
 
 @pytest.fixture
 def eval_calls(monkeypatch):
-    """An empty weight cache, and the list of eval_matrix calls made."""
+    """An empty factor cache, and the list of eval_matrix calls made."""
     calls, eval_matrix = [], field.eval_matrix
 
     def counted(points, n_max, k_max, table):
         calls.append((n_max, k_max))
         return eval_matrix(points, n_max, k_max, table)
 
-    field._draw_weights.cache_clear()
+    field._pair_factor.cache_clear()
     monkeypatch.setattr(field, "eval_matrix", counted)
     return calls
 
@@ -252,21 +250,21 @@ def test_covariance_mc_builds_its_weights_once(table, eval_calls):
     second = covariance_mc(0.3, -0.4, (16, 16), 200, 1, table)
     assert eval_calls == [(16, 16)]
     assert first != second
-    assert field._draw_weights.cache_info()[:2] == (1, 1)  # (hits, misses)
-    for c in field._draw_weights(0.3 + 0j, -0.4 + 0j, (16, 16), table):
-        assert not c.flags.writeable
-        with pytest.raises(ValueError):
-            c[0, 0] = 1.0
+    assert field._pair_factor.cache_info()[:2] == (1, 1)  # (hits, misses)
+    R = field._pair_factor(0.3 + 0j, -0.4 + 0j, (16, 16), table)
+    assert not R.flags.writeable
+    with pytest.raises(ValueError):
+        R[0, 0] = 1.0
 
 
 def test_covariance_mc_weights_follow_the_table_content(table, eval_calls):
-    # a perturbed norm inside the window gets weights of its own
+    # a perturbed norm inside the window gets a factor of its own
     norms = table.norms.copy()
     norms[3, 2] = np.nextafter(norms[3, 2], np.inf)
     perturbed = RootTable(table.n_max, table.k_max, table.roots, norms)
     covariance_mc(0.3, -0.4, (8, 8), 50, 0, table)
     covariance_mc(0.3, -0.4, (8, 8), 50, 0, perturbed)
-    assert len(eval_calls) == 2 and field._draw_weights.cache_info().currsize == 2
+    assert len(eval_calls) == 2 and field._pair_factor.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("z", [complex(-0.3, 0.0), complex(-0.3, -0.0)])
@@ -275,21 +273,21 @@ def test_covariance_mc_from_the_cache_is_bit_identical(table, z):
     # one cache entry, whichever spelling comes first; -0 used to take the
     # angle -pi and move the estimate by rounding
     w, cutoff = 0.1 + 0.4j, (16, 16)
-    field._draw_weights.cache_clear()
+    field._pair_factor.cache_clear()
     cold = covariance_mc(z, w, cutoff, 300, 4, table)
     other = complex(z.real, -z.imag)
     assert [covariance_mc(p, w, cutoff, 300, 4, table) for p in (other, z)] == [cold, cold]
-    assert field._draw_weights.cache_info()[:2] == (2, 1)  # (hits, misses)
-    assert field._draw_weights.cache_info().currsize == 1
-    field._draw_weights.cache_clear()
+    assert field._pair_factor.cache_info()[:2] == (2, 1)  # (hits, misses)
+    assert field._pair_factor.cache_info().currsize == 1
+    field._pair_factor.cache_clear()
     assert covariance_mc(other, w, cutoff, 300, 4, table) == cold
 
 
 def test_covariance_mc_cache_is_bounded(small_table):
-    field._draw_weights.cache_clear()
+    field._pair_factor.cache_clear()
     for i in range(24):
         covariance_mc(0.01 * i, -0.4, (2, 2), 1, 0, small_table)
-    assert field._draw_weights.cache_info().currsize == 8
+    assert field._pair_factor.cache_info().currsize == 8
 
 
 def test_h_N_coeffs_match_gamma(small_table):

@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from scipy import special
 from . import __version__
 from .basis import DiskQuadrature, gram_matrix
 from .bessel import RootBracketError, build_root_table
-from .field import covariance_mc, tightness_statistic, truncated_covariance
+from .field import covariance_mc, expected_norm_sq, tightness_statistic, truncated_covariance
 from .ginibre import EigensolverError, VarianceError, radial_pair_variance, sample_spectrum
 from .linstats import (
     DECAY_CPRIME_MAX,
@@ -102,15 +102,16 @@ def _load_config_file(path):
 def _write_outputs(config, result, series, started, timings):
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
+    echo = {key: getattr(config, key) for key in ("experiment", *_keys(config.experiment))}
     manifest = {
-        "config": asdict(config),
+        "config": echo,
         "outputs": sorted(["manifest.json", "result.json", *(f"{n}.csv" for n in series)]),
         "timings": timings,
         "version": __version__,
         "wall_time_s": time.time() - started,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    payload = {"config": asdict(config), "result": result}
+    payload = {"config": echo, "result": result}
     (out / "result.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
     for name, (header, rows) in series.items():
         with open(out / f"{name}.csv", "w", newline="") as fh:
@@ -251,6 +252,10 @@ def _exp_clt(cfg, table):
         "se_var": list(se_var),
         "ks": ks,
         "exact_pair_variance": {f"{n}_{k}": exact_variance(n, k, N, table) for n, k in index_set},
+        # the measured 1/N law Var_N = Var_inf - pi / (8N) + o(1/N), a report only
+        "predicted_finite_N_var": {
+            f"{n}_{k}": limit[i, i].real - math.pi / (8 * N) for i, (n, k) in enumerate(index_set)
+        },
     }
     rows = [
         [n, k, cov[i, i].real, limit[i, i].real, se_var[i]]
@@ -284,20 +289,27 @@ def _exp_field_covariance(cfg, table):
 def _exp_sobolev_tightness(cfg, table):
     if not 2 < cfg.sobolev_s < math.inf:
         raise UsageError("sobolev-tightness needs --sobolev-s > 2, the tightness regime")
-    sizes = [16, 64, 256]
-    index_set = [
-        (n, k) for n in range(cfg.n_max + 1) for k in range(1, cfg.k_max + 1)
-    ]
-    stats = []
+    s, sizes = cfg.sobolev_s, [16, 64, 256]
+    ns, ks = list(range(cfg.n_max + 1)), list(range(1, cfg.k_max + 1))
+    index_set = [(n, k) for n in ns for k in ks]
+    stats, exact = [], {}
     for N in sizes:
         G = gamma_draws(N, cfg.draws, index_set, cfg.seed, table, workers=cfg.workers)
         runs = [GammaSample(tuple(index_set), g, N, cfg.seed) for g in G]
-        stats.append((N, tightness_statistic(runs, cfg.sobolev_s, table)))
-    ok = stats[-1][1] < 2.0 * stats[0][1] + 1e-9  # no growth trend
+        stats.append((N, tightness_statistic(runs, s, table)))
+        # the exact mean of the statistic: sum of mult j^{-2s'} Var_N gamma
+        rows = variance_bound_check(ns, ks, [N], table)["entries"]
+        exact[str(N)] = sum(
+            (1.0 if r["n"] == 0 else 2.0) * table.root(r["n"], r["k"]) ** (-2.0 * s) * r["variance"]
+            for r in rows
+        )
+    limit_sum = expected_norm_sq(s, (cfg.n_max, cfg.k_max), table)
+    # no growth trend, and no exact mean above the limit law's
+    ok = stats[-1][1] < 2.0 * stats[0][1] + 1e-9 and max(exact.values()) <= limit_sum
     by_n = {str(N): stat for N, stat in stats}
-    return ok, {"statistic_by_N": by_n, "s_prime": cfg.sobolev_s}, {
-        "tightness": (["N", "statistic"], stats)
-    }
+    return ok, {
+        "statistic_by_N": by_n, "s_prime": s, "exact_by_N": exact, "limit_sum": limit_sum,
+    }, {"tightness": (["N", "statistic"], stats)}
 
 
 def _exp_decay_check(cfg, table):
@@ -308,26 +320,38 @@ def _exp_decay_check(cfg, table):
     return ok, rep, {"decay": (["n", "k", "N", "variance", "scaled"], rows)}
 
 
+# Per subcommand: its function, help text, the ExperimentConfig keys it
+# reads, and its root table (n_max, k_max), or None for the cutoffs it reads;
+# a fixed table holds the fixed indices of reconstruct-log (cutoffs up to
+# 60), clt (j_{1,2}) and decay-check (orders up to 64).
 _EXPERIMENTS = {
-    "roots": (_exp_roots, "tabulate certified Bessel roots"),
-    "verify-basis": (_exp_verify_basis, "orthonormality of the disk eigenbasis"),
-    "reconstruct-log": (_exp_reconstruct_log, "log-kernel expansion vs closed form"),
-    "ginibre-sample": (_exp_ginibre_sample, "draw and store Ginibre spectra"),
-    "pair-variance": (_exp_pair_variance, "exact variance of log-kernel statistics"),
-    "clt": (_exp_clt, "Monte-Carlo CLT check against the limit law"),
-    "field-covariance": (_exp_field_covariance, "limit-field covariance kernel"),
-    "sobolev-tightness": (_exp_sobolev_tightness, "norm boundedness across sizes"),
-    "decay-check": (_exp_decay_check, "high-order variance decay"),
+    "roots": (_exp_roots, "tabulate certified Bessel roots", ("n_max", "k_max"), None),
+    "verify-basis": (_exp_verify_basis, "orthonormality of the disk eigenbasis",
+                     ("n_max", "k_max"), None),
+    "reconstruct-log": (_exp_reconstruct_log, "log-kernel expansion vs closed form",
+                        (), (60, 60)),
+    "ginibre-sample": (_exp_ginibre_sample, "draw and store Ginibre spectra",
+                       ("n_size", "draws", "seed"), (8, 8)),
+    "pair-variance": (_exp_pair_variance, "exact variance of log-kernel statistics",
+                      ("n_size", "n_max", "k_max"), None),
+    "clt": (_exp_clt, "Monte-Carlo CLT check against the limit law",
+            ("n_size", "draws", "seed", "workers"), (1, 2)),
+    "field-covariance": (_exp_field_covariance, "limit-field covariance kernel",
+                         ("n_max", "k_max", "draws", "seed"), None),
+    "sobolev-tightness": (_exp_sobolev_tightness, "norm boundedness across sizes",
+                          ("n_max", "k_max", "draws", "seed", "workers", "sobolev_s"), None),
+    "decay-check": (_exp_decay_check, "high-order variance decay", (), (64, 4)),
 }
-# Least root table (n_max, k_max) of the experiments whose fixed indices
-# (reconstruction cutoffs, decay cases, the clt index set) may pass the
-# flags; every experiment builds max(flags, this), (1, 1) if not listed.
-_TABLE_MIN = {"reconstruct-log": (60, 60), "decay-check": (64, 4), "clt": (1, 2)}
 
 # One flag and config key per ExperimentConfig field bar the experiment,
 # typed as the field's default; two fields keep a short spelling as well.
+# A subcommand takes the keys its experiment reads, and --out.
 _OPTIONS = {f.name: type(f.default) for f in fields(ExperimentConfig) if f.name != "experiment"}
 _ALIASES = {"n_size": ("--N",), "draws": ("--M",)}
+
+
+def _keys(experiment):
+    return (*_EXPERIMENTS[experiment][2], "out")
 
 
 def build_parser():
@@ -336,29 +360,28 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="experiment")
-    for name, (_, help_text) in _EXPERIMENTS.items():
+    for name, (_, help_text, _, _) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        for key, kind in _OPTIONS.items():
+        for key in _keys(name):
             flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, *_ALIASES.get(key, ()), dest=key, type=kind)
+            p.add_argument(flag, *_ALIASES.get(key, ()), dest=key, type=_OPTIONS[key])
     return parser
 
 
 def config_from_args(args):
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
-        if "experiment" in values:
-            raise UsageError("config key 'experiment' is not allowed; the subcommand names it")
-    for key in _OPTIONS:
-        v = getattr(args, key, None)
+    # a config file may name no key the experiment does not read, and never
+    # the experiment itself, which only the subcommand names
+    values = _load_config_file(args.config) if args.config else {}
+    keys = _keys(args.experiment)
+    for key in keys:
+        v = getattr(args, key)
         if v is not None:
             values[key] = v
     cfg = ExperimentConfig(experiment=args.experiment)
     for key, val in values.items():
-        if key not in _OPTIONS:
-            raise UsageError(f"unknown config key {key!r}")
+        if key not in keys:
+            raise UsageError(f"{args.experiment} reads no config key {key!r}")
         try:
             setattr(cfg, key, _OPTIONS[key](val))
         except ValueError:
@@ -374,10 +397,9 @@ def run(cfg):
     if any(p.exists() and not p.is_dir() for p in (Path(cfg.out), *Path(cfg.out).parents)):
         raise UsageError(f"--out {cfg.out!r} is not a directory")
     started = time.time()
-    fn, _ = _EXPERIMENTS[cfg.experiment]
-    n0, k0 = _TABLE_MIN.get(cfg.experiment, (1, 1))
+    fn, _, _, size = _EXPERIMENTS[cfg.experiment]
     table_started = time.perf_counter()
-    table = build_root_table(max(cfg.n_max, n0), max(cfg.k_max, k0))
+    table = build_root_table(*(size or (cfg.n_max, cfg.k_max)))
     timings = {"bessel.build_root_table": time.perf_counter() - table_started}
     ok, result, series = fn(cfg, table)
     result = {"passed": bool(ok), **result}

@@ -2,9 +2,11 @@
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
+import re
 import string
 import subprocess
 import sys
@@ -164,26 +166,73 @@ def test_experiment_alias_flag_is_gone():
     assert exc.value.code == 2
 
 
-def test_every_subcommand_takes_the_same_options():
-    # the flags are derived from ExperimentConfig's fields; pin what they are
-    expected = {
-        ("-h", "--help"): ("help", None),
-        ("--config",): ("config", None),
-        ("--n-size", "--N"): ("n_size", int),
-        ("--draws", "--M"): ("draws", int),
-        ("--n-max",): ("n_max", int),
-        ("--k-max",): ("k_max", int),
-        ("--sobolev-s",): ("sobolev_s", float),
-        ("--seed",): ("seed", int),
-        ("--workers",): ("workers", int),
-        ("--out",): ("out", str),
-    }
+_FLAGS = {
+    "n_size": (("--n-size", "--N"), int),
+    "draws": (("--draws", "--M"), int),
+    "n_max": (("--n-max",), int),
+    "k_max": (("--k-max",), int),
+    "sobolev_s": (("--sobolev-s",), float),
+    "seed": (("--seed",), int),
+    "workers": (("--workers",), int),
+}
+# The config keys each subcommand reads, besides out
+_READS = {
+    "roots": {"n_max", "k_max"},
+    "verify-basis": {"n_max", "k_max"},
+    "reconstruct-log": set(),
+    "ginibre-sample": {"n_size", "draws", "seed"},
+    "pair-variance": {"n_size", "n_max", "k_max"},
+    "clt": {"n_size", "draws", "seed", "workers"},
+    "field-covariance": {"n_max", "k_max", "draws", "seed"},
+    "sobolev-tightness": {"n_max", "k_max", "draws", "seed", "workers", "sobolev_s"},
+    "decay-check": set(),
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    # every subcommand used to take all eight config flags, 39 of the 72
+    # slots read by nothing; pin each one's own options
     parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(cli._EXPERIMENTS)
-    for name, p in sub.choices.items():
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subs) == set(cli._EXPERIMENTS) == set(_READS)
+    for name, p in subs.items():
+        expected = {
+            ("-h", "--help"): ("help", None),
+            ("--config",): ("config", None),
+            ("--out",): ("out", str),
+            **{_FLAGS[key][0]: (key, _FLAGS[key][1]) for key in _READS[name]},
+        }
         got = {tuple(a.option_strings): (a.dest, a.type) for a in p._actions}
         assert got == expected, name
+    # flag slots: the config flags and --out of every subcommand
+    assert sum(len(keys) + 1 for keys in _READS.values()) == 33
+
+
+@pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
+def test_each_experiment_reads_the_config_keys_it_declares(name):
+    # a key declared but never read is a dead flag; a key read but not
+    # declared reads its default, whatever the user asked for
+    fn, _, keys, size = cli._EXPERIMENTS[name]
+    read = set(re.findall(r"\bcfg\.(\w+)", inspect.getsource(fn)))
+    cutoffs = {"n_max", "k_max"} if size is None else set()
+    assert read | cutoffs == set(keys) == _READS[name]
+
+
+@pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
+def test_an_unread_flag_or_config_key_is_usage_error(name, tmp_path, monkeypatch, capsys):
+    # decay-check --n-size 999 used to pass as plain decay-check, and
+    # sobolev-tightness --n-size 1024 to echo the size it never ran
+    _no_root_table(monkeypatch)
+    key = next(k for k in _FLAGS if k not in _READS[name])
+    out = ["--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main([name, _FLAGS[key][0][0], "3", *out])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    p = _write_config(tmp_path, [f"{key} = 3"])
+    assert main([name, "--config", str(p), *out]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class _TableBuilt(Exception):
@@ -198,17 +247,18 @@ class _TableBuilt(Exception):
         ("reconstruct-log", 60, 60),
         ("ginibre-sample", 8, 8),
         ("pair-variance", 8, 8),
-        ("clt", 8, 8),
+        ("clt", 1, 2),
         ("field-covariance", 8, 8),
         ("sobolev-tightness", 8, 8),
-        ("decay-check", 64, 8),
+        ("decay-check", 64, 4),
     ],
 )
 def test_each_experiment_builds_the_root_table_of_its_flags(
     name, n_max, k_max, tmp_path, monkeypatch
 ):
     # the table used to be at least 64 x 8 for every experiment (64 x 64
-    # for two of them), whatever --n-max and --k-max asked for
+    # for two of them), whatever --n-max and --k-max asked for; an experiment
+    # that reads no cutoffs builds the fixed table of its own indices
     asked = []
 
     def record(n, k):
@@ -219,20 +269,6 @@ def test_each_experiment_builds_the_root_table_of_its_flags(
     with pytest.raises(_TableBuilt):
         main([name, "--out", str(tmp_path)])
     assert asked == [(n_max, k_max)]
-
-
-def test_clt_with_one_radial_index_builds_the_roots_of_its_index_set(tmp_path, monkeypatch):
-    # the clt index set reads j_{1,2}, past --k-max 1
-    asked = []
-
-    def record(n_max, k_max):
-        asked.append((n_max, k_max))
-        return build_root_table(n_max, k_max)
-
-    monkeypatch.setattr(cli, "build_root_table", record)
-    args = ["clt", "--k-max", "1", "--n-size", "16", "--draws", "200", "--out", str(tmp_path)]
-    assert main(args) == 0
-    assert asked == [(8, 2)]
 
 
 # Each subcommand at small flags, with the CSVs it writes.
@@ -260,6 +296,10 @@ def test_each_run_writes_its_manifest_result_and_csvs_only(name, flags, csvs, tm
     assert {p.name for p in out.iterdir()} == expected
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == sorted(expected)
+    # the config echo holds the experiment, --out and the keys it read
+    echo = {"experiment", "out", *_READS[name]}
+    assert set(manifest["config"]) == echo
+    assert set(json.loads((out / "result.json").read_text())["config"]) == echo
     assert list(manifest["timings"]) == ["bessel.build_root_table"]
     assert manifest["timings"]["bessel.build_root_table"] >= 0
 
@@ -504,7 +544,8 @@ def test_criterion_5_constant_past_its_bound_fails(
     def reporting(value):
         return lambda *args: {**real(*args), key: value}
 
-    args = [name, "--n-size", "8", "--n-max", "1", "--k-max", "1", "--out", str(tmp_path)]
+    flags = ["--n-size", "8", "--n-max", "1", "--k-max", "1"] if name == "pair-variance" else []
+    args = [name, *flags, "--out", str(tmp_path)]
     monkeypatch.setattr(cli, check, reporting(bound))
     assert main(args) == 0
     monkeypatch.setattr(cli, check, reporting(math.nextafter(bound, math.inf)))
@@ -570,6 +611,26 @@ def test_tightness_outside_its_regime_is_usage_error(s, tmp_path, monkeypatch, c
     assert "--sobolev-s" in capsys.readouterr().err
 
 
+def test_tightness_checks_its_exact_means_against_the_limit_sum(tmp_path, monkeypatch):
+    # sum of mult j^{-2s'} Var_N gamma over the 8 x 8 window at s' = 2.5, with
+    # the draws replaced by zeros so that only the exact check can fail
+    def zeros(N, draws, index_set, *args, **kwargs):
+        return np.zeros((draws, len(index_set)), dtype=complex)
+
+    monkeypatch.setattr(cli, "gamma_draws", zeros)
+    args = ["sobolev-tightness", "--draws", "2", "--out", str(tmp_path)]
+    assert main(args) == 0
+    result = json.loads((tmp_path / "result.json").read_text())["result"]
+    exact = result["exact_by_N"]
+    assert [round(exact[N], 6) for N in ("16", "64", "256")] == [0.007619, 0.007868, 0.007937]
+    assert round(result["limit_sum"], 6) == 0.007961
+    top = max(exact.values())
+    monkeypatch.setattr(cli, "expected_norm_sq", lambda *a: top)
+    assert main(args) == 0
+    monkeypatch.setattr(cli, "expected_norm_sq", lambda *a: math.nextafter(top, 0.0))
+    assert main(args) == 1
+
+
 # Config values as a key=value file holds them: no comment sign, no line
 # break, no surrounding blanks.
 _POSITIVE_KEYS = ("n_size", "draws", "n_max", "k_max", "workers")
@@ -588,6 +649,11 @@ def _write_config(tmp_path, lines):
     return p
 
 
+def _reader(key):
+    """A subcommand that reads the config key."""
+    return next(name for name, reads in _READS.items() if key in reads)
+
+
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_config_file_round_trips(tmp_path, data):
@@ -595,11 +661,13 @@ def test_config_file_round_trips(tmp_path, data):
     values["workers"] = data.draw(st.integers(1, len(os.sched_getaffinity(0))))
     values["seed"] = data.draw(st.integers(0, 10**12))
     values["sobolev_s"] = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+    name = data.draw(st.sampled_from(list(_READS)))
+    values = {key: values[key] for key in _READS[name]}
     values["out"] = data.draw(_path_text)
     keys = data.draw(st.permutations(list(values)))
     lines = [_spelled(key, data.draw) + repr(values[key]).strip("'") for key in keys]
     p = _write_config(tmp_path, lines)
-    cfg = config_from_args(build_parser().parse_args(["clt", "--config", str(p)]))
+    cfg = config_from_args(build_parser().parse_args([name, "--config", str(p)]))
     assert {key: getattr(cfg, key) for key in values} == values
 
 
@@ -636,4 +704,4 @@ def test_bad_config_value_is_always_usage_error(tmp_path, data):
         )
     p = _write_config(tmp_path, [_spelled(key, data.draw) + bad])
     with pytest.raises(UsageError):
-        config_from_args(build_parser().parse_args(["clt", "--config", str(p)]))
+        config_from_args(build_parser().parse_args([_reader(key), "--config", str(p)]))

@@ -225,6 +225,11 @@ def test_clt_experiment_small(small_table):
         assert abs(complex(*mu)) < 6 * se
     assert "re_0_1" in rep["ks"] and "im_1_1" in rep["ks"]
     assert "0_1" in rep["exact_pair_variance"]
+    # the 1/N law's prediction, limit variance - pi / (8N), beside the limit
+    assert rep["predicted_finite_N_var"] == {
+        f"{n}_{k}": rep["limit_cov"][i][i][0] - math.pi / 128
+        for i, (n, k) in enumerate(rep["index_set"])
+    }
     # empirical variance of gamma_{0,1} near its exact finite-N value
     emp = rep["empirical_cov"][0][0][0]
     exact = rep["exact_pair_variance"]["0_1"]

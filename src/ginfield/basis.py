@@ -1,5 +1,6 @@
-"""Dirichlet eigenbasis of the unit disk, disk quadrature, Green's function,
-and the coefficient algebra of the j^{2s}-weighted Sobolev scale.
+"""Dirichlet eigenbasis of the unit disk, Gauss-Legendre radial panels,
+Green's function, and the coefficient algebra of the j^{2s}-weighted
+Sobolev scale.
 
 The basis functions are indexed by (n, k) with n any integer and k >= 1:
 angular harmonic e^{i n phi} times the radial profile J_{|n|}(j_{|n|,k} r),
@@ -9,7 +10,6 @@ normalized to unit L^2 norm on the disk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -71,44 +71,29 @@ def _leggauss(order):
     return x, w
 
 
-@dataclass(frozen=True)
-class DiskQuadrature:
-    """Gauss-Legendre radial nodes r and weights wr (weight r absorbed) on a
-    list of radial panels, tensored with len(theta) uniform angles of weight
-    wt.  Panels of radial_order nodes and angular_order angles are exact for
-    integrands r^p e^{i m phi} with p <= 2 * radial_order - 2 on each panel
-    and |m| < angular_order / 2, so a radial factor must be smooth on each.
-    """
+def radial_rule(*panels):
+    """(r, wr): for each panel (a, b, order) in turn, order Gauss-Legendre
+    radii on [a, b] and their weights with the r dr weight absorbed.  Exact
+    for integrands r^p on a panel with p <= 2 * order - 2, so a radial
+    factor must be smooth on each panel."""
+    r, wr = [], []
+    for a, b, order in panels:
+        x, w = _leggauss(order)
+        r.append(a + 0.5 * (b - a) * (x + 1.0))
+        wr.append(0.5 * (b - a) * w * r[-1])
+    return np.concatenate(r), np.concatenate(wr)
 
-    r: np.ndarray
-    wr: np.ndarray
-    theta: np.ndarray
-    wt: float
 
-    @classmethod
-    def build(cls, radial_order=120, angular_order=64):
-        """The rule on the unit disk."""
-        return cls._polar(angular_order, (0.0, 1.0, radial_order))
-
-    @classmethod
-    def _polar(cls, angular_order, *panels):
-        """The rule of angular_order angles and, for each panel (a, b, order)
-        in turn, order Gauss-Legendre radii on [a, b]."""
-        r, wr = [], []
-        for a, b, order in panels:
-            x, w = _leggauss(order)
-            r.append(a + 0.5 * (b - a) * (x + 1.0))
-            wr.append(0.5 * (b - a) * w * r[-1])  # absorb the r dr weight
-        theta = 2.0 * math.pi * np.arange(angular_order) / angular_order
-        wt = 2.0 * math.pi / angular_order
-        return cls(np.concatenate(r), np.concatenate(wr), theta, wt)
-
-    def nodes(self):
-        """Complex nodes as a (radial, angular) grid."""
-        return self.r[:, None] * np.exp(1j * self.theta[None, :])
-
-    def weights(self):
-        return self.wr[:, None] * self.wt * np.ones_like(self.theta)[None, :]
+def gram_blocks(n_max, k_max, table):
+    """Gram matrices of the basis order by order, shape (n_max + 1, k_max,
+    k_max): block n is 2 pi sum_r P_k(r) P_l(r) w_r over the radial profiles
+    of order n on 160 Gauss-Legendre radii of [0, 1].  Order -n shares block
+    n, and e_{n,k} and e_{m,l} with n != m are orthogonal by the angular
+    integral in closed form, so these blocks are the whole Gram."""
+    r, wr = radial_rule((0.0, 1.0, 160))
+    ks = np.arange(1, k_max + 1)[:, None]
+    P = [radial_profile(n, ks, r, table) for n in range(n_max + 1)]
+    return np.array([2.0 * math.pi * (p * wr) @ p.T for p in P])
 
 
 def green_dirichlet_series(z, w, table, n_cut=None, k_cut=None):
@@ -153,19 +138,3 @@ def sobolev_norm(a, s, table):
         raise ValueError(f"Sobolev exponent must be finite, got {s!r}")
     j, mult = root_window((a.shape[0] - 1, a.shape[1]), table)
     return float(np.sum(mult * np.abs(a) ** 2 * j ** (2.0 * s)))
-
-
-def basis_matrix(indices, quad, table):
-    """Values of the listed basis functions on the quadrature grid,
-    flattened to shape (nodes, len(indices))."""
-    return np.column_stack([
-        (radial_profile(n, k, quad.r, table)[:, None] * np.exp(1j * n * quad.theta)).ravel()
-        for (n, k) in indices
-    ])
-
-
-def gram_matrix(indices, quad, table):
-    """Quadrature Gram matrix of the listed basis functions."""
-    E = basis_matrix(indices, quad, table)
-    w = quad.weights().ravel()
-    return (E.conj().T * w) @ E

@@ -4,10 +4,10 @@ One subcommand per verification experiment, whose _exp_* function computes
 its whole report (clt's from linstats.gamma_draws, the limit law and the
 exact variances).  Each returns its data, and _write_outputs alone writes
 it into the output directory: a manifest (config echo, files written,
-root-table time, version, wall time), a machine-readable result JSON, and
-one CSV per dataset.  All randomness is driven by the --seed flag;
-rerunning with the same configuration reproduces the result files byte
-for byte.
+root-table time where a table is built, version, wall time), a
+machine-readable result JSON, and one CSV per dataset.  All randomness is
+driven by the --seed flag; rerunning with the same configuration
+reproduces the result files byte for byte.
 
 Exit codes: 0 success, 1 experiment outside tolerance, 2 usage error,
 3 internal numerical failure (an eigensolve, a root table, a radial
@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special
 
 from . import __version__
-from .basis import DiskQuadrature, gram_matrix
+from .basis import gram_blocks
 from .bessel import RootBracketError, build_root_table
 from .field import covariance_mc, expected_norm_sq, tightness_statistic, truncated_covariance
 from .ginibre import EigensolverError, VarianceError, radial_pair_variance, sample_spectrum
@@ -144,22 +144,17 @@ def _exp_roots(cfg, table):
 
 
 def _exp_verify_basis(cfg, table):
-    quad = DiskQuadrature.build(radial_order=160, angular_order=4 * cfg.n_max + 16)
-    indices = [
-        (n, k)
-        for n in range(-cfg.n_max, cfg.n_max + 1)
-        for k in range(1, cfg.k_max + 1)
-    ]
-    G = gram_matrix(indices, quad, table)
-    dev = float(np.abs(G - np.eye(len(indices))).max())
+    # one block per order n >= 0, which order -n shares; entries across
+    # orders are exactly 0
+    G = gram_blocks(cfg.n_max, cfg.k_max, table)
+    D = G - np.eye(cfg.k_max)
     rows = [
-        [n1, k1, n2, k2, G[a, b].real, G[a, b].imag]
-        for a, (n1, k1) in enumerate(indices)
-        for b, (n2, k2) in enumerate(indices)
-        if a <= b and abs(G[a, b] - (1.0 if a == b else 0.0)) > 1e-12
+        [n, k1 + 1, n, k2 + 1, G[abs(n), k1, k2], 0.0]
+        for n in range(-cfg.n_max, cfg.n_max + 1)
+        for k1, k2 in np.argwhere(np.triu(np.abs(D[abs(n)]) > 1e-12))
     ]
-    ok = dev < 1e-8
-    return ok, {"max_gram_deviation": dev}, {"gram_outliers": (
+    dev = float(np.abs(D).max())
+    return dev < 1e-8, {"max_gram_deviation": dev}, {"gram_outliers": (
         ["n1", "k1", "n2", "k2", "re", "im"], rows)}
 
 
@@ -292,17 +287,16 @@ def _exp_sobolev_tightness(cfg, table):
     s, sizes = cfg.sobolev_s, [16, 64, 256]
     ns, ks = list(range(cfg.n_max + 1)), list(range(1, cfg.k_max + 1))
     index_set = [(n, k) for n in ns for k in ks]
-    stats, exact = [], {}
+    stats = []
     for N in sizes:
         G = gamma_draws(N, cfg.draws, index_set, cfg.seed, table, workers=cfg.workers)
         runs = [GammaSample(tuple(index_set), g, N, cfg.seed) for g in G]
         stats.append((N, tightness_statistic(runs, s, table)))
-        # the exact mean of the statistic: sum of mult j^{-2s'} Var_N gamma
-        rows = variance_bound_check(ns, ks, [N], table)["entries"]
-        exact[str(N)] = sum(
-            (1.0 if r["n"] == 0 else 2.0) * table.root(r["n"], r["k"]) ** (-2.0 * s) * r["variance"]
-            for r in rows
-        )
+    # the exact mean of the statistic: sum of mult j^{-2s'} Var_N gamma
+    exact = dict.fromkeys(map(str, sizes), 0.0)
+    for r in variance_bound_check(ns, ks, sizes, table)["entries"]:
+        mult = 1.0 if r["n"] == 0 else 2.0
+        exact[str(r["N"])] += mult * table.root(r["n"], r["k"]) ** (-2.0 * s) * r["variance"]
     limit_sum = expected_norm_sq(s, (cfg.n_max, cfg.k_max), table)
     # no growth trend, and no exact mean above the limit law's
     ok = stats[-1][1] < 2.0 * stats[0][1] + 1e-9 and max(exact.values()) <= limit_sum
@@ -321,9 +315,9 @@ def _exp_decay_check(cfg, table):
 
 
 # Per subcommand: its function, help text, the ExperimentConfig keys it
-# reads, and its root table (n_max, k_max), or None for the cutoffs it reads;
-# a fixed table holds the fixed indices of reconstruct-log (cutoffs up to
-# 60), clt (j_{1,2}) and decay-check (orders up to 64).
+# reads, and its root table (n_max, k_max), None for the cutoffs it reads,
+# or () for none; a fixed table holds the fixed indices of reconstruct-log
+# (cutoffs up to 60), clt (j_{1,2}) and decay-check (orders up to 64).
 _EXPERIMENTS = {
     "roots": (_exp_roots, "tabulate certified Bessel roots", ("n_max", "k_max"), None),
     "verify-basis": (_exp_verify_basis, "orthonormality of the disk eigenbasis",
@@ -331,7 +325,7 @@ _EXPERIMENTS = {
     "reconstruct-log": (_exp_reconstruct_log, "log-kernel expansion vs closed form",
                         (), (60, 60)),
     "ginibre-sample": (_exp_ginibre_sample, "draw and store Ginibre spectra",
-                       ("n_size", "draws", "seed"), (8, 8)),
+                       ("n_size", "draws", "seed"), ()),
     "pair-variance": (_exp_pair_variance, "exact variance of log-kernel statistics",
                       ("n_size", "n_max", "k_max"), None),
     "clt": (_exp_clt, "Monte-Carlo CLT check against the limit law",
@@ -398,9 +392,11 @@ def run(cfg):
         raise UsageError(f"--out {cfg.out!r} is not a directory")
     started = time.time()
     fn, _, _, size = _EXPERIMENTS[cfg.experiment]
-    table_started = time.perf_counter()
-    table = build_root_table(*(size or (cfg.n_max, cfg.k_max)))
-    timings = {"bessel.build_root_table": time.perf_counter() - table_started}
+    table, timings = None, {}
+    if size != ():
+        table_started = time.perf_counter()
+        table = build_root_table(*(size or (cfg.n_max, cfg.k_max)))
+        timings["bessel.build_root_table"] = time.perf_counter() - table_started
     ok, result, series = fn(cfg, table)
     result = {"passed": bool(ok), **result}
     _write_outputs(cfg, result, series, started, timings)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .basis import DiskQuadrature
+from .basis import radial_rule
 
 TRACE_TOL_PER_N = 1e-8
 
@@ -93,17 +93,30 @@ def one_point_density(N, z):
     return (N / math.pi) * special.gammaincc(N, N * r2)
 
 
-class PlaneQuadrature(DiskQuadrature):
-    """Polar quadrature for integrals against the kernel of Ginibre(N): 512
-    angles, and Gauss-Legendre radii on two panels split at r = 1, where
-    alpha is only C^2: max(80, ceil(3 sqrt N)) on [0, 1], where the kernel
-    factors have width 1/sqrt(2N), and 40 on [1, R = sqrt(1 + 20/N) +
-    4/sqrt(N)]: R^2 - 1 >= 8/sqrt(N), 8 sd of Kostlan's outermost |z|^2."""
+@dataclass(frozen=True)
+class PlaneQuadrature:
+    """Polar quadrature for integrals against the kernel of Ginibre(N):
+    radii r with weights wr (the r dr weight absorbed), tensored with
+    len(theta) uniform angles of weight wt.  build(N) takes 512 angles and
+    Gauss-Legendre radii on two panels split at r = 1, where alpha is only
+    C^2: max(80, ceil(3 sqrt N)) on [0, 1], where the kernel factors have
+    width 1/sqrt(2N), and 40 on [1, R = sqrt(1 + 20/N) + 4/sqrt(N)]:
+    R^2 - 1 >= 8/sqrt(N), 8 sd of Kostlan's outermost |z|^2."""
+
+    r: np.ndarray
+    wr: np.ndarray
+    theta: np.ndarray
+    wt: float
 
     @classmethod
     def build(cls, N):
         R = math.sqrt(1.0 + 20.0 / N) + 4.0 / math.sqrt(N)
-        return cls._polar(512, (0.0, 1.0, max(80, math.ceil(3.0 * math.sqrt(N)))), (1.0, R, 40))
+        r, wr = radial_rule((0.0, 1.0, max(80, math.ceil(3.0 * math.sqrt(N)))), (1.0, R, 40))
+        return cls(r, wr, 2.0 * math.pi * np.arange(512) / 512, 2.0 * math.pi / 512)
+
+    def nodes(self):
+        """Complex nodes as a (radial, angular) grid."""
+        return self.r[:, None] * np.exp(1j * self.theta[None, :])
 
 
 def _log_kernel_radial(N, r):

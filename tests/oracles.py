@@ -1,9 +1,11 @@
 """Reference routes that the tests compare the library against.
 
 None of these run in the CLI or the benchmark.  Most are a second route to
-a quantity the library computes another way: pointwise basis values and
-quadrature projections, pointwise values of a coefficient array and the
-duality pairing of two, the closed-form Green's function, the direct-sum
+a quantity the library computes another way: pointwise basis values, the
+2-D polar rule on the disk with its grid weights, quadrature projections
+and the basis Gram on that grid (verify-basis takes the Gram order by
+order, with the angular integral in closed form), pointwise values of a
+coefficient array and the duality pairing of two, the closed-form Green's function, the direct-sum
 eigenvalue density, plane Gaussian moments, the raw double sum of the
 log-kernel expansion, the case-by-case limit covariance of gamma, and the
 Rider-Virag gradient-plus-boundary limit variance with the analytic gradient
@@ -29,11 +31,10 @@ from scipy import integrate, special
 
 from ginfield.basis import (
     DiskDomainError,
-    DiskQuadrature,
     SingularityError,
-    basis_matrix,
     eval_matrix,
     radial_profile,
+    radial_rule,
     root_window,
 )
 from ginfield.field import FieldSample
@@ -80,11 +81,49 @@ def eval_eigenfunction(n, k, z, table):
     return complex(out) if out.ndim == 0 else out
 
 
+def polar_rule(angular_order, *panels):
+    """The polar rule of angular_order uniform angles tensored with the
+    Gauss-Legendre radii of basis.radial_rule(*panels), as a
+    ginibre.PlaneQuadrature.  Angular orthogonality of e^{i n phi} and
+    e^{i m phi} holds on it, up to rounding, for |n - m| < angular_order."""
+    r, wr = radial_rule(*panels)
+    theta = 2.0 * math.pi * np.arange(angular_order) / angular_order
+    return PlaneQuadrature(r, wr, theta, 2.0 * math.pi / angular_order)
+
+
+def disk_rule(radial_order=120, angular_order=64):
+    """The polar rule on the unit disk: one radial panel [0, 1]."""
+    return polar_rule(angular_order, (0.0, 1.0, radial_order))
+
+
+def grid_weights(quad):
+    """Weights of a polar rule on its (radial, angular) grid of nodes()."""
+    return quad.wr[:, None] * quad.wt * np.ones_like(quad.theta)[None, :]
+
+
+def basis_matrix(indices, quad, table):
+    """Values of the listed basis functions on the polar grid of quad,
+    flattened to shape (nodes, len(indices))."""
+    return np.column_stack([
+        (radial_profile(n, k, quad.r, table)[:, None] * np.exp(1j * n * quad.theta)).ravel()
+        for (n, k) in indices
+    ])
+
+
+def gram_matrix(indices, quad, table):
+    """Gram matrix of the listed basis functions on the 2-D polar grid: the
+    second route to the per-order radial Grams of verify-basis, which takes
+    the angular integral in closed form."""
+    E = basis_matrix(indices, quad, table)
+    w = grid_weights(quad).ravel()
+    return (E.conj().T * w) @ E
+
+
 def disk_integrate(f, quad):
     """Integral of f over the unit disk; f maps complex arrays to values."""
     z = quad.nodes()
     vals = np.asarray(f(z))
-    return complex(np.sum(vals * quad.weights()))
+    return complex(np.sum(vals * grid_weights(quad)))
 
 
 def green_dirichlet_closed(z, w):
@@ -122,7 +161,7 @@ def project(f, indices, quad, table):
     E = basis_matrix(indices, quad, table)
     z = quad.nodes()
     vals = np.asarray(f(z)).ravel()
-    w = quad.weights().ravel()
+    w = grid_weights(quad).ravel()
     return E.conj().T @ (w * vals)
 
 
@@ -260,7 +299,7 @@ def expected_linear_statistic(f, N, quad=None):
     z = quad.nodes()
     vals = np.asarray(f(z), dtype=complex)
     rho = one_point_density(N, z)
-    return complex(np.sum(vals * rho * quad.weights()))
+    return complex(np.sum(vals * rho * grid_weights(quad)))
 
 
 def pair_variance_per_call(f, N, quad=None):
@@ -336,7 +375,7 @@ def fine_plane_rule(N, order=2000):
     edge layer; one angle.  3000 radii per panel move the 9 x 8 alpha
     variances by at most 7e-12 relative, and their centerings by at most
     5e-12, for N <= 1024."""
-    return DiskQuadrature._polar(1, (0.0, 1.0, order), (1.0, 1.0 + 14.0 / math.sqrt(N), order))
+    return polar_rule(1, (0.0, 1.0, order), (1.0, 1.0 + 14.0 / math.sqrt(N), order))
 
 
 def alpha_moments(N, index_set, table, quad):
@@ -502,9 +541,9 @@ class TestFunction:
 def rv_variance(f, quad=None, boundary_modes=512):
     """Limiting variance of the centered linear statistic of f:
     (1/4pi) * Dirichlet energy over the disk + (1/2) sum |k| |fhat(k)|^2."""
-    quad = quad or DiskQuadrature.build(radial_order=160, angular_order=256)
+    quad = quad or disk_rule(radial_order=160, angular_order=256)
     z = quad.nodes()
-    energy = float(np.sum(f.grad_sq(z) * quad.weights()).real)
+    energy = float(np.sum(f.grad_sq(z) * grid_weights(quad)).real)
     theta = 2.0 * math.pi * np.arange(boundary_modes) / boundary_modes
     bvals = np.asarray(f.value(np.exp(1j * theta)), dtype=float)
     fhat = np.fft.fft(bvals) / boundary_modes

@@ -9,18 +9,20 @@ from scipy import special
 
 from ginfield.basis import (
     DiskDomainError,
-    DiskQuadrature,
     SingularityError,
-    gram_matrix,
+    gram_blocks,
     green_dirichlet_series,
     radial_profile,
+    radial_rule,
     sobolev_norm,
 )
 from ginfield.bessel import build_root_table
 from oracles import (
     disk_integrate,
+    disk_rule,
     eval_eigenfunction,
     evaluate,
+    gram_matrix,
     green_dirichlet_by_order,
     green_dirichlet_closed,
     pairing,
@@ -31,25 +33,26 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def quad():
-    return DiskQuadrature.build()
+    return disk_rule()
 
 
-def test_disk_quadrature_rule(quad):
+def test_disk_quadrature_rule():
     # Gauss-Legendre on [0, 1] with the r dr weight absorbed, bit for bit
     x, w = np.polynomial.legendre.leggauss(120)
-    assert np.array_equal(quad.r, 0.5 * (x + 1.0))
-    assert np.array_equal(quad.wr, 0.5 * w * quad.r)
+    r, wr = radial_rule((0.0, 1.0, 120))
+    assert np.array_equal(r, 0.5 * (x + 1.0))
+    assert np.array_equal(wr, 0.5 * w * r)
 
 
 def test_quadrature_builds_do_not_share_arrays():
-    # the Gauss-Legendre rule is cached, but each build hands out its own r, wr
-    a = DiskQuadrature.build()
-    b = DiskQuadrature.build()
-    assert np.array_equal(a.r, b.r) and np.array_equal(a.wr, b.wr)
-    a.r[:] = 0.0
-    a.wr[:] = 0.0
-    c = DiskQuadrature.build()
-    assert np.array_equal(c.r, b.r) and np.array_equal(c.wr, b.wr)
+    # the Gauss-Legendre rule is cached, but each call hands out its own r, wr
+    a = radial_rule((0.0, 1.0, 120))
+    b = radial_rule((0.0, 1.0, 120))
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    a[0][:] = 0.0
+    a[1][:] = 0.0
+    c = radial_rule((0.0, 1.0, 120))
+    assert np.array_equal(c[0], b[0]) and np.array_equal(c[1], b[1])
 
 
 def test_radial_profile_broadcasts_over_k(table):
@@ -109,6 +112,23 @@ def test_gram_orthonormality(quad, table):
     indices = [(n, k) for n in range(-4, 5) for k in range(1, 5)]
     G = gram_matrix(indices, quad, table)
     assert np.max(np.abs(G - np.eye(len(indices)))) < 1e-10
+
+
+@pytest.mark.parametrize("cutoff", [8, 16])
+def test_gram_blocks_equal_the_2d_gram(cutoff, table):
+    # on the same 160 radii, with 4 n_max + 16 angles, each block of the 2-D
+    # Gram within one order is the radial block of |n|; the blocks across
+    # orders vanish up to the rounding of the angular sum (2.2e-15 at 16 x 16)
+    indices = [(n, k) for n in range(-cutoff, cutoff + 1) for k in range(1, cutoff + 1)]
+    G = gram_matrix(indices, disk_rule(radial_order=160, angular_order=4 * cutoff + 16), table)
+    blocks = gram_blocks(cutoff, cutoff, table)
+    G = G.reshape(2 * cutoff + 1, cutoff, 2 * cutoff + 1, cutoff).transpose(0, 2, 1, 3)
+    for i, n in enumerate(range(-cutoff, cutoff + 1)):
+        for j in range(2 * cutoff + 1):
+            if i == j:
+                assert np.abs(G[i, j] - blocks[abs(n)]).max() <= 1e-15
+            else:
+                assert np.abs(G[i, j]).max() <= 1e-14
 
 
 def test_laplacian_eigenvalue(quad, table):

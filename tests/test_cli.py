@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ginfield import bessel, cli, field, ginibre, linstats, logkernel
+from ginfield import basis, bessel, cli, field, ginibre, linstats, logkernel
 from ginfield.bessel import build_root_table
 from ginfield.cli import (
     ExperimentConfig,
@@ -28,6 +28,7 @@ from ginfield.cli import (
     main,
 )
 from ginfield.ginibre import sample_spectrum
+from oracles import gram_matrix, polar_rule
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -245,7 +246,6 @@ class _TableBuilt(Exception):
         ("roots", 8, 8),
         ("verify-basis", 8, 8),
         ("reconstruct-log", 60, 60),
-        ("ginibre-sample", 8, 8),
         ("pair-variance", 8, 8),
         ("clt", 1, 2),
         ("field-covariance", 8, 8),
@@ -271,6 +271,17 @@ def test_each_experiment_builds_the_root_table_of_its_flags(
     assert asked == [(n_max, k_max)]
 
 
+def test_ginibre_sample_builds_no_root_table(tmp_path, monkeypatch):
+    # it never read the 8 x 8 table it used to build, which only gave its
+    # manifest a timing
+    def refuse(n_max, k_max):
+        raise AssertionError("ginibre-sample built a root table")
+
+    monkeypatch.setattr(cli, "build_root_table", refuse)
+    assert main(["ginibre-sample", "--n-size", "4", "--draws", "2", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["timings"] == {}
+
+
 # Each subcommand at small flags, with the CSVs it writes.
 _OUTPUT_CASES = [
     ("roots", ["--n-max", "2", "--k-max", "2"], ["roots"]),
@@ -291,7 +302,10 @@ def test_each_run_writes_its_manifest_result_and_csvs_only(name, flags, csvs, tm
     # ginibre-sample its spectra a second time as spectra.json
     assert [case[0] for case in _OUTPUT_CASES] == list(cli._EXPERIMENTS)
     out = tmp_path / "o"
-    assert main([name, *flags, "--out", str(out)]) in (0, 1)
+    # sobolev-tightness fails at these flags on correct code: its no-growth
+    # check stats[-1] < 2 stats[0] judges a statistic of two heavy-tailed
+    # draws (the open FOUND on that check in CHANGES.md, ROADMAP item 6)
+    assert main([name, *flags, "--out", str(out)]) == (1 if name == "sobolev-tightness" else 0)
     expected = {"manifest.json", "result.json", *(f"{c}.csv" for c in csvs)}
     assert {p.name for p in out.iterdir()} == expected
     manifest = json.loads((out / "manifest.json").read_text())
@@ -300,8 +314,10 @@ def test_each_run_writes_its_manifest_result_and_csvs_only(name, flags, csvs, tm
     echo = {"experiment", "out", *_READS[name]}
     assert set(manifest["config"]) == echo
     assert set(json.loads((out / "result.json").read_text())["config"]) == echo
-    assert list(manifest["timings"]) == ["bessel.build_root_table"]
-    assert manifest["timings"]["bessel.build_root_table"] >= 0
+    # ginibre-sample builds no root table, so it times none
+    stages = [] if name == "ginibre-sample" else ["bessel.build_root_table"]
+    assert list(manifest["timings"]) == stages
+    assert all(t >= 0 for t in manifest["timings"].values())
 
 
 def test_manifest_lists_only_the_files_of_its_run(tmp_path):
@@ -375,6 +391,29 @@ def test_verify_basis_experiment(tmp_path, capsys):
     )
     assert code == 0
     assert "verify-basis: PASS" in capsys.readouterr().out
+
+
+def test_verify_basis_lists_the_outliers_of_the_2d_gram(tmp_path, monkeypatch, table):
+    # on 16 radii the Gram misses I by up to 4.4e-8 at 3 x 4, past the 1e-8
+    # bound, and the pairs past 1e-12, orders -3 to 3, are those the 2-D Gram
+    # on the same radii lists; the nearest entry to the threshold is 1.27e-12
+    rule = basis.radial_rule
+    monkeypatch.setattr(basis, "radial_rule", lambda *panels: rule((0.0, 1.0, 16)))
+    assert main(["verify-basis", "--n-max", "3", "--k-max", "4", "--out", str(tmp_path)]) == 1
+    with open(tmp_path / "gram_outliers.csv") as f:
+        _, *rows = list(csv.reader(f))
+    listed = [tuple(map(int, row[:4])) for row in rows]
+    indices = [(n, k) for n in range(-3, 4) for k in range(1, 5)]
+    G = gram_matrix(indices, polar_rule(4 * 3 + 16, (0.0, 1.0, 16)), table)
+    D = np.abs(G - np.eye(len(indices)))
+    expected = [
+        (*indices[a], *indices[b])
+        for a in range(len(indices))
+        for b in range(a, len(indices))
+        if D[a, b] > 1e-12
+    ]
+    assert listed == expected
+    assert len(listed) == 25 and min(row[0] for row in listed) == -3
 
 
 def test_ginibre_sample_experiment(tmp_path):
@@ -578,10 +617,10 @@ def test_pair_variance_fails_when_its_rule_misses_the_trace_identity(
     assert main([*args, str(tmp_path / "two")]) == 0
     assert identity_error(tmp_path / "two") < 1e-10
 
-    def one_panel(cls, N):
-        return cls._polar(512, (0.0, math.sqrt(1.0 + 20.0 / N) + 2.0 / math.sqrt(N), 220))
+    def one_panel(N):
+        return polar_rule(512, (0.0, math.sqrt(1.0 + 20.0 / N) + 2.0 / math.sqrt(N), 220))
 
-    monkeypatch.setattr(ginibre.PlaneQuadrature, "build", classmethod(one_panel))
+    monkeypatch.setattr(ginibre.PlaneQuadrature, "build", staticmethod(one_panel))
     cold_kernel.cache_clear()
     assert main([*args, str(tmp_path / "one")]) == 1
     assert 1e-6 < identity_error(tmp_path / "one") < 1e-4

@@ -28,8 +28,10 @@ from oracles import (
     circle_average_variance,
     expected_linear_statistic,
     gaussian_moment,
+    grid_weights,
     one_point_density_series,
     pair_variance_per_call,
+    polar_rule,
     radial_pair_variance_per_call,
 )
 
@@ -104,7 +106,7 @@ def test_gaussian_moment_vs_quadrature():
             np.sum(
                 np.abs(quad.nodes()) ** (2 * m)
                 * np.exp(-N * np.abs(quad.nodes()) ** 2)
-                * quad.weights()
+                * grid_weights(quad)
             )
         )
         assert abs(q - gaussian_moment(m, N)) < 1e-12
@@ -139,7 +141,7 @@ def test_one_point_density_routes_agree():
 def test_one_point_density_normalizes_to_N():
     for N in (2, 16, 64):
         quad = PlaneQuadrature.build(N)
-        total = float(np.sum(one_point_density(N, quad.nodes()) * quad.weights()))
+        total = float(np.sum(one_point_density(N, quad.nodes()) * grid_weights(quad)))
         assert abs(total - N) < 1e-8
 
 
@@ -180,7 +182,7 @@ def test_pair_variance_of_constant_is_zero():
 def test_radial_pair_variance_of_z(N):
     # Var sum z_i = E|tr A|^2 = 1; z = r e^{-i(-1)theta}, checked to 1e-12
     # through the per-call oracle on one panel out to radius 3
-    quad = PlaneQuadrature._polar(1, (0.0, 3.0, 220))
+    quad = polar_rule(1, (0.0, 3.0, 220))
     assert abs(radial_pair_variance_per_call(lambda r: r, -1, N, quad) - 1.0) < 1e-12
 
 
@@ -211,8 +213,8 @@ def test_the_circle_average_has_no_zero_mode():
 def test_plane_rule_is_its_two_panels_joined(N):
     # 712 is the least N whose inner panel has 81 radii, not 80
     R = math.sqrt(1.0 + 20.0 / N) + 4.0 / math.sqrt(N)
-    inner = PlaneQuadrature._polar(512, (0.0, 1.0, max(80, math.ceil(3.0 * math.sqrt(N)))))
-    outer = PlaneQuadrature._polar(512, (1.0, R, 40))
+    inner = polar_rule(512, (0.0, 1.0, max(80, math.ceil(3.0 * math.sqrt(N)))))
+    outer = polar_rule(512, (1.0, R, 40))
     quad = PlaneQuadrature.build(N)
     assert len(inner.r) == {8: 80, 711: 80, 712: 81, 4096: 192}[N]
     assert np.array_equal(quad.r, np.concatenate([inner.r, outer.r]))
@@ -223,7 +225,7 @@ def test_plane_rule_is_its_two_panels_joined(N):
 def test_pair_variance_refuses_unresolved_pair_differences():
     # 64 angular nodes resolve pair differences up to 32: N = 33 is the limit
     R = math.sqrt(1.0 + 20.0 / 34) + 2.0 / math.sqrt(34)
-    quad = PlaneQuadrature._polar(64, (0.0, R, 220))
+    quad = polar_rule(64, (0.0, R, 220))
     assert abs(pair_variance(lambda z: z, 33, quad) - 1.0) < 1e-6
     with pytest.raises(ValueError, match="angular order 64"):
         pair_variance(lambda z: z, 34, quad)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginfield import logkernel
-from ginfield.basis import DiskDomainError, DiskQuadrature, SingularityError
+from ginfield.basis import DiskDomainError, SingularityError
 from ginfield.bessel import RootTable
 from ginfield.logkernel import (
     InterpolantError,
@@ -22,6 +22,7 @@ from oracles import (
     alpha_radial_derivative,
     alpha_radial_rows,
     disk_integrate,
+    disk_rule,
     eval_eigenfunction,
     power_coeff,
 )
@@ -29,7 +30,7 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def quad():
-    return DiskQuadrature.build(radial_order=160, angular_order=96)
+    return disk_rule(radial_order=160, angular_order=96)
 
 
 def test_power_coeff_values(table):

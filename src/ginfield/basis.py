@@ -136,5 +136,14 @@ def sobolev_norm(a, s, table):
     both signs of n."""
     if not math.isfinite(s):
         raise ValueError(f"Sobolev exponent must be finite, got {s!r}")
-    j, mult = root_window((a.shape[0] - 1, a.shape[1]), table)
-    return float(np.sum(mult * np.abs(a) ** 2 * j ** (2.0 * s)))
+    return float(np.sum(np.abs(a) ** 2 * _sobolev_weights(a.shape, float(s), table)))
+
+
+@lru_cache(maxsize=16)
+def _sobolev_weights(shape, s, table):
+    """mult * j^{2s} on the window of an array of this shape, read-only, per
+    shape, s and table; mult is 1 or 2, so |a|^2 w rounds as (mult |a|^2) j^{2s}."""
+    j, mult = root_window((shape[0] - 1, shape[1]), table)
+    w = mult * j ** (2.0 * s)
+    w.flags.writeable = False
+    return w

@@ -149,13 +149,13 @@ def _exp_verify_basis(cfg, table):
     G = gram_blocks(cfg.n_max, cfg.k_max, table)
     D = G - np.eye(cfg.k_max)
     rows = [
-        [n, k1 + 1, n, k2 + 1, G[abs(n), k1, k2], 0.0]
+        [n, k1 + 1, n, k2 + 1, G[abs(n), k1, k2]]
         for n in range(-cfg.n_max, cfg.n_max + 1)
         for k1, k2 in np.argwhere(np.triu(np.abs(D[abs(n)]) > 1e-12))
     ]
     dev = float(np.abs(D).max())
     return dev < 1e-8, {"max_gram_deviation": dev}, {"gram_outliers": (
-        ["n1", "k1", "n2", "k2", "re", "im"], rows)}
+        ["n1", "k1", "n2", "k2", "re"], rows)}
 
 
 def _exp_reconstruct_log(cfg, table):

@@ -27,26 +27,40 @@ class FieldSample:
     coeffs: np.ndarray
 
 
+@lru_cache(maxsize=8)
+def _coeff_scales(cutoff, table):
+    """j_{0,k}, 1 / j_{n,k} for n >= 1 and the column 1 / sqrt(n) of a
+    cutoff, read-only, built once per cutoff and table."""
+    j, _ = root_window(cutoff, table)
+    inv_j = 1.0 / j[1:]
+    inv_n = 1.0 / np.sqrt(np.arange(1, cutoff[0] + 1))[:, None]
+    inv_j.flags.writeable = inv_n.flags.writeable = False
+    return j[0], inv_j, inv_n
+
+
 def _coeff_arrays(rng, cutoff, table):
     """Sampled coefficients a[n, k-1] of one draw of the limit field:
     a_{0,k} = sqrt(pi) A_k / j_{0,k} and
     a_{n,k} = sqrt(pi) (Z_{n,k} + W_n / sqrt(n)) / j_{n,k} for n >= 1.
-    A, Z and W are drawn from rng in that order.
+    A, then Z, then W are drawn from rng, real parts before imaginary.
+    Rows n >= 1 are built in real arithmetic, each division a multiply by
+    the reciprocal as numpy's complex-by-real division does it, so the bits
+    are those of the complex form.
     """
-    j, _ = root_window(cutoff, table)
+    j0, inv_j, inv_n = _coeff_scales(tuple(cutoff), table)
     n_max, k_max = cutoff
     rt = math.sqrt(math.pi)
     a = np.empty((n_max + 1, k_max), dtype=complex)
-    a[0] = rt * rng.standard_normal(k_max) / j[0]
-    # rows n >= 1 in place, Z drawn straight into them
-    an = a[1:]
-    an.real = rng.standard_normal((n_max, k_max))
-    an.imag = rng.standard_normal((n_max, k_max))
-    an /= math.sqrt(2)
-    W = (rng.standard_normal(n_max) + 1j * rng.standard_normal(n_max)) / math.sqrt(2)
-    an += W[:, None] / np.sqrt(np.arange(1, n_max + 1))[:, None]
-    an *= rt
-    an /= j[1:]
+    a[0] = rt * rng.standard_normal(k_max) / j0
+    Z = rng.standard_normal((2, n_max, k_max))
+    W = rng.standard_normal((2, n_max, 1))
+    Z *= 1.0 / math.sqrt(2)
+    W *= 1.0 / math.sqrt(2)
+    W *= inv_n
+    Z += W
+    Z *= rt
+    Z *= inv_j
+    a[1:].real, a[1:].imag = Z
     return a
 
 

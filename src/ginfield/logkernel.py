@@ -53,7 +53,8 @@ def alpha_radial(n, k, r, table):
     for row, i in zip(g.reshape(k.size, r.size), k.ravel().tolist()):
         j = table.root(n, i)
         b = rt / (n * j) if n else 0.0
-        row[inside] = -(2.0 * math.pi / j**2) * radial_profile(n, i, ri, table) - b * rn
+        if ri.size:
+            row[inside] = -(2.0 * math.pi / j**2) * radial_profile(n, i, ri, table) - b * rn
         row[~inside] = (2.0 * rt / j if n == 0 else -b) * exterior
     return g
 

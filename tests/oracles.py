@@ -15,10 +15,13 @@ layout of the library's several-k and piecewise routes.  The statistics and fiel
 coefficients of a single spectrum are the one-draw form of the library's
 batched route, the covariance of the truncated limit field summed order by
 order from its coefficient law is the second route to the library's
-factored pair covariance, and the exact finite-N moments with the one-point density
-and the radial kernel factors rebuilt in every call, on any rule, are the
-form the library's per-N plane-rule cache replaces; on a rule of 2,000
-radii per panel they are the accuracy reference of the library's rule.
+factored pair covariance, the field's coefficients in complex arithmetic
+and the Sobolev norm with its weights formed in every call are the forms
+the library's real-arithmetic sampler and cached weights keep bit for
+bit, and the exact finite-N moments with the one-point density and the
+radial kernel factors rebuilt in every call, on any rule, are the form
+the library's per-N plane-rule cache replaces; on a rule of 2,000 radii
+per panel they are the accuracy reference of the library's rule.
 """
 
 from __future__ import annotations
@@ -423,6 +426,34 @@ def h_N_coeffs(sample: SpectrumSample, cutoff, table):
     a = gamma(sample, index_set, table).values.reshape(n_max + 1, k_max)
     a[0] = a[0].real
     return FieldSample(a)
+
+
+def coeff_arrays_complex(rng, cutoff, table):
+    """The limit field's coefficients a[n, k-1] assembled in complex
+    arithmetic, with A, Z and W drawn from rng in turn: the form that
+    field._coeff_arrays keeps bit for bit in real arithmetic."""
+    j, _ = root_window(cutoff, table)
+    n_max, k_max = cutoff
+    rt = math.sqrt(math.pi)
+    a = np.empty((n_max + 1, k_max), dtype=complex)
+    a[0] = rt * rng.standard_normal(k_max) / j[0]
+    an = a[1:]
+    an.real = rng.standard_normal((n_max, k_max))
+    an.imag = rng.standard_normal((n_max, k_max))
+    an /= math.sqrt(2)
+    W = (rng.standard_normal(n_max) + 1j * rng.standard_normal(n_max)) / math.sqrt(2)
+    an += W[:, None] / np.sqrt(np.arange(1, n_max + 1))[:, None]
+    an *= rt
+    an /= j[1:]
+    return a
+
+
+def sobolev_norm_uncached(a, s, table):
+    """sum mult |a|^2 j^{2s} with the weights formed in every call, in the
+    order (mult |a|^2) j^{2s}: the form basis.sobolev_norm keeps bit for bit
+    with its cached weights."""
+    j, mult = root_window((a.shape[0] - 1, a.shape[1]), table)
+    return float(np.sum(mult * np.abs(a) ** 2 * j ** (2.0 * s)))
 
 
 def truncated_covariance(p, q, cutoff, table):

@@ -401,7 +401,10 @@ def test_verify_basis_lists_the_outliers_of_the_2d_gram(tmp_path, monkeypatch, t
     monkeypatch.setattr(basis, "radial_rule", lambda *panels: rule((0.0, 1.0, 16)))
     assert main(["verify-basis", "--n-max", "3", "--k-max", "4", "--out", str(tmp_path)]) == 1
     with open(tmp_path / "gram_outliers.csv") as f:
-        _, *rows = list(csv.reader(f))
+        header, *rows = list(csv.reader(f))
+    # every block is real, so there is no imaginary column
+    assert header == ["n1", "k1", "n2", "k2", "re"]
+    assert all(len(row) == 5 for row in rows)
     listed = [tuple(map(int, row[:4])) for row in rows]
     indices = [(n, k) for n in range(-3, 4) for k in range(1, 5)]
     G = gram_matrix(indices, polar_rule(4 * 3 + 16, (0.0, 1.0, 16)), table)

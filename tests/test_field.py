@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ginfield import field
-from ginfield.basis import DiskDomainError, sobolev_norm
+from ginfield import basis, field
+from ginfield.basis import DiskDomainError, eval_matrix, green_dirichlet_series, sobolev_norm
 from ginfield.bessel import RootTable
 from ginfield.field import (
     covariance_mc,
@@ -20,10 +20,12 @@ from ginfield.field import (
 from ginfield.ginibre import sample_spectrum
 from ginfield.linstats import GammaSample, centering_term, gamma_draws
 from oracles import (
+    coeff_arrays_complex,
     eval_eigenfunction,
     evaluate,
     gamma,
     h_N_coeffs,
+    sobolev_norm_uncached,
     tightness_bound,
     truncated_covariance,
 )
@@ -64,8 +66,54 @@ def test_sample_h_is_the_seeded_draw(small_table):
     assert np.array_equal(sample_h((n_max, k_max), 31, small_table).coeffs, want)
 
 
+@pytest.mark.parametrize("cutoff", [(1, 1), (3, 5), (8, 8), (32, 32), (64, 64), (64, 1), (1, 64)])
+@pytest.mark.parametrize("seed", [0, 7, 123, 2**62 + 5])
+def test_sample_h_and_its_norms_keep_the_bits_of_the_complex_form(table, cutoff, seed):
+    # the real-arithmetic assembly and the cached weights give the complex
+    # form's coefficients and norms bit for bit, and use the stream as it does
+    rng = np.random.default_rng(seed)
+    want = coeff_arrays_complex(rng, cutoff, table)
+    got = np.random.default_rng(seed)
+    a = field._coeff_arrays(got, cutoff, table)
+    assert np.array_equal(a, want)
+    assert got.bit_generator.state == rng.bit_generator.state
+    sample = sample_h(cutoff, seed, table)
+    assert np.array_equal(sample.coeffs, want)
+    for s in (-2.5, -1.0, 0.0, 0.5, 1.5):
+        assert sobolev_norm(a, s, table) == sobolev_norm_uncached(want, s, table)
+        assert field_norm_sq(sample, s, table) == sobolev_norm_uncached(want, -s, table)
+
+
+def test_the_cached_scales_and_weights_are_read_only(small_table):
+    a = sample_h((4, 5), 0, small_table).coeffs
+    sobolev_norm(a, -1.0, small_table)
+    scales = field._coeff_scales((4, 5), small_table)
+    for arr in (*scales, basis._sobolev_weights(a.shape, -1.0, small_table)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_the_caches_follow_the_table_content(small_table):
+    # a table with one root nudged gets scales and weights of its own
+    roots = small_table.roots.copy()
+    roots[2, 1] = np.nextafter(roots[2, 1], np.inf)
+    other = RootTable(small_table.n_max, small_table.k_max, roots, small_table.norms)
+    a = sample_h((3, 3), 4, small_table).coeffs
+    assert not np.array_equal(sample_h((3, 3), 4, other).coeffs, a)
+    assert sobolev_norm(a, 1.5, other) != sobolev_norm(a, 1.5, small_table)
+    assert not np.array_equal(
+        basis._sobolev_weights(a.shape, 1.5, other),
+        basis._sobolev_weights(a.shape, 1.5, small_table),
+    )
+    assert sobolev_norm(a, 1.5, other) == sobolev_norm_uncached(a, 1.5, other)
+
+
 def test_cutoff_past_the_table_raises(small_table):
-    # the 16 x 16 table must not be truncated silently to a larger cutoff
+    # the 16 x 16 table must not be truncated silently to a larger cutoff,
+    # and a refused call leaves nothing in the caches
+    field._coeff_scales.cache_clear()
+    basis._sobolev_weights.cache_clear()
     for cutoff in ((8, 17), (17, 8)):
         with pytest.raises(KeyError, match=r"outside table \(16, 16\)"):
             expected_norm_sq(1.0, cutoff, small_table)
@@ -75,6 +123,8 @@ def test_cutoff_past_the_table_raises(small_table):
             sample_h(cutoff, 0, small_table)
     with pytest.raises(KeyError, match=r"outside table \(16, 16\)"):
         sobolev_norm(np.ones((3, 17), dtype=complex), -1.0, small_table)
+    assert field._coeff_scales.cache_info().currsize == 0
+    assert basis._sobolev_weights.cache_info().currsize == 0
 
 
 def test_expected_norm_formula(small_table):
@@ -94,11 +144,14 @@ def test_expected_norm_formula(small_table):
 
 @pytest.mark.parametrize("s", [math.nan, math.inf])
 def test_field_norms_refuse_a_non_finite_exponent(s, small_table):
-    # each used to return nan for s = nan and 0.0 for s = inf
+    # each used to return nan for s = nan and 0.0 for s = inf; the refusal
+    # comes before the weights are cached
+    basis._sobolev_weights.cache_clear()
     with pytest.raises(ValueError, match="finite"):
         field_norm_sq(sample_h((3, 3), 1, small_table), s, small_table)
     with pytest.raises(ValueError, match="finite"):
         expected_norm_sq(s, (3, 3), small_table)
+    assert basis._sobolev_weights.cache_info().currsize == 0
 
 
 def test_norm_concentrates_on_expectation(small_table):
@@ -288,6 +341,21 @@ def test_covariance_mc_cache_is_bounded(small_table):
     for i in range(24):
         covariance_mc(0.01 * i, -0.4, (2, 2), 1, 0, small_table)
     assert field._pair_factor.cache_info().currsize == 8
+
+
+@pytest.mark.parametrize("cutoff", [(8, 8), (32, 32), (64, 64)])
+@pytest.mark.parametrize("z, w", [(0.3, -0.4), (0.5j, 0.2 + 0.1j), (0.9, -0.95j)])
+def test_truncated_covariance_is_the_dirichlet_part_plus_the_harmonic_part(table, cutoff, z, w):
+    # E h(z) h(w) = -pi G_D(z, w) + sum_{n>=1} (2 pi / n) Re[S_n(z) conj S_n(w)]
+    # at the cutoff, with S_n = sum_k e_{n,k} / j_{n,k}
+    n_max, k_max = cutoff
+    E = eval_matrix(np.array([z, w], dtype=complex), n_max, k_max, table)
+    S = (E[:, 1:, :] / table.roots[1 : n_max + 1, :k_max]).sum(axis=2)
+    n = np.arange(1, n_max + 1)
+    harmonic = float(np.sum(2.0 * math.pi / n * np.real(S[0] * np.conj(S[1]))))
+    dirichlet = -math.pi * green_dirichlet_series(z, w, table, n_max, k_max)
+    got = field.truncated_covariance(z, w, cutoff, table)[0, 1]
+    assert abs(got - (dirichlet + harmonic)) <= 1e-13
 
 
 def test_h_N_coeffs_match_gamma(small_table):

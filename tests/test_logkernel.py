@@ -236,6 +236,33 @@ def test_alpha_radial_of_several_k_stacks_the_one_k_rows(n, table):
     assert alpha_radial(n, 3, 0.5, table).shape == ()
 
 
+def test_alpha_radial_on_exterior_radii_makes_no_bessel_call(small_table, monkeypatch):
+    # with no radius in the disk there is nothing for radial_profile to
+    # evaluate; a k past the table still raises
+    calls, profile = [], logkernel.radial_profile
+
+    def counted(n, k, r, table):
+        calls.append((n, k))
+        return profile(n, k, r, table)
+
+    ks = np.arange(1, 9)
+    for n in (0, 3):  # builds the disk interpolants, which evaluate inside
+        alpha_radial_piecewise(n, ks, np.array([0.5]), small_table)
+    monkeypatch.setattr(logkernel, "radial_profile", counted)
+    for n in (0, 3):
+        g = alpha_radial(n, ks, EXTERIOR_GRID, small_table)
+        want = [[alpha(n, k, r, small_table).real for r in EXTERIOR_GRID] for k in ks]
+        assert np.allclose(g, want, rtol=1e-14, atol=0.0)
+        alpha_radial_piecewise(n, ks, EXTERIOR_GRID, small_table)
+    assert calls == []
+    with pytest.raises(KeyError):
+        alpha_radial(2, np.array([1, 17]), EXTERIOR_GRID, small_table)
+    with pytest.raises(KeyError):
+        alpha_radial_piecewise(2, np.array([17]), EXTERIOR_GRID, small_table)
+    alpha_radial(2, 3, np.array([0.5, 2.0]), small_table)
+    assert calls == [(2, 3)]
+
+
 def test_piecewise_alpha_radial_keeps_the_shape_of_r(small_table):
     ks = np.array([2, 1])
     r = np.array([[0.0, 0.5, 1.5], [0.9, 1.0, 0.1]])

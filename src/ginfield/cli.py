@@ -40,7 +40,6 @@ from .linstats import (
     VARIANCE_C_MAX,
     GammaSample,
     decay_check,
-    exact_variance,
     gamma_draws,
     limit_covariance_matrix,
     variance_bound_check,
@@ -223,6 +222,10 @@ def _exp_clt(cfg, table):
     # from the Gaussian formula var(S^2) ~ 2 sigma^4 / (M - 1)
     var = np.real(np.diag(cov))
     se_var = np.sqrt(2.0 / (draws - 1)) * var
+    # the exact finite-N variances from one call; its rows run over n, then k
+    entries = variance_bound_check([0, 1], [1, 2], [N], table)["entries"]
+    exact = {f"{r['n']}_{r['k']}": r["variance"] for r in entries if (r["n"], r["k"]) in index_set}
+    exact_gap = var - np.array(list(exact.values()))
     # Kolmogorov-Smirnov of each part under the limit law; Im gamma_{0,k} = 0
     ks = {}
     for i, (n, k) in enumerate(index_set):
@@ -231,9 +234,11 @@ def _exp_clt(cfg, table):
         for part, x in parts.items():
             res = stats.kstest(x / sigma, "norm")
             ks[f"{part}_{n}_{k}"] = {"statistic": float(res.statistic), "pvalue": float(res.pvalue)}
-    ok = bool(np.all(np.abs(np.diag(cov) - np.diag(limit)) <= 5.0 * se_var)) and all(
-        v["pvalue"] > 1e-3 for v in ks.values()
-    )
+    # each variance within 5 se of its limit and of its exact finite-N value
+    ok = bool(
+        np.all(np.abs(np.diag(cov) - np.diag(limit)) <= 5.0 * se_var)
+        and np.all(np.abs(exact_gap) <= 5.0 * se_var)
+    ) and all(v["pvalue"] > 1e-3 for v in ks.values())
     rep = {
         "N": N,
         "draws": draws,
@@ -246,7 +251,8 @@ def _exp_clt(cfg, table):
         "se_mean": list(np.sqrt(var / draws)),
         "se_var": list(se_var),
         "ks": ks,
-        "exact_pair_variance": {f"{n}_{k}": exact_variance(n, k, N, table) for n, k in index_set},
+        "exact_pair_variance": exact,
+        "exact_z": dict(zip(exact, (exact_gap / se_var).tolist())),
         # the measured 1/N law Var_N = Var_inf - pi / (8N) + o(1/N), a report only
         "predicted_finite_N_var": {
             f"{n}_{k}": limit[i, i].real - math.pi / (8 * N) for i, (n, k) in enumerate(index_set)

@@ -80,19 +80,6 @@ def sample_spectrum(N, master_seed, draw_index=0):
 # ---------------------------------------------------------------------------
 
 
-def one_point_density(N, z):
-    """Eigenvalue intensity rho_N(z) = (N/pi) e^{-N|z|^2} sum_{k<N} (N|z|^2)^k / k!.
-
-    Evaluated through the regularized upper incomplete gamma function,
-    which is the stable closed form of the truncated exponential sum.  An
-    array of the shape of z, 0-d for a scalar z.
-    """
-    if N < 1:
-        raise ValueError("N must be positive")
-    r2 = np.abs(np.asarray(z)) ** 2
-    return (N / math.pi) * special.gammaincc(N, N * r2)
-
-
 @dataclass(frozen=True)
 class PlaneQuadrature:
     """Polar quadrature for integrals against the kernel of Ginibre(N):
@@ -119,23 +106,19 @@ class PlaneQuadrature:
         return self.r[:, None] * np.exp(1j * self.theta[None, :])
 
 
-def _log_kernel_radial(N, r):
-    """log of the radial factors sqrt(N^{k+1} / (pi k!)) r^k e^{-N r^2 / 2},
-    shape (N, len(r)); evaluated in log space to avoid overflow."""
+def _kernel(N, r):
+    """(rho, R) on the radial nodes r: the kernel factors R_k(r) =
+    sqrt(N^{k+1} / (pi k!)) r^k e^{-N r^2 / 2}, k < N, of shape (N, len(r)),
+    built in log space against overflow, and rho_N = sum_k R_k^2 from those
+    same factors, so the diagonal and the overlaps of an exact variance
+    share their rounding.  Neither reads the weights of a rule."""
     ks = np.arange(N)[:, None]
-    lr = np.log(r)[None, :]
-    return (
+    R = np.exp(
         0.5 * ((ks + 1) * math.log(N) - special.gammaln(ks + 1) - math.log(math.pi))
-        + ks * lr
+        + ks * np.log(r)[None, :]
         - 0.5 * N * r[None, :] ** 2
     )
-
-
-def _kernel(N, r):
-    """(rho, R) on the radial nodes r: rho = one_point_density(N, r) and the
-    radial kernel factors R = exp(_log_kernel_radial(N, r)) of shape
-    (N, len(r)).  Neither reads the weights of a rule."""
-    return one_point_density(N, r), np.exp(_log_kernel_radial(N, r))
+    return np.square(R).sum(axis=0), R
 
 
 @functools.lru_cache(maxsize=8)

@@ -47,12 +47,6 @@ def centering_term(n, k, N, table):
     return radial_mean(partial(alpha_radial, 0, k, table=table), N) if n == 0 else 0.0
 
 
-def exact_variance(n, k, N, table):
-    """Exact finite-N variance E|gamma_{n,k}^(N)|^2 of the centered statistic:
-    the one entry of variance_bound_check([n], [k], [N])."""
-    return variance_bound_check([n], [k], [N], table)["entries"][0]["variance"]
-
-
 def alpha_values(n, k, zs, table):
     """alpha_{n,k} evaluated at an array of complex points."""
     r = np.abs(zs)

@@ -63,8 +63,9 @@ def alpha_radial_piecewise(n, ks, r, table):
     """alpha_radial(n, ks, r, table) for a 1-D integer array ks, with the
     disk branch r < 1 taken from a cached piecewise-polynomial interpolant
     of alpha_radial that agrees with it to 1e-13 max |g| by certificate.
-    Points with r >= 1 are alpha_radial's own values.  Each row depends only
-    on its own k, whatever the other entries of ks.
+    Points with r >= 1 are alpha_radial's own values; a call with no point
+    in the disk reads no interpolant.  Each row depends only on its own k,
+    whatever the other entries of ks.
     """
     n = abs(int(n))
     r = np.asarray(r, dtype=float)
@@ -72,8 +73,9 @@ def alpha_radial_piecewise(n, ks, r, table):
     inside = r < 1.0
     g[:, ~inside] = alpha_radial(n, ks, r[~inside], table)
     ri = r[inside]
-    for row, k in enumerate(ks):
-        g[row, inside] = _interpolant(_disk_panels(n, int(k), table), ri)
+    if ri.size:
+        for row, k in enumerate(ks):
+            g[row, inside] = _interpolant(_disk_panels(n, int(k), table), ri)
     return g
 
 

@@ -5,8 +5,9 @@ a quantity the library computes another way: pointwise basis values, the
 2-D polar rule on the disk with its grid weights, quadrature projections
 and the basis Gram on that grid (verify-basis takes the Gram order by
 order, with the angular integral in closed form), pointwise values of a
-coefficient array and the duality pairing of two, the closed-form Green's function, the direct-sum
-eigenvalue density, plane Gaussian moments, the raw double sum of the
+coefficient array and the duality pairing of two, the closed-form Green's
+function, the eigenvalue density in closed form (incomplete gamma) and as
+a direct sum, plane Gaussian moments, the raw double sum of the
 log-kernel expansion, the case-by-case limit covariance of gamma, and the
 Rider-Virag gradient-plus-boundary limit variance with the analytic gradient
 it uses, and the root table of scipy's per-order jn_zeros.  The radial
@@ -21,7 +22,8 @@ the library's real-arithmetic sampler and cached weights keep bit for
 bit, and the exact finite-N moments with the one-point density and the
 radial kernel factors rebuilt in every call, on any rule, are the form
 the library's per-N plane-rule cache replaces; on a rule of 2,000 radii
-per panel they are the accuracy reference of the library's rule.
+per panel, with the closed-form density, they are the accuracy reference
+of the library's rule.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ from ginfield.ginibre import (
     SpectrumSample,
     _checked_variance,
     _diagonal_pair_sq,
-    _log_kernel_radial,
-    one_point_density,
+    _kernel,
 )
 from ginfield.linstats import GammaSample, _gamma_block, centering_term
 from ginfield.logkernel import alpha_radial
@@ -284,6 +285,15 @@ def gaussian_moment(m, N):
     return math.exp(special.gammaln(m + 1) + math.log(math.pi) - (m + 1) * math.log(N))
 
 
+def one_point_density(N, z):
+    """Eigenvalue intensity rho_N(z) = (N/pi) e^{-N|z|^2} sum_{k<N} (N|z|^2)^k / k!
+    in closed form, through the regularized upper incomplete gamma function:
+    the independent reference for the library's rho_N = sum_k R_k^2.  An
+    array of the shape of z, 0-d for a scalar z."""
+    r2 = np.abs(np.asarray(z)) ** 2
+    return (N / math.pi) * special.gammaincc(N, N * r2)
+
+
 def one_point_density_series(N, z):
     """Direct-sum evaluation of rho_N, as an independent cross-check route."""
     r2 = abs(complex(z)) ** 2
@@ -307,15 +317,14 @@ def expected_linear_statistic(f, N, quad=None):
 
 def pair_variance_per_call(f, N, quad=None):
     """ginibre.pair_variance with rho_N and the radial kernel factors built
-    inside the call, in the library's arithmetic order."""
+    inside the call (ginibre._kernel), in the library's arithmetic order."""
     quad = quad or PlaneQuadrature.build(N)
     M = len(quad.theta)
     if N - 1 > M // 2:
         raise ValueError(f"angular order {M} resolves pair differences up to {M // 2}")
     F = np.asarray(f(quad.nodes()), dtype=complex)
     c = np.fft.fft(F, axis=1) / M
-    R = np.exp(_log_kernel_radial(N, quad.r))
-    rho = one_point_density(N, quad.r)
+    rho, R = _kernel(N, quad.r)
     diag = float(np.sum(np.abs(F) ** 2 * rho[:, None] * quad.wr[:, None] * quad.wt))
     off_sq = 0.0
     for d in range(-(N - 1), N):
@@ -327,12 +336,11 @@ def pair_variance_per_call(f, N, quad=None):
 
 def radial_pair_variance_per_call(g, n, N, quad=None):
     """ginibre.radial_pair_variance with rho_N and the radial kernel factors
-    built inside the call."""
+    built inside the call (ginibre._kernel)."""
     quad = quad or PlaneQuadrature.build(N)
     gr = np.asarray(g(quad.r))
-    rho = one_point_density(N, quad.r)
+    rho, R = _kernel(N, quad.r)
     diag = float(2.0 * math.pi * np.sum(np.abs(gr) ** 2 * rho * quad.wr))
-    R = np.exp(_log_kernel_radial(N, quad.r))
     return _checked_variance(diag, _diagonal_pair_sq(R, -n, gr[None, :], quad.wr)[0])
 
 
@@ -362,12 +370,12 @@ def alpha_radial_rows(n, ks, r, table):
 
 
 def centering_term_per_call(n, k, N, table, quad=None):
-    """linstats.centering_term with rho_N built inside the call."""
+    """linstats.centering_term with rho_N built inside the call (ginibre._kernel)."""
     if n != 0:
         return 0.0
     quad = quad or PlaneQuadrature.build(N)
     g = alpha_radial(0, k, quad.r, table)
-    rho = one_point_density(N, quad.r)
+    rho, _ = _kernel(N, quad.r)
     return float(2.0 * math.pi * np.sum(g * rho * quad.wr))
 
 
@@ -384,9 +392,10 @@ def fine_plane_rule(N, order=2000):
 def alpha_moments(N, index_set, table, quad):
     """(variances, centerings): the exact finite-N variance and mean of
     gamma_{n,k} for each (n, k) of index_set, on the radial rule quad, with
-    rho_N and the radial kernel factors built once for all indices."""
+    rho_N in closed form and the radial kernel factors built once for all
+    indices."""
     rho = one_point_density(N, quad.r)
-    R = np.exp(_log_kernel_radial(N, quad.r))
+    _, R = _kernel(N, quad.r)
     variances, centerings = [], []
     for n, k in index_set:
         g = alpha_radial(n, k, quad.r, table)

@@ -595,6 +595,26 @@ def test_criterion_5_constant_past_its_bound_fails(
     assert f"{name}: FAIL" in capsys.readouterr().out
 
 
+def test_clt_fails_when_a_variance_strays_from_its_exact_value(tmp_path, monkeypatch, capsys):
+    # the limit check alone passes this run; exact variances 1.5 times too
+    # large leave every empirical variance far more than 5 se below them
+    real = cli.variance_bound_check
+
+    def scaled(*args):
+        rep = real(*args)
+        return {**rep, "entries": [{**r, "variance": 1.5 * r["variance"]} for r in rep["entries"]]}
+
+    args = ["clt", "--n-size", "16", "--draws", "400", "--out"]
+    assert main([*args, str(tmp_path / "exact")]) == 0
+    monkeypatch.setattr(cli, "variance_bound_check", scaled)
+    assert main([*args, str(tmp_path / "scaled")]) == 1
+    assert "clt: FAIL" in capsys.readouterr().out
+    result = json.loads((tmp_path / "scaled" / "result.json").read_text())["result"]
+    cov, limit, se = result["empirical_cov"], result["limit_cov"], result["se_var"]
+    assert all(abs(cov[i][i][0] - limit[i][i][0]) <= 5.0 * se[i] for i in range(3))
+    assert all(z < -5.0 for z in result["exact_z"].values())
+
+
 def test_pair_variance_reports_the_sharp_ratio(tmp_path):
     # criterion 5's grid at N = 32: Var_N stays below the limit variance
     assert main(["pair-variance", "--n-size", "32", "--out", str(tmp_path)]) == 0

@@ -24,7 +24,6 @@ from ginfield.linstats import (
     alpha_values,
     centering_term,
     decay_check,
-    exact_variance,
     gamma_draws,
     limit_covariance,
     limit_covariance_matrix,
@@ -230,10 +229,11 @@ def test_clt_experiment_small(small_table):
         f"{n}_{k}": rep["limit_cov"][i][i][0] - math.pi / 128
         for i, (n, k) in enumerate(rep["index_set"])
     }
-    # empirical variance of gamma_{0,1} near its exact finite-N value
-    emp = rep["empirical_cov"][0][0][0]
-    exact = rep["exact_pair_variance"]["0_1"]
-    assert abs(emp - exact) < 5 * rep["se_var"][0]
+    # each empirical variance near its exact finite-N value, as exact_z reports
+    for i, key in enumerate(rep["exact_pair_variance"]):
+        emp, se = rep["empirical_cov"][i][i][0], rep["se_var"][i]
+        assert rep["exact_z"][key] == pytest.approx((emp - rep["exact_pair_variance"][key]) / se)
+        assert abs(rep["exact_z"][key]) <= 5.0
 
 
 ALPHA_CASES = [(n, N) for n in (0, 1, 3, 8) for N in (8, 32)] + [
@@ -360,7 +360,9 @@ def test_clt_exact_variances_equal_the_per_call_oracle(table, cold_kernel):
     idx = [(0, 1), (1, 1), (1, 2)]
 
     def library():
-        return [exact_variance(n, k, 256, table) for n, k in idx]
+        # the one exact call of the clt report, over its orders and k
+        rows = variance_bound_check([0, 1], [1, 2], [256], table)["entries"]
+        return [r["variance"] for r in rows if (r["n"], r["k"]) in idx]
 
     expected = [_exact_per_call(n, k, 256, table) for n, k in idx]
     cold = library()
@@ -374,7 +376,7 @@ def test_exact_moments_match_a_fine_reference_rule(N, small_table):
     # the variances by up to 1.2e-5 and the centerings by up to 1.8e-6 here
     idx = [(n, k) for n in range(9) for k in range(1, 9)]
     ref_var, ref_cent = alpha_moments(N, idx, small_table, fine_plane_rule(N))
-    var = np.array([exact_variance(n, k, N, small_table) for n, k in idx])
+    var = np.array(_variances(variance_bound_check(range(9), range(1, 9), [N], small_table)))
     cent = np.array([centering_term(n, k, N, small_table) for n, k in idx])
     assert np.max(np.abs(var / ref_var - 1.0)) < 1e-9
     assert np.max(np.abs(cent - ref_cent)) < 1e-9
@@ -394,14 +396,14 @@ def test_centerings_equal_the_per_call_oracle(N, table, cold_kernel):
 
 @pytest.fixture
 def kernel_builds(monkeypatch):
-    """The list of N of every _log_kernel_radial call made."""
-    calls, log_kernel_radial = [], ginibre._log_kernel_radial
+    """The list of N of every ginibre._kernel call made."""
+    calls, kernel = [], ginibre._kernel
 
     def counted(N, r):
         calls.append(N)
-        return log_kernel_radial(N, r)
+        return kernel(N, r)
 
-    monkeypatch.setattr(ginibre, "_log_kernel_radial", counted)
+    monkeypatch.setattr(ginibre, "_kernel", counted)
     return calls
 
 

@@ -263,6 +263,29 @@ def test_alpha_radial_on_exterior_radii_makes_no_bessel_call(small_table, monkey
     assert calls == [(2, 3)]
 
 
+def test_piecewise_alpha_radial_on_exterior_radii_builds_no_interpolant(small_table, monkeypatch):
+    # with no radius in the disk no disk interpolant is read, so a cold
+    # cache stays empty and radial_profile is never called; a k past the
+    # table still raises, from the exterior rows
+    calls, profile = [], logkernel.radial_profile
+
+    def counted(n, k, r, table):
+        calls.append((n, k))
+        return profile(n, k, r, table)
+
+    monkeypatch.setattr(logkernel, "radial_profile", counted)
+    logkernel._disk_panels.cache_clear()
+    try:
+        g = alpha_radial_piecewise(3, np.arange(1, 9), EXTERIOR_GRID, small_table)
+        assert np.array_equal(g, alpha_radial(3, np.arange(1, 9), EXTERIOR_GRID, small_table))
+        assert calls == []
+        assert logkernel._disk_panels.cache_info().currsize == 0
+        with pytest.raises(KeyError):
+            alpha_radial_piecewise(3, np.array([1, 17]), EXTERIOR_GRID, small_table)
+    finally:
+        logkernel._disk_panels.cache_clear()
+
+
 def test_piecewise_alpha_radial_keeps_the_shape_of_r(small_table):
     ks = np.array([2, 1])
     r = np.array([[0.0, 0.5, 1.5], [0.9, 1.0, 0.1]])

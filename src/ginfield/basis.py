@@ -4,7 +4,8 @@ Sobolev scale.
 
 The basis functions are indexed by (n, k) with n any integer and k >= 1:
 angular harmonic e^{i n phi} times the radial profile J_{|n|}(j_{|n|,k} r),
-normalized to unit L^2 norm on the disk.
+normalized to unit L^2 norm on the disk.  Roots come from RootTable.root,
+whose KeyError for an index outside the table every function here passes on.
 """
 
 from __future__ import annotations
@@ -27,16 +28,11 @@ class SingularityError(ValueError):
 
 
 def radial_profile(n, k, r, table):
-    """Radial factor C_{n,k} J_{|n|}(j_{n,k} r) of e_{n,k}.
-
-    k is one radial index or an integer array of them; the root and the
-    normalisation taken from the table broadcast against r.
-    """
-    n = abs(int(n))
-    i = np.asarray(k) - 1
-    if n > table.n_max or i.min() < 0 or i.max() >= table.k_max:
-        raise KeyError(f"indices ({n}, {k}) outside table ({table.n_max}, {table.k_max})")
-    return table.norms[n, i] * special.jv(n, table.roots[n, i] * r)
+    """Radial factor C_{n,k} J_{|n|}(j_{n,k} r) of e_{n,k}, with integer
+    arrays n and k and the radii r broadcast together, in one jv call.
+    KeyError for any (n, k) outside the table."""
+    j, n = table.root(n, k), np.abs(n)
+    return table.norms[n, np.asarray(k) - 1] * special.jv(n, j * r)
 
 
 def _disk_radii(points):
@@ -53,13 +49,10 @@ def eval_matrix(points, n_max, k_max, table):
     basis functions with phase, for fast batched field evaluation."""
     points = np.asarray(points, dtype=complex)
     r = _disk_radii(points)
-    out = np.empty((len(points), n_max + 1, k_max), dtype=complex)
     th = np.angle(points + 0)  # + 0 turns -0 into +0: one angle per point
-    ks = np.arange(1, k_max + 1)
-    for n in range(n_max + 1):
-        radial = radial_profile(n, ks, r[:, None], table)
-        out[:, n, :] = radial * np.exp(1j * n * th)[:, None]
-    return out
+    ns = np.arange(n_max + 1)
+    radial = radial_profile(ns[:, None], np.arange(1, k_max + 1), r[:, None, None], table)
+    return radial * np.exp(1j * ns * th[:, None])[:, :, None]
 
 
 @lru_cache(maxsize=16)
@@ -91,9 +84,9 @@ def gram_blocks(n_max, k_max, table):
     n, and e_{n,k} and e_{m,l} with n != m are orthogonal by the angular
     integral in closed form, so these blocks are the whole Gram."""
     r, wr = radial_rule((0.0, 1.0, 160))
-    ks = np.arange(1, k_max + 1)[:, None]
-    P = [radial_profile(n, ks, r, table) for n in range(n_max + 1)]
-    return np.array([2.0 * math.pi * (p * wr) @ p.T for p in P])
+    ns, ks = np.arange(n_max + 1)[:, None, None], np.arange(1, k_max + 1)[:, None]
+    P = radial_profile(ns, ks, r, table)
+    return 2.0 * math.pi * (P * wr) @ P.transpose(0, 2, 1)
 
 
 def green_dirichlet_series(z, w, table, n_cut=None, k_cut=None):
@@ -119,16 +112,14 @@ def root_window(cutoff, table):
     0 <= n <= n_max and 1 <= k <= k_max, and the multiplicity of each row:
     1 for n = 0 and 2 for n >= 1, since order -n is the conjugate of order n.
 
-    Raises KeyError when the cutoff reaches past the table.
+    Raises KeyError when the cutoff reaches past the table or holds no
+    index, as below (0, 1).
     """
-    n_max, k_max = cutoff
-    if not (0 <= n_max <= table.n_max and 1 <= k_max <= table.k_max):
-        raise KeyError(
-            f"cutoff ({n_max}, {k_max}) outside table ({table.n_max}, {table.k_max})"
-        )
-    mult = np.full((n_max + 1, 1), 2.0)
-    mult[0] = 1.0
-    return table.roots[: n_max + 1, :k_max], mult
+    ns = np.arange(cutoff[0] + 1)[:, None]
+    j = table.root(ns, np.arange(1, cutoff[1] + 1))
+    if not j.size:
+        raise KeyError(f"cutoff {tuple(cutoff)} holds no index")
+    return j, np.where(ns > 0, 2.0, 1.0)
 
 
 def sobolev_norm(a, s, table):

@@ -7,7 +7,8 @@ j_{n,k} < j_{n+1,k} < j_{n,k+1}, j_{0,k} < (k - 1/8) pi, and a distance below
 1/2 from the initial guesses.  The guesses lie within 1e-2 of the roots and
 consecutive roots of a row more than 3 apart, so the residual and the
 distance fix the index k of every root.  The table stores
-C_{n,k} = 1 / (sqrt(pi) J_{n+1}(j_{n,k})).
+C_{n,k} = 1 / (sqrt(pi) J_{n+1}(j_{n,k})), and RootTable.root reads the
+roots over broadcast integer arrays of (n, k), with the one range check.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ class RootTable:
     """Dense table of certified Bessel roots j_{n,k}, 0 <= n <= n_max,
     1 <= k <= k_max.
 
-    ``roots[n, k-1]`` holds j_{n,k} and ``norms[n, k-1]`` the basis
-    normalisation C_{n,k}.  Immutable, so caches key on the table by identity.
+    ``roots[n, k-1]`` holds j_{n,k}, read through ``root``, and
+    ``norms[n, k-1]`` the basis normalisation C_{n,k}.  Immutable, so caches
+    key on the table by identity.
     """
 
     n_max: int
@@ -41,11 +43,18 @@ class RootTable:
     norms: np.ndarray
 
     def root(self, n, k):
-        """j_{|n|,k}; negative orders use j_{-n,k} = j_{n,k}."""
-        n = abs(int(n))
-        if n > self.n_max or not (1 <= k <= self.k_max):
+        """j_{|n|,k} over integer arrays n and k broadcast together: a float
+        for scalars, else an array of their broadcast shape, empty for an
+        empty index.  Negative orders use j_{-n,k} = j_{n,k}.  The one (n, k)
+        range check of the library: KeyError if any entry, k = 0 among them,
+        lies outside the table."""
+        n, k = np.abs(np.asarray(n, dtype=np.intp)), np.asarray(k, dtype=np.intp)
+        bad = (n > self.n_max) | (k < 1) | (k > self.k_max)
+        if bad.any():
+            n, k = (np.broadcast_to(a, bad.shape)[bad][0] for a in (n, k))
             raise KeyError(f"index ({n}, {k}) outside table ({self.n_max}, {self.k_max})")
-        return float(self.roots[n, k - 1])
+        j = self.roots[n, k - 1]
+        return j if j.ndim else float(j)
 
     def __post_init__(self):
         self.roots.setflags(write=False)

@@ -125,11 +125,7 @@ def _write_outputs(config, result, series, started, timings):
 
 
 def _exp_roots(cfg, table):
-    rows = [
-        [n, k, table.roots[n, k - 1]]
-        for n in range(table.n_max + 1)
-        for k in range(1, table.k_max + 1)
-    ]
+    rows = [[n, k, j] for n, js in enumerate(table.roots.tolist()) for k, j in enumerate(js, 1)]
     ns = np.arange(table.n_max + 1)[:, None]
     residual = float(np.abs(special.jv(ns, table.roots)).max())
     # build_root_table certified the residual; scipy's per-order zeros are
@@ -188,9 +184,7 @@ def _exp_ginibre_sample(cfg, table):
 
 
 def _exp_pair_variance(cfg, table):
-    ns = list(range(0, cfg.n_max + 1))
-    ks = list(range(1, cfg.k_max + 1))
-    rep = variance_bound_check(ns, ks, [cfg.n_size], table)
+    rep = variance_bound_check(range(cfg.n_max + 1), range(1, cfg.k_max + 1), [cfg.n_size], table)
     # Var sum_i z_i = E|tr A|^2 = 1 checks the rule of the exact variances
     rep["identity_error"] = abs(radial_pair_variance(lambda r: r, -1, cfg.n_size) - 1.0)
     cols = ["n", "k", "N", "variance", "ratio", "sharp_ratio"]

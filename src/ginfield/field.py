@@ -34,7 +34,7 @@ def _coeff_scales(cutoff, table):
     j, _ = root_window(cutoff, table)
     inv_j = 1.0 / j[1:]
     inv_n = 1.0 / np.sqrt(np.arange(1, cutoff[0] + 1))[:, None]
-    inv_j.flags.writeable = inv_n.flags.writeable = False
+    j.flags.writeable = inv_j.flags.writeable = inv_n.flags.writeable = False
     return j[0], inv_j, inv_n
 
 
@@ -157,9 +157,8 @@ def tightness_statistic(runs, s_prime, table):
     index_set, N = runs[0].index_set, runs[0].matrix_size
     if any((run.index_set, run.matrix_size) != (index_set, N) for run in runs):
         raise ValueError("runs must share one index set and one matrix size")
-    weights = np.array(
-        [(1.0 if n == 0 else 2.0) * table.root(n, k) ** (-2.0 * s_prime) for n, k in index_set]
-    )
+    n, k = np.array(index_set).reshape(-1, 2).T
+    weights = np.where(n == 0, 1.0, 2.0) * table.root(n, k) ** (-2.0 * s_prime)
     values = np.stack([run.values for run in runs])
     return float(np.mean(np.abs(values) ** 2 @ weights))
 

@@ -201,26 +201,28 @@ def radial_mean(g, N):
 
 def radial_pair_variance(g, n, N):
     """pair_variance of g(r) e^{-i n theta}: one case, one row of radial_pair_variances."""
-    return radial_pair_variances(lambda _, r: np.asarray(g(r))[None, :], [(n, N)])[0][0]
+    return radial_pair_variances(lambda _, r: np.asarray(g(r))[None, None], [(n, N)])[0][0]
 
 
 def radial_pair_variances(g, cases):
     """For each case (n, N), the list of pair_variance of f(r) e^{-i n theta}
-    for each radial factor f in the rows of g(n, r): the radial mean of
-    |f|^2 less the overlaps on the diagonal l - k = -n (none when |n| >= N),
-    on the radial nodes of _plane_rule(N).  Each rule is read once, and g is
-    called once per order, on the sorted union r of the nodes of every N.
-    Sums run along the radii of C-contiguous arrays, so rows do not mix;
-    VarianceError for the first row that fails _checked_variance."""
+    for each radial factor f of order n: the radial mean of |f|^2 less the
+    overlaps on the diagonal l - k = -n (none when |n| >= N), on the radial
+    nodes of _plane_rule(N), each rule read once.  One call g(ns, r), ns the
+    column of distinct orders and r the sorted union of the nodes of every N,
+    gives the factors, shape (len(ns), rows, len(r)).  Sums run along the
+    radii of C-contiguous arrays, so rows do not mix; VarianceError for the
+    first row, N by N, that fails _checked_variance."""
     rules = {N: _plane_rule(N) for _, N in cases}
     r = np.unique(np.concatenate([quad.r for quad, _, _ in rules.values()]))
-    cols = {N: np.searchsorted(r, quad.r) for N, (quad, _, _) in rules.items()}
-    rows = {n: np.asarray(g(n, r)) for n in dict.fromkeys(n for n, _ in cases)}
-    out = []
-    for n, N in cases:
-        quad, rho, R = rules[N]
-        G = np.ascontiguousarray(rows[n][:, cols[N]])
+    ns = list(dict.fromkeys(n for n, _ in cases))
+    rows = np.asarray(g(np.reshape(ns, (-1, 1)), r))
+    out = {}
+    for N, (quad, rho, R) in rules.items():
+        orders = [n for n, M in cases if M == N]
+        G = np.take(rows[[ns.index(n) for n in orders]], np.searchsorted(r, quad.r), axis=-1)
         diag = 2.0 * math.pi * (np.abs(G) ** 2 * rho * quad.wr).sum(axis=-1)
-        off_sq = _diagonal_pair_sq(R, -n, G, quad.wr)
-        out.append([_checked_variance(float(d), o) for d, o in zip(diag, off_sq)])
-    return out
+        for n, d, Gn in zip(orders, diag, G):
+            off_sq = _diagonal_pair_sq(R, -n, Gn, quad.wr)
+            out[n, N] = [_checked_variance(float(a), o) for a, o in zip(d, off_sq)]
+    return [out[case] for case in cases]

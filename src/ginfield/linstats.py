@@ -49,9 +49,7 @@ def centering_term(n, k, N, table):
 
 def alpha_values(n, k, zs, table):
     """alpha_{n,k} evaluated at an array of complex points."""
-    r = np.abs(zs)
-    g = alpha_radial(n, k, r, table)
-    return g * np.exp(-1j * n * np.angle(zs))
+    return alpha_radial(n, k, np.abs(zs), table) * np.exp(-1j * n * np.angle(zs))
 
 
 def _gamma_block(Z, index_set, table, centerings):
@@ -91,7 +89,7 @@ def limit_covariance_matrix(index_set, table):
     n, k = np.array(index_set, dtype=int).reshape(-1, 2).T
     if np.any(n < 0):
         raise ValueError("limit covariance is stated for n >= 0")
-    j = np.array([table.root(*idx) for idx in zip(n, k)])
+    j = table.root(n, k)
     inv_n = np.where(n > 0, 1.0 / np.maximum(n, 1), 0.0)
     c = math.pi / np.outer(j, j) * ((k[:, None] == k) + inv_n[:, None])
     return np.where(n[:, None] == n, c, 0.0).astype(complex)
@@ -132,16 +130,15 @@ def gamma_draws(N, draws, index_set, master_seed, table, workers=1):
 def _variance_rows(cases, k_list, table, **scales):
     """Exact variance of gamma_{n,k}^(N) for every (n, N) case and every k,
     one row each with key = scale(variance, n, j_{n,k}) for each scale: one
-    radial_pair_variances call, whose alpha rows of all k come from one
-    alpha_radial call per order."""
-    variances = radial_pair_variances(lambda n, r: alpha_radial(n, k_list, r, table), cases)
-    rows = []
-    for (n, N), vs in zip(cases, variances):
-        for k, v in zip(k_list, vs):
-            j = table.root(n, k)
-            row = {"n": n, "k": k, "N": N, "variance": v}
-            rows.append(row | {key: scale(v, n, j) for key, scale in scales.items()})
-    return rows
+    radial_pair_variances call, whose alpha rows of every order and k come
+    from one alpha_radial call."""
+    variances = radial_pair_variances(lambda ns, r: alpha_radial(ns, k_list, r, table), cases)
+    roots = table.root(np.reshape([n for n, _ in cases], (-1, 1)), k_list).tolist()
+    return [
+        {"n": n, "k": k, "N": N, "variance": v, **{key: f(v, n, j) for key, f in scales.items()}}
+        for (n, N), vs, js in zip(cases, variances, roots)
+        for k, v, j in zip(k_list, vs, js)
+    ]
 
 
 def variance_bound_check(n_list, k_list, N_list, table):

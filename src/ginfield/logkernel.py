@@ -5,10 +5,10 @@ combining the Green's-series term with a harmonic correction, and an
 exterior branch (|w| >= 1, including the circle itself).  Both have the
 angular structure g(r) e^{-i n theta} in polar coordinates w = r e^{i theta},
 so only the radial factor g is computed here.  alpha_radial is the one
-evaluator of both branches, on scipy's J_n, for one k or any set of k of
-one order; alpha_radial_piecewise takes its disk branch from a certified
-piecewise-Chebyshev interpolant of alpha_radial, for evaluation at many
-points, and everything else from alpha_radial itself.
+evaluator of both branches, on scipy's J_n, over integer arrays n and k
+broadcast together; alpha_radial_piecewise takes its disk branch from a
+certified piecewise-Chebyshev interpolant of alpha_radial, for evaluation
+at many points, and everything else from alpha_radial itself.
 """
 
 from __future__ import annotations
@@ -33,30 +33,27 @@ class InterpolantError(RuntimeError):
 
 def alpha_radial(n, k, r, table):
     """Radial factor g(r) of alpha_{n,k}(r e^{i theta}) = g(r) e^{-i n theta}
-    for one radial index k, or for each k of a 1-D array, one row per k.
-
-    A real array of the shape of r (0-d for a scalar r), or of shape
-    (len(k),) + r.shape.  Uses the disk branch for r < 1 and the exterior
-    branch for r >= 1 (continuous across the circle); each row depends only
-    on its own k.
+    over integer arrays n and k broadcast together, in one jv call: shape
+    broadcast(n, k).shape + r.shape, 0-d for one index and a scalar r.  The
+    disk branch for r < 1, the exterior branch for r >= 1 (continuous across
+    the circle); each row depends only on its own (n, k).
     """
-    n = abs(int(n))
+    j = np.asarray(table.root(n, k))[..., None]
+    n, k = np.abs(np.asarray(n))[..., None], np.asarray(k)[..., None]
     r = np.asarray(r, dtype=float)
-    k = np.asarray(k)
     inside = r.ravel() < 1.0
     ri, ro = r.ravel()[inside], r.ravel()[~inside]
-    rn, exterior = ri**n, (np.log(ro) if n == 0 else ro ** (-n))
-    rt = math.sqrt(math.pi)
-    g = np.empty(k.shape + r.shape)
     # a * profile - b r^n on the disk and c * exterior outside, a = -2 pi / j^2,
-    # b = sqrt(pi) / (n j) (0 for n = 0), c = 2 sqrt(pi) / j (n = 0) or -b
-    for row, i in zip(g.reshape(k.size, r.size), k.ravel().tolist()):
-        j = table.root(n, i)
-        b = rt / (n * j) if n else 0.0
-        if ri.size:
-            row[inside] = -(2.0 * math.pi / j**2) * radial_profile(n, i, ri, table) - b * rn
-        row[~inside] = (2.0 * rt / j if n == 0 else -b) * exterior
-    return g
+    # b = sqrt(pi) / (n j) (0 for n = 0), c = 2 sqrt(pi) / j (n = 0) or -b;
+    # r^2 and r^-1 as r * r and 1 / r, as numpy's ** forms them for one order
+    b = np.where(n > 0, math.sqrt(math.pi) / (np.maximum(n, 1) * j), 0.0)
+    g = np.empty(j.shape[:-1] + (r.size,))
+    if ri.size:
+        rn = np.where(n == 2, ri * ri, ri**n)
+        g[..., inside] = -(2.0 * math.pi / j**2) * radial_profile(n, k, ri, table) - b * rn
+    exterior = np.where(n == 0, np.log(ro), np.where(n == 1, 1.0 / ro, ro**-n))
+    g[..., ~inside] = np.where(n == 0, 2.0 * math.sqrt(math.pi) / j, -b) * exterior
+    return g.reshape(j.shape[:-1] + r.shape)
 
 
 def alpha_radial_piecewise(n, ks, r, table):

@@ -10,6 +10,7 @@ from scipy import special
 from ginfield.basis import (
     DiskDomainError,
     SingularityError,
+    eval_matrix,
     gram_blocks,
     green_dirichlet_series,
     radial_profile,
@@ -55,19 +56,40 @@ def test_quadrature_builds_do_not_share_arrays():
     assert np.array_equal(c[0], b[0]) and np.array_equal(c[1], b[1])
 
 
-def test_radial_profile_broadcasts_over_k(table):
-    r = np.array([0.0, 0.3, 0.8, 1.0])
-    ks = np.arange(1, 6)
-    grid = radial_profile(4, ks, r[:, None], table)
-    for k in ks:
-        assert np.array_equal(grid[:, k - 1], radial_profile(-4, k, r, table))
+def test_radial_profile_broadcasts_over_orders_and_k(table):
+    # each entry is == to its scalar call and does not depend on the other
+    # indices of its call; any index outside the table raises, k = 0 too
+    r = np.linspace(0.0, 1.0, 41)
+    n, k = np.array([[0], [-4], [9], [70]]), np.array([1, 3, 70])
+    grid = radial_profile(n[..., None], k[:, None], r, table)
+    assert grid.shape == (4, 3, len(r))
+    for a, b in np.ndindex(4, 3):
+        row = radial_profile(int(n[a, 0]), int(k[b]), r, table)
+        assert np.array_equal(grid[a, b], row)
+        assert np.array_equal(radial_profile(n[a], k[b : b + 1, None], r, table)[0], row)
     j = table.root(4, 2)
     c = 1.0 / (math.sqrt(math.pi) * special.jv(5, j))
     assert abs(radial_profile(4, 2, 0.3, table) - c * special.jv(4, 0.3 * j)) < 1e-14
+    for bad in (np.array([1, 0]), np.array([2, 71])):
+        with pytest.raises(KeyError):
+            radial_profile(n[..., None], bad[:, None], r, table)
     with pytest.raises(KeyError):
         radial_profile(0, table.k_max + 1, r, table)
-    with pytest.raises(KeyError):
-        radial_profile(0, np.arange(0, 3), r, table)
+
+
+def test_eval_matrix_and_gram_blocks_equal_their_per_order_loops(table):
+    # one radial_profile call over every order gives the bits of one call
+    # per order, and the stacked product those of one product per block
+    points = np.array([0.0, 0.3, -0.4, 0.1 + 0.2j, 1.0, -1j, -0.0 - 0.5j])
+    r, th, ks = np.abs(points), np.angle(points + 0), np.arange(1, 8)
+    E = eval_matrix(points, 9, 7, table)
+    rr, wr = radial_rule((0.0, 1.0, 160))
+    G = gram_blocks(9, 7, table)
+    for n in range(10):
+        phase = np.exp(1j * n * th)[:, None]
+        assert np.array_equal(E[:, n], radial_profile(n, ks, r[:, None], table) * phase)
+        p = radial_profile(n, ks[:, None], rr, table)
+        assert np.array_equal(G[n], 2.0 * math.pi * (p * wr) @ p.T)
 
 
 def test_quadrature_area_and_moments(quad):

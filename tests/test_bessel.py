@@ -152,6 +152,36 @@ def test_negative_order_alias(table):
         table.root(0, table.k_max + 1)
 
 
+def test_root_over_broadcast_index_arrays(table):
+    # a column of orders (one negative) against a row of k: each entry is
+    # == to its scalar call, which returns a float; an empty index gives an
+    # empty array of its broadcast shape
+    n, k = np.array([[0], [-3], [5], [70]]), np.array([1, 2, 70])
+    j = table.root(n, k)
+    assert j.shape == (4, 3)
+    for (a, b), v in np.ndenumerate(j):
+        assert v == table.root(int(n[a, 0]), int(k[b]))
+    assert type(table.root(2, 3)) is float
+    assert table.root([], []).shape == (0,)
+    assert table.root(np.zeros((0, 1), dtype=int), k).shape == (0, 3)
+
+
+# An array with one entry out of the table: k = 0, which roots[n, k - 1]
+# would wrap to the last column, k past k_max, |n| past n_max.
+OUTSIDE = [
+    (np.array([0, 1]), np.array([1, 0])),
+    (np.array([[1], [2]]), np.array([70, 71])),
+    (np.array([[3], [-71]]), np.array([1, 2])),
+    (0, np.array([-1, 1])),
+]
+
+
+@pytest.mark.parametrize("n, k", OUTSIDE)
+def test_every_entry_outside_the_table_raises_key_error(n, k, table):
+    with pytest.raises(KeyError, match=r"outside table \(70, 70\)"):
+        table.root(n, k)
+
+
 def test_high_order_root(table):
     # deep entry of the shared 70x70 table against mpmath's root finder
     j = table.root(70, 70)

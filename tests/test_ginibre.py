@@ -283,7 +283,7 @@ def test_one_failing_row_fails_the_batch_with_its_own_ratio(bad, cold_kernel, mo
     good = [np.square, lambda r: r]
 
     def rows(*fs):
-        return lambda n, r: np.array([f(r) for f in fs])
+        return lambda ns, r: np.array([[f(r) for f in fs] for _ in ns])
 
     with pytest.raises(VarianceError) as alone:
         radial_pair_variance_per_call(g, 0, 8, quad)

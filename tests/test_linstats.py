@@ -429,12 +429,12 @@ def test_a_call_over_more_N_than_the_rule_cache_builds_each_rule_once(
 
 @pytest.fixture
 def alpha_calls(monkeypatch):
-    """The (n, ks) of every alpha_radial call made by linstats, ks the list
-    of the radial indices it evaluates."""
+    """The (ns, ks) of every alpha_radial call made by linstats, ns and ks
+    the lists of the orders and radial indices it evaluates."""
     calls, alpha = [], linstats.alpha_radial
 
     def counted(n, k, r, table):
-        calls.append((n, [int(i) for i in np.ravel(k)]))
+        calls.append(([int(i) for i in np.ravel(n)], [int(i) for i in np.ravel(k)]))
         return alpha(n, k, r, table)
 
     monkeypatch.setattr(linstats, "alpha_radial", counted)
@@ -442,13 +442,10 @@ def alpha_calls(monkeypatch):
 
 
 def test_variance_bound_check_evaluates_alpha_once_per_index(table, alpha_calls):
-    # one call per order on the nodes of both N, each index once, not one
-    # call per index and N
+    # one call over the column of orders and the row of k, on the nodes of
+    # both N: each index once, not once per index and N
     variance_bound_check(range(9), range(1, 9), [8, 32], table)
-    assert sorted(n for n, _ in alpha_calls) == list(range(9))
-    assert sorted((n, k) for n, ks in alpha_calls for k in ks) == [
-        (n, k) for n in range(9) for k in range(1, 9)
-    ]
+    assert alpha_calls == [(list(range(9)), list(range(1, 9)))]
 
 
 # Inner rules of 80 (N = 8) and 96 (N = 1024) radii, orders at and past N
@@ -469,10 +466,10 @@ def test_one_call_over_mixed_rules_and_cases_equals_the_per_call_oracle(
     monkeypatch.setattr(linstats, "alpha_radial", counted)
     ks = [1, 3, 8]
     rows = decay_check(MIXED_CASES, ks, table)["entries"]
-    # one alpha call per distinct order, each on the union of both rules' radii
+    # one alpha call over the distinct orders, on the union of both rules' radii
     union = np.union1d(PlaneQuadrature.build(8).r, PlaneQuadrature.build(1024).r)
-    assert sorted(n for n, _ in calls) == sorted({n for n, _ in MIXED_CASES})
-    assert all(np.array_equal(r, union) for _, r in calls)
+    assert [np.ravel(n).tolist() for n, _ in calls] == [[16, 2, 8, 40, 5]]
+    assert np.array_equal(calls[0][1], union)
     assert [(r["n"], r["N"], r["k"]) for r in rows] == [
         (n, N, k) for n, N in MIXED_CASES for k in ks
     ]
@@ -499,10 +496,20 @@ def _per_index_gamma(N, draws, index_set, master_seed, table):
     return np.array(rows)
 
 
-# N = 256 with 65 draws spans two blocks of spectra.
-@pytest.mark.parametrize("N, draws", [(4, 5), (16, 5), (64, 5), (256, 65)])
-def test_gamma_draws_equal_the_per_index_sum(N, draws, small_table):
+# With 512 eigenvalues per block, N = 256 with 5 draws spans three blocks
+# of spectra, the last one short.
+@pytest.mark.parametrize("N, draws", [(4, 5), (16, 5), (64, 5), (256, 5)])
+def test_gamma_draws_equal_the_per_index_sum(N, draws, small_table, monkeypatch):
+    monkeypatch.setattr(linstats, "_BLOCK_EIGENVALUES", 512)
+    blocks, block = [], linstats._gamma_block
+
+    def counted(Z, *args):
+        blocks.append(len(Z))
+        return block(Z, *args)
+
+    monkeypatch.setattr(linstats, "_gamma_block", counted)
     G = gamma_draws(N, draws, MIXED_INDEX_SET, 11, small_table, workers=1)
+    assert blocks == ([2, 2, 1] if N == 256 else [5])
     ref = _per_index_gamma(N, draws, MIXED_INDEX_SET, 11, small_table)
     assert G.shape == (draws, len(MIXED_INDEX_SET))
     assert np.max(np.abs(G - ref)) <= 1e-12

@@ -236,6 +236,24 @@ def test_alpha_radial_of_several_k_stacks_the_one_k_rows(n, table):
     assert alpha_radial(n, 3, 0.5, table).shape == ()
 
 
+def test_alpha_radial_over_broadcast_orders_and_k(table):
+    # a column of orders against a row of k, on a dense grid inside and
+    # outside the disk: each row is == to its scalar call, whatever the
+    # other indices of its call; any index outside the table raises
+    r = np.concatenate([np.linspace(0.0, 3.0, 3001), [np.nextafter(1.0, 0.0), 1e3]])
+    n, k = np.arange(10)[:, None], np.array([1, 2, 5, 70])
+    g = alpha_radial(n, k, r, table)
+    assert g.shape == (10, 4, len(r))
+    assert alpha_radial(n, k, 0.5, table).shape == (10, 4)
+    for a, b in np.ndindex(10, 4):
+        assert np.array_equal(g[a, b], alpha_radial(a, int(k[b]), r, table))
+    assert np.array_equal(alpha_radial(np.array([[-2], [7]]), k[1:3], r, table), g[[2, 7], 1:3])
+    assert alpha_radial(n[:0], k, r, table).shape == (0, 4, len(r))
+    for bad in (np.array([1, 0]), np.array([2, 71])):
+        with pytest.raises(KeyError):
+            alpha_radial(n, bad, r, table)
+
+
 def test_alpha_radial_on_exterior_radii_makes_no_bessel_call(small_table, monkeypatch):
     # with no radius in the disk there is nothing for radial_profile to
     # evaluate; a k past the table still raises

@@ -6,7 +6,8 @@ references in the code of reachable definitions, and every public field,
 method and property of a library class must be read as an attribute
 somewhere in that code.  Independent reference routes that only tests need
 belong in tests/oracles.py.  No module imports a name it never uses, nor
-another module's private name.
+another module's private name, and no module but bessel.py subscripts a
+table's roots.
 """
 
 import ast
@@ -277,3 +278,18 @@ def test_every_certificate_failure_exits_3():
     errors = _runtime_errors(trees)
     assert {"EigensolverError", "RootBracketError", "InterpolantError"} <= errors
     assert errors - _exit_3_errors(ast.parse((SRC / "cli.py").read_text())) == set()
+
+
+def test_only_bessel_subscripts_a_root_table():
+    # RootTable.root is the one (n, k) range check of the library; a bare
+    # roots[n, k - 1] would skip it, and wrap k = 0 to the last column
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "bessel.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "roots"
+    ]
+    assert offenders == [], "read roots through RootTable.root"

@@ -6,6 +6,8 @@ The basis functions are indexed by (n, k) with n any integer and k >= 1:
 angular harmonic e^{i n phi} times the radial profile J_{|n|}(j_{|n|,k} r),
 normalized to unit L^2 norm on the disk.  Roots come from RootTable.root,
 whose KeyError for an index outside the table every function here passes on.
+Every H^s sum over a real field's coefficients a[n, k-1], n >= 0, reads the
+one cached weight sobolev_weights, the only place that counts order -n.
 """
 
 from __future__ import annotations
@@ -102,24 +104,32 @@ def green_dirichlet_series(z, w, table, n_cut=None, k_cut=None):
     if z == w:
         raise SingularityError("Green's function diverges at z = w")
     cutoff = (table.n_max if n_cut is None else n_cut, table.k_max if k_cut is None else k_cut)
-    j, mult = root_window(cutoff, table)
     E = eval_matrix([z, w], *cutoff, table)
-    return -float(np.sum(mult * np.real(E[0] * np.conj(E[1])) / j**2))
+    return -float(np.sum(sobolev_weights(cutoff, -1.0, table) * np.real(E[0] * np.conj(E[1]))))
 
 
 def root_window(cutoff, table):
     """Roots j_{n,k} aligned with a real field's coefficients a[n, k-1],
-    0 <= n <= n_max and 1 <= k <= k_max, and the multiplicity of each row:
-    1 for n = 0 and 2 for n >= 1, since order -n is the conjugate of order n.
+    0 <= n <= n_max and 1 <= k <= k_max.
 
     Raises KeyError when the cutoff reaches past the table or holds no
     index, as below (0, 1).
     """
-    ns = np.arange(cutoff[0] + 1)[:, None]
-    j = table.root(ns, np.arange(1, cutoff[1] + 1))
+    j = table.root(np.arange(cutoff[0] + 1)[:, None], np.arange(1, cutoff[1] + 1))
     if not j.size:
         raise KeyError(f"cutoff {tuple(cutoff)} holds no index")
-    return j, np.where(ns > 0, 2.0, 1.0)
+    return j
+
+
+@lru_cache(maxsize=16)
+def sobolev_weights(cutoff, s, table):
+    """mult * j^{2s} on root_window(cutoff, table), read-only, per cutoff, s
+    and table, with mult 1 for n = 0 and 2 for n >= 1 (order -n is the
+    conjugate of order n); so |a|^2 w rounds as (mult |a|^2) j^{2s}."""
+    j = root_window(cutoff, table)
+    w = np.where(np.arange(cutoff[0] + 1)[:, None] > 0, 2.0, 1.0) * j ** (2.0 * s)
+    w.flags.writeable = False
+    return w
 
 
 def sobolev_norm(a, s, table):
@@ -127,14 +137,5 @@ def sobolev_norm(a, s, table):
     both signs of n."""
     if not math.isfinite(s):
         raise ValueError(f"Sobolev exponent must be finite, got {s!r}")
-    return float(np.sum(np.abs(a) ** 2 * _sobolev_weights(a.shape, float(s), table)))
-
-
-@lru_cache(maxsize=16)
-def _sobolev_weights(shape, s, table):
-    """mult * j^{2s} on the window of an array of this shape, read-only, per
-    shape, s and table; mult is 1 or 2, so |a|^2 w rounds as (mult |a|^2) j^{2s}."""
-    j, mult = root_window((shape[0] - 1, shape[1]), table)
-    w = mult * j ** (2.0 * s)
-    w.flags.writeable = False
-    return w
+    w = sobolev_weights((a.shape[0] - 1, a.shape[1]), float(s), table)
+    return float(np.sum(np.abs(a) ** 2 * w))

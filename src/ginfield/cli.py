@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special
 
 from . import __version__
-from .basis import gram_blocks
+from .basis import gram_blocks, sobolev_weights
 from .bessel import RootBracketError, build_root_table
 from .field import covariance_mc, expected_norm_sq, tightness_statistic, truncated_covariance
 from .ginibre import EigensolverError, VarianceError, radial_pair_variance, sample_spectrum
@@ -293,16 +293,21 @@ def _exp_sobolev_tightness(cfg, table):
         runs = [GammaSample(tuple(index_set), g, N, cfg.seed) for g in G]
         stats.append((N, tightness_statistic(runs, s, table)))
     # the exact mean of the statistic: sum of mult j^{-2s'} Var_N gamma
+    W = sobolev_weights((cfg.n_max, cfg.k_max), -s, table)
     exact = dict.fromkeys(map(str, sizes), 0.0)
     for r in variance_bound_check(ns, ks, sizes, table)["entries"]:
-        mult = 1.0 if r["n"] == 0 else 2.0
-        exact[str(r["N"])] += mult * table.root(r["n"], r["k"]) ** (-2.0 * s) * r["variance"]
+        exact[str(r["N"])] += W[r["n"], r["k"] - 1] * r["variance"]
     limit_sum = expected_norm_sq(s, (cfg.n_max, cfg.k_max), table)
-    # no growth trend, and no exact mean above the limit law's
-    ok = stats[-1][1] < 2.0 * stats[0][1] + 1e-9 and max(exact.values()) <= limit_sum
+    # the limit law's Var T = sum_n c_n w_n |C_n|^2 w_n, c_0 = 2 as gamma_{0,k} is real
+    C = [np.abs(limit_covariance_matrix([(n, k) for k in ks], table)) ** 2 for n in ns]
+    se = math.sqrt((sum(w @ c @ w for w, c in zip(W, C)) + W[0] @ C[0] @ W[0]) / cfg.draws)
+    z = {str(N): (stat - exact[str(N)]) / se for N, stat in stats}
+    # each statistic within 5 se of its exact mean, none above the limit law's
+    ok = max(map(abs, z.values())) <= 5.0 and max(exact.values()) <= limit_sum
     by_n = {str(N): stat for N, stat in stats}
     return ok, {
         "statistic_by_N": by_n, "s_prime": s, "exact_by_N": exact, "limit_sum": limit_sum,
+        "se": se, "exact_z": z,
     }, {"tightness": (["N", "statistic"], stats)}
 
 

@@ -1,6 +1,6 @@
 """The limiting Gaussian field on the disk and its truncated samples, as one
-coefficient array a[n, k-1] for n >= 0 (order -n is the conjugate of order
-n), and the tightness statistic of the finite-N field.
+coefficient array a[n, k-1] for n >= 0 whose norms weigh |a|^2 by
+basis.sobolev_weights, and the tightness statistic of the finite-N field.
 
 The field is represented only through basis coefficients, since the limit
 object is a distribution, not a function; its values at two points, at an
@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import eval_matrix, root_window, sobolev_norm
+from .basis import eval_matrix, root_window, sobolev_norm, sobolev_weights
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class FieldSample:
 def _coeff_scales(cutoff, table):
     """j_{0,k}, 1 / j_{n,k} for n >= 1 and the column 1 / sqrt(n) of a
     cutoff, read-only, built once per cutoff and table."""
-    j, _ = root_window(cutoff, table)
+    j = root_window(cutoff, table)
     inv_j = 1.0 / j[1:]
     inv_n = 1.0 / np.sqrt(np.arange(1, cutoff[0] + 1))[:, None]
     j.flags.writeable = inv_j.flags.writeable = inv_n.flags.writeable = False
@@ -77,10 +77,9 @@ def expected_norm_sq(s, cutoff, table):
     pi sum_k j_{0,k}^{-2-2s} + 2 pi sum_{n,k>=1} (1 + 1/n) j_{n,k}^{-2-2s}."""
     if not 0 < s < math.inf:
         raise ValueError(f"requires finite s > 0, got {s!r}")
-    j, mult = root_window(cutoff, table)
     # E|a_{n,k}|^2 j_{n,k}^2 / pi: 1 for n = 0, 1 + 1/n for n >= 1
     var = np.append(1.0, 1.0 + 1.0 / np.arange(1, cutoff[0] + 1))[:, None]
-    return math.pi * float(np.sum(mult * var * j ** (-2.0 - 2.0 * s)))
+    return math.pi * float(np.sum(var * sobolev_weights(tuple(cutoff), -1.0 - s, table)))
 
 
 def field_norm_sq(sample, s, table):
@@ -98,7 +97,7 @@ def _pair_factor(z, w, cutoff, table):
     covariance of the pair.  R has len(R) <= 2 rows and may be singular (a
     point on the circle).  Read-only, built once per z, w, cutoff and table."""
     n_max, k_max = cutoff
-    j, _ = root_window(cutoff, table)
+    j = root_window(cutoff, table)
     E = math.sqrt(math.pi) * eval_matrix(np.array([z, w]), n_max, k_max, table) / j
     # rows n >= 1 enter twice (order -n) and carry the 1/sqrt(2) of Z and W
     c_Z = math.sqrt(2) * E[:, 1:, :]
@@ -145,10 +144,10 @@ def covariance_mc(z, w, cutoff, draws, seed, table):
 def tightness_statistic(runs, s_prime, table):
     """Empirical mean of the squared H^{-s'} norm over GammaSample runs.
 
-    Counts negative orders through conjugation symmetry: the weighted sum
-    of multiplicity x j^{-2s'} x |gamma|^2 over the runs' shared index set
-    and matrix size, to verify that the norm stays bounded as that size
-    grows (s' > 2).
+    Counts negative orders through conjugation symmetry: the sum of
+    |gamma|^2 weighted by sobolev_weights at -s' over the runs' shared index
+    set and matrix size, to verify that the norm stays bounded as
+    that size grows (s' > 2).  KeyError for an index outside the table.
     """
     if not 2 < s_prime < math.inf:
         raise ValueError(f"tightness regime requires finite s' > 2, got {s_prime!r}")
@@ -157,8 +156,10 @@ def tightness_statistic(runs, s_prime, table):
     index_set, N = runs[0].index_set, runs[0].matrix_size
     if any((run.index_set, run.matrix_size) != (index_set, N) for run in runs):
         raise ValueError("runs must share one index set and one matrix size")
-    n, k = np.array(index_set).reshape(-1, 2).T
-    weights = np.where(n == 0, 1.0, 2.0) * table.root(n, k) ** (-2.0 * s_prime)
+    n, k = np.array(index_set, dtype=int).reshape(-1, 2).T
+    table.root(n, k)  # the range check, before the window below is read
+    n = np.abs(n)  # order -n weighs as order n
+    weights = sobolev_weights((n.max(initial=0), k.max(initial=1)), -s_prime, table)[n, k - 1]
     values = np.stack([run.values for run in runs])
     return float(np.mean(np.abs(values) ** 2 @ weights))
 

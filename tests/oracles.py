@@ -17,7 +17,8 @@ coefficients of a single spectrum are the one-draw form of the library's
 batched route, the covariance of the truncated limit field summed order by
 order from its coefficient law is the second route to the library's
 factored pair covariance, the field's coefficients in complex arithmetic
-and the Sobolev norm with its weights formed in every call are the forms
+and the Sobolev norm with its weights (and its own multiplicity of the
+orders n and -n) formed in every call are the forms
 the library's real-arithmetic sampler and cached weights keep bit for
 bit, and the exact finite-N moments with the one-point density and the
 radial kernel factors rebuilt in every call, on any rule, are the form
@@ -441,7 +442,7 @@ def coeff_arrays_complex(rng, cutoff, table):
     """The limit field's coefficients a[n, k-1] assembled in complex
     arithmetic, with A, Z and W drawn from rng in turn: the form that
     field._coeff_arrays keeps bit for bit in real arithmetic."""
-    j, _ = root_window(cutoff, table)
+    j = root_window(cutoff, table)
     n_max, k_max = cutoff
     rt = math.sqrt(math.pi)
     a = np.empty((n_max + 1, k_max), dtype=complex)
@@ -457,11 +458,18 @@ def coeff_arrays_complex(rng, cutoff, table):
     return a
 
 
+def real_field_multiplicity(n_max):
+    """Column of the orders each row n of a real field's coefficients stands
+    for: 1 for n = 0, and 2 for n >= 1, the orders n and -n."""
+    return np.append(1.0, np.full(n_max, 2.0))[:, None]
+
+
 def sobolev_norm_uncached(a, s, table):
     """sum mult |a|^2 j^{2s} with the weights formed in every call, in the
     order (mult |a|^2) j^{2s}: the form basis.sobolev_norm keeps bit for bit
     with its cached weights."""
-    j, mult = root_window((a.shape[0] - 1, a.shape[1]), table)
+    j = root_window((a.shape[0] - 1, a.shape[1]), table)
+    mult = real_field_multiplicity(a.shape[0] - 1)
     return float(np.sum(mult * np.abs(a) ** 2 * j ** (2.0 * s)))
 
 
@@ -488,7 +496,8 @@ def truncated_covariance(p, q, cutoff, table):
 
 def tightness_bound(s_prime, cutoff, table, constant):
     """Reference bound constant * sum over the index window of j^{2 - 2s'}."""
-    j, mult = root_window(cutoff, table)
+    j = root_window(cutoff, table)
+    mult = real_field_multiplicity(cutoff[0])
     return constant * float(np.sum(mult * j ** (2.0 - 2.0 * s_prime)))
 
 

@@ -16,6 +16,7 @@ from ginfield.basis import (
     radial_profile,
     radial_rule,
     sobolev_norm,
+    sobolev_weights,
 )
 from ginfield.bessel import build_root_table
 from oracles import (
@@ -254,6 +255,21 @@ def test_sobolev_norm_refuses_a_non_finite_exponent(s, table):
     # s = nan used to give nan, and s = +-inf 0.0 or inf
     with pytest.raises(ValueError, match="finite"):
         sobolev_norm(_real_field((3, 3), 1), s, table)
+
+
+@pytest.mark.parametrize("s", [-2.5, -1.0, 0.0, 1.5])
+@pytest.mark.parametrize("cutoff", [(1, 1), (4, 5), (8, 8), (32, 32), (64, 64)])
+def test_sobolev_weights_equal_the_per_entry_weight(table, cutoff, s):
+    # mult j^{2s} entry by entry in numpy's scalar power, mult 2 for the
+    # orders n and -n of a real field and 1 for n = 0; one array per key
+    n_max, k_max = cutoff
+    w = sobolev_weights(cutoff, s, table)
+    ref = [
+        [(2.0 if n else 1.0) * np.power(table.root(n, k), 2.0 * s) for k in range(1, k_max + 1)]
+        for n in range(n_max + 1)
+    ]
+    assert w.shape == (n_max + 1, k_max) and np.array_equal(w, ref)
+    assert sobolev_weights(cutoff, s, table) is w
 
 
 def test_pairing_conventions():

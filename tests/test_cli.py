@@ -302,10 +302,9 @@ def test_each_run_writes_its_manifest_result_and_csvs_only(name, flags, csvs, tm
     # ginibre-sample its spectra a second time as spectra.json
     assert [case[0] for case in _OUTPUT_CASES] == list(cli._EXPERIMENTS)
     out = tmp_path / "o"
-    # sobolev-tightness fails at these flags on correct code: its no-growth
-    # check stats[-1] < 2 stats[0] judges a statistic of two heavy-tailed
-    # draws (the open FOUND on that check in CHANGES.md, ROADMAP item 6)
-    assert main([name, *flags, "--out", str(out)]) == (1 if name == "sobolev-tightness" else 0)
+    # sobolev-tightness passes at two draws: its statistics are judged by the
+    # limit law's se, not by a no-growth ratio of two heavy-tailed draws
+    assert main([name, *flags, "--out", str(out)]) == 0
     expected = {"manifest.json", "result.json", *(f"{c}.csv" for c in csvs)}
     assert {p.name for p in out.iterdir()} == expected
     manifest = json.loads((out / "manifest.json").read_text())
@@ -691,6 +690,55 @@ def test_tightness_checks_its_exact_means_against_the_limit_sum(tmp_path, monkey
     assert main(args) == 0
     monkeypatch.setattr(cli, "expected_norm_sq", lambda *a: math.nextafter(top, 0.0))
     assert main(args) == 1
+
+
+def _limit_law_draws(doubled_at=None):
+    """A stand-in for cli.gamma_draws with no eigensolve: draws of the limit
+    law over the n-major window of the index set, which are the coefficients
+    of field.sample_h, seeded per (seed, N, draw); at N = doubled_at each
+    draw is scaled by sqrt(2), which doubles the statistic."""
+    def draws(N, count, index_set, seed, table, workers=1):
+        cutoff = index_set[-1]
+        G = np.array(
+            [field.sample_h(cutoff, [seed, N, i], table).coeffs.ravel() for i in range(count)]
+        )
+        return math.sqrt(2.0) * G if N == doubled_at else G
+
+    return draws
+
+
+def test_tightness_judges_each_statistic_by_the_limit_law_se(tmp_path, monkeypatch):
+    # correct draws pass at 2 draws, where the old check stats[-1] < 2 stats[0]
+    # failed, and at 100; a statistic doubled at one N fails at 100
+    table = build_root_table(4, 4)
+    args = ["sobolev-tightness", "--n-max", "4", "--k-max", "4", "--out", str(tmp_path)]
+
+    def result():
+        return json.loads((tmp_path / "result.json").read_text())["result"]
+
+    monkeypatch.setattr(cli, "gamma_draws", _limit_law_draws())
+    assert main([*args, "--draws", "2"]) == 0
+    # se^2 draws = Var T in the limit law, in closed form: order n >= 1 adds
+    # pi^2 sum_{k,l} w_k w_l (j_k j_l)^-2 ([k = l] + 1/n)^2, order 0 twice
+    # pi^2 sum_k w_k^2 j_k^-4, with w = mult j^{-2s'}
+    s, var = 2.5, 0.0
+    for n in range(5):
+        j = np.array([table.root(n, k) for k in range(1, 5)])
+        u = (1.0 if n == 0 else 2.0) * j ** (-2.0 * s) / j**2
+        if n == 0:
+            var += 2.0 * np.sum(u**2)
+        else:
+            var += np.sum(u**2) * (1 + 2 / n) + np.sum(u) ** 2 / n**2
+    assert result()["se"] == pytest.approx(math.pi * math.sqrt(var / 2), rel=1e-13)
+    assert main([*args, "--draws", "100"]) == 0
+    assert max(map(abs, result()["exact_z"].values())) <= 5.0
+    monkeypatch.setattr(cli, "gamma_draws", _limit_law_draws(doubled_at=64))
+    assert main([*args, "--draws", "100"]) == 1
+    rep = result()
+    z = rep["exact_z"]
+    assert z["64"] > 5.0 and abs(z["16"]) <= 5.0 and abs(z["256"]) <= 5.0
+    for N in ("16", "64", "256"):
+        assert z[N] == (rep["statistic_by_N"][N] - rep["exact_by_N"][N]) / rep["se"]
 
 
 # Config values as a key=value file holds them: no comment sign, no line

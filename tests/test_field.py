@@ -18,7 +18,7 @@ from ginfield.field import (
     tightness_statistic,
 )
 from ginfield.ginibre import sample_spectrum
-from ginfield.linstats import GammaSample, centering_term, gamma_draws
+from ginfield.linstats import GammaSample, centering_term, gamma_draws, variance_bound_check
 from oracles import (
     coeff_arrays_complex,
     eval_eigenfunction,
@@ -88,7 +88,7 @@ def test_the_cached_scales_and_weights_are_read_only(small_table):
     a = sample_h((4, 5), 0, small_table).coeffs
     sobolev_norm(a, -1.0, small_table)
     scales = field._coeff_scales((4, 5), small_table)
-    for arr in (*scales, basis._sobolev_weights(a.shape, -1.0, small_table)):
+    for arr in (*scales, basis.sobolev_weights((4, 5), -1.0, small_table)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -103,8 +103,8 @@ def test_the_caches_follow_the_table_content(small_table):
     assert not np.array_equal(sample_h((3, 3), 4, other).coeffs, a)
     assert sobolev_norm(a, 1.5, other) != sobolev_norm(a, 1.5, small_table)
     assert not np.array_equal(
-        basis._sobolev_weights(a.shape, 1.5, other),
-        basis._sobolev_weights(a.shape, 1.5, small_table),
+        basis.sobolev_weights((3, 3), 1.5, other),
+        basis.sobolev_weights((3, 3), 1.5, small_table),
     )
     assert sobolev_norm(a, 1.5, other) == sobolev_norm_uncached(a, 1.5, other)
 
@@ -113,7 +113,7 @@ def test_cutoff_past_the_table_raises(small_table):
     # the 16 x 16 table must not be truncated silently to a larger cutoff,
     # and a refused call leaves nothing in the caches
     field._coeff_scales.cache_clear()
-    basis._sobolev_weights.cache_clear()
+    basis.sobolev_weights.cache_clear()
     for cutoff in ((8, 17), (17, 8)):
         with pytest.raises(KeyError, match=r"outside table \(16, 16\)"):
             expected_norm_sq(1.0, cutoff, small_table)
@@ -124,7 +124,7 @@ def test_cutoff_past_the_table_raises(small_table):
     with pytest.raises(KeyError, match=r"outside table \(16, 16\)"):
         sobolev_norm(np.ones((3, 17), dtype=complex), -1.0, small_table)
     assert field._coeff_scales.cache_info().currsize == 0
-    assert basis._sobolev_weights.cache_info().currsize == 0
+    assert basis.sobolev_weights.cache_info().currsize == 0
 
 
 def test_expected_norm_formula(small_table):
@@ -146,12 +146,12 @@ def test_expected_norm_formula(small_table):
 def test_field_norms_refuse_a_non_finite_exponent(s, small_table):
     # each used to return nan for s = nan and 0.0 for s = inf; the refusal
     # comes before the weights are cached
-    basis._sobolev_weights.cache_clear()
+    basis.sobolev_weights.cache_clear()
     with pytest.raises(ValueError, match="finite"):
         field_norm_sq(sample_h((3, 3), 1, small_table), s, small_table)
     with pytest.raises(ValueError, match="finite"):
         expected_norm_sq(s, (3, 3), small_table)
-    assert basis._sobolev_weights.cache_info().currsize == 0
+    assert basis.sobolev_weights.cache_info().currsize == 0
 
 
 def test_norm_concentrates_on_expectation(small_table):
@@ -414,8 +414,33 @@ def test_tightness_statistic_refuses_runs_of_two_matrix_sizes(small_table):
         tightness_statistic(runs, 2.5, small_table)
 
 
+@pytest.mark.parametrize("bad", [(0, 0), (3, 0), (17, 1), (2, 17)])
+def test_tightness_statistic_refuses_an_index_outside_the_table(bad, small_table):
+    # k = 0 would read the last column of the weight window, and an index
+    # past the 16 x 16 table a window the table does not hold
+    idx = ((0, 1), bad)
+    runs = [GammaSample(idx, np.ones(2, dtype=complex), 16, 0)]
+    with pytest.raises(KeyError, match="outside table"):
+        tightness_statistic(runs, 2.5, small_table)
+
+
+def test_the_exact_means_stay_below_the_limit_law_below_s_prime_2(table):
+    # the free field lies in H^{-s} for every s > 0, below the s' > 2 that
+    # tightness_statistic takes: on the 32 x 32 window the exact mean
+    # sum mult j^{-2s} Var_N gamma stays below E ||h||^2_{H^{-s}} of the limit
+    # and rises towards it with N
+    sizes = [64, 256, 1024]
+    rows = variance_bound_check(range(33), range(1, 33), sizes, table)["entries"]
+    var = np.array([r["variance"] for r in rows]).reshape(len(sizes), 33, 32)
+    for s in (0.25, 0.5, 1.0, 2.0, 2.5):
+        exact = np.sum(basis.sobolev_weights((32, 32), -s, table) * var, axis=(1, 2))
+        ratio = exact / expected_norm_sq(s, (32, 32), table)
+        assert np.all(ratio < 1.0) and np.all(np.diff(ratio) > 0.0), (s, ratio)
+
+
 def test_tightness_statistic_equals_the_per_entry_sum(small_table):
-    idx = ((0, 1), (2, 3), (1, 1), (0, 5), (7, 2))
+    # a negative order weighs as its mirror, as RootTable.root reads it
+    idx = ((0, 1), (2, 3), (1, 1), (0, 5), (7, 2), (-3, 2))
     G = gamma_draws(16, 6, idx, 2, small_table)
     runs = [GammaSample(idx, g, 16, 2) for g in G]
     per_entry = np.mean(

@@ -6,8 +6,9 @@ references in the code of reachable definitions, and every public field,
 method and property of a library class must be read as an attribute
 somewhere in that code.  Independent reference routes that only tests need
 belong in tests/oracles.py.  No module imports a name it never uses, nor
-another module's private name, and no module but bessel.py subscripts a
-table's roots.
+another module's private name, no module but bessel.py subscripts a
+table's roots, and no module but basis.py chooses between the weights 1
+and 2 of a real field's orders.
 """
 
 import ast
@@ -293,3 +294,51 @@ def test_only_bessel_subscripts_a_root_table():
         and node.value.attr == "roots"
     ]
     assert offenders == [], "read roots through RootTable.root"
+
+
+def _multiplicity_choices(tree):
+    """Line numbers in tree of a choice between the constants 1.0 and 2.0 by
+    a comparison: an IfExp, or a where call whose two value arguments are
+    those constants."""
+    def one_and_two(a, b):
+        return all(isinstance(x, ast.Constant) for x in (a, b)) and {a.value, b.value} == {1.0, 2.0}
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.IfExp):
+            test, values = node.test, (node.body, node.orelse)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "where"
+            and len(node.args) == 3
+        ):
+            test, values = node.args[0], node.args[1:]
+        else:
+            continue
+        if isinstance(test, ast.Compare) and one_and_two(*values):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_multiplicity_check_sees_a_choice():
+    tree = ast.parse(
+        "a = 1.0 if n == 0 else 2.0\n"
+        "b = np.where(n > 0, 2.0, 1.0)\n"
+        "c = where(n == 0, 1, 2)\n"
+        "d = np.where(n > 0, 3.0, 1.0)\n"
+        "e = 2.0 if flag else 1.0\n"
+        "f = 0.5 if n > 0 else 1.0\n"
+    )
+    assert _multiplicity_choices(tree) == [1, 2, 3]
+
+
+def test_only_basis_counts_order_minus_n():
+    # basis.sobolev_weights is the one place that weighs row n >= 1 of a real
+    # field twice, for the orders n and -n
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "basis.py"
+        for line in _multiplicity_choices(ast.parse(path.read_text()))
+    ]
+    assert offenders == [], "read the weight of a real field from basis.sobolev_weights"

@@ -33,7 +33,7 @@ from . import __version__
 from .basis import gram_blocks, sobolev_weights
 from .bessel import RootBracketError, build_root_table
 from .field import covariance_mc, expected_norm_sq, tightness_statistic, truncated_covariance
-from .ginibre import EigensolverError, VarianceError, radial_pair_variance, sample_spectrum
+from .ginibre import EigensolverError, VarianceError, sample_spectrum, trace_power_errors
 from .linstats import (
     DECAY_CPRIME_MAX,
     SHARP_RATIO_MAX,
@@ -185,8 +185,11 @@ def _exp_ginibre_sample(cfg, table):
 
 def _exp_pair_variance(cfg, table):
     rep = variance_bound_check(range(cfg.n_max + 1), range(1, cfg.k_max + 1), [cfg.n_size], table)
-    # Var sum_i z_i = E|tr A|^2 = 1 checks the rule of the exact variances
-    rep["identity_error"] = abs(radial_pair_variance(lambda r: r, -1, cfg.n_size) - 1.0)
+    # Var sum_i z_i^m = E|tr A^m|^2 checks the rule of the exact variances at
+    # every order m <= n_max below N, at most 16 (m = 1 always)
+    errors = trace_power_errors(cfg.n_size, max(1, min(cfg.n_max, cfg.n_size - 1, 16)))
+    rep["identity_error_by_order"] = dict(zip(map(str, range(1, len(errors) + 1)), errors))
+    rep["identity_error"] = max(errors)
     cols = ["n", "k", "N", "variance", "ratio", "sharp_ratio"]
     rows = [[r[c] for c in cols] for r in rep["entries"]]
     ok = (

@@ -17,6 +17,11 @@ from scipy import special
 from .basis import radial_rule
 
 TRACE_TOL_PER_N = 1e-8
+# Largest share of a radial sum that the rule's outermost node may carry:
+# r^64 at N = 16 puts 1.1e-3 there and misses its variance by 1.7e-2, and a
+# rule cut at sqrt(1 + 20/N) + 2/sqrt(N) (1.4e-5 off the trace identity at
+# N = 1024) puts 9.5e-10 there, which the trace identity itself reports.
+RADIAL_TAIL_MAX = 1e-8
 
 
 class EigensolverError(RuntimeError):
@@ -24,7 +29,8 @@ class EigensolverError(RuntimeError):
 
 
 class VarianceError(RuntimeError):
-    """Raised when an exact variance comes out negative or NaN."""
+    """Raised when an exact variance comes out negative or NaN, or when a
+    radial sum is not finite or is cut off at the rule's last radius."""
 
 
 @dataclass(frozen=True)
@@ -133,14 +139,14 @@ def _plane_rule(N):
     return quad, rho, R
 
 
-def _diagonal_pair_sq(R, d, C, wr):
-    """List of the sums over the valid k of |A_{k,k+d}|^2, one per row c of
-    the 2-D C, A_{k,k+d} = 2 pi int c(r) R_k(r) R_{k+d}(r) r dr the kernel
-    overlap of the angular mode c(r) e^{i d theta} (r dr already in wr); one
-    (pairs, radii) product at a time, whatever the number of rows."""
+def _overlaps(R, d, C, wr):
+    """(rows, pairs) overlaps A_{k,k+d} = 2 pi int c(r) R_k R_{k+d} r dr over the
+    valid k (none when |d| >= N) of the modes c(r) e^{i d theta}, c the rows of
+    the 2-D C (r dr already in wr); one K @ w per row, K = R_k R_{k+d}, so a
+    row's overlaps do not depend on the other rows of the call."""
     pairs = max(R.shape[0] - abs(d), 0)
     K = R[max(0, -d) :][:pairs] * R[max(0, d) :][:pairs]
-    return [float((np.abs(2.0 * math.pi * (K * w).sum(axis=1)) ** 2).sum()) for w in C * wr]
+    return np.array([2.0 * math.pi * (K @ w) for w in C * wr]).reshape(len(C), pairs)
 
 
 def _checked_variance(diag, off_sq):
@@ -165,7 +171,7 @@ def pair_variance(f, N, quad=None):
     The angular reduction is done by FFT of f on the polar grid, so only
     radial integrals remain.  Every pair difference l - k must be resolved
     by the angular grid, so N - 1 <= len(quad.theta) // 2 is required.  For
-    f = g(r) e^{-i n theta}, radial_pair_variance gives the same value
+    f = g(r) e^{-i n theta}, radial_pair_variances gives the same value
     without the grid.  This is the general route, for any f and any rule:
     rho_N and the radial kernel factors on quad.r are built in every call
     (_kernel), a small share of the FFT and the overlap sums.
@@ -188,31 +194,50 @@ def pair_variance(f, N, quad=None):
     for d in range(-(N - 1), N):
         cm = c[:, d % M]
         if np.any(cm):
-            off_sq += _diagonal_pair_sq(R, d, cm[None, :], quad.wr)[0]
+            off_sq += float((np.abs(_overlaps(R, d, cm[None, :], quad.wr)) ** 2).sum())
     return _checked_variance(diag, off_sq)
 
 
+def _radial_sum(G, rho, wr):
+    """2 pi sum_r G(r) rho_N(r) wr along the last axis of G (r dr already in
+    wr): the one radial sum of radial_mean and of the diagonal terms of
+    radial_pair_variances.
+    VarianceError for the first sum that is not finite, or whose outermost
+    node carries more than RADIAL_TAIL_MAX of sum |G rho_N wr|, so that a
+    factor still heavy at the rule's last radius is not cut off silently."""
+    terms = G * rho * wr
+    total = 2.0 * math.pi * terms.sum(axis=-1)
+    tail, mass = np.abs(terms[..., -1]), np.abs(terms).sum(axis=-1)
+    ok = np.isfinite(total) & (tail <= RADIAL_TAIL_MAX * mass)
+    if not ok.all():
+        t, top, m = (float(a[~ok][0]) for a in (total, tail, mass))
+        if not math.isfinite(t):
+            raise VarianceError(f"radial sum {t} is not finite")
+        raise VarianceError(
+            f"the outermost radial node carries {top / m:.3e} of a radial sum, past "
+            f"{RADIAL_TAIL_MAX:.0e}: the factor is cut off at the rule's last radius"
+        )
+    return total
+
+
 def radial_mean(g, N):
-    """E sum_i g(|z_i|) = 2 pi int g(r) rho_N(r) r dr for a radial g, one
-    radial sum on the nodes of _plane_rule(N)."""
+    """E sum_i g(|z_i|) = 2 pi int g(r) rho_N(r) r dr for a radial g: the one
+    radial sum on the nodes of _plane_rule(N), which refuses a sum that is
+    not finite or is cut off at the rule's last radius."""
     quad, rho, _ = _plane_rule(N)
-    return float(2.0 * math.pi * np.sum(np.asarray(g(quad.r)) * rho * quad.wr))
-
-
-def radial_pair_variance(g, n, N):
-    """pair_variance of g(r) e^{-i n theta}: one case, one row of radial_pair_variances."""
-    return radial_pair_variances(lambda _, r: np.asarray(g(r))[None, None], [(n, N)])[0][0]
+    return float(_radial_sum(np.asarray(g(quad.r)), rho, quad.wr))
 
 
 def radial_pair_variances(g, cases):
     """For each case (n, N), the list of pair_variance of f(r) e^{-i n theta}
-    for each radial factor f of order n: the radial mean of |f|^2 less the
-    overlaps on the diagonal l - k = -n (none when |n| >= N), on the radial
-    nodes of _plane_rule(N), each rule read once.  One call g(ns, r), ns the
-    column of distinct orders and r the sorted union of the nodes of every N,
-    gives the factors, shape (len(ns), rows, len(r)).  Sums run along the
-    radii of C-contiguous arrays, so rows do not mix; VarianceError for the
-    first row, N by N, that fails _checked_variance."""
+    for each radial factor f of order n: the radial sum of |f|^2 less the
+    squared overlaps on the diagonal l - k = -n (none when |n| >= N), on the
+    radial nodes of _plane_rule(N), each rule read once.  One call g(ns, r),
+    ns the column of distinct orders and r the sorted union of the nodes of
+    every N, gives the factors, shape (len(ns), rows, len(r)).  Sums run along
+    radii and _overlaps forms each row alone, so rows do not mix; N by N,
+    VarianceError when a radial sum fails, then for the first row that fails
+    _checked_variance."""
     rules = {N: _plane_rule(N) for _, N in cases}
     r = np.unique(np.concatenate([quad.r for quad, _, _ in rules.values()]))
     ns = list(dict.fromkeys(n for n, _ in cases))
@@ -221,8 +246,24 @@ def radial_pair_variances(g, cases):
     for N, (quad, rho, R) in rules.items():
         orders = [n for n, M in cases if M == N]
         G = np.take(rows[[ns.index(n) for n in orders]], np.searchsorted(r, quad.r), axis=-1)
-        diag = 2.0 * math.pi * (np.abs(G) ** 2 * rho * quad.wr).sum(axis=-1)
+        diag = _radial_sum(np.abs(G) ** 2, rho, quad.wr)
         for n, d, Gn in zip(orders, diag, G):
-            off_sq = _diagonal_pair_sq(R, -n, Gn, quad.wr)
-            out[n, N] = [_checked_variance(float(a), o) for a, o in zip(d, off_sq)]
+            off_sq = (np.abs(_overlaps(R, -n, Gn, quad.wr)) ** 2).sum(axis=1)
+            out[n, N] = [_checked_variance(a, o) for a, o in zip(d.tolist(), off_sq.tolist())]
     return [out[case] for case in cases]
+
+
+def _trace_power_moment(m, N):
+    """E|tr A^m|^2 = N^{-m} sum_{k = max(0, N-m)}^{N-1} (k+1)...(k+m) for the
+    Ginibre(N) matrix A (Kostlan), in integers and rounded once."""
+    return sum(math.prod(range(k + 1, k + m + 1)) for k in range(max(0, N - m), N)) / N**m
+
+
+def trace_power_errors(N, m_max):
+    """For m = 1 .. m_max, the relative miss |V_m / E|tr A^m|^2 - 1| of
+    V_m = Var sum_i z_i^m, the variance of g(r) = r^m at order n = -m from one
+    radial_pair_variances call, against _trace_power_moment: a certificate
+    of the plane rule at every order."""
+    ms = range(1, m_max + 1)
+    variances = radial_pair_variances(lambda ns, r: (r ** -ns)[:, None], [(-m, N) for m in ms])
+    return [abs(v / _trace_power_moment(m, N) - 1.0) for m, (v,) in zip(ms, variances)]

@@ -24,7 +24,8 @@ bit, and the exact finite-N moments with the one-point density and the
 radial kernel factors rebuilt in every call, on any rule, are the form
 the library's per-N plane-rule cache replaces; on a rule of 2,000 radii
 per panel, with the closed-form density, they are the accuracy reference
-of the library's rule.
+of the library's rule.  The one-case, one-row call of the library's
+radial_pair_variances, which only tests make, is kept here too.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ from ginfield.ginibre import (
     PlaneQuadrature,
     SpectrumSample,
     _checked_variance,
-    _diagonal_pair_sq,
     _kernel,
+    _overlaps,
+    radial_pair_variances,
 )
 from ginfield.linstats import GammaSample, _gamma_block, centering_term
 from ginfield.logkernel import alpha_radial
@@ -331,8 +333,14 @@ def pair_variance_per_call(f, N, quad=None):
     for d in range(-(N - 1), N):
         cm = c[:, d % M]
         if np.any(cm):
-            off_sq += _diagonal_pair_sq(R, d, cm[None, :], quad.wr)[0]
+            off_sq += float((np.abs(_overlaps(R, d, cm[None, :], quad.wr)) ** 2).sum())
     return _checked_variance(diag, off_sq)
+
+
+def radial_pair_variance(g, n, N):
+    """ginibre.radial_pair_variances of one case (n, N) and one row g(r): the
+    pair_variance of g(r) e^{-i n theta} on the cached plane rule."""
+    return radial_pair_variances(lambda _, r: np.asarray(g(r))[None, None], [(n, N)])[0][0]
 
 
 def radial_pair_variance_per_call(g, n, N, quad=None):
@@ -342,7 +350,8 @@ def radial_pair_variance_per_call(g, n, N, quad=None):
     gr = np.asarray(g(quad.r))
     rho, R = _kernel(N, quad.r)
     diag = float(2.0 * math.pi * np.sum(np.abs(gr) ** 2 * rho * quad.wr))
-    return _checked_variance(diag, _diagonal_pair_sq(R, -n, gr[None, :], quad.wr)[0])
+    off_sq = float((np.abs(_overlaps(R, -n, gr[None, :], quad.wr)) ** 2).sum())
+    return _checked_variance(diag, off_sq)
 
 
 def circle_average_variance(N):
@@ -401,7 +410,8 @@ def alpha_moments(N, index_set, table, quad):
     for n, k in index_set:
         g = alpha_radial(n, k, quad.r, table)
         diag = float(2.0 * math.pi * np.sum(g**2 * rho * quad.wr))
-        variances.append(_checked_variance(diag, _diagonal_pair_sq(R, -n, g[None, :], quad.wr)[0]))
+        off_sq = float((np.abs(_overlaps(R, -n, g[None, :], quad.wr)) ** 2).sum())
+        variances.append(_checked_variance(diag, off_sq))
         centerings.append(float(2.0 * math.pi * np.sum(g * rho * quad.wr)) if n == 0 else 0.0)
     return np.array(variances), np.array(centerings)
 

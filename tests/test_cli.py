@@ -562,7 +562,7 @@ def test_interpolant_failure_exits_3(tmp_path, monkeypatch, capsys):
 def test_variance_failure_exits_3(tmp_path, monkeypatch, capsys):
     # overlaps past the diagonal term leave a negative exact variance, which
     # used to end in a ValueError traceback with exit code 1
-    monkeypatch.setattr(ginibre, "_diagonal_pair_sq", lambda R, d, C, wr: [math.inf] * len(C))
+    monkeypatch.setattr(ginibre, "_overlaps", lambda R, d, C, wr: np.full((len(C), 1), math.inf))
     args = ["pair-variance", "--n-size", "8", "--n-max", "1", "--k-max", "1"]
     assert main([*args, "--out", str(tmp_path)]) == 3
     assert "off_sq/diag" in capsys.readouterr().err
@@ -623,6 +623,25 @@ def test_pair_variance_reports_the_sharp_ratio(tmp_path):
         header, *rows = list(csv.reader(f))
     assert header == ["n", "k", "N", "variance", "ratio", "sharp_ratio"]
     assert max(float(row[-1]) for row in rows) == result["max_sharp_ratio"]
+
+
+@pytest.mark.parametrize("n_size, n_max, orders", [(1, 8, 1), (4, 8, 3), (32, 3, 3), (64, 20, 16)])
+def test_pair_variance_judges_the_trace_identity_at_every_order(
+    n_size, n_max, orders, tmp_path, monkeypatch
+):
+    # Var sum z_i^m = E|tr A^m|^2 for m = 1 .. min(n_max, N - 1, 16), and m = 1
+    # at N = 1; a closed form 1e-5 off at the last order alone fails the run
+    args = ["pair-variance", "--n-size", str(n_size), "--n-max", str(n_max), "--k-max", "1"]
+    assert main([*args, "--out", str(tmp_path / "a")]) == 0
+    result = json.loads((tmp_path / "a" / "result.json").read_text())["result"]
+    by_order = result["identity_error_by_order"]
+    assert sorted(map(int, by_order)) == list(range(1, orders + 1))
+    assert result["identity_error"] == max(by_order.values()) < 1e-10
+    real = ginibre._trace_power_moment
+    monkeypatch.setattr(
+        ginibre, "_trace_power_moment", lambda m, N: real(m, N) * (1.0 + 1e-5 * (m == orders))
+    )
+    assert main([*args, "--out", str(tmp_path / "b")]) == 1
 
 
 def test_pair_variance_fails_when_its_rule_misses_the_trace_identity(

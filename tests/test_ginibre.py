@@ -17,10 +17,10 @@ from ginfield.ginibre import (
     eigenvalues,
     pair_variance,
     radial_mean,
-    radial_pair_variance,
     radial_pair_variances,
     sample_matrix,
     sample_spectrum,
+    trace_power_errors,
 )
 from ginfield.linstats import centering_term
 from oracles import (
@@ -32,6 +32,7 @@ from oracles import (
     one_point_density_series,
     pair_variance_per_call,
     polar_rule,
+    radial_pair_variance,
     radial_pair_variance_per_call,
 )
 
@@ -215,6 +216,65 @@ def test_radial_moments_meet_kostlans_closed_forms(N):
     assert abs(radial_pair_variance(lambda r: r, -1, N) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("N", [1, 2, 5, 16, 64])
+def test_trace_power_moments_are_kostlans_closed_form(N):
+    # E|tr A^m|^2 = 1, 2, 3 + 3/N^2 and 4 + 20/N^2 for m = 1 .. 4 below N,
+    # and sum_{k<N} (k+1)...(k+m) / N^m from m = N on
+    moment = ginibre._trace_power_moment
+    assert moment(1, N) == 1.0
+    if N > 4:
+        assert [moment(m, N) for m in (2, 3, 4)] == pytest.approx(
+            [2.0, 3.0 + 3.0 / N**2, 4.0 + 20.0 / N**2], rel=1e-15, abs=0
+        )
+    assert moment(N + 1, N) == pytest.approx(
+        sum(math.factorial(k + N + 1) / math.factorial(k) for k in range(N)) / N ** (N + 1),
+        rel=1e-14,
+    )
+
+
+@pytest.mark.parametrize("N", [16, 256, 1024])
+def test_trace_power_certificate_holds_at_every_order(N):
+    # Var sum z_i^m on the plane rule meets E|tr A^m|^2 for m <= 16 (at most
+    # 1.3e-11 relative up to N = 1024, m = 1 the worst)
+    errors = trace_power_errors(N, 16)
+    assert len(errors) == 16
+    assert max(errors) < 1e-10
+
+
+def test_a_factor_cut_off_at_the_last_radius_is_refused():
+    # r^64 at N = 16 puts 1.1e-3 of |g|^2 rho_N on the rule's outermost node
+    # and misses E|tr A^64|^2 by 1.7e-2
+    with pytest.raises(VarianceError, match="outermost radial node carries 1.1"):
+        radial_pair_variance(lambda r: r**64, -64, 16)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_radial_mean_refuses_a_factor_that_is_not_finite(value):
+    with pytest.raises(VarianceError, match=f"radial sum {value} is not finite"):
+        radial_mean(lambda r: np.full_like(r, value), 8)
+
+
+@pytest.mark.parametrize("N", [8, 1024])
+def test_overlaps_of_stacked_rows_equal_each_row_alone(N):
+    # one K @ w product per row: a single (rows x radii) @ (radii x pairs)
+    # product is faster at large N but rounds a row by its neighbours
+    quad, _, R = ginibre._plane_rule(N)
+    rng = np.random.default_rng(N)
+    C = rng.standard_normal((5, len(quad.r)))
+    for rows in (C, C + 1j * rng.standard_normal(C.shape)):
+        for d in (-3, 0, 3, -N, N, N + 5):
+            A = ginibre._overlaps(R, d, rows, quad.wr)
+            pairs = max(N - abs(d), 0)
+            assert A.shape == (5, pairs)
+            for c, a in zip(rows, A):
+                assert np.array_equal(ginibre._overlaps(R, d, c[None, :], quad.wr)[0], a)
+            # A_{k,k+d} = 2 pi sum_r c R_k R_{k+d} wr
+            lo = max(0, -d)
+            K = R[lo : lo + pairs] * R[lo + d : lo + d + pairs]
+            direct = 2.0 * math.pi * np.einsum("ir,kr,r->ik", rows, K, quad.wr)
+            assert np.allclose(A, direct, rtol=1e-13, atol=1e-13 * np.abs(direct).max(initial=0))
+
+
 def test_the_circle_average_has_no_zero_mode():
     # A_1 = sum_i log max(1, |z_i|) is the average of h_N over the unit
     # circle (Jensen); Var A_1 meets Kostlan's law and falls like 0.052 /
@@ -261,22 +321,27 @@ def test_pair_variance_refuses_negative_variance():
 
 
 def test_pair_variance_refuses_nan():
-    # NaN fails every comparison, so the sign check must reject it explicitly
+    # NaN fails every comparison, so the sign check must reject it explicitly;
+    # the radial route refuses it already in the radial sum of its diagonal
     with pytest.raises(VarianceError, match="off_sq/diag"):
         pair_variance(lambda z: np.full(z.shape, np.nan, dtype=complex), 8)
-    with pytest.raises(VarianceError, match="off_sq/diag"):
+    with pytest.raises(VarianceError, match="radial sum nan is not finite"):
         radial_pair_variance(lambda r: np.full_like(r, np.nan), 0, 8)
 
 
-# A row that fails the check, and the weight factor of the rule: NaN fails
-# every comparison, and with weights 1 % too heavy the overlaps of g = 1,
-# whose variance is 0, exceed its diagonal term.
-FAILING_ROWS = {"nan": (lambda r: np.full_like(r, np.nan), 1.0), "negative": (np.ones_like, 1.01)}
+# A row that fails a check, the weight factor of the rule, and the check:
+# NaN fails every comparison, so the radial sum of its diagonal term refuses
+# it, and with weights 1 % too heavy the overlaps of g = 1, whose variance
+# is 0, exceed its diagonal term.
+FAILING_ROWS = {
+    "nan": (lambda r: np.full_like(r, np.nan), 1.0, "not finite"),
+    "negative": (np.ones_like, 1.01, "off_sq/diag"),
+}
 
 
 @pytest.mark.parametrize("bad", FAILING_ROWS)
 def test_one_failing_row_fails_the_batch_with_its_own_ratio(bad, cold_kernel, monkeypatch):
-    g, weight = FAILING_ROWS[bad]
+    g, weight, message = FAILING_ROWS[bad]
     quad, rho, R = cold_kernel(8)
     quad = dataclasses.replace(quad, wr=weight * quad.wr)
     monkeypatch.setattr(ginibre, "_plane_rule", lambda N: (quad, rho, R))
@@ -285,10 +350,10 @@ def test_one_failing_row_fails_the_batch_with_its_own_ratio(bad, cold_kernel, mo
     def rows(*fs):
         return lambda ns, r: np.array([[f(r) for f in fs] for _ in ns])
 
-    with pytest.raises(VarianceError) as alone:
-        radial_pair_variance_per_call(g, 0, 8, quad)
+    with pytest.raises(VarianceError, match=message) as alone:
+        radial_pair_variances(rows(g), [(0, 8)])
     # warnings are errors here, so a numpy RuntimeWarning would fail this too
-    with pytest.raises(VarianceError) as batch:
+    with pytest.raises(VarianceError, match=message) as batch:
         radial_pair_variances(rows(good[0], g, good[1]), [(0, 8)])
     assert str(batch.value) == str(alone.value)
     expected = [radial_pair_variance_per_call(f, 0, 8, quad) for f in good]

@@ -16,7 +16,6 @@ from ginfield.ginibre import (
     draw_seed,
     eigenvalues,
     pair_variance,
-    radial_pair_variance,
     sample_matrix,
     sample_spectrum,
 )
@@ -40,6 +39,7 @@ from oracles import (
     limit_covariance_by_pair,
     limit_covariance_matrix_by_pair,
     limit_quadratic_form,
+    radial_pair_variance,
     radial_pair_variance_per_call,
     rv_variance,
 )

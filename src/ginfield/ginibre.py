@@ -90,7 +90,7 @@ def sample_spectrum(N, master_seed, draw_index=0):
 class PlaneQuadrature:
     """Polar quadrature for integrals against the kernel of Ginibre(N):
     radii r with weights wr (the r dr weight absorbed), tensored with
-    len(theta) uniform angles of weight wt.  build(N) takes 512 angles and
+    len(theta) uniform angles.  build(N) takes 512 angles and
     Gauss-Legendre radii on two panels split at r = 1, where alpha is only
     C^2: max(80, ceil(3 sqrt N)) on [0, 1], where the kernel factors have
     width 1/sqrt(2N), and 40 on [1, R = sqrt(1 + 20/N) + 4/sqrt(N)]:
@@ -99,13 +99,12 @@ class PlaneQuadrature:
     r: np.ndarray
     wr: np.ndarray
     theta: np.ndarray
-    wt: float
 
     @classmethod
     def build(cls, N):
         R = math.sqrt(1.0 + 20.0 / N) + 4.0 / math.sqrt(N)
         r, wr = radial_rule((0.0, 1.0, max(80, math.ceil(3.0 * math.sqrt(N)))), (1.0, R, 40))
-        return cls(r, wr, 2.0 * math.pi * np.arange(512) / 512, 2.0 * math.pi / 512)
+        return cls(r, wr, 2.0 * math.pi * np.arange(512) / 512)
 
     def nodes(self):
         """Complex nodes as a (radial, angular) grid."""
@@ -168,13 +167,13 @@ def pair_variance(f, N, quad=None):
 
         Var = int |f|^2 K(z,z) - sum_{k,l<N} |int f phi_k conj(phi_l)|^2.
 
-    The angular reduction is done by FFT of f on the polar grid, so only
-    radial integrals remain.  Every pair difference l - k must be resolved
-    by the angular grid, so N - 1 <= len(quad.theta) // 2 is required.  For
-    f = g(r) e^{-i n theta}, radial_pair_variances gives the same value
-    without the grid.  This is the general route, for any f and any rule:
-    rho_N and the radial kernel factors on quad.r are built in every call
-    (_kernel), a small share of the FFT and the overlap sums.
+    An FFT of f on the polar grid leaves radial integrals only; the
+    diagonal is _radial_sum of sum_m |c_m(r)|^2 (Parseval).  The angular
+    grid must resolve every pair difference l - k: N - 1 <=
+    len(quad.theta) // 2.  For f = g(r) e^{-i n theta}, radial_pair_variances
+    gives the same value without the grid.  This is the general route, for
+    any f and any rule: rho_N and the radial kernel factors on quad.r are
+    built in every call (_kernel), a small share of the FFT and the overlaps.
     """
     quad = quad or PlaneQuadrature.build(N)
     M = len(quad.theta)
@@ -188,8 +187,7 @@ def pair_variance(f, N, quad=None):
     # f(r, theta) = sum_m c_m(r) e^{i m theta}
     c = np.fft.fft(F, axis=1) / M  # c[:, m] with m negative aliased
     rho, R = _kernel(N, quad.r)
-    # diagonal part: int |f|^2 rho_N
-    diag = float(np.sum(np.abs(F) ** 2 * rho[:, None] * quad.wr[:, None] * quad.wt))
+    diag = float(_radial_sum(np.sum(np.abs(c) ** 2, axis=1), rho, quad.wr))
     off_sq = 0.0
     for d in range(-(N - 1), N):
         cm = c[:, d % M]
@@ -201,7 +199,7 @@ def pair_variance(f, N, quad=None):
 def _radial_sum(G, rho, wr):
     """2 pi sum_r G(r) rho_N(r) wr along the last axis of G (r dr already in
     wr): the one radial sum of radial_mean and of the diagonal terms of
-    radial_pair_variances.
+    pair_variance and radial_pair_variances.
     VarianceError for the first sum that is not finite, or whose outermost
     node carries more than RADIAL_TAIL_MAX of sum |G rho_N wr|, so that a
     factor still heavy at the rule's last radius is not cut off silently."""

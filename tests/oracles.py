@@ -95,7 +95,7 @@ def polar_rule(angular_order, *panels):
     e^{i m phi} holds on it, up to rounding, for |n - m| < angular_order."""
     r, wr = radial_rule(*panels)
     theta = 2.0 * math.pi * np.arange(angular_order) / angular_order
-    return PlaneQuadrature(r, wr, theta, 2.0 * math.pi / angular_order)
+    return PlaneQuadrature(r, wr, theta)
 
 
 def disk_rule(radial_order=120, angular_order=64):
@@ -104,8 +104,10 @@ def disk_rule(radial_order=120, angular_order=64):
 
 
 def grid_weights(quad):
-    """Weights of a polar rule on its (radial, angular) grid of nodes()."""
-    return quad.wr[:, None] * quad.wt * np.ones_like(quad.theta)[None, :]
+    """Weights of a polar rule on its (radial, angular) grid of nodes(): wr
+    tensored with the uniform angular weight 2 pi / len(theta)."""
+    wt = 2.0 * math.pi / len(quad.theta)
+    return quad.wr[:, None] * wt * np.ones_like(quad.theta)[None, :]
 
 
 def basis_matrix(indices, quad, table):
@@ -320,7 +322,9 @@ def expected_linear_statistic(f, N, quad=None):
 
 def pair_variance_per_call(f, N, quad=None):
     """ginibre.pair_variance with rho_N and the radial kernel factors built
-    inside the call (ginibre._kernel), in the library's arithmetic order."""
+    inside the call (ginibre._kernel), in the library's arithmetic order: the
+    diagonal is 2 pi sum_r E(r) rho_N wr of the Parseval energy E(r) =
+    sum_m |c_m(r)|^2 = (1 / 2 pi) int |f(r e^{i theta})|^2 d theta."""
     quad = quad or PlaneQuadrature.build(N)
     M = len(quad.theta)
     if N - 1 > M // 2:
@@ -328,7 +332,7 @@ def pair_variance_per_call(f, N, quad=None):
     F = np.asarray(f(quad.nodes()), dtype=complex)
     c = np.fft.fft(F, axis=1) / M
     rho, R = _kernel(N, quad.r)
-    diag = float(np.sum(np.abs(F) ** 2 * rho[:, None] * quad.wr[:, None] * quad.wt))
+    diag = float(2.0 * math.pi * (np.sum(np.abs(c) ** 2, axis=1) * rho * quad.wr).sum())
     off_sq = 0.0
     for d in range(-(N - 1), N):
         cm = c[:, d % M]

@@ -240,6 +240,8 @@ ALPHA_CASES = [(n, N) for n in (0, 1, 3, 8) for N in (8, 32)] + [
     (16, 32),
     (32, 64),
     (32, 16),  # |n| >= N: no pair of kernel terms couples
+    (1, 256),
+    (8, 256),
 ]
 
 

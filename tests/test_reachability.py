@@ -7,8 +7,9 @@ method and property of a library class must be read as an attribute
 somewhere in that code.  Independent reference routes that only tests need
 belong in tests/oracles.py.  No module imports a name it never uses, nor
 another module's private name, no module but bessel.py subscripts a
-table's roots, and no module but basis.py chooses between the weights 1
-and 2 of a real field's orders.
+table's roots, no module but basis.py chooses between the weights 1
+and 2 of a real field's orders, and no function but ginibre._radial_sum
+does arithmetic with rho_N.
 """
 
 import ast
@@ -342,3 +343,65 @@ def test_only_basis_counts_order_minus_n():
         for line in _multiplicity_choices(ast.parse(path.read_text()))
     ]
     assert offenders == [], "read the weight of a real field from basis.sobolev_weights"
+
+
+def _rho_arithmetic(tree):
+    """Names of the functions of tree, top-level or methods, other than
+    _radial_sum, in which rho, or a subscript of it, is an operand of
+    arithmetic: a binary or unary operator or an augmented assignment."""
+    def is_rho(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id == "rho"
+
+    def operands(node):
+        if isinstance(node, ast.BinOp):
+            return node.left, node.right
+        if isinstance(node, ast.UnaryOp):
+            return (node.operand,)
+        if isinstance(node, ast.AugAssign):
+            return node.target, node.value
+        return ()
+
+    functions = [
+        item
+        for stmt in tree.body
+        for item in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return {
+        fn.name
+        for fn in functions
+        if fn.name != "_radial_sum"
+        and any(is_rho(x) for node in ast.walk(fn) for x in operands(node))
+    }
+
+
+def test_the_rho_check_sees_a_sum_of_its_own():
+    tree = ast.parse(
+        "def pair_variance(F, rho, quad):\n"
+        "    return np.sum(np.abs(F) ** 2 * rho[:, None] * quad.wr[:, None])\n"
+        "def _radial_sum(G, rho, wr):\n"
+        "    return 2.0 * math.pi * (G * rho * wr).sum(axis=-1)\n"
+        "def radial_mean(g, N):\n"
+        "    quad, rho, _ = _plane_rule(N)\n"
+        "    return _radial_sum(g(quad.r), rho, quad.wr)\n"
+        "class A:\n"
+        "    def f(self, rho):\n"
+        "        rho += 1\n"
+        "    def g(self, rho):\n"
+        "        return -rho\n"
+    )
+    assert _rho_arithmetic(tree) == {"pair_variance", "f", "g"}
+
+
+def test_only_the_radial_sum_weighs_by_rho():
+    # ginibre._radial_sum is the one sum against rho_N, and it refuses a sum
+    # that is not finite or is cut off at the rule's last radius
+    found = {
+        path.name: _rho_arithmetic(ast.parse(path.read_text()))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: fns for name, fns in found.items() if fns} == {}, (
+        "sum against rho_N through ginibre._radial_sum"
+    )

@@ -12,8 +12,8 @@ one cached weight sobolev_weights, the only place that counts order -n.
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -57,13 +57,26 @@ def eval_matrix(points, n_max, k_max, table):
     return radial * np.exp(1j * ns * th[:, None])[:, :, None]
 
 
-@lru_cache(maxsize=16)
+def frozen_cache(maxsize):
+    """functools.lru_cache over a function whose array, or tuple of arrays,
+    every caller shares: each array, and any array it is a view of, is made
+    read-only once, when it is built.  A call that raises caches nothing."""
+    def decorate(fn):
+        def build(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            for a in out if isinstance(out, tuple) else (out,):
+                while isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+                    a = a.base
+            return out
+        return functools.lru_cache(maxsize)(functools.wraps(fn)(build))
+    return decorate
+
+
+@frozen_cache(maxsize=16)
 def _leggauss(order):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
-    and read-only, since every caller shares them."""
-    x, w = leggauss(order)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    return leggauss(order)
 
 
 def radial_rule(*panels):
@@ -121,15 +134,13 @@ def root_window(cutoff, table):
     return j
 
 
-@lru_cache(maxsize=16)
+@frozen_cache(maxsize=16)
 def sobolev_weights(cutoff, s, table):
     """mult * j^{2s} on root_window(cutoff, table), read-only, per cutoff, s
     and table, with mult 1 for n = 0 and 2 for n >= 1 (order -n is the
     conjugate of order n); so |a|^2 w rounds as (mult |a|^2) j^{2s}."""
     j = root_window(cutoff, table)
-    w = np.where(np.arange(cutoff[0] + 1)[:, None] > 0, 2.0, 1.0) * j ** (2.0 * s)
-    w.flags.writeable = False
-    return w
+    return np.where(np.arange(cutoff[0] + 1)[:, None] > 0, 2.0, 1.0) * j ** (2.0 * s)
 
 
 def sobolev_norm(a, s, table):

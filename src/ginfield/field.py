@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .basis import eval_matrix, root_window, sobolev_norm, sobolev_weights
+from .basis import (
+    SingularityError, eval_matrix, frozen_cache, root_window, sobolev_norm, sobolev_weights
+)
 
 
 @dataclass(frozen=True)
@@ -27,15 +28,12 @@ class FieldSample:
     coeffs: np.ndarray
 
 
-@lru_cache(maxsize=8)
+@frozen_cache(maxsize=8)
 def _coeff_scales(cutoff, table):
     """j_{0,k}, 1 / j_{n,k} for n >= 1 and the column 1 / sqrt(n) of a
     cutoff, read-only, built once per cutoff and table."""
     j = root_window(cutoff, table)
-    inv_j = 1.0 / j[1:]
-    inv_n = 1.0 / np.sqrt(np.arange(1, cutoff[0] + 1))[:, None]
-    j.flags.writeable = inv_j.flags.writeable = inv_n.flags.writeable = False
-    return j[0], inv_j, inv_n
+    return j[0], 1.0 / j[1:], 1.0 / np.sqrt(np.arange(1, cutoff[0] + 1))[:, None]
 
 
 def _coeff_arrays(rng, cutoff, table):
@@ -90,7 +88,7 @@ def field_norm_sq(sample, s, table):
 _BLOCK = 1 << 14  # draws per block of covariance_mc: 256 KiB of normals
 
 
-@lru_cache(maxsize=8)
+@frozen_cache(maxsize=8)
 def _pair_factor(z, w, cutoff, table):
     """R of M = QR, M (width x 2) the weights in h(z) and h(w) of the
     standard normals that _coeff_arrays draws, so R^T R = M^T M is the exact
@@ -104,9 +102,7 @@ def _pair_factor(z, w, cutoff, table):
     c_W = c_Z.sum(axis=2) / np.sqrt(np.arange(1, n_max + 1))
     c_Z = c_Z.reshape(2, n_max * k_max)
     M = np.hstack([E[:, 0, :].real, c_Z.real, c_Z.imag, c_W.real, c_W.imag]).T
-    R = np.linalg.qr(M, mode="r")
-    R.flags.writeable = False
-    return R
+    return np.linalg.qr(M, mode="r")
 
 
 def truncated_covariance(z, w, cutoff, table):
@@ -129,7 +125,7 @@ def covariance_mc(z, w, cutoff, draws, seed, table):
     z = complex(z)
     w = complex(w)
     if z == w:
-        raise ValueError("use distinct points; the diagonal diverges with cutoff")
+        raise SingularityError("use distinct points; the diagonal diverges with cutoff")
     if draws < 1:
         raise ValueError("draws must be >= 1")
     R = _pair_factor(z, w, tuple(cutoff), table)

@@ -7,14 +7,13 @@ independent real and imaginary parts of variance 1/2.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .basis import radial_rule
+from .basis import frozen_cache, radial_rule
 
 TRACE_TOL_PER_N = 1e-8
 # Largest share of a radial sum that the rule's outermost node may carry:
@@ -126,16 +125,12 @@ def _kernel(N, r):
     return np.square(R).sum(axis=0), R
 
 
-@functools.lru_cache(maxsize=8)
+@frozen_cache(maxsize=8)
 def _plane_rule(N):
-    """(quad, rho, R): the plane rule PlaneQuadrature.build(N) with _kernel
-    on its radial nodes, built once per N for the radial exact routes;
-    quad.r, quad.wr, rho and R are read-only."""
+    """(r, wr, rho, R): the radial rule of PlaneQuadrature.build(N) with
+    _kernel on its nodes, built once per N for the radial exact routes."""
     quad = PlaneQuadrature.build(N)
-    rho, R = _kernel(N, quad.r)
-    for a in (quad.r, quad.wr, rho, R):
-        a.flags.writeable = False
-    return quad, rho, R
+    return (quad.r, quad.wr, *_kernel(N, quad.r))
 
 
 def _overlaps(R, d, C, wr):
@@ -222,8 +217,8 @@ def radial_mean(g, N):
     """E sum_i g(|z_i|) = 2 pi int g(r) rho_N(r) r dr for a radial g: the one
     radial sum on the nodes of _plane_rule(N), which refuses a sum that is
     not finite or is cut off at the rule's last radius."""
-    quad, rho, _ = _plane_rule(N)
-    return float(_radial_sum(np.asarray(g(quad.r)), rho, quad.wr))
+    r, wr, rho, _ = _plane_rule(N)
+    return float(_radial_sum(np.asarray(g(r)), rho, wr))
 
 
 def radial_pair_variances(g, cases):
@@ -237,16 +232,16 @@ def radial_pair_variances(g, cases):
     VarianceError when a radial sum fails, then for the first row that fails
     _checked_variance."""
     rules = {N: _plane_rule(N) for _, N in cases}
-    r = np.unique(np.concatenate([quad.r for quad, _, _ in rules.values()]))
+    nodes = np.unique(np.concatenate([r for r, *_ in rules.values()]))
     ns = list(dict.fromkeys(n for n, _ in cases))
-    rows = np.asarray(g(np.reshape(ns, (-1, 1)), r))
+    rows = np.asarray(g(np.reshape(ns, (-1, 1)), nodes))
     out = {}
-    for N, (quad, rho, R) in rules.items():
+    for N, (r, wr, rho, R) in rules.items():
         orders = [n for n, M in cases if M == N]
-        G = np.take(rows[[ns.index(n) for n in orders]], np.searchsorted(r, quad.r), axis=-1)
-        diag = _radial_sum(np.abs(G) ** 2, rho, quad.wr)
+        G = np.take(rows[[ns.index(n) for n in orders]], np.searchsorted(nodes, r), axis=-1)
+        diag = _radial_sum(np.abs(G) ** 2, rho, wr)
         for n, d, Gn in zip(orders, diag, G):
-            off_sq = (np.abs(_overlaps(R, -n, Gn, quad.wr)) ** 2).sum(axis=1)
+            off_sq = (np.abs(_overlaps(R, -n, Gn, wr)) ** 2).sum(axis=1)
             out[n, N] = [_checked_variance(a, o) for a, o in zip(d.tolist(), off_sq.tolist())]
     return [out[case] for case in cases]
 

@@ -14,12 +14,13 @@ at many points, and everything else from alpha_radial itself.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import cheb2poly
 
-from .basis import DiskDomainError, SingularityError, green_dirichlet_series, radial_profile
+from .basis import (
+    DiskDomainError, SingularityError, frozen_cache, green_dirichlet_series, radial_profile
+)
 
 # Polynomial degree on each panel of the disk-branch interpolant, and the
 # largest error against alpha_radial, relative to max |g|, a build may keep.
@@ -91,7 +92,7 @@ def _interpolant(coef, r):
     return acc
 
 
-@lru_cache(maxsize=1)
+@frozen_cache(maxsize=1)
 def _chebyshev_matrices(degree):
     """Chebyshev points of the first kind on [-1, 1], the matrix taking values
     there to Chebyshev coefficients, and the matrix taking those to power
@@ -102,13 +103,10 @@ def _chebyshev_matrices(degree):
     to_power = np.zeros((degree + 1, degree + 1))
     for m in range(degree + 1):
         to_power[m, : m + 1] = cheb2poly([0.0] * m + [1.0])
-    nodes = np.cos(theta)
-    for a in (nodes, to_cheb, to_power):
-        a.flags.writeable = False
-    return nodes, to_cheb, to_power
+    return np.cos(theta), to_cheb, to_power
 
 
-@lru_cache(maxsize=None)
+@frozen_cache(maxsize=None)
 def _disk_panels(n, k, table):
     """Power coefficients, shape (_PANEL_DEGREE + 1, P), of the interpolant
     of the disk branch of alpha_radial(n, k): column p holds panel
@@ -125,7 +123,6 @@ def _disk_panels(n, k, table):
     base = np.arange(panels)[:, None]
     values = alpha_radial(n, k, (base + 0.5 * (nodes + 1.0)) / panels, table)
     coef = np.ascontiguousarray(((values @ to_cheb) @ to_power).T)
-    coef.flags.writeable = False
     # panel edges (r = 0 among them) and four interior points off the nodes
     check = ((base + np.array([0.0, 0.125, 0.375, 0.625, 0.875])) / panels).ravel()
     err = np.max(np.abs(_interpolant(coef, check) - alpha_radial(n, k, check, table)))

@@ -17,8 +17,9 @@ def small_table():
 
 @pytest.fixture
 def cold_kernel():
-    """ginibre._plane_rule, the per-N cache of the plane rule, rho_N and the
-    radial kernel factors, emptied before and after the test."""
+    """ginibre._plane_rule, the per-N cache of the radial nodes and weights
+    of the plane rule, rho_N and the radial kernel factors, emptied before
+    and after the test."""
     ginibre._plane_rule.cache_clear()
     yield ginibre._plane_rule
     ginibre._plane_rule.cache_clear()

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from ginfield import basis, field
-from ginfield.basis import DiskDomainError, eval_matrix, green_dirichlet_series, sobolev_norm
+from ginfield.basis import (
+    DiskDomainError, SingularityError, eval_matrix, green_dirichlet_series, sobolev_norm
+)
 from ginfield.bessel import RootTable
 from ginfield.field import (
     covariance_mc,
@@ -18,7 +20,13 @@ from ginfield.field import (
     tightness_statistic,
 )
 from ginfield.ginibre import sample_spectrum
-from ginfield.linstats import GammaSample, centering_term, gamma_draws, variance_bound_check
+from ginfield.linstats import (
+    GammaSample,
+    centering_term,
+    gamma_draws,
+    limit_covariance_matrix,
+    variance_bound_check,
+)
 from oracles import (
     coeff_arrays_complex,
     eval_eigenfunction,
@@ -82,6 +90,43 @@ def test_sample_h_and_its_norms_keep_the_bits_of_the_complex_form(table, cutoff,
     for s in (-2.5, -1.0, 0.0, 0.5, 1.5):
         assert sobolev_norm(a, s, table) == sobolev_norm_uncached(want, s, table)
         assert field_norm_sq(sample, s, table) == sobolev_norm_uncached(want, -s, table)
+
+
+class UnitDraws:
+    """Generator stub whose standard normals, in the order they are drawn,
+    form the unit vector e_i: all zero but draw i."""
+
+    def __init__(self, i):
+        self.i, self.drawn = i, 0
+
+    def standard_normal(self, size):
+        out = np.zeros(size)
+        if 0 <= self.i - self.drawn < out.size:
+            out.flat[self.i - self.drawn] = 1.0
+        self.drawn += out.size
+        return out
+
+
+@pytest.mark.parametrize("cutoff", [(1, 1), (3, 5), (8, 8), (16, 16)])
+def test_the_sampler_is_a_linear_map_onto_the_limit_law(small_table, cutoff):
+    # a = L x for the standard normals x that _coeff_arrays draws (A, then Z,
+    # then W), so E a a^H = L L^H is limit_covariance_matrix over the n-major
+    # window, and E a a^T = L L^T is that law on the real order 0 and 0 for
+    # n >= 1, whose real and imaginary parts are independent and alike
+    n_max, k_max = cutoff
+    draws = k_max + 2 * n_max * (k_max + 1)
+    columns = []
+    for i in range(draws):
+        stub = UnitDraws(i)
+        columns.append(field._coeff_arrays(stub, cutoff, small_table).ravel())
+        assert stub.drawn == draws
+    L = np.stack(columns, axis=1)
+    window = [(n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)]
+    C = limit_covariance_matrix(window, small_table)
+    real = np.arange(len(window)) < k_max
+    scale = np.abs(C).max()
+    assert np.abs(L @ L.conj().T - C).max() <= 1e-15 * scale
+    assert np.abs(L @ L.T - C * np.outer(real, real)).max() <= 1e-15 * scale
 
 
 def test_the_cached_scales_and_weights_are_read_only(small_table):
@@ -185,6 +230,13 @@ def test_covariance_mc_sanity(small_table):
     assert abs(v1 - target) < 0.08
     with pytest.raises(ValueError):
         covariance_mc(0.3, 0.3, (4, 4), 10, 0, small_table)
+
+
+def test_covariance_mc_on_the_diagonal_raises_the_singularity_error(small_table):
+    # the library's error for a kernel evaluated at z = w, as the Green's
+    # series and log|z - w| raise it; -0 is the same point as +0
+    with pytest.raises(SingularityError, match="distinct points"):
+        covariance_mc(0.3, complex(0.3, -0.0), (4, 4), 10, 0, small_table)
 
 
 @pytest.fixture

@@ -149,10 +149,10 @@ def test_one_point_density_normalizes_to_N():
 def test_kernel_diagonal_is_the_closed_form_density(N):
     # rho_N = sum_k R_k^2 from the kernel factors meets the incomplete-gamma
     # closed form on the plane rule, and integrates to N
-    quad, rho, _ = ginibre._plane_rule(N)
-    ref = one_point_density(N, quad.r)
+    r, wr, rho, _ = ginibre._plane_rule(N)
+    ref = one_point_density(N, r)
     assert np.max(np.abs(rho / ref - 1.0)) < (5e-13 if N <= 1024 else 3e-12)
-    assert abs(2.0 * math.pi * np.sum(rho * quad.wr) - N) < 1e-8
+    assert abs(2.0 * math.pi * np.sum(rho * wr) - N) < 1e-8
 
 
 @pytest.mark.parametrize("N, tol", [(256, 7e-12), (4096, 1.5e-9)])
@@ -265,20 +265,20 @@ def test_radial_mean_refuses_a_factor_that_is_not_finite(value):
 def test_overlaps_of_stacked_rows_equal_each_row_alone(N):
     # one K @ w product per row: a single (rows x radii) @ (radii x pairs)
     # product is faster at large N but rounds a row by its neighbours
-    quad, _, R = ginibre._plane_rule(N)
+    r, wr, _, R = ginibre._plane_rule(N)
     rng = np.random.default_rng(N)
-    C = rng.standard_normal((5, len(quad.r)))
+    C = rng.standard_normal((5, len(r)))
     for rows in (C, C + 1j * rng.standard_normal(C.shape)):
         for d in (-3, 0, 3, -N, N, N + 5):
-            A = ginibre._overlaps(R, d, rows, quad.wr)
+            A = ginibre._overlaps(R, d, rows, wr)
             pairs = max(N - abs(d), 0)
             assert A.shape == (5, pairs)
             for c, a in zip(rows, A):
-                assert np.array_equal(ginibre._overlaps(R, d, c[None, :], quad.wr)[0], a)
+                assert np.array_equal(ginibre._overlaps(R, d, c[None, :], wr)[0], a)
             # A_{k,k+d} = 2 pi sum_r c R_k R_{k+d} wr
             lo = max(0, -d)
             K = R[lo : lo + pairs] * R[lo + d : lo + d + pairs]
-            direct = 2.0 * math.pi * np.einsum("ir,kr,r->ik", rows, K, quad.wr)
+            direct = 2.0 * math.pi * np.einsum("ir,kr,r->ik", rows, K, wr)
             assert np.allclose(A, direct, rtol=1e-13, atol=1e-13 * np.abs(direct).max(initial=0))
 
 
@@ -349,9 +349,9 @@ FAILING_ROWS = {
 @pytest.mark.parametrize("bad", FAILING_ROWS)
 def test_one_failing_row_fails_the_batch_with_its_own_ratio(bad, cold_kernel, monkeypatch):
     g, weight, message = FAILING_ROWS[bad]
-    quad, rho, R = cold_kernel(8)
-    quad = dataclasses.replace(quad, wr=weight * quad.wr)
-    monkeypatch.setattr(ginibre, "_plane_rule", lambda N: (quad, rho, R))
+    r, wr, rho, R = cold_kernel(8)
+    quad = dataclasses.replace(PlaneQuadrature.build(8), wr=weight * wr)
+    monkeypatch.setattr(ginibre, "_plane_rule", lambda N: (r, quad.wr, rho, R))
     good = [np.square, lambda r: r]
 
     def rows(*fs):
@@ -384,10 +384,11 @@ def test_kernel_cache_is_keyed_by_N_and_the_radial_nodes(small_table, cold_kerne
     assert cold_kernel.cache_info()[:2] == (1, 1)  # (hits, misses)
     radial_pair_variance(lambda r: r, -1, 16)
     assert cold_kernel.cache_info().currsize == 2
-    quad, rho, R = cold_kernel(8)
-    assert np.array_equal(quad.r, PlaneQuadrature.build(8).r)
-    assert R.shape == (8, len(quad.r))
-    for a in (quad.r, quad.wr, rho, R):
+    r, wr, rho, R = cold_kernel(8)
+    quad = PlaneQuadrature.build(8)
+    assert np.array_equal(r, quad.r) and np.array_equal(wr, quad.wr)
+    assert R.shape == (8, len(r))
+    for a in (r, wr, rho, R):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0

@@ -520,6 +520,15 @@ def test_gamma_draws_equal_the_per_index_sum(N, draws, small_table, monkeypatch)
     assert np.array_equal(gamma(sample, MIXED_INDEX_SET, small_table).values, G[i])
 
 
+def test_pooled_draws_whose_worker_ranges_span_several_blocks(small_table, monkeypatch):
+    # 128 eigenvalues per block hold two N = 64 spectra, so the workers'
+    # ranges [0, 2) and [2, 5) take one block and two; the pool forks, so
+    # the workers see the patched size
+    monkeypatch.setattr(linstats, "_BLOCK_EIGENVALUES", 128)
+    pooled = gamma_draws(64, 5, MIXED_INDEX_SET, 11, small_table, workers=2)
+    assert np.array_equal(pooled, gamma_draws(64, 5, MIXED_INDEX_SET, 11, small_table, workers=1))
+
+
 def test_gamma_of_an_index_does_not_depend_on_the_index_set(small_table):
     alone = gamma_draws(64, 3, [(3, 2)], 11, small_table)
     mixed = gamma_draws(64, 3, MIXED_INDEX_SET, 11, small_table)

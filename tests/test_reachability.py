@@ -8,12 +8,21 @@ somewhere in that code.  Independent reference routes that only tests need
 belong in tests/oracles.py.  No module imports a name it never uses, nor
 another module's private name, no module but bessel.py subscripts a
 table's roots, no module but basis.py chooses between the weights 1
-and 2 of a real field's orders, and no function but ginibre._radial_sum
-does arithmetic with rho_N.
+and 2 of a real field's orders, no function but ginibre._radial_sum
+does arithmetic with rho_N, and no function of ginibre but _kernel and
+_overlaps computes with the kernel factors R.  Every memo is a
+basis.frozen_cache, the one code but RootTable.__post_init__ that makes an
+array read-only, and every array a memo returns refuses a write.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ginfield import basis, field, ginibre, logkernel
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ginfield"
@@ -200,7 +209,7 @@ def test_no_module_imports_another_modules_private_name():
 
 def _empty_containers(tree):
     """Module-level names of tree bound to an empty {}, [], set(), dict() or
-    list(): the start of a hand-rolled cache, where functools.lru_cache is
+    list(): the start of a hand-rolled cache, where basis.frozen_cache is
     the one idiom."""
     def empty(value):
         if value is None:  # a bare annotation
@@ -236,7 +245,7 @@ def test_no_module_level_name_is_an_empty_container():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}, (
-        "module-level empty containers in src/ginfield; memoise with functools.lru_cache"
+        "module-level empty containers in src/ginfield; memoise with basis.frozen_cache"
     )
 
 
@@ -345,14 +354,15 @@ def test_only_basis_counts_order_minus_n():
     assert offenders == [], "read the weight of a real field from basis.sobolev_weights"
 
 
-def _rho_arithmetic(tree):
-    """Names of the functions of tree, top-level or methods, other than
-    _radial_sum, in which rho, or a subscript of it, is an operand of
-    arithmetic: a binary or unary operator or an augmented assignment."""
-    def is_rho(node):
+def _operand_uses(tree, var, owners, subscripts=False):
+    """Names of the functions of tree, top-level or methods, not in owners,
+    in which var, or a subscript of it, is an operand of arithmetic: a binary
+    operator (matmul among them), a unary operator or an augmented
+    assignment.  With subscripts, subscripting var is a use as well."""
+    def is_var(node):
         while isinstance(node, ast.Subscript):
             node = node.value
-        return isinstance(node, ast.Name) and node.id == "rho"
+        return isinstance(node, ast.Name) and node.id == var
 
     def operands(node):
         if isinstance(node, ast.BinOp):
@@ -361,6 +371,8 @@ def _rho_arithmetic(tree):
             return (node.operand,)
         if isinstance(node, ast.AugAssign):
             return node.target, node.value
+        if subscripts and isinstance(node, ast.Subscript):
+            return (node.value,)
         return ()
 
     functions = [
@@ -372,9 +384,15 @@ def _rho_arithmetic(tree):
     return {
         fn.name
         for fn in functions
-        if fn.name != "_radial_sum"
-        and any(is_rho(x) for node in ast.walk(fn) for x in operands(node))
+        if fn.name not in owners
+        and any(is_var(x) for node in ast.walk(fn) for x in operands(node))
     }
+
+
+def _rho_arithmetic(tree):
+    """Functions of tree other than _radial_sum in which rho, or a
+    subscript of it, is an operand of arithmetic."""
+    return _operand_uses(tree, "rho", {"_radial_sum"})
 
 
 def test_the_rho_check_sees_a_sum_of_its_own():
@@ -405,3 +423,172 @@ def test_only_the_radial_sum_weighs_by_rho():
     assert {name: fns for name, fns in found.items() if fns} == {}, (
         "sum against rho_N through ginibre._radial_sum"
     )
+
+
+def _kernel_factor_uses(tree):
+    """Functions of tree other than _kernel and _overlaps in which the
+    kernel factors R are an operand of arithmetic, of matmul or of a
+    subscript; the others may only pass R on."""
+    return _operand_uses(tree, "R", {"_kernel", "_overlaps"}, subscripts=True)
+
+
+def test_the_overlap_check_sees_a_product_of_its_own():
+    tree = ast.parse(
+        "def _overlaps(R, d, C, wr):\n"
+        "    return R[max(0, -d):] * R[max(0, d):]\n"
+        "def _kernel(N, r):\n"
+        "    R = np.exp(r)\n"
+        "    return np.square(R).sum(axis=0), R\n"
+        "def neighbours(R):\n"
+        "    return R[:-1] * R[1:]\n"
+        "def row(R, k):\n"
+        "    return f(R[k])\n"
+        "def gram(R, w):\n"
+        "    return (R * w) @ R.T\n"
+        "def passes_it_on(N, C):\n"
+        "    r, wr, rho, R = _plane_rule(N)\n"
+        "    return _overlaps(R, 1, C, wr), R.shape\n"
+    )
+    assert _kernel_factor_uses(tree) == {"neighbours", "row", "gram"}
+
+
+def test_only_the_overlaps_use_the_kernel_factors():
+    # ginibre._overlaps is the one code that forms R_k R_{k+d}; field's R is
+    # the pair factor, so the check reads ginibre alone
+    found = _kernel_factor_uses(ast.parse((SRC / "ginibre.py").read_text()))
+    assert found == set(), "form kernel overlaps through ginibre._overlaps"
+
+
+def _hand_frozen(tree):
+    """Top-level functions and methods of tree, named as name or
+    Class.method, that use lru_cache or make an array read-only by hand:
+    write flags.writeable or a flags entry, or call setflags; "<module>"
+    for such code outside them."""
+    def offends(node):
+        if isinstance(node, ast.Name):
+            return node.id == "lru_cache"
+        if isinstance(node, ast.Attribute):
+            return node.attr in {"lru_cache", "setflags"} or (
+                node.attr == "writeable" and isinstance(node.ctx, ast.Store)
+            )
+        return (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "attr", None) == "flags"
+        )
+
+    def label(stmt, owner):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return f"{owner}.{stmt.name}" if owner else stmt.name
+        return owner or "<module>"
+
+    units = [(label(stmt, None), stmt) for stmt in tree.body if not isinstance(stmt, ast.ClassDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            units += [(label(item, cls.name), item) for item in cls.body + cls.decorator_list]
+    return {name for name, unit in units if any(map(offends, ast.walk(unit)))}
+
+
+def test_the_cache_check_sees_a_hand_made_freeze():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@lru_cache(maxsize=8)\n"
+        "def a(n):\n"
+        "    return f(n)\n"
+        "@frozen_cache(maxsize=8)\n"
+        "def b(n):\n"
+        "    x, y = f(n)\n"
+        "    x.flags.writeable = y.flags.writeable = False\n"
+        "    return x, y\n"
+        "@frozen_cache(maxsize=None)\n"
+        "def c(n):\n"
+        "    return f(n)\n"
+        "def d(x):\n"
+        "    x.flags['WRITEABLE'] = False\n"
+        "    return x.flags.writeable\n"
+        "class T:\n"
+        "    def __post_init__(self):\n"
+        "        self.roots.setflags(write=False)\n"
+        "    def read(self):\n"
+        "        return self.roots.flags.writeable\n"
+        "g = functools.lru_cache(None)(c)\n"
+    )
+    assert _hand_frozen(tree) == {"a", "b", "d", "T.__post_init__", "<module>"}
+
+
+# basis.frozen_cache is the one owner of the read-only rule, beside the
+# root table that freezes its own arrays
+FREEZERS = {("basis.py", "frozen_cache"), ("bessel.py", "RootTable.__post_init__")}
+MEMOS = {
+    ("basis.py", "_leggauss"),
+    ("basis.py", "sobolev_weights"),
+    ("field.py", "_coeff_scales"),
+    ("field.py", "_pair_factor"),
+    ("ginibre.py", "_plane_rule"),
+    ("logkernel.py", "_chebyshev_matrices"),
+    ("logkernel.py", "_disk_panels"),
+}
+
+
+def _hand_frozen_in(sources):
+    """(module, name) of _hand_frozen over the sources of each module."""
+    return {(module, fn) for module, src in sources.items() for fn in _hand_frozen(ast.parse(src))}
+
+
+def test_only_frozen_cache_makes_an_array_read_only():
+    found = _hand_frozen_in({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
+    assert found == FREEZERS, "memoise with basis.frozen_cache"
+
+
+def test_the_cache_check_names_every_memo_as_a_bare_lru_cache():
+    # each frozen_cache memo written as the lru_cache it stands for
+    sources = {
+        path.name: path.read_text().replace("@frozen_cache(", "@lru_cache(")
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert _hand_frozen_in(sources) == FREEZERS | MEMOS
+
+
+def _arrays(out):
+    """Every array of a memo's return: each array in it or in the fields of
+    a dataclass in it, and every array that one is a view of."""
+    found = []
+    for x in out if isinstance(out, tuple) else (out,):
+        fields = dataclasses.fields(x) if dataclasses.is_dataclass(x) else ()
+        for a in [getattr(x, f.name) for f in fields] or [x]:
+            while isinstance(a, np.ndarray):
+                found.append(a)
+                a = a.base
+    return found
+
+
+def test_every_memo_returns_arrays_that_refuse_a_write(small_table):
+    # (memo, a call it caches, a call that raises)
+    calls = [
+        (basis._leggauss, (8,), (0,)),
+        (basis.sobolev_weights, ((3, 4), -1.0, small_table), ((3, 17), -1.0, small_table)),
+        (field._coeff_scales, ((3, 4), small_table), ((17, 4), small_table)),
+        (field._pair_factor, (0.5j, -0.25, (3, 4), small_table), (0.5j, 0.5, (3, 17), small_table)),
+        (ginibre._plane_rule, (8,), (0,)),
+        (logkernel._chebyshev_matrices, (logkernel._PANEL_DEGREE,), (-1,)),
+        (logkernel._disk_panels, (2, 3, small_table), (2, 17, small_table)),
+    ]
+    assert {(fn.__module__.rsplit(".", 1)[1] + ".py", fn.__name__) for fn, _, _ in calls} == MEMOS
+    writable = []
+    for memo, good, bad in calls:
+        memo(*good)
+        arrays = _arrays(memo(*good))
+        assert arrays
+        for i, a in enumerate(arrays):
+            try:
+                a[...] = a
+            except ValueError as e:
+                assert "read-only" in str(e)
+            else:
+                writable.append(f"{memo.__name__} array {i}, shape {a.shape}")
+        size = memo.cache_info().currsize
+        with pytest.raises((ValueError, KeyError, ZeroDivisionError)):
+            memo(*bad)
+        assert memo.cache_info().currsize == size
+    assert writable == []

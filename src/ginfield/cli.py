@@ -35,9 +35,6 @@ from .bessel import RootBracketError, build_root_table
 from .field import covariance_mc, expected_norm_sq, tightness_statistic, truncated_covariance
 from .ginibre import EigensolverError, VarianceError, sample_spectrum, trace_power_errors
 from .linstats import (
-    DECAY_CPRIME_MAX,
-    SHARP_RATIO_MAX,
-    VARIANCE_C_MAX,
     GammaSample,
     decay_check,
     gamma_draws,
@@ -181,6 +178,10 @@ def _exp_ginibre_sample(cfg, table):
         "kostlan_mean_inside_r0.8": mean,
         "kostlan_se_inside_r0.8": se,
     }, {"eigenvalues": (["draw", "re", "im"], rows)}
+
+
+# Largest calibrated_C, calibrated_Cprime and max_sharp_ratio that criterion 5 accepts.
+VARIANCE_C_MAX, DECAY_CPRIME_MAX, SHARP_RATIO_MAX = 0.2, 6.0, 1.0 + 1e-9
 
 
 def _exp_pair_variance(cfg, table):

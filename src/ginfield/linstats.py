@@ -21,11 +21,8 @@ import numpy as np
 from .ginibre import radial_mean, radial_pair_variances, sample_spectrum
 from .logkernel import alpha_radial, alpha_radial_piecewise
 
-# Eigenvalues per block of spectra that _gamma_draws_range evaluates at once.
+# Most eigenvalues in one block of draws, the unit of Monte-Carlo work.
 _BLOCK_EIGENVALUES = 2**14
-# Largest calibrated_C and calibrated_Cprime that criterion 5 accepts, and
-# the largest max_sharp_ratio that pair-variance accepts.
-VARIANCE_C_MAX, DECAY_CPRIME_MAX, SHARP_RATIO_MAX = 0.2, 6.0, 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,13 +49,13 @@ def alpha_values(n, k, zs, table):
     return alpha_radial(n, k, np.abs(zs), table) * np.exp(-1j * n * np.angle(zs))
 
 
-def _gamma_block(Z, index_set, table, centerings):
-    """gamma over the spectra Z of shape (M, N), one row per spectrum.
+def _gamma_block(Z, index_set, table):
+    """Uncentered gamma over the spectra Z of shape (M, N), one row each.
 
     One alpha_radial_piecewise call over all k of an order and one angular
     factor per order serve the whole block.  Each entry depends only on its
     own spectrum and index, and is within about N 1e-15 of the sum of
-    alpha_values over its spectrum minus its centering.
+    alpha_values over its spectrum.
     """
     r = np.abs(Z)
     theta = np.angle(Z)
@@ -66,9 +63,8 @@ def _gamma_block(Z, index_set, table, centerings):
     for n in dict.fromkeys(n for n, _ in index_set):
         cols = [i for i, (m, _) in enumerate(index_set) if m == n]
         ks = np.array([index_set[i][1] for i in cols])
-        cent = np.array([centerings[index_set[i]] for i in cols])
         g = alpha_radial_piecewise(n, ks, r, table)
-        out[:, cols] = (np.sum(g * np.exp(-1j * n * theta), axis=-1) - cent[:, None]).T
+        out[:, cols] = np.sum(g * np.exp(-1j * n * theta), axis=-1).T
     return out
 
 
@@ -100,31 +96,31 @@ def limit_covariance_matrix(index_set, table):
 # ---------------------------------------------------------------------------
 
 
-def _gamma_draws_range(N, master_seed, index_set, table, centerings, i0, i1):
-    """gamma of draws i0 .. i1 - 1, eigensolved one by one through the trace
-    certificate and evaluated in blocks of at most _BLOCK_EIGENVALUES."""
-    step = max(1, _BLOCK_EIGENVALUES // N)
-    out = np.empty((i1 - i0, len(index_set)), dtype=complex)
-    for b0 in range(i0, i1, step):
-        b1 = min(b0 + step, i1)
-        Z = np.array([sample_spectrum(N, master_seed, i).eigenvalues for i in range(b0, b1)])
-        out[b0 - i0 : b1 - i0] = _gamma_block(Z, index_set, table, centerings)
-    return out
+def _gamma_draws_block(N, master_seed, index_set, table, b0, b1):
+    """Uncentered gamma of draws b0 .. b1 - 1, each eigensolved through the trace certificate."""
+    Z = np.array([sample_spectrum(N, master_seed, i).eigenvalues for i in range(b0, b1)])
+    return _gamma_block(Z, index_set, table)
 
 
 def gamma_draws(N, draws, index_set, master_seed, table, workers=1):
     """Matrix of gamma values, shape (draws, len(index_set)); deterministic
-    per (master_seed, draw index) independent of worker count."""
+    per (master_seed, draw index) independent of worker count.  The draws
+    are cut once, into blocks of at most _BLOCK_EIGENVALUES eigenvalues and
+    ceil(draws / workers) draws, and centered once, at the end."""
     index_set = tuple((int(n), int(k)) for n, k in index_set)
-    centerings = {idx: centering_term(idx[0], idx[1], N, table) for idx in index_set}
-    run = partial(_gamma_draws_range, N, master_seed, index_set, table, centerings)
+    cent = [centering_term(n, k, N, table) for n, k in index_set]
     # the pool starts all max_workers processes at the first submit
-    workers = min(workers, draws)
-    if workers <= 1:
-        return run(0, draws)
-    bounds = np.linspace(0, draws, workers + 1, dtype=int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.vstack(list(pool.map(run, bounds[:-1], bounds[1:])))
+    workers = max(1, min(workers, draws))
+    step = max(1, min(_BLOCK_EIGENVALUES // N, math.ceil(draws / workers)))
+    bounds = [*range(0, draws, step), draws]
+    run = partial(_gamma_draws_block, N, master_seed, index_set, table)
+    if workers == 1:
+        blocks = map(run, bounds[:-1], bounds[1:])
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(run, bounds[:-1], bounds[1:]))
+    # the empty head keeps the shape and the complex dtype at zero draws
+    return np.concatenate([np.empty((0, len(index_set)), dtype=complex), *blocks]) - cent
 
 
 def _variance_rows(cases, k_list, table, **scales):

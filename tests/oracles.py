@@ -425,15 +425,14 @@ def alpha_moments(N, index_set, table, quad):
 # ---------------------------------------------------------------------------
 
 
-def gamma(sample, index_set, table, centerings=None):
+def gamma(sample, index_set, table):
     """Centered linear statistics of alpha over one spectrum sample."""
     index_set = tuple((int(n), int(k)) for n, k in index_set)
     if any(n < 0 for n, _ in index_set):
         raise ValueError("index set must have n >= 0")
-    if centerings is None:
-        N = len(sample.eigenvalues)
-        centerings = {idx: centering_term(idx[0], idx[1], N, table) for idx in index_set}
-    vals = _gamma_block(sample.eigenvalues[None, :], index_set, table, centerings)[0]
+    N = len(sample.eigenvalues)
+    cent = [centering_term(n, k, N, table) for n, k in index_set]
+    vals = _gamma_block(sample.eigenvalues[None, :], index_set, table)[0] - cent
     return GammaSample(
         index_set=index_set,
         values=vals,

@@ -571,9 +571,9 @@ def test_variance_failure_exits_3(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "name, check, key, bound",
     [
-        ("pair-variance", "variance_bound_check", "calibrated_C", linstats.VARIANCE_C_MAX),
-        ("pair-variance", "variance_bound_check", "max_sharp_ratio", linstats.SHARP_RATIO_MAX),
-        ("decay-check", "decay_check", "calibrated_Cprime", linstats.DECAY_CPRIME_MAX),
+        ("pair-variance", "variance_bound_check", "calibrated_C", cli.VARIANCE_C_MAX),
+        ("pair-variance", "variance_bound_check", "max_sharp_ratio", cli.SHARP_RATIO_MAX),
+        ("decay-check", "decay_check", "calibrated_Cprime", cli.DECAY_CPRIME_MAX),
     ],
 )
 def test_criterion_5_constant_past_its_bound_fails(

@@ -521,12 +521,54 @@ def test_gamma_draws_equal_the_per_index_sum(N, draws, small_table, monkeypatch)
 
 
 def test_pooled_draws_whose_worker_ranges_span_several_blocks(small_table, monkeypatch):
-    # 128 eigenvalues per block hold two N = 64 spectra, so the workers'
-    # ranges [0, 2) and [2, 5) take one block and two; the pool forks, so
-    # the workers see the patched size
+    # 128 eigenvalues per block hold two N = 64 spectra, so the two workers
+    # share the blocks [0, 2), [2, 4) and [4, 5); the pool forks, so the
+    # workers see the patched size
     monkeypatch.setattr(linstats, "_BLOCK_EIGENVALUES", 128)
     pooled = gamma_draws(64, 5, MIXED_INDEX_SET, 11, small_table, workers=2)
     assert np.array_equal(pooled, gamma_draws(64, 5, MIXED_INDEX_SET, 11, small_table, workers=1))
+
+
+def test_the_pool_maps_the_one_block_split(small_table, monkeypatch):
+    # 512 eigenvalues per block hold two N = 256 spectra, fewer than the
+    # ceil(10 / 2) = 5 draws per worker, so the pool maps five blocks of
+    # two draws rather than one range per worker
+    monkeypatch.setattr(linstats, "_BLOCK_EIGENVALUES", 512)
+    mapped = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            pairs = list(zip(*iterables))
+            mapped.extend(pairs)
+            return [fn(*pair) for pair in pairs]
+
+    monkeypatch.setattr(linstats, "ProcessPoolExecutor", RecordingPool)
+    idx = [(0, 1), (1, 1), (2, 3)]
+    pooled = gamma_draws(256, 10, idx, 7, small_table, workers=2)
+    assert mapped == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
+    assert np.array_equal(pooled, gamma_draws(256, 10, idx, 7, small_table, workers=1))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_zero_draws_give_an_empty_complex_matrix_and_start_no_pool(
+    workers, small_table, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started for zero draws")
+
+    monkeypatch.setattr(linstats, "ProcessPoolExecutor", refuse)
+    idx = [(0, 1), (1, 1), (2, 3)]
+    G = gamma_draws(8, 0, idx, 3, small_table, workers=workers)
+    assert G.shape == (0, len(idx)) and G.dtype == np.complex128
 
 
 def test_gamma_of_an_index_does_not_depend_on_the_index_set(small_table):

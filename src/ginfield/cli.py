@@ -220,9 +220,10 @@ def _exp_clt(cfg, table):
     # from the Gaussian formula var(S^2) ~ 2 sigma^4 / (M - 1)
     var = np.real(np.diag(cov))
     se_var = np.sqrt(2.0 / (draws - 1)) * var
-    # the exact finite-N variances from one call; its rows run over n, then k
+    # the exact finite-N variances from one call, read by (n, k)
     entries = variance_bound_check([0, 1], [1, 2], [N], table)["entries"]
-    exact = {f"{r['n']}_{r['k']}": r["variance"] for r in entries if (r["n"], r["k"]) in index_set}
+    exact_by_index = {(r["n"], r["k"]): r["variance"] for r in entries}
+    exact = {f"{n}_{k}": exact_by_index[n, k] for n, k in index_set}
     exact_gap = var - np.array(list(exact.values()))
     # Kolmogorov-Smirnov of each part under the limit law; Im gamma_{0,k} = 0
     ks = {}

@@ -30,8 +30,8 @@ class FieldSample:
 
 @frozen_cache(maxsize=8)
 def _coeff_scales(cutoff, table):
-    """j_{0,k}, 1 / j_{n,k} for n >= 1 and the column 1 / sqrt(n) of a
-    cutoff, read-only, built once per cutoff and table."""
+    """j_{0,k}, 1 / j_{n,k} for n >= 1 and the column 1 / sqrt(n) of a cutoff,
+    read-only, built once per cutoff and table: _coeff_arrays and _pair_factor read them."""
     j = root_window(cutoff, table)
     return j[0], 1.0 / j[1:], 1.0 / np.sqrt(np.arange(1, cutoff[0] + 1))[:, None]
 
@@ -95,13 +95,13 @@ def _pair_factor(z, w, cutoff, table):
     covariance of the pair.  R has len(R) <= 2 rows and may be singular (a
     point on the circle).  Read-only, built once per z, w, cutoff and table."""
     n_max, k_max = cutoff
-    j = root_window(cutoff, table)
-    E = math.sqrt(math.pi) * eval_matrix(np.array([z, w]), n_max, k_max, table) / j
+    j0, inv_j, inv_n = _coeff_scales(cutoff, table)
+    E = math.sqrt(math.pi) * eval_matrix(np.array([z, w]), n_max, k_max, table)
     # rows n >= 1 enter twice (order -n) and carry the 1/sqrt(2) of Z and W
-    c_Z = math.sqrt(2) * E[:, 1:, :]
-    c_W = c_Z.sum(axis=2) / np.sqrt(np.arange(1, n_max + 1))
+    c_Z = math.sqrt(2) * (E[:, 1:] * inv_j)
+    c_W = c_Z.sum(axis=2) * inv_n[:, 0]
     c_Z = c_Z.reshape(2, n_max * k_max)
-    M = np.hstack([E[:, 0, :].real, c_Z.real, c_Z.imag, c_W.real, c_W.imag]).T
+    M = np.hstack([(E[:, 0] / j0).real, c_Z.real, c_Z.imag, c_W.real, c_W.imag]).T
     return np.linalg.qr(M, mode="r")
 
 

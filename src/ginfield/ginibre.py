@@ -185,9 +185,7 @@ def pair_variance(f, N, quad=None):
     diag = float(_radial_sum(np.sum(np.abs(c) ** 2, axis=1), rho, quad.wr))
     off_sq = 0.0
     for d in range(-(N - 1), N):
-        cm = c[:, d % M]
-        if np.any(cm):
-            off_sq += float((np.abs(_overlaps(R, d, cm[None, :], quad.wr)) ** 2).sum())
+        off_sq += float((np.abs(_overlaps(R, d, c[None, :, d % M], quad.wr)) ** 2).sum())
     return _checked_variance(diag, off_sq)
 
 

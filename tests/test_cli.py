@@ -614,6 +614,28 @@ def test_clt_fails_when_a_variance_strays_from_its_exact_value(tmp_path, monkeyp
     assert all(z < -5.0 for z in result["exact_z"].values())
 
 
+def test_clt_reads_its_exact_variances_by_index(tmp_path, monkeypatch):
+    # the same rows in the opposite order give the same report; read by row
+    # position, 0_1 scored -44.43 against 0.99 here and 1_2 8.30 against -0.15
+    real = cli.variance_bound_check
+
+    def reversed_rows(*args):
+        rep = real(*args)
+        return {**rep, "entries": rep["entries"][::-1]}
+
+    args = ["clt", "--n-size", "8", "--draws", "200", "--seed", "3", "--out"]
+
+    def run(out):
+        code = main([*args, str(tmp_path / out)])
+        return code, json.loads((tmp_path / out / "result.json").read_text())["result"]
+
+    plain = run("plain")
+    monkeypatch.setattr(cli, "variance_bound_check", reversed_rows)
+    flipped = run("reversed")
+    assert flipped[1]["exact_z"] == plain[1]["exact_z"]
+    assert flipped == plain and plain[0] == 0
+
+
 def test_pair_variance_reports_the_sharp_ratio(tmp_path):
     # criterion 5's grid at N = 32: Var_N stays below the limit variance
     assert main(["pair-variance", "--n-size", "32", "--out", str(tmp_path)]) == 0

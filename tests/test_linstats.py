@@ -34,11 +34,14 @@ from oracles import (
     alpha_combination,
     alpha_moments,
     centering_term_per_call,
+    disk_rule,
     fine_plane_rule,
     gamma,
     limit_covariance_by_pair,
     limit_covariance_matrix_by_pair,
     limit_quadratic_form,
+    polar_rule,
+    project,
     radial_pair_variance,
     radial_pair_variance_per_call,
     rv_variance,
@@ -76,6 +79,25 @@ def test_gamma_matches_manual_sum(small_table):
     g = gamma(s, [(2, 1)], small_table)
     manual = complex(np.sum(alpha_values(2, 1, s.eigenvalues, small_table)))
     assert abs(g.values[0] - manual) < 1e-13
+
+
+@pytest.mark.parametrize("w, quad, bound", [
+    # outside the disk log|z - w| is smooth: 3.2e-13 off on this rule
+    (1.3 - 0.6j, disk_rule(120, 64), 1e-10),
+    # inside, the log singularity sits on the panel edge |w| = 0.5: 6.8e-4 off
+    (0.3 + 0.4j, polar_rule(64, (0.0, 0.5, 200), (0.5, 1.0, 200)), 5e-3),
+], ids=["exterior", "interior"])
+def test_gamma_of_one_point_is_the_projection_of_its_log_kernel(w, quad, bound, small_table):
+    # alpha_{n,k}(w) = <log|. - w|, e_{n,k}> carries e^{-i n arg w}; the
+    # Ginibre law is invariant under A -> conj(A), so no law test sees the
+    # sign of that phase. With e^{+i n arg w} every n >= 1 index misses by
+    # >= 4.0e-4 outside and >= 3.1e-2 inside.
+    idx = ((0, 1), (1, 1), (1, 2), (2, 1), (3, 2), (8, 3))
+    ref = project(lambda z: np.log(np.abs(z - w)), idx, quad, small_table)
+    one_point = np.array([[w]])
+    values = np.array([alpha_values(n, k, one_point[0], small_table)[0] for n, k in idx])
+    assert np.abs(linstats._gamma_block(one_point, idx, small_table)[0] - ref).max() < bound
+    assert np.abs(values - ref).max() < bound
 
 
 def test_limit_covariance_entries(small_table):

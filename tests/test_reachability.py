@@ -10,7 +10,9 @@ another module's private name, no module but bessel.py subscripts a
 table's roots, no module but basis.py chooses between the weights 1
 and 2 of a real field's orders, no function but ginibre._radial_sum
 does arithmetic with rho_N, and no function of ginibre but _kernel and
-_overlaps computes with the kernel factors R.  Every memo is a
+_overlaps computes with the kernel factors R, and no function of field
+but _coeff_scales reads the root window or forms the column 1/sqrt(n) of
+the harmonic coupling.  Every memo is a
 basis.frozen_cache, the one code but RootTable.__post_init__ that makes an
 array read-only, and every array a memo returns refuses a write.
 """
@@ -457,6 +459,60 @@ def test_only_the_overlaps_use_the_kernel_factors():
     # the pair factor, so the check reads ginibre alone
     found = _kernel_factor_uses(ast.parse((SRC / "ginibre.py").read_text()))
     assert found == set(), "form kernel overlaps through ginibre._overlaps"
+
+
+def _scale_owners(tree):
+    """Top-level functions of tree that call root_window, or that take the
+    sqrt of an arange, as the column 1/sqrt(n) of the harmonic coupling does."""
+    def called(node):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+    def forms_a_scale(node):
+        if not isinstance(node, ast.Call):
+            return False
+        if called(node) == "root_window":
+            return True
+        return called(node) == "sqrt" and any(
+            isinstance(sub, ast.Call) and called(sub) == "arange"
+            for arg in node.args
+            for sub in ast.walk(arg)
+        )
+
+    return {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(map(forms_a_scale, ast.walk(fn)))
+    }
+
+
+def test_the_scale_check_sees_a_second_owner():
+    # the pair factor as it stood when it formed the scales of its own
+    tree = ast.parse(
+        "def _coeff_scales(cutoff, table):\n"
+        "    j = root_window(cutoff, table)\n"
+        "    return j[0], 1.0 / j[1:], 1.0 / np.sqrt(np.arange(1, cutoff[0] + 1))[:, None]\n"
+        "def _pair_factor(z, w, cutoff, table):\n"
+        "    n_max, k_max = cutoff\n"
+        "    j = root_window(cutoff, table)\n"
+        "    E = math.sqrt(math.pi) * eval_matrix(np.array([z, w]), n_max, k_max, table) / j\n"
+        "    c_Z = math.sqrt(2) * E[:, 1:, :]\n"
+        "    return c_Z.sum(axis=2) / np.sqrt(np.arange(1, n_max + 1))\n"
+        "def window(cutoff, table):\n"
+        "    return basis.root_window(cutoff, table)\n"
+        "def column(n_max):\n"
+        "    return 1.0 / np.sqrt(1.0 + np.arange(n_max))\n"
+        "def reads_the_scales(cutoff, table):\n"
+        "    j0, inv_j, inv_n = _coeff_scales(cutoff, table)\n"
+        "    return math.sqrt(2) * inv_j, inv_n * math.sqrt(math.pi)\n"
+    )
+    assert _scale_owners(tree) == {"_coeff_scales", "_pair_factor", "window", "column"}
+
+
+def test_only_the_coefficient_scales_form_the_field_scales():
+    # field._coeff_scales is the one owner of j_{0,k}, 1/j_{n,k} and 1/sqrt(n),
+    # the scales that _coeff_arrays samples with and _pair_factor weighs by
+    assert _scale_owners(ast.parse((SRC / "field.py").read_text())) == {"_coeff_scales"}
 
 
 def _hand_frozen(tree):

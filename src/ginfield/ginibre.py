@@ -45,16 +45,24 @@ def draw_seed(master_seed, draw_index):
     return np.random.SeedSequence([int(master_seed), int(draw_index)])
 
 
+@frozen_cache(maxsize=8)
+def _upper_mask(N):
+    """N x N mask of the entries on and above the diagonal (row by row)."""
+    return np.triu(np.ones((N, N), dtype=bool))
+
+
 def sample_matrix(N, seed):
-    """N x N matrix of i.i.d. complex Gaussians with E|entry|^2 = 1/N."""
+    """Ginibre(N) in upper Hessenberg form (Householder; Kostlan), like N x N
+    i.i.d. complex Gaussians with E|z|^2 = 1/N in spectral law: such entries
+    on and above the diagonal from one (2, N(N+1)/2) normal draw, then the
+    real subdiagonal (k+1, k) = sqrt(Gamma(N - k, 1) / N), k = 1 .. N-1."""
     if N < 1:
         raise ValueError("matrix size must be positive")
     rng = np.random.default_rng(seed)
-    out = np.empty((N, N), dtype=complex)
-    part = np.empty((N, N))
-    # numpy divides (re + 1j im) by s as re * (1 / s) and im * (1 / s)
-    for dest in (out.real, out.imag):
-        np.multiply(rng.standard_normal(out=part), 1.0 / math.sqrt(2.0 * N), out=dest)
+    out = np.zeros((N, N), dtype=complex)
+    re, im = rng.standard_normal((2, N * (N + 1) // 2))
+    out[_upper_mask(N)] = (re + 1j * im) / math.sqrt(2.0 * N)
+    out.reshape(-1)[N :: N + 1] = np.sqrt(rng.standard_gamma(np.arange(N - 1.0, 0.0, -1.0)) / N)
     return out
 
 
@@ -75,7 +83,8 @@ def eigenvalues(matrix, seed=0):
 
 
 def sample_spectrum(N, master_seed, draw_index=0):
-    """One seeded Ginibre draw reduced to its spectrum."""
+    """One seeded Ginibre draw, sampled in Hessenberg form, reduced to its
+    spectrum: the spectrum of a dense i.i.d. draw in law, not draw by draw."""
     ss = draw_seed(master_seed, draw_index)
     return eigenvalues(sample_matrix(N, ss), seed=master_seed)
 

@@ -25,7 +25,10 @@ radial kernel factors rebuilt in every call, on any rule, are the form
 the library's per-N plane-rule cache replaces; on a rule of 2,000 radii
 per panel, with the closed-form density, they are the accuracy reference
 of the library's rule.  The one-case, one-row call of the library's
-radial_pair_variances, which only tests make, is kept here too.
+radial_pair_variances, which only tests make, is kept here too.  The
+dense Ginibre matrix, which the library samples in Hessenberg form, and
+Kostlan's law of sum log|z_i| without a matrix are the two references of
+the sampler's law tests.
 """
 
 from __future__ import annotations
@@ -288,6 +291,21 @@ def gaussian_moment(m, N):
     if m < 0 or N < 1:
         raise ValueError("require m >= 0 and N >= 1")
     return math.exp(special.gammaln(m + 1) + math.log(math.pi) - (m + 1) * math.log(N))
+
+
+def dense_ginibre(N, seed):
+    """N x N matrix of i.i.d. complex Gaussians with E|entry|^2 = 1/N: the
+    Ginibre matrix as defined, before any unitary reduction."""
+    re, im = np.random.default_rng(seed).standard_normal((2, N, N))
+    return (re + 1j * im) / math.sqrt(2.0 * N)
+
+
+def kostlan_log_abs_det(N, draws, rng):
+    """draws samples of sum_i log|z_i| over a Ginibre(N) spectrum by Kostlan:
+    the N|z_i|^2 are independent Gamma(k, 1) laws, k = 1 .. N, so the sum is
+    1/2 sum_k log(G_k / N), with no matrix and no eigensolve."""
+    G = rng.standard_gamma(np.arange(1.0, N + 1.0), size=(draws, N))
+    return 0.5 * np.log(G / N).sum(axis=1)
 
 
 def one_point_density(N, z):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ginfield import ginibre
 from ginfield.cli import main
@@ -25,9 +26,11 @@ from ginfield.ginibre import (
 from ginfield.linstats import centering_term
 from oracles import (
     circle_average_variance,
+    dense_ginibre,
     expected_linear_statistic,
     gaussian_moment,
     grid_weights,
+    kostlan_log_abs_det,
     one_point_density,
     one_point_density_series,
     pair_variance_per_call,
@@ -54,16 +57,50 @@ def test_sampling_determinism():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("N", [1, 16, 64, 256])
+@pytest.mark.parametrize("N", [1, 2, 16, 64, 256])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_sample_matrix_builds_the_matrix_of_the_plain_expression(N, seed):
-    # the in-place build equals (re + 1j im) / sqrt(2 N) bit for bit, which
-    # numpy computes as re * (1 / s) and im * (1 / s)
+    # the Hessenberg form bit for bit: the upper triangle row by row from one
+    # (2, N(N+1)/2) normal draw, then sqrt(Gamma(N - k) / N) on the
+    # subdiagonal for k = 1 .. N-1 in that order.  The reversed order,
+    # Gamma(k), gives J H^T J, whose spectrum has the same law, so no law
+    # test sees it: only this test pins the order.
     rng = np.random.default_rng(draw_seed(seed, 3))
-    re = rng.standard_normal((N, N))
-    im = rng.standard_normal((N, N))
-    expected = (re + 1j * im) / math.sqrt(2.0 * N)
-    assert np.array_equal(sample_matrix(N, draw_seed(seed, 3)), expected)
+    re, im = rng.standard_normal((2, N * (N + 1) // 2))
+    expected = np.zeros((N, N), dtype=complex)
+    expected[np.triu_indices(N)] = (re + 1j * im) / math.sqrt(2.0 * N)
+    sub = np.sqrt(rng.standard_gamma(np.arange(N - 1, 0, -1)) / N)
+    expected[np.arange(1, N), np.arange(N - 1)] = sub
+    A = sample_matrix(N, draw_seed(seed, 3))
+    assert np.array_equal(A, expected)
+    assert not np.tril(A, -2).any()
+    assert np.all(np.diag(A, -1).imag == 0) and np.all(np.diag(A, -1).real > 0)
+
+
+@pytest.mark.parametrize("sampler", [sample_matrix, dense_ginibre], ids=["hessenberg", "dense"])
+def test_trace_powers_of_either_sampler_meet_kostlans_moments(sampler):
+    # E|tr A^m|^2 for m = 1 .. 3 at N = 8 within 4 se of the exact moments:
+    # tr A reads the diagonal alone, tr A^2 and tr A^3 the subdiagonal too
+    N, draws = 8, 10_000
+    A = np.array([sampler(N, draw_seed(41, i)) for i in range(draws)])
+    P = A
+    for m in (1, 2, 3):
+        t2 = np.abs(np.trace(P, axis1=1, axis2=2)) ** 2
+        se = float(np.std(t2, ddof=1)) / math.sqrt(draws)
+        assert abs(float(np.mean(t2)) - ginibre._trace_power_moment(m, N)) < 4.0 * se
+        P = P @ A
+
+
+@pytest.mark.parametrize("sampler", [sample_matrix, dense_ginibre], ids=["hessenberg", "dense"])
+def test_log_abs_det_of_the_spectra_follows_kostlans_law(sampler):
+    # sum_i log|z_i| over the eigensolved spectra against Kostlan's
+    # 1/2 sum_k log(Gamma(k) / N), k = 1 .. N, by a two-sample KS test at
+    # N = 16; a subdiagonal of Gamma(N - k + 1) reads p ~ 0
+    N, draws = 16, 4000
+    spectra = (eigenvalues(sampler(N, draw_seed(43, i))).eigenvalues for i in range(draws))
+    sampled = [float(np.sum(np.log(np.abs(z)))) for z in spectra]
+    kostlan = kostlan_log_abs_det(N, draws, np.random.default_rng(44))
+    assert stats.ks_2samp(sampled, kostlan).pvalue > 1e-3
 
 
 def test_sample_matrix_errors():

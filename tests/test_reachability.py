@@ -582,6 +582,7 @@ MEMOS = {
     ("field.py", "_coeff_scales"),
     ("field.py", "_pair_factor"),
     ("ginibre.py", "_plane_rule"),
+    ("ginibre.py", "_upper_mask"),
     ("logkernel.py", "_chebyshev_matrices"),
     ("logkernel.py", "_disk_panels"),
 }
@@ -627,6 +628,7 @@ def test_every_memo_returns_arrays_that_refuse_a_write(small_table):
         (field._coeff_scales, ((3, 4), small_table), ((17, 4), small_table)),
         (field._pair_factor, (0.5j, -0.25, (3, 4), small_table), (0.5j, 0.5, (3, 17), small_table)),
         (ginibre._plane_rule, (8,), (0,)),
+        (ginibre._upper_mask, (4,), (-1,)),
         (logkernel._chebyshev_matrices, (logkernel._PANEL_DEGREE,), (-1,)),
         (logkernel._disk_panels, (2, 3, small_table), (2, 17, small_table)),
     ]

@@ -3,8 +3,8 @@
 One subcommand per verification experiment, whose _exp_* function computes
 its whole report (clt's from linstats.gamma_draws, the limit law and the
 exact variances).  Each returns its data, and _write_outputs alone writes
-it into the output directory: a manifest (config echo, files written,
-root-table time where a table is built, version, wall time), a
+it into the output directory: a manifest (config echo, environment, files
+written, root-table time where a table is built, version, wall time), a
 machine-readable result JSON, and one CSV per dataset.  All randomness is
 driven by the --seed flag; rerunning with the same configuration
 reproduces the result files byte for byte.
@@ -27,9 +27,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import special
 
-from . import __version__
+from . import __version__, ginibre
 from .basis import gram_blocks, sobolev_weights
 from .bessel import RootBracketError, build_root_table
 from .field import covariance_mc, expected_norm_sq, tightness_statistic, truncated_covariance
@@ -99,8 +100,10 @@ def _write_outputs(config, result, series, started, timings):
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     echo = {key: getattr(config, key) for key in ("experiment", *_keys(config.experiment))}
+    solver = "eigvals" if ginibre.ZHSEQR is None else "zhseqr"
     manifest = {
         "config": echo,
+        "env": {"eigensolver": solver, "numpy": np.__version__, "scipy": scipy.__version__},
         "outputs": sorted(["manifest.json", "result.json", *(f"{n}.csv" for n in series)]),
         "timings": timings,
         "version": __version__,

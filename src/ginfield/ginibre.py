@@ -7,8 +7,10 @@ independent real and imaginary parts of variance 1/2.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -66,14 +68,49 @@ def sample_matrix(N, seed):
     return out
 
 
+def _openblas_zhseqr():
+    """LAPACK zhseqr (64-bit integers) of the OpenBLAS that numpy.linalg links,
+    which CDLL finds already mapped; None where numpy's build bundles none."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    zhseqr = getattr(ctypes.CDLL(libs[0]), "scipy_zhseqr_64_", None) if libs else None
+    if zhseqr is not None:
+        c, n, p = ctypes.c_char_p, ctypes.c_size_t, ctypes.c_void_p
+        i = ctypes.POINTER(ctypes.c_int64)
+        # JOB, COMPZ, N, ILO, IHI, H, LDH, W, Z, LDZ, WORK, LWORK, INFO, len(JOB), len(COMPZ)
+        zhseqr.argtypes, zhseqr.restype = [c, c, i, i, i, p, i, p, p, i, p, i, i, n, n], None
+    return zhseqr
+
+
+ZHSEQR = _openblas_zhseqr()
+
+
+def _hessenberg_eigvals(H):
+    """Eigenvalues of a nonempty upper Hessenberg H by zhseqr('E', 'N') alone,
+    which reads nothing below the subdiagonal (eigvals without ZHSEQR), with
+    eigvals' LinAlgError for a non-finite entry; EigensolverError if it fails."""
+    if ZHSEQR is None:
+        return np.linalg.eigvals(H)
+    if not np.isfinite(H).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    N, H = H.shape[0], np.array(H, dtype=complex, order="F")  # a copy: zhseqr overwrites it
+    w = np.empty(2 * N, dtype=complex)  # the eigenvalues, then a workspace of N (Z is not read)
+    n, one, info = map(ctypes.c_int64, (N, 1, 0))  # passed by reference (argtypes)
+    pw, pwork = w.ctypes.data, w.ctypes.data + w.itemsize * N
+    ZHSEQR(b"E", b"N", n, one, n, H.ctypes.data, n, pw, pwork, one, pwork, n, info, 1, 1)
+    if info.value:
+        raise EigensolverError(f"zhseqr failed with info = {info.value}")
+    return w[:N]
+
+
 def eigenvalues(matrix, seed=0):
     """Eigenvalues of a square complex matrix (LAPACK) as a SpectrumSample,
-    certified by the trace identity."""
+    certified by the trace identity; an upper Hessenberg one by zhseqr alone."""
     A = np.asarray(matrix, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     N = A.shape[0]
-    eig = np.linalg.eigvals(A)
+    hessenberg = N > 0 and not np.tril(A, -2).any()
+    eig = _hessenberg_eigvals(A) if hessenberg else np.linalg.eigvals(A)
     tr = np.trace(A)
     if not (abs(eig.sum() - tr) <= TRACE_TOL_PER_N * N):
         raise EigensolverError("eigenvalue sum fails the trace identity")

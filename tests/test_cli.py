@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -319,6 +320,20 @@ def test_each_run_writes_its_manifest_result_and_csvs_only(name, flags, csvs, tm
     assert all(t >= 0 for t in manifest["timings"].values())
 
 
+@pytest.mark.parametrize("route", ["zhseqr", "eigvals"])
+def test_manifest_records_the_eigensolver_route_and_versions(route, tmp_path, monkeypatch):
+    # the environment goes to the manifest only: result.json holds config and result
+    if route == "eigvals":
+        monkeypatch.setattr(ginibre, "ZHSEQR", None)
+    elif ginibre.ZHSEQR is None:
+        route = "eigvals"  # a numpy whose OpenBLAS has no zhseqr
+    assert main(["ginibre-sample", "--n-size", "4", "--draws", "2", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest) == {"config", "env", "outputs", "timings", "version", "wall_time_s"}
+    assert manifest["env"] == {"eigensolver": route, "numpy": np.__version__, "scipy": scipy.__version__}
+    assert set(json.loads((tmp_path / "result.json").read_text())) == {"config", "result"}
+
+
 def test_manifest_lists_only_the_files_of_its_run(tmp_path):
     # a second run into the same directory leaves the first run's CSV in
     # place; its manifest must not claim it
@@ -521,8 +536,8 @@ def test_field_covariance_fails_an_estimate_far_from_the_exact_value(tmp_path, m
 
 def test_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
     # eigenvalues off by 1e-3 fail the trace certificate on the first draw
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda A: eigvals(A) + 1e-3)
+    solve = ginibre._hessenberg_eigvals
+    monkeypatch.setattr(ginibre, "_hessenberg_eigvals", lambda A: solve(A) + 1e-3)
     code = main(["clt", "--n-size", "8", "--draws", "4", "--out", str(tmp_path)])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -693,6 +708,7 @@ def _no_eigensolve(monkeypatch):
     def refuse(A):
         raise AssertionError("eigensolve before the usage check")
 
+    monkeypatch.setattr(ginibre, "_hessenberg_eigvals", refuse)
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
 
 

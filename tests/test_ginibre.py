@@ -1,8 +1,10 @@
 """Tests of Ginibre sampling, the eigensolver, and the exact
 determinantal formulas."""
 
+import ctypes
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,10 +446,109 @@ def test_kernel_cache_is_bounded(cold_kernel):
 
 
 def test_eigenvalues_refuse_a_nan_spectrum(monkeypatch):
-    # NaN fails every comparison, so the trace certificate must reject it explicitly
-    monkeypatch.setattr(np.linalg, "eigvals", lambda A: np.full(len(A), np.nan, dtype=complex))
+    # NaN fails every comparison, so the trace certificate must reject it
+    # explicitly; the fault goes into the solver a Hessenberg draw takes
+    nan = lambda A: np.full(len(A), np.nan, dtype=complex)
+    monkeypatch.setattr(ginibre, "_hessenberg_eigvals", nan)
     with pytest.raises(EigensolverError):
         eigenvalues(sample_matrix(8, 0))
+
+
+def _sorted(eig):
+    return eig[np.lexsort((eig.imag, eig.real))]
+
+
+def _refuse(A):
+    raise AssertionError("the other eigensolver route ran")
+
+
+@pytest.mark.parametrize("N", [1, 2, 16, 64, 256])
+def test_a_hessenberg_draw_is_solved_by_zhseqr_alone(N, monkeypatch):
+    H = sample_matrix(N, draw_seed(11, N))
+    ref = _sorted(np.linalg.eigvals(H))
+    if ginibre.ZHSEQR is not None:
+        monkeypatch.setattr(np.linalg, "eigvals", _refuse)
+    assert np.abs(eigenvalues(H).eigenvalues - ref).max() <= 1e-12
+
+
+def test_numpys_openblas_provides_zhseqr():
+    # where numpy bundles scipy-openblas64, the route must find its zhseqr
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    if list(libs.glob("libscipy_openblas64_*.so")):
+        assert ginibre.ZHSEQR is not None
+
+
+@pytest.mark.parametrize("below", [(2, 0), (63, 0), (63, 61)])
+def test_a_matrix_not_in_hessenberg_form_takes_the_general_route(below, monkeypatch):
+    # zhseqr reads nothing below the subdiagonal, and the trace certificate
+    # reads only the diagonal: a dense matrix sent there would pass the
+    # certificate with wrong eigenvalues
+    H = sample_matrix(64, draw_seed(12, 64))
+    H[below] = 0.5
+    for A in (dense_ginibre(64, 13), H):
+        ref = _sorted(np.linalg.eigvals(A))
+        with monkeypatch.context() as m:
+            m.setattr(ginibre, "_hessenberg_eigvals", _refuse)
+            got = eigenvalues(A).eigenvalues
+        assert np.abs(got - ref).max() <= 1e-12
+
+
+def test_without_zhseqr_the_hessenberg_draw_falls_back_to_eigvals(monkeypatch):
+    H = sample_matrix(64, draw_seed(14, 64))
+    ref = _sorted(np.linalg.eigvals(H))
+    monkeypatch.setattr(ginibre, "ZHSEQR", None)
+    s = eigenvalues(H)  # the trace certificate runs on this route too
+    assert np.abs(s.eigenvalues - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("solver", ["zhseqr", "eigvals"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_hessenberg_matrix_with_a_non_finite_entry_raises(solver, bad, monkeypatch):
+    # numpy's check: zhseqr alone returned [1, 1] for [[1, inf], [0, 1]]
+    if solver == "eigvals":
+        monkeypatch.setattr(ginibre, "ZHSEQR", None)
+    with pytest.raises(np.linalg.LinAlgError):
+        eigenvalues([[1.0, bad], [0.0, 1.0]])
+
+
+def _fake_zhseqr(info, calls):
+    """A C function with zhseqr's signature that records its integer
+    arguments and character lengths and returns the given info."""
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    proto = ctypes.CFUNCTYPE(
+        None, ctypes.c_char_p, ctypes.c_char_p, i64, i64, i64, ptr, i64, ptr, ptr, i64, ptr,
+        i64, i64, ctypes.c_size_t, ctypes.c_size_t,
+    )
+
+    def zhseqr(job, compz, n, ilo, ihi, h, ldh, w, z, ldz, work, lwork, out, ljob, lcompz):
+        calls.append((job, compz, *(p[0] for p in (n, ilo, ihi, ldh, ldz, lwork)), ljob, lcompz))
+        out[0] = info
+
+    return proto(zhseqr)
+
+
+def test_zhseqr_gets_ilo_1_ihi_n_lwork_n_and_a_failure_raises(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ginibre, "ZHSEQR", _fake_zhseqr(3, calls))
+    with pytest.raises(EigensolverError, match="info = 3"):
+        eigenvalues(sample_matrix(5, 0))
+    assert calls == [(b"E", b"N", 5, 1, 5, 5, 1, 5, 1, 1)]
+
+
+def test_an_empty_matrix_has_an_empty_spectrum_without_lapack(monkeypatch, capfd):
+    # zhseqr with N = 0 has xerbla print and reports info = -7 (LDH < 1)
+    calls = []
+    monkeypatch.setattr(ginibre, "ZHSEQR", _fake_zhseqr(0, calls))
+    s = eigenvalues(np.zeros((0, 0)))
+    assert s.eigenvalues.shape == (0,) and calls == []
+    assert capfd.readouterr().err == ""
+
+
+def test_zhseqr_leaves_its_input_unchanged():
+    H = np.asfortranarray(sample_matrix(16, draw_seed(15, 16)))
+    before = H.copy()
+    eigenvalues(H)
+    assert np.array_equal(H, before)
 
 
 def test_trace_identity_holds():

@@ -12,7 +12,7 @@ and 2 of a real field's orders, no function but ginibre._radial_sum
 does arithmetic with rho_N, and no function of ginibre but _kernel and
 _overlaps computes with the kernel factors R, and no function of field
 but _coeff_scales reads the root window or forms the column 1/sqrt(n) of
-the harmonic coupling.  Every memo is a
+the harmonic coupling.  Only ginibre.py imports ctypes.  Every memo is a
 basis.frozen_cache, the one code but RootTable.__post_init__ that makes an
 array read-only, and every array a memo returns refuses a write.
 """
@@ -207,6 +207,28 @@ def test_no_module_imports_another_modules_private_name():
     # a name a second module needs is that module's interface, so it is public
     found = {path.name: _private_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _imported_packages(source):
+    """Top-level names of the packages that the module source imports,
+    relative imports aside."""
+    tree = ast.parse(source)
+    names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    names += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and not n.level]
+    return {name.split(".")[0] for name in names}
+
+
+def test_the_package_check_sees_a_submodule_and_a_from_import():
+    source = "import os, ctypes.util\nfrom numpy import ctypeslib\nfrom . import ctypes\n"
+    assert _imported_packages(source) == {"os", "ctypes", "numpy"}
+    assert _imported_packages("from ctypes import CDLL\n") == {"ctypes"}
+
+
+def test_only_ginibre_calls_into_a_shared_library():
+    # a foreign call skips numpy's checks of its arguments, so the one such
+    # call, zhseqr, stays in ginibre beside the checks that replace them
+    found = {path.name: _imported_packages(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, packages in found.items() if "ctypes" in packages] == ["ginibre.py"]
 
 
 def _empty_containers(tree):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -70,9 +69,8 @@ def sample_matrix(N, seed):
 
 def _openblas_zhseqr():
     """LAPACK zhseqr (64-bit integers) of the OpenBLAS that numpy.linalg links,
-    which CDLL finds already mapped; None where numpy's build bundles none."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    zhseqr = getattr(ctypes.CDLL(libs[0]), "scipy_zhseqr_64_", None) if libs else None
+    found by dlsym through numpy.linalg's extension module; None if it has none."""
+    zhseqr = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), "scipy_zhseqr_64_", None)
     if zhseqr is not None:
         c, n, p = ctypes.c_char_p, ctypes.c_size_t, ctypes.c_void_p
         i = ctypes.POINTER(ctypes.c_int64)
@@ -85,11 +83,9 @@ ZHSEQR = _openblas_zhseqr()
 
 
 def _hessenberg_eigvals(H):
-    """Eigenvalues of a nonempty upper Hessenberg H by zhseqr('E', 'N') alone,
-    which reads nothing below the subdiagonal (eigvals without ZHSEQR), with
-    eigvals' LinAlgError for a non-finite entry; EigensolverError if it fails."""
-    if ZHSEQR is None:
-        return np.linalg.eigvals(H)
+    """Eigenvalues of a nonempty upper Hessenberg H by ZHSEQR('E', 'N') alone,
+    which reads nothing below the subdiagonal, with eigvals' LinAlgError for a
+    non-finite entry; EigensolverError if it fails."""
     if not np.isfinite(H).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     N, H = H.shape[0], np.array(H, dtype=complex, order="F")  # a copy: zhseqr overwrites it
@@ -104,12 +100,13 @@ def _hessenberg_eigvals(H):
 
 def eigenvalues(matrix, seed=0):
     """Eigenvalues of a square complex matrix (LAPACK) as a SpectrumSample,
-    certified by the trace identity; an upper Hessenberg one by zhseqr alone."""
+    certified by the trace identity; the one choice of route: ZHSEQR alone if
+    it exists and A is a nonempty upper Hessenberg matrix, else eigvals."""
     A = np.asarray(matrix, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     N = A.shape[0]
-    hessenberg = N > 0 and not np.tril(A, -2).any()
+    hessenberg = ZHSEQR is not None and N > 0 and not np.tril(A, -2).any()
     eig = _hessenberg_eigvals(A) if hessenberg else np.linalg.eigvals(A)
     tr = np.trace(A)
     if not (abs(eig.sum() - tr) <= TRACE_TOL_PER_N * N):
@@ -182,10 +179,10 @@ def _plane_rule(N):
 def _overlaps(R, d, C, wr):
     """(rows, pairs) overlaps A_{k,k+d} = 2 pi int c(r) R_k R_{k+d} r dr over the
     valid k (none when |d| >= N) of the modes c(r) e^{i d theta}, c the rows of
-    the 2-D C (r dr already in wr); one K @ w per row, K = R_k R_{k+d}, so a
-    row's overlaps do not depend on the other rows of the call."""
+    the 2-D C (r dr already in wr); one K @ w per row, K = R_j R_{j+|d|} for d
+    and -d alike, so a row's overlaps do not depend on the other rows of the call."""
     pairs = max(R.shape[0] - abs(d), 0)
-    K = R[max(0, -d) :][:pairs] * R[max(0, d) :][:pairs]
+    K = R[:pairs] * R[abs(d) :]
     return np.array([2.0 * math.pi * (K @ w) for w in C * wr]).reshape(len(C), pairs)
 
 

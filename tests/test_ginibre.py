@@ -478,6 +478,15 @@ def test_numpys_openblas_provides_zhseqr():
         assert ginibre.ZHSEQR is not None
 
 
+def test_the_zhseqr_handle_is_numpys_own():
+    # the route looks zhseqr up through numpy.linalg's extension module; where
+    # numpy bundles scipy-openblas64, it must be that library's own symbol
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas64_*.so"):
+        own = ctypes.cast(ctypes.CDLL(str(lib)).scipy_zhseqr_64_, ctypes.c_void_p).value
+        assert ctypes.cast(ginibre.ZHSEQR, ctypes.c_void_p).value == own
+
+
 @pytest.mark.parametrize("below", [(2, 0), (63, 0), (63, 61)])
 def test_a_matrix_not_in_hessenberg_form_takes_the_general_route(below, monkeypatch):
     # zhseqr reads nothing below the subdiagonal, and the trace certificate
@@ -497,6 +506,7 @@ def test_without_zhseqr_the_hessenberg_draw_falls_back_to_eigvals(monkeypatch):
     H = sample_matrix(64, draw_seed(14, 64))
     ref = _sorted(np.linalg.eigvals(H))
     monkeypatch.setattr(ginibre, "ZHSEQR", None)
+    monkeypatch.setattr(ginibre, "_hessenberg_eigvals", _refuse)  # eigenvalues decides
     s = eigenvalues(H)  # the trace certificate runs on this route too
     assert np.abs(s.eigenvalues - ref).max() <= 1e-12
 

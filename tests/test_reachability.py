@@ -14,7 +14,8 @@ _overlaps computes with the kernel factors R, and no function of field
 but _coeff_scales reads the root window or forms the column 1/sqrt(n) of
 the harmonic coupling.  Only ginibre.py imports ctypes.  Every memo is a
 basis.frozen_cache, the one code but RootTable.__post_init__ that makes an
-array read-only, and every array a memo returns refuses a write.
+array read-only, and every array a memo returns refuses a write.  Every
+patch of the mutation register, tests/mutants.py, applies to the library.
 """
 
 import ast
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from ginfield import basis, field, ginibre, logkernel
+import mutants
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ginfield"
@@ -229,6 +231,14 @@ def test_only_ginibre_calls_into_a_shared_library():
     # call, zhseqr, stays in ginibre beside the checks that replace them
     found = {path.name: _imported_packages(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert [name for name, packages in found.items() if "ctypes" in packages] == ["ginibre.py"]
+
+
+@pytest.mark.parametrize("name", list(mutants.MUTANTS))
+def test_each_mutant_of_the_register_patches_the_library(name):
+    # tests/mutants.py needs each old text once in its file; a patch that
+    # no longer applies would leave its convention unguarded
+    path, text = mutants.patched(name)
+    assert text != path.read_text()
 
 
 def _empty_containers(tree):

@@ -167,7 +167,7 @@ def _exp_reconstruct_log(cfg, table):
 
 
 def _exp_ginibre_sample(cfg, table):
-    Z = np.array([sample_spectrum(cfg.n_size, cfg.seed, i).eigenvalues for i in range(cfg.draws)])
+    Z = np.array([sample_spectrum(cfg.n_size, cfg.seed, i) for i in range(cfg.draws)])
     rows = [[i, z.real, z.imag] for i, zs in enumerate(Z) for z in zs]
     inside = float(np.mean(Z.real**2 + Z.imag**2 < 0.64))
     # by Kostlan the count inside r = 0.8 is a sum of independent
@@ -218,7 +218,8 @@ def _exp_clt(cfg, table):
     Gc = G - mean
     cov = (Gc.conj().T @ Gc) / (draws - 1)
     pseudo = (Gc.T @ Gc) / (draws - 1)
-    limit = limit_covariance_matrix(index_set, table)
+    law = limit_covariance_matrix(index_set + tuple((-n, k) for n, k in index_set), table)
+    limit = law[:3, :3]
     # standard errors: of the mean from the marginal std, of each variance
     # from the Gaussian formula var(S^2) ~ 2 sigma^4 / (M - 1)
     var = np.real(np.diag(cov))
@@ -228,14 +229,13 @@ def _exp_clt(cfg, table):
     exact_by_index = {(r["n"], r["k"]): r["variance"] for r in entries}
     exact = {f"{n}_{k}": exact_by_index[n, k] for n, k in index_set}
     exact_gap = var - np.array(list(exact.values()))
-    # Kolmogorov-Smirnov of each part under the limit law; Im gamma_{0,k} = 0
+    # Kolmogorov-Smirnov of each part whose limit variance (C +- P) / 2 is positive
     ks = {}
-    for i, (n, k) in enumerate(index_set):
-        sigma = math.sqrt(limit[i, i].real * (0.5 if n > 0 else 1.0))
-        parts = {"re": G[:, i].real, "im": G[:, i].imag} if n > 0 else {"re": G[:, i].real}
-        for part, x in parts.items():
-            res = stats.kstest(x / sigma, "norm")
-            ks[f"{part}_{n}_{k}"] = {"statistic": float(res.statistic), "pvalue": float(res.pvalue)}
+    for (n, k), g, c, p in zip(index_set, G.T, np.diag(limit).real, np.diag(law[:3, 3:]).real):
+        for part, x, v in (("re", g.real, c + p), ("im", g.imag, c - p)):
+            if v > 0:
+                stat, pvalue = stats.kstest(x / math.sqrt(v / 2), "norm")
+                ks[f"{part}_{n}_{k}"] = {"statistic": float(stat), "pvalue": float(pvalue)}
     # each variance within 5 se of its limit and of its exact finite-N value
     ok = bool(
         np.all(np.abs(np.diag(cov) - np.diag(limit)) <= 5.0 * se_var)
@@ -306,9 +306,10 @@ def _exp_sobolev_tightness(cfg, table):
     for r in variance_bound_check(ns, ks, sizes, table)["entries"]:
         exact[str(r["N"])] += W[r["n"], r["k"] - 1] * r["variance"]
     limit_sum = expected_norm_sq(s, (cfg.n_max, cfg.k_max), table)
-    # the limit law's Var T = sum_n c_n w_n |C_n|^2 w_n, c_0 = 2 as gamma_{0,k} is real
-    C = [np.abs(limit_covariance_matrix([(n, k) for k in ks], table)) ** 2 for n in ns]
-    se = math.sqrt((sum(w @ c @ w for w, c in zip(W, C)) + W[0] @ C[0] @ W[0]) / cfg.draws)
+    # the limit law's Var T = sum_n w_n (|C_n|^2 + |P_n|^2) w_n, P_n = C(a, -b) of order n
+    blocks = (limit_covariance_matrix([(m, k) for m in (n, -n) for k in ks], table) for n in ns)
+    CP = (np.abs(np.hsplit(b[: len(ks)], 2)) ** 2 for b in blocks)
+    se = math.sqrt(sum(w @ (c + p) @ w for w, (c, p) in zip(W, CP)) / cfg.draws)
     z = {str(N): (stat - exact[str(N)]) / se for N, stat in stats}
     # each statistic within 5 se of its exact mean, none above the limit law's
     ok = max(map(abs, z.values())) <= 5.0 and max(exact.values()) <= limit_sum

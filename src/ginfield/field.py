@@ -63,10 +63,8 @@ def _coeff_arrays(rng, cutoff, table):
 
 
 def sample_h(cutoff, seed, table):
-    """One truncated sample of the limit field as a FieldSample."""
-    n_max, k_max = cutoff
-    if n_max < 1 or k_max < 1:
-        raise ValueError("cutoffs must be >= 1")
+    """One truncated sample of the limit field as a FieldSample; KeyError
+    for a cutoff past the table or one that holds no index."""
     return FieldSample(_coeff_arrays(np.random.default_rng(seed), cutoff, table))
 
 

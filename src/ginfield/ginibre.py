@@ -117,10 +117,9 @@ def eigenvalues(matrix, seed=0):
 
 
 def sample_spectrum(N, master_seed, draw_index=0):
-    """One seeded Ginibre draw, sampled in Hessenberg form, reduced to its
-    spectrum: the spectrum of a dense i.i.d. draw in law, not draw by draw."""
-    ss = draw_seed(master_seed, draw_index)
-    return eigenvalues(sample_matrix(N, ss), seed=master_seed)
+    """The certified eigenvalues of one seeded Ginibre draw, sampled in
+    Hessenberg form: the spectrum of a dense i.i.d. draw in law, not draw by draw."""
+    return eigenvalues(sample_matrix(N, draw_seed(master_seed, draw_index))).eigenvalues
 
 
 # ---------------------------------------------------------------------------

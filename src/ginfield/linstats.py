@@ -4,8 +4,9 @@ finite-N moments, their limiting Gaussian law, and their Monte-Carlo draws.
 gamma_{n,k}^(N) is the centered linear statistic of alpha_{n,k} over one
 Ginibre spectrum.  Its limit is sqrt(pi)/j_{n,k} times a standard Gaussian
 for n = 0, and sqrt(pi)/j_{n,k} (Z + W/sqrt(n)) for n >= 1 with the complex
-Gaussian W shared across all k at fixed n.  Its exact finite-N mean is
-ginibre.radial_mean of alpha_{n,k}'s radial factor; its variances over a
+Gaussian W shared across all k at fixed n, and gamma_{-n,k} is conj(gamma_{n,k}):
+the law that limit_covariance_matrix alone states.  Its exact finite-N mean
+is ginibre.radial_mean of alpha_{n,k}'s radial factor; its variances over a
 set of (n, N) cases take one ginibre.radial_pair_variances call.
 """
 
@@ -70,23 +71,23 @@ def _gamma_block(Z, index_set, table):
 
 def limit_covariance(idx1, idx2, table):
     """Limiting second moments (E gamma1 conj(gamma2), E gamma1 gamma2) of
-    two indices with n >= 0: the (0, 1) entry of limit_covariance_matrix,
-    and the same value as the plain moment when n = 0, where gamma is real
-    (0 otherwise)."""
-    c = complex(limit_covariance_matrix((idx1, idx2), table)[0, 1])
-    return c, (c if idx1[0] == 0 else 0j)
+    two signed indices: entries (0, 1) and (0, 2) of limit_covariance_matrix
+    over (idx1, idx2, -idx2), since gamma2 = conj(gamma_{-n2,k2})."""
+    n2, k2 = idx2
+    c = limit_covariance_matrix((idx1, idx2, (-n2, k2)), table)
+    return complex(c[0, 1]), complex(c[0, 2])
 
 
 def limit_covariance_matrix(index_set, table):
     """Conjugate covariance matrix E gamma_a conj(gamma_b) over an index set
-    with n >= 0: pi / (j_a j_b) ([k_a = k_b] + [n > 0] / n) for n_a = n_b = n,
-    0 across different n, where the shared complex Gaussian of order n
-    couples all k.  ValueError for n < 0, KeyError past the table."""
+    of signed orders: pi / (j_a j_b) ([k_a = k_b] + [n != 0] / |n|) for
+    n_a = n_b = n, 0 across different n, where the shared complex Gaussian
+    of order n couples all k.  Since gamma_{-n,k} = conj(gamma_{n,k}), the
+    plain moment E gamma_a gamma_b is the entry (a, -b).  KeyError past the
+    table."""
     n, k = np.array(index_set, dtype=int).reshape(-1, 2).T
-    if np.any(n < 0):
-        raise ValueError("limit covariance is stated for n >= 0")
     j = table.root(n, k)
-    inv_n = np.where(n > 0, 1.0 / np.maximum(n, 1), 0.0)
+    inv_n = np.where(n != 0, 1.0 / np.maximum(np.abs(n), 1), 0.0)
     c = math.pi / np.outer(j, j) * ((k[:, None] == k) + inv_n[:, None])
     return np.where(n[:, None] == n, c, 0.0).astype(complex)
 
@@ -98,7 +99,7 @@ def limit_covariance_matrix(index_set, table):
 
 def _gamma_draws_block(N, master_seed, index_set, table, b0, b1):
     """Uncentered gamma of draws b0 .. b1 - 1, each eigensolved through the trace certificate."""
-    Z = np.array([sample_spectrum(N, master_seed, i).eigenvalues for i in range(b0, b1)])
+    Z = np.array([sample_spectrum(N, master_seed, i) for i in range(b0, b1)])
     return _gamma_block(Z, index_set, table)
 
 

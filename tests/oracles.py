@@ -50,7 +50,6 @@ from ginfield.basis import (
 from ginfield.field import FieldSample
 from ginfield.ginibre import (
     PlaneQuadrature,
-    SpectrumSample,
     _checked_variance,
     _kernel,
     _overlaps,
@@ -443,28 +442,24 @@ def alpha_moments(N, index_set, table, quad):
 # ---------------------------------------------------------------------------
 
 
-def gamma(sample, index_set, table):
-    """Centered linear statistics of alpha over one spectrum sample."""
+def gamma(z, index_set, table, seed=0):
+    """Centered linear statistics of alpha over one spectrum, the eigenvalue
+    array z; seed only labels the GammaSample."""
     index_set = tuple((int(n), int(k)) for n, k in index_set)
     if any(n < 0 for n, _ in index_set):
         raise ValueError("index set must have n >= 0")
-    N = len(sample.eigenvalues)
+    N = len(z)
     cent = [centering_term(n, k, N, table) for n, k in index_set]
-    vals = _gamma_block(sample.eigenvalues[None, :], index_set, table)[0] - cent
-    return GammaSample(
-        index_set=index_set,
-        values=vals,
-        matrix_size=len(sample.eigenvalues),
-        seed=sample.seed,
-    )
+    vals = _gamma_block(z[None, :], index_set, table)[0] - cent
+    return GammaSample(index_set=index_set, values=vals, matrix_size=N, seed=seed)
 
 
-def h_N_coeffs(sample: SpectrumSample, cutoff, table):
+def h_N_coeffs(z, cutoff, table):
     """Coefficients of the centered log-characteristic-polynomial field of
-    one spectrum draw: entry a[n, k-1] is gamma_{n,k}^(N)."""
+    one spectrum, the eigenvalue array z: entry a[n, k-1] is gamma_{n,k}^(N)."""
     n_max, k_max = cutoff
     index_set = [(n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)]
-    a = gamma(sample, index_set, table).values.reshape(n_max + 1, k_max)
+    a = gamma(z, index_set, table).values.reshape(n_max + 1, k_max)
     a[0] = a[0].real
     return FieldSample(a)
 
@@ -540,12 +535,11 @@ def tightness_bound(s_prime, cutoff, table, constant):
 
 def limit_covariance_by_pair(idx1, idx2, table):
     """Limiting second moments (E gamma1 conj(gamma2), E gamma1 gamma2) of
-    one pair of indices, case by case."""
+    one pair of signed indices, case by case, with gamma_{-n,k} =
+    conj(gamma_{n,k})."""
     n1, k1 = idx1
     n2, k2 = idx2
-    if n1 < 0 or n2 < 0:
-        raise ValueError("limit covariance is stated for n >= 0")
-    if n1 != n2:
+    if abs(n1) != abs(n2):
         return 0.0 + 0.0j, 0.0 + 0.0j
     j1 = table.root(n1, k1)
     j2 = table.root(n2, k2)
@@ -553,8 +547,12 @@ def limit_covariance_by_pair(idx1, idx2, table):
         c = math.pi / j1**2 if k1 == k2 else 0.0
         # gamma_{0,k} is real, so the plain second moment coincides
         return complex(c), complex(c)
-    c = math.pi / (j1 * j2) * ((1.0 if k1 == k2 else 0.0) + 1.0 / n1)
-    return complex(c), 0.0 + 0.0j
+    c = math.pi / (j1 * j2) * ((1.0 if k1 == k2 else 0.0) + 1.0 / abs(n1))
+    if n1 == n2:
+        # gamma_{n,k} and gamma_{n,k'} share W_n, a circular Gaussian
+        return complex(c), 0.0 + 0.0j
+    # gamma_{-n,k'} is conj(gamma_{n,k'}), so only the plain moment survives
+    return 0.0 + 0.0j, complex(c)
 
 
 def limit_covariance_matrix_by_pair(index_set, table):

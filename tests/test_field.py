@@ -43,8 +43,12 @@ def test_sample_h_structure(small_table):
     s = sample_h((4, 5), 0, small_table)
     assert s.coeffs.shape == (5, 5) and s.coeffs.dtype == complex
     assert not np.any(s.coeffs[0].imag)
-    with pytest.raises(ValueError):
-        sample_h((0, 5), 0, small_table)
+    # the radial-only window is one real row; a window with no index is a KeyError
+    a = sample_h((0, 5), 0, small_table).coeffs
+    assert a.shape == (1, 5) and not np.any(a.imag)
+    for cutoff in [(0, 0), (-1, 5), (3, 0)]:
+        with pytest.raises(KeyError):
+            sample_h(cutoff, 0, small_table)
 
 
 def test_sample_h_deterministic(small_table):
@@ -111,8 +115,8 @@ class UnitDraws:
 def test_the_sampler_is_a_linear_map_onto_the_limit_law(small_table, cutoff):
     # a = L x for the standard normals x that _coeff_arrays draws (A, then Z,
     # then W), so E a a^H = L L^H is limit_covariance_matrix over the n-major
-    # window, and E a a^T = L L^T is that law on the real order 0 and 0 for
-    # n >= 1, whose real and imaginary parts are independent and alike
+    # window, and E a a^T = L L^T is its block C(window, -window), the plain
+    # moments of a real field
     n_max, k_max = cutoff
     draws = k_max + 2 * n_max * (k_max + 1)
     columns = []
@@ -122,11 +126,12 @@ def test_the_sampler_is_a_linear_map_onto_the_limit_law(small_table, cutoff):
         assert stub.drawn == draws
     L = np.stack(columns, axis=1)
     window = [(n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)]
-    C = limit_covariance_matrix(window, small_table)
-    real = np.arange(len(window)) < k_max
+    m = len(window)
+    law = limit_covariance_matrix(window + [(-n, k) for n, k in window], small_table)
+    C, P = law[:m, :m], law[:m, m:]
     scale = np.abs(C).max()
     assert np.abs(L @ L.conj().T - C).max() <= 1e-15 * scale
-    assert np.abs(L @ L.T - C * np.outer(real, real)).max() <= 1e-15 * scale
+    assert np.abs(L @ L.T - P).max() <= 1e-15 * scale
 
 
 def test_the_cached_scales_and_weights_are_read_only(small_table):
@@ -425,7 +430,7 @@ def test_h_N_field_evaluates_near_log_statistic(small_table):
     fs = h_N_coeffs(spec, (16, 16), small_table)
     z = 0.2
     val = evaluate(fs.coeffs, z, small_table)
-    direct = float(np.sum(np.log(np.abs(z - spec.eigenvalues))))
+    direct = float(np.sum(np.log(np.abs(z - spec))))
     # compare after removing the deterministic centering part
     centered = direct - sum(
         centering_term(0, k, 64, small_table)

@@ -67,7 +67,7 @@ def test_centering_radial_value(small_table):
 def test_gamma_sample_accessors(small_table):
     s = sample_spectrum(16, 5)
     idx = [(0, 1), (1, 1), (2, 3)]
-    g = gamma(s, idx, small_table)
+    g = gamma(s, idx, small_table, seed=5)
     assert g.index_set == tuple(idx) and g.values.shape == (3,)
     assert (g.matrix_size, g.seed) == (16, 5)
     with pytest.raises(ValueError):
@@ -77,7 +77,7 @@ def test_gamma_sample_accessors(small_table):
 def test_gamma_matches_manual_sum(small_table):
     s = sample_spectrum(8, 2)
     g = gamma(s, [(2, 1)], small_table)
-    manual = complex(np.sum(alpha_values(2, 1, s.eigenvalues, small_table)))
+    manual = complex(np.sum(alpha_values(2, 1, s, small_table)))
     assert abs(g.values[0] - manual) < 1e-13
 
 
@@ -111,11 +111,15 @@ def test_limit_covariance_entries(small_table):
     assert p == 0.0
     c, p = limit_covariance((1, 1), (1, 1), small_table)
     assert abs(c - 2.0 * math.pi / j11**2) < 1e-14
+    assert p == 0.0
     assert limit_covariance((1, 1), (2, 1), small_table) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        limit_covariance((-1, 1), (1, 1), small_table)
-    with pytest.raises(ValueError):
-        limit_covariance_matrix([(0, 1), (-2, 1)], small_table)
+    # gamma_{-n,k} = conj(gamma_{n,k}): C(-a, -b) = conj C(a, b), and the
+    # plain moment pairs order n with order -n
+    idx = [(n, k) for n in range(-3, 4) for k in range(1, 4)]
+    M = limit_covariance_matrix(idx, small_table)
+    assert np.array_equal(limit_covariance_matrix([(-n, k) for n, k in idx], small_table), M.conj())
+    assert limit_covariance((1, 1), (-1, 1), small_table) == (0.0, c)
+    assert limit_covariance((-1, 1), (-1, 1), small_table) == (c, 0.0)
     with pytest.raises(KeyError):
         limit_covariance((3, 17), (3, 1), small_table)
 
@@ -244,7 +248,8 @@ def test_clt_experiment_small(small_table):
     # centered statistic: mean within 6 se of zero
     for mu, se in zip(rep["empirical_mean"], rep["se_mean"]):
         assert abs(complex(*mu)) < 6 * se
-    assert "re_0_1" in rep["ks"] and "im_1_1" in rep["ks"]
+    # Im gamma_{0,1} has limit variance 0, and no test
+    assert set(rep["ks"]) == {"re_0_1", "re_1_1", "im_1_1", "re_1_2", "im_1_2"}
     assert "0_1" in rep["exact_pair_variance"]
     # the 1/N law's prediction, limit variance - pi / (8N), beside the limit
     assert rep["predicted_finite_N_var"] == {
@@ -538,8 +543,8 @@ def test_gamma_draws_equal_the_per_index_sum(N, draws, small_table, monkeypatch)
     assert G.shape == (draws, len(MIXED_INDEX_SET))
     assert np.max(np.abs(G - ref)) <= 1e-12
     i = draws - 1
-    sample = eigenvalues(sample_matrix(N, draw_seed(11, i)))
-    assert np.array_equal(gamma(sample, MIXED_INDEX_SET, small_table).values, G[i])
+    z = eigenvalues(sample_matrix(N, draw_seed(11, i))).eigenvalues
+    assert np.array_equal(gamma(z, MIXED_INDEX_SET, small_table).values, G[i])
 
 
 def test_pooled_draws_whose_worker_ranges_span_several_blocks(small_table, monkeypatch):
@@ -606,8 +611,9 @@ def test_gamma_of_an_index_does_not_depend_on_the_index_set(small_table):
         [(n, k) for n in range(9) for k in range(1, 9)],
         MIXED_INDEX_SET,
         [(0, 1), (1, 1), (1, 2)],
+        [(m, k) for n in range(9) for m in (n, -n) for k in range(1, 9)],
     ],
-    ids=["grid", "mixed", "clt"],
+    ids=["grid", "mixed", "clt", "signed-grid"],
 )
 def test_limit_covariance_equals_the_per_pair_route(index_set, small_table):
     M = limit_covariance_matrix(index_set, small_table)

@@ -218,8 +218,7 @@ def _exp_clt(cfg, table):
     Gc = G - mean
     cov = (Gc.conj().T @ Gc) / (draws - 1)
     pseudo = (Gc.T @ Gc) / (draws - 1)
-    law = limit_covariance_matrix(index_set + tuple((-n, k) for n, k in index_set), table)
-    limit = law[:3, :3]
+    C, P = limit_covariance_matrix(index_set, table)
     # standard errors: of the mean from the marginal std, of each variance
     # from the Gaussian formula var(S^2) ~ 2 sigma^4 / (M - 1)
     var = np.real(np.diag(cov))
@@ -231,14 +230,14 @@ def _exp_clt(cfg, table):
     exact_gap = var - np.array(list(exact.values()))
     # Kolmogorov-Smirnov of each part whose limit variance (C +- P) / 2 is positive
     ks = {}
-    for (n, k), g, c, p in zip(index_set, G.T, np.diag(limit).real, np.diag(law[:3, 3:]).real):
+    for (n, k), g, c, p in zip(index_set, G.T, np.diag(C).real, np.diag(P).real):
         for part, x, v in (("re", g.real, c + p), ("im", g.imag, c - p)):
             if v > 0:
                 stat, pvalue = stats.kstest(x / math.sqrt(v / 2), "norm")
                 ks[f"{part}_{n}_{k}"] = {"statistic": float(stat), "pvalue": float(pvalue)}
     # each variance within 5 se of its limit and of its exact finite-N value
     ok = bool(
-        np.all(np.abs(np.diag(cov) - np.diag(limit)) <= 5.0 * se_var)
+        np.all(np.abs(np.diag(cov) - np.diag(C)) <= 5.0 * se_var)
         and np.all(np.abs(exact_gap) <= 5.0 * se_var)
     ) and all(v["pvalue"] > 1e-3 for v in ks.values())
     rep = {
@@ -249,7 +248,7 @@ def _exp_clt(cfg, table):
         "empirical_mean": [[v.real, v.imag] for v in mean],
         "empirical_cov": [[[c.real, c.imag] for c in row] for row in cov],
         "empirical_pseudo_cov": [[[c.real, c.imag] for c in row] for row in pseudo],
-        "limit_cov": [[[c.real, c.imag] for c in row] for row in limit],
+        "limit_cov": [[[c.real, c.imag] for c in row] for row in C],
         "se_mean": list(np.sqrt(var / draws)),
         "se_var": list(se_var),
         "ks": ks,
@@ -257,11 +256,11 @@ def _exp_clt(cfg, table):
         "exact_z": dict(zip(exact, (exact_gap / se_var).tolist())),
         # the measured 1/N law Var_N = Var_inf - pi / (8N) + o(1/N), a report only
         "predicted_finite_N_var": {
-            f"{n}_{k}": limit[i, i].real - math.pi / (8 * N) for i, (n, k) in enumerate(index_set)
+            f"{n}_{k}": C[i, i].real - math.pi / (8 * N) for i, (n, k) in enumerate(index_set)
         },
     }
     rows = [
-        [n, k, cov[i, i].real, limit[i, i].real, se_var[i]]
+        [n, k, cov[i, i].real, C[i, i].real, se_var[i]]
         for i, (n, k) in enumerate(index_set)
     ]
     return ok, rep, {"clt_variances": (["n", "k", "empirical", "limit", "se"], rows)}
@@ -306,10 +305,12 @@ def _exp_sobolev_tightness(cfg, table):
     for r in variance_bound_check(ns, ks, sizes, table)["entries"]:
         exact[str(r["N"])] += W[r["n"], r["k"] - 1] * r["variance"]
     limit_sum = expected_norm_sq(s, (cfg.n_max, cfg.k_max), table)
-    # the limit law's Var T = sum_n w_n (|C_n|^2 + |P_n|^2) w_n, P_n = C(a, -b) of order n
-    blocks = (limit_covariance_matrix([(m, k) for m in (n, -n) for k in ks], table) for n in ns)
-    CP = (np.abs(np.hsplit(b[: len(ks)], 2)) ** 2 for b in blocks)
-    se = math.sqrt(sum(w @ (c + p) @ w for w, (c, p) in zip(W, CP)) / cfg.draws)
+    # the limit law's Var T = sum_n w_n (|C_n|^2 + |P_n|^2) w_n over the blocks of order n
+    var_t = 0.0
+    for n, w in zip(ns, W):
+        C_n, P_n = limit_covariance_matrix([(n, k) for k in ks], table)
+        var_t += w @ (np.abs(C_n) ** 2 + np.abs(P_n) ** 2) @ w
+    se = math.sqrt(var_t / cfg.draws)
     z = {str(N): (stat - exact[str(N)]) / se for N, stat in stats}
     # each statistic within 5 se of its exact mean, none above the limit law's
     ok = max(map(abs, z.values())) <= 5.0 and max(exact.values()) <= limit_sum

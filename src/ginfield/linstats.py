@@ -5,9 +5,9 @@ gamma_{n,k}^(N) is the centered linear statistic of alpha_{n,k} over one
 Ginibre spectrum.  Its limit is sqrt(pi)/j_{n,k} times a standard Gaussian
 for n = 0, and sqrt(pi)/j_{n,k} (Z + W/sqrt(n)) for n >= 1 with the complex
 Gaussian W shared across all k at fixed n, and gamma_{-n,k} is conj(gamma_{n,k}):
-the law that limit_covariance_matrix alone states.  Its exact finite-N mean
-is ginibre.radial_mean of alpha_{n,k}'s radial factor; its variances over a
-set of (n, N) cases take one ginibre.radial_pair_variances call.
+the law that limit_covariance_matrix alone states, as the pair (C, P).  Its
+exact finite-N mean is ginibre.radial_mean of alpha_{n,k}'s radial factor;
+its variances over a set of (n, N) cases take one ginibre.radial_pair_variances call.
 """
 
 from __future__ import annotations
@@ -71,25 +71,24 @@ def _gamma_block(Z, index_set, table):
 
 def limit_covariance(idx1, idx2, table):
     """Limiting second moments (E gamma1 conj(gamma2), E gamma1 gamma2) of
-    two signed indices: entries (0, 1) and (0, 2) of limit_covariance_matrix
-    over (idx1, idx2, -idx2), since gamma2 = conj(gamma_{-n2,k2})."""
-    n2, k2 = idx2
-    c = limit_covariance_matrix((idx1, idx2, (-n2, k2)), table)
-    return complex(c[0, 1]), complex(c[0, 2])
+    two signed indices: the (0, 1) entries of limit_covariance_matrix."""
+    C, P = limit_covariance_matrix((idx1, idx2), table)
+    return complex(C[0, 1]), complex(P[0, 1])
 
 
 def limit_covariance_matrix(index_set, table):
-    """Conjugate covariance matrix E gamma_a conj(gamma_b) over an index set
-    of signed orders: pi / (j_a j_b) ([k_a = k_b] + [n != 0] / |n|) for
-    n_a = n_b = n, 0 across different n, where the shared complex Gaussian
-    of order n couples all k.  Since gamma_{-n,k} = conj(gamma_{n,k}), the
-    plain moment E gamma_a gamma_b is the entry (a, -b).  KeyError past the
+    """The limit law over an index set of signed orders: its covariance
+    C = E gamma_a conj(gamma_b) and pseudo-covariance P = E gamma_a gamma_b.
+    C is pi / (j_a j_b) ([k_a = k_b] + [n != 0] / |n|) for n_a = n_b = n and
+    0 across different n, where the shared complex Gaussian of order n
+    couples all k.  Since gamma_{-n,k} = conj(gamma_{n,k}), P(a, b) is
+    C(a, -b): the same entries on the blocks n_a = -n_b.  KeyError past the
     table."""
     n, k = np.array(index_set, dtype=int).reshape(-1, 2).T
     j = table.root(n, k)
     inv_n = np.where(n != 0, 1.0 / np.maximum(np.abs(n), 1), 0.0)
     c = math.pi / np.outer(j, j) * ((k[:, None] == k) + inv_n[:, None])
-    return np.where(n[:, None] == n, c, 0.0).astype(complex)
+    return tuple(np.where(n[:, None] == s * n, c, 0.0).astype(complex) for s in (1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ MUTANTS = {
         "inv_n = np.where(n != 0, 1.0, 0.0)",
     ),
     "orders n and -n share a block in limit_covariance_matrix": (
-        LINSTATS, "n[:, None] == n", "np.abs(n)[:, None] == np.abs(n)"
+        LINSTATS, "n[:, None] == s * n", "np.abs(n)[:, None] == np.abs(n)"
     ),
     # R_N = r R_{N-1}, so this adds the (N+1)-th factor to rho_N alone
     "rho_N from N + 1 factors": (

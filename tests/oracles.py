@@ -442,16 +442,16 @@ def alpha_moments(N, index_set, table, quad):
 # ---------------------------------------------------------------------------
 
 
-def gamma(z, index_set, table, seed=0):
+def gamma(z, index_set, table):
     """Centered linear statistics of alpha over one spectrum, the eigenvalue
-    array z; seed only labels the GammaSample."""
+    array z, as a GammaSample labelled seed 0."""
     index_set = tuple((int(n), int(k)) for n, k in index_set)
     if any(n < 0 for n, _ in index_set):
         raise ValueError("index set must have n >= 0")
     N = len(z)
     cent = [centering_term(n, k, N, table) for n, k in index_set]
     vals = _gamma_block(z[None, :], index_set, table)[0] - cent
-    return GammaSample(index_set=index_set, values=vals, matrix_size=N, seed=seed)
+    return GammaSample(index_set=index_set, values=vals, matrix_size=N, seed=0)
 
 
 def h_N_coeffs(z, cutoff, table):
@@ -556,13 +556,14 @@ def limit_covariance_by_pair(idx1, idx2, table):
 
 
 def limit_covariance_matrix_by_pair(index_set, table):
-    """Conjugate covariance matrix over an index set, one pair at a time."""
+    """Covariance and pseudo-covariance matrices over an index set, one
+    pair at a time."""
     m = len(index_set)
-    out = np.zeros((m, m), dtype=complex)
+    out = np.zeros((2, m, m), dtype=complex)
     for a, i1 in enumerate(index_set):
         for b, i2 in enumerate(index_set):
-            out[a, b] = limit_covariance_by_pair(i1, i2, table)[0]
-    return out
+            out[:, a, b] = limit_covariance_by_pair(i1, i2, table)
+    return tuple(out)
 
 
 def limit_quadratic_form(t, s, table):

@@ -114,9 +114,8 @@ class UnitDraws:
 @pytest.mark.parametrize("cutoff", [(1, 1), (3, 5), (8, 8), (16, 16)])
 def test_the_sampler_is_a_linear_map_onto_the_limit_law(small_table, cutoff):
     # a = L x for the standard normals x that _coeff_arrays draws (A, then Z,
-    # then W), so E a a^H = L L^H is limit_covariance_matrix over the n-major
-    # window, and E a a^T = L L^T is its block C(window, -window), the plain
-    # moments of a real field
+    # then W), so E a a^H = L L^H and E a a^T = L L^T are the covariance and
+    # pseudo-covariance of limit_covariance_matrix over the n-major window
     n_max, k_max = cutoff
     draws = k_max + 2 * n_max * (k_max + 1)
     columns = []
@@ -126,9 +125,7 @@ def test_the_sampler_is_a_linear_map_onto_the_limit_law(small_table, cutoff):
         assert stub.drawn == draws
     L = np.stack(columns, axis=1)
     window = [(n, k) for n in range(n_max + 1) for k in range(1, k_max + 1)]
-    m = len(window)
-    law = limit_covariance_matrix(window + [(-n, k) for n, k in window], small_table)
-    C, P = law[:m, :m], law[:m, m:]
+    C, P = limit_covariance_matrix(window, small_table)
     scale = np.abs(C).max()
     assert np.abs(L @ L.conj().T - C).max() <= 1e-15 * scale
     assert np.abs(L @ L.T - P).max() <= 1e-15 * scale

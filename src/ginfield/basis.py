@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
+
+from .bessel import jn
 
 
 class DiskDomainError(ValueError):
@@ -31,10 +32,10 @@ class SingularityError(ValueError):
 
 def radial_profile(n, k, r, table):
     """Radial factor C_{n,k} J_{|n|}(j_{n,k} r) of e_{n,k}, with integer
-    arrays n and k and the radii r broadcast together, in one jv call.
-    KeyError for any (n, k) outside the table."""
+    arrays n and k and the radii r broadcast together, in one bessel.jn
+    call.  KeyError for any (n, k) outside the table."""
     j, n = table.root(n, k), np.abs(n)
-    return table.norms[n, np.asarray(k) - 1] * special.jv(n, j * r)
+    return table.norms[n, np.asarray(k) - 1] * jn(n, j * r)
 
 
 def _disk_radii(points):

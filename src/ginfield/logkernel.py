@@ -5,7 +5,7 @@ combining the Green's-series term with a harmonic correction, and an
 exterior branch (|w| >= 1, including the circle itself).  Both have the
 angular structure g(r) e^{-i n theta} in polar coordinates w = r e^{i theta},
 so only the radial factor g is computed here.  alpha_radial is the one
-evaluator of both branches, on scipy's J_n, over integer arrays n and k
+evaluator of both branches, on bessel.jn, over integer arrays n and k
 broadcast together; alpha_radial_piecewise takes its disk branch from a
 certified piecewise-Chebyshev interpolant of alpha_radial, for evaluation
 at many points, and everything else from alpha_radial itself.
@@ -34,7 +34,7 @@ class InterpolantError(RuntimeError):
 
 def alpha_radial(n, k, r, table):
     """Radial factor g(r) of alpha_{n,k}(r e^{i theta}) = g(r) e^{-i n theta}
-    over integer arrays n and k broadcast together, in one jv call: shape
+    over integer arrays n and k broadcast together, in one jn call: shape
     broadcast(n, k).shape + r.shape, 0-d for one index and a scalar r.  The
     disk branch for r < 1, the exterior branch for r >= 1 (continuous across
     the circle); each row depends only on its own (n, k).

@@ -78,6 +78,10 @@ MUTANTS = {
     "Hessenberg check of eigenvalues dropped": (
         GINIBRE, " and not np.tril(A, -2).any()", ""
     ),
+    # the one step that Newton's pair and jn share: J_2 = -J_0, and so on
+    "2m for 2(m + 1) in the forward recurrence step": (
+        "src/ginfield/bessel.py", "return (2 * (m + 1) / x) * jm1 - jm", "return (2 * m / x) * jm1 - jm"
+    ),
 }
 
 

@@ -1,4 +1,5 @@
-"""Tests of scipy's Bessel evaluation and of certified root finding.
+"""Tests of scipy's Bessel evaluation, of the integer-order evaluator jn and
+of certified root finding.
 
 The oracles here are independent of the implementation route: a bisection
 on the raw power series, an interlacing scan on a fine grid, mpmath
@@ -14,7 +15,7 @@ import pytest
 from scipy import special
 
 from ginfield import bessel, field, logkernel
-from ginfield.bessel import RootBracketError, build_root_table
+from ginfield.bessel import _RECURRENCE_CAP as CAP, RootBracketError, build_root_table, jn
 from ginfield.cli import main
 from ginfield.field import covariance_mc
 from ginfield.logkernel import alpha_radial_piecewise
@@ -297,3 +298,60 @@ def test_norms_give_unit_l2_norm(n, k, table):
             method="gauss-legendre",
         )
         assert abs(float(2 * mpmath.pi * integral) - 1.0) < 1e-12
+
+
+def _mp_jn(n, x):
+    return np.vectorize(lambda a, b: float(mpmath.besselj(int(a), mpmath.mpf(float(b)))))(n, x)
+
+
+def test_jn_against_mpmath_on_the_recurrence_region():
+    # orders 0 .. CAP at radii j_{n,k} r of a 64-root table (jn_zeros, not the
+    # Newton table), r on a grid of [0, 1]: the entries that j0, j1 and the
+    # forward recurrence give are within 1e-15 of mpmath, absolute
+    n = np.arange(CAP + 1)[:, None, None]
+    r = np.linspace(0.0, 1.0, 13)
+    x = jn_zeros_table(CAP, 64)[:, [0, 1, 4, 15, 32, 63], None] * r
+    n, x = np.broadcast_arrays(n, x)
+    ours = (n < 2) | (x >= n)
+    assert ours.sum() > 900
+    assert np.max(np.abs(jn(n, x) - _mp_jn(n, x))[ours]) <= 1e-15
+
+
+def test_jn_at_its_edges():
+    # x = n exactly, where the recurrence starts to apply; r = 0; the
+    # orders CAP (recurrence) and CAP + 1 (jv) on the same radii
+    orders = np.arange(2, CAP + 2)
+    assert np.all(np.abs(jn(orders, orders.astype(float)) - _mp_jn(orders, orders)) <= 1e-15)
+    assert np.array_equal(jn(np.arange(CAP + 2), 0.0), np.eye(1, CAP + 2)[0])
+    x = np.linspace(CAP, 3 * CAP, 33)
+    assert np.max(np.abs(jn(CAP, x) - _mp_jn(CAP, x))) <= 1e-15
+    assert np.array_equal(jn(CAP + 1, x), special.jv(CAP + 1, x))
+    assert type(jn(3, 4.0)) is np.float64 and jn(np.zeros(0, int), 1.0).shape == (0,)
+
+
+def test_jn_is_jv_above_the_cap_and_below_the_order():
+    rng = np.random.default_rng(7)
+    n = rng.integers(2, 3 * CAP, 4000)
+    x = rng.uniform(0.0, 4 * CAP, 4000)
+    jv_route = (n > CAP) | (x < n)
+    assert jv_route.sum() > 1000
+    assert np.array_equal(jn(n, x)[jv_route], special.jv(n[jv_route], x[jv_route]))
+
+
+def test_a_jn_row_alone_is_the_same_row_in_a_batch(table):
+    # the 9 x 8 grid at 200 radii in one call, and each row in a call of
+    # its own: every route is chosen entry by entry, so the bits agree
+    n = np.arange(9)[:, None, None]
+    x = table.root(n, np.arange(1, 9)[:, None]) * np.linspace(0.0, 1.0, 200)
+    batch = jn(n, x)
+    for a in range(9):
+        for b in range(8):
+            assert np.array_equal(jn(a, x[a, b]), batch[a, b])
+
+
+def test_norms_against_mpmath(table):
+    # C_{n,k} = 1 / (sqrt(pi) J_{n+1}(j_{n,k})) at 600 entries of the table
+    rng = np.random.default_rng(3)
+    n, k = rng.integers(0, table.n_max + 1, 600), rng.integers(1, table.k_max + 1, 600)
+    ref = 1.0 / (math.sqrt(math.pi) * _mp_jn(n + 1, table.root(n, k)))
+    assert np.max(np.abs(table.norms[n, k - 1] / ref - 1.0)) <= 3e-14
